@@ -26,6 +26,10 @@ SR_PUTATIVE = "sr-putative"
 
 _KINDS = (SHIRYAEV_MIXTURE, SR_MIXTURE, SHIRYAEV_PUTATIVE, SR_PUTATIVE)
 
+#: Bytes of recursion input (subset sums) computed ahead of the step loop.
+#: Larger blocks run no faster and raise peak memory.
+_BLOCK_BYTES = 1 << 21
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -118,6 +122,11 @@ class Detector:
         self.grid = grid
         self.weights = weights
         self.log_threshold = math.log(config.threshold_A)
+        if self.log_threshold > LOG_CLAMP:
+            raise ValueError(
+                f"log threshold {self.log_threshold:.6g} exceeds the log-domain clamp "
+                f"{LOG_CLAMP:g}; the statistic can never reach it"
+            )
 
     def pfa_bound(self) -> float:
         """The calibration bound on the weighted false-alarm probability."""
@@ -143,28 +152,78 @@ class Detector:
             k_independent=self.scenario.k_independent_increments,
         )
 
-    def log_trajectories(self, data: np.ndarray) -> np.ndarray:
-        """Log statistic at every time for a batch of runs: [R, T] from [R, T, N]."""
+    def _check_data(self, data) -> np.ndarray:
         data = np.asarray(data, dtype=float)
         if data.ndim != 3:
             raise ValueError("expected a [replications, horizon, streams] array")
+        if data.shape[2] != self.scenario.n_streams:
+            raise ValueError(
+                f"data has {data.shape[2]} streams, scenario has {self.scenario.n_streams}"
+            )
+        if not np.isfinite(data).all():
+            raise ValueError("observations must be finite")
+        return data
+
+    def _scan(
+        self, data: np.ndarray, log_threshold: float, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Step the statistic over checked ``[R, T, N]`` data; stopping times ``[R]``.
+
+        A run stops at the first step whose log statistic reaches
+        ``log_threshold`` (-1 when it never does).  Its row then leaves the
+        state, and the scan ends once no row is left or at the horizon.
+        ``out`` (``[R, T]``), when given, receives the log statistic of every
+        step a row takes.
+        """
         n_reps, horizon, _ = data.shape
         increments = self.scenario.log_lr_increments(data, self.grid.points)
         state = self._new_state(n_reps)
-        out = np.empty((n_reps, horizon))
+        recursive = self.config.window_m1 is None
         read = state.log_shiryaev if self.config.uses_shiryaev else state.log_sr
-        for t in range(horizon):
-            state.advance(increments[:, t])
-            out[:, t] = read()
+        stopped = np.full(n_reps, -1, dtype=np.int64)
+        rows = np.arange(n_reps)
+        t = 0
+        while t < horizon and rows.size:
+            if recursive:
+                # subset sums for a block of steps: one Python loop over the
+                # subsets per block instead of per step
+                step_bytes = rows.size * state.basis.n_subsets * self.grid.n_points * 8
+                steps = max(1, _BLOCK_BYTES // step_bytes)
+                block = state.subset_llrs(increments[rows, t:t + steps])
+            else:
+                block = increments[rows, t:t + 1]
+            while block.shape[1] and rows.size:
+                if recursive:
+                    state.advance(subset_llrs=block[:, 0])
+                else:
+                    state.advance(block[:, 0])
+                block = block[:, 1:]
+                t += 1
+                value = read()
+                if out is not None:
+                    out[rows, t - 1] = value
+                crossed = value >= log_threshold
+                if crossed.any():
+                    stopped[rows[crossed]] = t
+                    keep = ~crossed
+                    rows = rows[keep]
+                    state.retain(keep)
+                    block = block[keep]
+        return stopped
+
+    def log_trajectories(self, data: np.ndarray) -> np.ndarray:
+        """Log statistic at every time for a batch of runs: [R, T] from [R, T, N]."""
+        data = self._check_data(data)
+        out = np.empty(data.shape[:2])
+        self._scan(data, math.inf, out)
         return out
 
     def stopping_times(self, data: np.ndarray) -> np.ndarray:
-        """First crossing time per run (-1 when censored): [R] from [R, T, N]."""
-        log_traj = self.log_trajectories(data)
-        crossed = log_traj >= self.log_threshold
-        first = np.argmax(crossed, axis=1)
-        hit = crossed.any(axis=1)
-        return np.where(hit, first + 1, -1).astype(np.int64)
+        """First crossing time per run (-1 when censored): [R] from [R, T, N].
+
+        Each run is stepped only up to its own stop.
+        """
+        return self._scan(self._check_data(data), self.log_threshold)
 
     def run(self, batch: ObservationBatch | np.ndarray, max_horizon: int | None = None) -> RunResult:
         """Run the rule over one observation batch."""
@@ -173,12 +232,12 @@ class Detector:
             if max_horizon < 1:
                 raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")
             data = data[:max_horizon]
-        log_traj = self.log_trajectories(data[None])[0]
-        crossed = np.flatnonzero(log_traj >= self.log_threshold)
-        if crossed.size:
-            stop = int(crossed[0]) + 1
-            return RunResult(stop, np.exp(np.minimum(log_traj[:stop], LOG_CLAMP)))
-        return RunResult(None, np.exp(np.minimum(log_traj, LOG_CLAMP)))
+        data = self._check_data(data[None])
+        out = np.empty(data.shape[:2])
+        stop = int(self._scan(data, self.log_threshold, out)[0])
+        if stop > 0:
+            return RunResult(stop, np.exp(np.minimum(out[0, :stop], LOG_CLAMP)))
+        return RunResult(None, np.exp(np.minimum(out[0], LOG_CLAMP)))
 
 
 def threshold_shiryaev(alpha: float, q: float = 0.0) -> float:

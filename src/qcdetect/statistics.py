@@ -130,6 +130,8 @@ class DetectorState:
     (replications x grid points x streams).  In recursive mode the state holds
     per-(subset, point) log components of shape ``[R, S, P]``; in window mode
     it holds the raw increment history and re-evaluates the direct sums.
+    Every update is row by row, so ``retain`` can drop replications that have
+    stopped without changing the arithmetic of the others.
     """
 
     def __init__(
@@ -185,27 +187,38 @@ class DetectorState:
             raise ValueError(f"increments must have shape {expected}, got {inc.shape}")
         return inc
 
-    def _subset_llrs(self, inc: np.ndarray) -> np.ndarray:
-        """Sum the per-stream increments over each subset: [R, S, P].
+    def subset_llrs(self, increments) -> np.ndarray:
+        """Sum per-stream increments ``[..., P, N]`` over each subset: ``[..., S, P]``.
 
-        Accumulated member by member so every row's arithmetic is independent
-        of how replications are batched.
+        Accumulated member by member so every element's arithmetic is the same
+        whether it is summed alone, with other replications or with other steps.
         """
-        out = np.empty((inc.shape[0], self.basis.n_subsets, inc.shape[1]))
+        inc = np.asarray(increments, dtype=float)
+        out = np.empty(inc.shape[:-2] + (self.basis.n_subsets, inc.shape[-2]))
         for s, members in enumerate(self.basis.members):
-            acc = inc[:, :, members[0]].copy()
+            acc = inc[..., members[0]].copy()
             for i in members[1:]:
-                acc += inc[:, :, i]
-            out[:, s, :] = acc
+                acc += inc[..., i]
+            out[..., s, :] = acc
         return out
 
-    def _advance_recursive(self, inc: np.ndarray, prior: PriorSpec | None, update_s: bool, update_r: bool) -> None:
+    def _check_subset_llrs(self, subset_llrs) -> np.ndarray:
+        if self.window_m1 is not None:
+            raise ValueError("joint increments are only supported by the recursions")
+        llr = np.asarray(subset_llrs, dtype=float)
+        if llr.ndim == 2:
+            llr = llr[None]
+        expected = (self.n_reps, self.basis.n_subsets, self.basis.grid.n_points)
+        if llr.shape != expected:
+            raise ValueError(f"joint increments must have shape {expected}, got {llr.shape}")
+        return llr
+
+    def _advance_recursive(self, llr: np.ndarray, prior: PriorSpec | None, update_s: bool, update_r: bool) -> None:
         if not self.k_independent:
             raise ValueError(
                 "increments depend on the hypothesized change point; "
                 "the exact recursion does not apply, use a window-limited state"
             )
-        llr = self._subset_llrs(inc)
         n = self.n + 1
         if update_s:
             prior = prior if prior is not None else self.prior
@@ -260,7 +273,9 @@ class DetectorState:
                 window_offset=self.n - hist.shape[1],
             )
 
-    def _advance(self, increments, prior: PriorSpec | None, update_s: bool, update_r: bool) -> None:
+    def _advance(
+        self, increments, prior: PriorSpec | None, update_s: bool, update_r: bool, subset_llrs=None
+    ) -> None:
         if update_s and self.track == "sr":
             raise ValueError("state does not track the Shiryaev statistic")
         if update_r and self.track == "shiryaev":
@@ -269,62 +284,50 @@ class DetectorState:
             raise ValueError(
                 "state tracks both statistics; advance them together with advance()"
             )
-        inc = self._check_increments(increments)
-        if self.window_m1 is None:
-            self._advance_recursive(inc, prior, update_s, update_r)
+        if (increments is None) == (subset_llrs is None):
+            raise ValueError("pass exactly one of increments and subset_llrs")
+        if subset_llrs is not None:
+            llr = self._check_subset_llrs(subset_llrs)
+        elif self.window_m1 is not None:
+            self._advance_window(self._check_increments(increments), prior, update_s, update_r)
+            return
         else:
-            self._advance_window(inc, prior, update_s, update_r)
+            llr = self.subset_llrs(self._check_increments(increments))
+        self._advance_recursive(llr, prior, update_s, update_r)
 
     # -- public stepping -------------------------------------------------------
 
-    def advance(self, increments, prior: PriorSpec | None = None) -> "DetectorState":
-        """Absorb one observation vector, updating every tracked statistic."""
+    def advance(
+        self, increments=None, prior: PriorSpec | None = None, *, subset_llrs=None
+    ) -> "DetectorState":
+        """Absorb one observation vector, updating every tracked statistic.
+
+        ``increments`` are the per-stream log LR increments ``[R, P, N]``.  A
+        recursive state takes instead ``subset_llrs``, the per-(subset, point)
+        increments ``[R, S, P]`` in ``subset_masks`` order: either the sums
+        ``subset_llrs()`` computes, for a block of steps at once, or the joint
+        increments of a cross-stream-dependent post-change model, where the
+        increment of a subset is not the sum of per-stream terms.
+        """
         self._advance(
             increments,
             prior,
             update_s=self.track in ("both", "shiryaev"),
             update_r=self.track in ("both", "sr"),
+            subset_llrs=subset_llrs,
         )
         return self
 
-    def advance_joint(self, subset_log_lrs, prior: PriorSpec | None = None) -> "DetectorState":
-        """Absorb user-supplied joint per-(subset, point) log LR increments.
-
-        This is the hook for cross-stream-dependent post-change models, where
-        the increment of a subset is not the sum of per-stream terms.  Shape
-        ``[R, S, P]`` with subsets in ``subset_masks`` order; recursive mode
-        only.
-        """
+    def retain(self, rows) -> None:
+        """Keep only the replications ``rows`` selects (a mask or indices) in the state."""
+        self.saturated = self.saturated[rows]
+        self.n_reps = self.saturated.shape[0]
+        for name in ("log_s", "log_r", "_log_s_value", "_log_r_value"):
+            value = getattr(self, name, None)
+            if value is not None:
+                setattr(self, name, value[rows])
         if self.window_m1 is not None:
-            raise ValueError("joint increments are only supported by the recursions")
-        llr = np.asarray(subset_log_lrs, dtype=float)
-        if llr.ndim == 2:
-            llr = llr[None]
-        expected = (self.n_reps, self.basis.n_subsets, self.basis.grid.n_points)
-        if llr.shape != expected:
-            raise ValueError(f"joint increments must have shape {expected}, got {llr.shape}")
-        if not self.k_independent:
-            raise ValueError(
-                "increments depend on the hypothesized change point; "
-                "the exact recursion does not apply"
-            )
-        n = self.n + 1
-        if self.track in ("both", "shiryaev"):
-            prior_eff = prior if prior is not None else self.prior
-            log_tail_prev = prior_eff.log_tail(n - 1)
-            log_tail = prior_eff.log_tail(n)
-            if log_tail == -math.inf:
-                raise ValueError(
-                    f"prior tail vanishes at n={n}; the Shiryaev statistic is undefined"
-                )
-            log_pi = prior_eff.log_mass(n - 1)
-            self.log_s = llr + np.logaddexp(self.log_s + log_tail_prev, log_pi) - log_tail
-            self._clamp(self.log_s)
-        if self.track in ("both", "sr"):
-            self.log_r = llr + np.logaddexp(0.0, self.log_r)
-            self._clamp(self.log_r)
-        self.n = n
-        return self
+            self._hist = [inc[rows] for inc in self._hist]
 
     # -- values ----------------------------------------------------------------
 

@@ -123,6 +123,15 @@ def test_calibrate_infeasible_alpha_is_config_error(tmp_path, capsys):
     assert cli.main(["calibrate", "--config", str(path)]) == EXIT_CONFIG
 
 
+def test_unreachable_threshold_is_config_error(tmp_path, capsys):
+    # log A = 702.3 lies beyond the log-domain clamp of the statistic
+    path = tmp_path / "bad.ini"
+    path.write_text(BASE_CONFIG.replace("alpha = 0.05", "threshold = 1e305"))
+    for command in ("calibrate", "simulate"):
+        assert cli.main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert "clamp" in capsys.readouterr().err
+
+
 def test_zero_replications_is_config_error(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text(BASE_CONFIG.replace("replications = 150", "replications = 0"))

@@ -102,6 +102,51 @@ def test_detector_requires_threshold_above_head_odds():
         Detector(config, scenario, prior, grid, weights)
 
 
+def test_detector_rejects_thresholds_beyond_the_log_clamp():
+    scenario, grid, weights, prior = single_stream_setup()
+    for kind in ("shiryaev-mixture", "sr-mixture"):
+        with pytest.raises(ValueError, match="clamp"):
+            Detector(
+                DetectorConfig(kind=kind, threshold_A=math.exp(701.0)),
+                scenario, prior, grid, weights,
+            )
+        Detector(
+            DetectorConfig(kind=kind, threshold_A=math.exp(699.0)), scenario, prior, grid, weights
+        )
+
+
+def _two_stream_detector():
+    scenario = Scenario((gaussian_stream(theta=1.0), gaussian_stream(theta=1.0)))
+    grid = GridSpec.common_amplitude((1.0,), 2)
+    config = DetectorConfig(kind="shiryaev-mixture", threshold_A=50.0)
+    return Detector(config, scenario, PriorSpec.geometric(rho=0.1), grid, SubsetWeights.uniform(2))
+
+
+def test_data_of_the_wrong_width_is_rejected():
+    detector = _two_stream_detector()
+    data = np.random.default_rng(0).normal(size=(4, 80, 3)) + 1.0
+    with pytest.raises(ValueError, match="3 streams, scenario has 2"):
+        detector.log_trajectories(data)
+    with pytest.raises(ValueError, match="3 streams, scenario has 2"):
+        detector.stopping_times(data)
+    with pytest.raises(ValueError, match="3 streams, scenario has 2"):
+        detector.run(data[0])
+
+
+def test_non_finite_data_is_rejected():
+    detector = _two_stream_detector()
+    data = np.random.default_rng(0).normal(size=(4, 80, 2))
+    for bad in (math.nan, math.inf):
+        poisoned = data.copy()
+        poisoned[1, 50, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            detector.log_trajectories(poisoned)
+        with pytest.raises(ValueError, match="finite"):
+            detector.stopping_times(poisoned)
+        with pytest.raises(ValueError, match="finite"):
+            detector.run(poisoned[1])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         DetectorConfig(kind="unknown", threshold_A=1.0)

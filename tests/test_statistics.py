@@ -339,7 +339,7 @@ def test_joint_increment_hook_matches_factorized_path():
     for t in range(15):
         a.advance(inc[None, t])
         joint = np.einsum("sn,pn->sp", masks, inc[t])
-        b.advance_joint(joint[None])
+        b.advance(subset_llrs=joint[None])
         assert b.log_shiryaev()[0] == pytest.approx(a.log_shiryaev()[0], abs=1e-12)
         assert b.log_sr()[0] == pytest.approx(a.log_sr()[0], abs=1e-12)
 
