@@ -29,10 +29,7 @@ from .model import (
     ObservationBatch,
     PriorSpec,
     generate,
-    prior_mass,
-    prior_tail,
     replication_rng,
-    sample_change,
 )
 from .montecarlo import (
     InfeasibleHorizonError,
@@ -106,11 +103,8 @@ __all__ = [
     "mixture_lr_enumerate",
     "normalizer",
     "posterior_no_change",
-    "prior_mass",
-    "prior_tail",
     "q_constant",
     "replication_rng",
-    "sample_change",
     "shiryaev_direct",
     "shiryaev_update",
     "simulate_runs",

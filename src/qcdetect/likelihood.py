@@ -14,11 +14,11 @@ streams and avoids overflow for log likelihood ratios up to +/-600.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Protocol
 
 import numpy as np
-from scipy.special import logsumexp
 
 ENUMERATION_LIMIT = 25
 
@@ -34,6 +34,34 @@ class LLRIncrementSource(Protocol):
     def step(self, theta: float, x: float) -> float: ...
 
     def reset(self) -> None: ...
+
+
+def logsumexp(a, axis=None):
+    """``log(sum(exp(a)))`` over ``axis`` (an int, a tuple or None for all).
+
+    The real-input algorithm of ``scipy.special.logsumexp`` (scipy 1.17),
+    operation for operation, so the two agree bit for bit: the maxima are
+    split off with their tie count ``m``, the rest is summed after the shift,
+    and ``log(sum(exp(a)))`` replaces any result that is not finite.  It skips
+    scipy's array-API dispatch and only runs that unshifted fallback where it
+    is needed.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if axis is None:
+        axis = tuple(range(a.ndim))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        is_max = a == a_max
+        m = np.sum(is_max, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        infinite = ~np.isfinite(out)
+        if infinite.any():
+            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+            out = np.where(infinite, direct, out)
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 def elementary_symmetric(values, K: int) -> np.ndarray:
@@ -103,8 +131,9 @@ class SubsetWeights:
     def log_p(self) -> np.ndarray:
         return np.log(np.asarray(self.p))
 
-    @property
+    @cached_property
     def log_normalizer(self) -> float:
+        # computed once per instance; frozen dataclasses still carry a __dict__
         loge = log_elementary_symmetric(self.log_p, self.K)
         return -float(logsumexp(loge[1:]))
 

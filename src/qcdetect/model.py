@@ -93,9 +93,15 @@ class PriorSpec:
             return scale if k == self.k0 else -math.inf
         raise ValueError(f"unknown prior kind {self.kind!r}")
 
-    def tail(self, n: int) -> float:
-        """P(nu >= n) for n >= 0, evaluated without truncation error."""
-        if n < 0:
+    def tail(self, n: int | np.ndarray) -> float | np.ndarray:
+        """P(nu >= n) for n >= 0, evaluated without truncation error.
+
+        Elementwise when ``n`` is an array (computed in floating point).
+        """
+        is_array = np.ndim(n) > 0
+        if is_array:
+            n = np.asarray(n, dtype=float)
+        if np.any(n < 0):
             raise ValueError("tail is defined for n >= 0")
         scale = 1.0 - self.q
         if self.kind == GEOMETRIC:
@@ -105,6 +111,8 @@ class PriorSpec:
             s = 1.0 + self.beta
             return scale * zeta(s, n + 1.0) / zeta(s, 1.0)
         if self.kind == POINT_MASS:
+            if is_array:
+                return np.where(n <= self.k0, scale, 0.0)
             return scale if n <= self.k0 else 0.0
         raise ValueError(f"unknown prior kind {self.kind!r}")
 
@@ -195,21 +203,6 @@ def _check_head_mass(q: float) -> None:
         raise ValueError(f"head mass q must be in [0, 1), got {q}")
 
 
-def prior_mass(prior: PriorSpec, k: int) -> float:
-    """P(nu = k) for k >= 0."""
-    return prior.mass(k)
-
-
-def prior_tail(prior: PriorSpec, n: int) -> float:
-    """P(nu >= n) for n >= 0."""
-    return prior.tail(n)
-
-
-def sample_change(prior: PriorSpec, rng: np.random.Generator) -> int:
-    """Draw a change point from the prior (-1 encodes 'before the start')."""
-    return prior.sample(rng)
-
-
 @dataclass(frozen=True)
 class ChangeSpec:
     """A concrete change: its time, the affected streams, and their parameters.
@@ -274,7 +267,7 @@ def generate(scenario, change: ChangeSpec, horizon: int, rng: np.random.Generato
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if change.nu != NO_CHANGE and change.subset and max(change.subset) >= scenario.n_streams:
         raise ValueError("affected subset refers to a stream outside the scenario")
-    return ObservationBatch(scenario.generate(change, horizon, rng))
+    return ObservationBatch(scenario.generate([change], horizon, [rng])[0])
 
 
 def replication_rng(master_seed: int, replication: int) -> np.random.Generator:

@@ -22,19 +22,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 from .detectors import Detector
 from .likelihood import log_subset_weights, subset_masks
-from .model import (
-    GEOMETRIC,
-    NO_CHANGE,
-    POINT_MASS,
-    POLYNOMIAL_TAIL,
-    ChangeSpec,
-    PriorSpec,
-    replication_rng,
-)
+from .model import NO_CHANGE, ChangeSpec, PriorSpec, replication_rng
 
 _CHUNK = 1024
 
@@ -167,15 +158,17 @@ def _simulate_span(detector: Detector, sampler, mc: MCConfig, start: int, count:
     nu = np.empty(count, dtype=np.int64)
     subset_id = np.empty(count, dtype=np.int32)
     point_id = np.empty(count, dtype=np.int32)
-    data = np.empty((count, mc.horizon, detector.scenario.n_streams))
+    changes = []
+    rngs = []
     for j in range(count):
         rng = replication_rng(mc.master_seed, start + j)
         change, b_idx, p_idx = sampler.draw(detector.prior, rng)
         nu[j] = change.nu
         subset_id[j] = b_idx
         point_id[j] = p_idx
-        data[j] = detector.scenario.generate(change, mc.horizon, rng)
-    stopped = detector.stopping_times(data)
+        changes.append(change)
+        rngs.append(rng)
+    stopped = detector.stopping_times(detector.scenario.generate(changes, mc.horizon, rngs))
     return start, nu, stopped, subset_id, point_id
 
 
@@ -214,20 +207,6 @@ def simulate_runs(detector: Detector, mc: MCConfig, sampler) -> RunRecords:
     return records
 
 
-def _tail_array(prior: PriorSpec, n: np.ndarray) -> np.ndarray:
-    """P(nu >= n) evaluated elementwise (n >= 0)."""
-    n = np.asarray(n, dtype=float)
-    scale = 1.0 - prior.q
-    if prior.kind == GEOMETRIC:
-        return scale * (1.0 - prior.rho) ** n
-    if prior.kind == POLYNOMIAL_TAIL:
-        s = 1.0 + prior.beta
-        return scale * zeta(s, n + 1.0) / zeta(s, 1.0)
-    if prior.kind == POINT_MASS:
-        return np.where(n <= prior.k0, scale, 0.0)
-    raise ValueError(f"unknown prior kind {prior.kind!r}")
-
-
 # -- operating-characteristic estimators ----------------------------------------
 
 
@@ -252,7 +231,7 @@ def estimate_pfa(detector: Detector, mc: MCConfig, alpha: float | None = None) -
             f"alpha = {alpha:.3g}; increase the horizon"
         )
     values = np.where(
-        unresolved, tail_beyond, _tail_array(detector.prior, np.maximum(records.stopped, 0))
+        unresolved, tail_beyond, detector.prior.tail(np.maximum(records.stopped, 0))
     )
     return MCEstimate.from_values(values, censored_fraction=0.0)
 

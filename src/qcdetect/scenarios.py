@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
-from .model import NO_CHANGE, ChangeSpec
+from .model import NO_CHANGE
 
 
 def _softplus(z):
@@ -89,15 +89,27 @@ class ARChannelSpec:
 
     def generate(self, horizon: int, post_from: int, theta: float, rng) -> np.ndarray:
         """One stream of length ``horizon``; rows >= post_from carry the signal."""
-        w = rng.normal(0.0, self.sigma, size=horizon)
+        post, amplitude = np.array([post_from]), np.array([float(theta)])
+        return self.generate_batch(horizon, post, amplitude, [rng])[0]
+
+    def generate_batch(
+        self, horizon: int, post_from: np.ndarray, theta: np.ndarray, rngs
+    ) -> np.ndarray:
+        """One stream per generator: ``[R, horizon]``.
+
+        Row ``r`` draws its noise from ``rngs[r]`` and carries ``theta[r]``
+        times the signal from index ``post_from[r]`` on.
+        """
+        x = np.empty((len(rngs), horizon))
+        for row, rng in zip(x, rngs):
+            row[:] = rng.normal(0.0, self.sigma, size=horizon)
         if self.coeffs:
             # xi_t = sum_j coeffs[j] xi_{t-j} + w_t with zero initial state
-            x = lfilter([1.0], np.concatenate(([1.0], -np.asarray(self.coeffs))), w)
-        else:
-            x = w
-        if post_from < horizon:
-            x = x.copy()
-            x[post_from:] += theta * self.signal_sequence(horizon)[post_from:]
+            x = lfilter([1.0], np.concatenate(([1.0], -np.asarray(self.coeffs))), x, axis=-1)
+        after = np.arange(horizon) >= post_from[:, None]
+        if after.any():
+            signal = theta[:, None] * self.signal_sequence(horizon)
+            np.add(x, signal, out=x, where=after)
         return x
 
     def log_lr_increments(self, x: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -170,12 +182,28 @@ class MixtureChannelSpec:
 
     def generate(self, horizon: int, post_from: int, theta: float, rng) -> np.ndarray:
         """One stream; the pre-change segment uses a single latent component."""
-        component_mean = self.mu1 if rng.random() < self.beta_mix else self.mu2
-        z = rng.normal(0.0, 1.0, size=horizon)
-        mean = np.full(horizon, component_mean)
-        if post_from < horizon:
-            mean[post_from:] = theta
-        return mean + self.sigma * z
+        post, amplitude = np.array([post_from]), np.array([float(theta)])
+        return self.generate_batch(horizon, post, amplitude, [rng])[0]
+
+    def generate_batch(
+        self, horizon: int, post_from: np.ndarray, theta: np.ndarray, rngs
+    ) -> np.ndarray:
+        """One stream per generator: ``[R, horizon]``.
+
+        Row ``r`` draws its latent component and noise from ``rngs[r]`` and
+        has mean ``theta[r]`` from index ``post_from[r]`` on.
+        """
+        z = np.empty((len(rngs), horizon))
+        mean = np.empty((len(rngs), 1))
+        for row, rng in enumerate(rngs):
+            mean[row] = self.mu1 if rng.random() < self.beta_mix else self.mu2
+            z[row] = rng.normal(0.0, 1.0, size=horizon)
+        after = np.arange(horizon) >= post_from[:, None]
+        if after.any():
+            mean = np.where(after, theta[:, None], mean)
+        z *= self.sigma
+        z += mean
+        return z
 
     def _log_component_ratio(self, x: np.ndarray) -> np.ndarray:
         # log p1(x) - log p2(x) per observation
@@ -341,22 +369,29 @@ class Scenario:
     def nominal_theta(self, subset) -> tuple[float, ...]:
         return tuple(self.channels[i].theta for i in sorted(subset))
 
-    def generate(self, change: ChangeSpec, horizon: int, rng) -> np.ndarray:
-        """Simulate ``horizon`` rows; affected streams switch at ``nu + 1``."""
-        if change.nu == NO_CHANGE:
-            post_from = horizon
-            theta_by_stream = {}
-        else:
-            post_from = max(change.nu, 0)
-            theta = change.theta if change.theta is not None else self.nominal_theta(change.subset)
-            theta_by_stream = dict(zip(change.subset, theta))
-        cols = []
+    def generate(self, changes, horizon: int, rngs) -> np.ndarray:
+        """Simulate ``horizon`` rows per replication: ``[R, horizon, N]``.
+
+        Replication ``r`` follows ``changes[r]`` (affected streams switch at
+        ``nu + 1``) and draws from ``rngs[r]``, stream by stream in the same
+        order and sizes as it would alone, so its data does not depend on
+        which other replications share the batch.
+        """
+        if len(changes) != len(rngs):
+            raise ValueError(f"{len(changes)} changes for {len(rngs)} generators")
+        post_from = np.full((len(changes), self.n_streams), horizon, dtype=np.int64)
+        theta = np.zeros((len(changes), self.n_streams))
+        for r, change in enumerate(changes):
+            if change.nu != NO_CHANGE:
+                subset = list(change.subset)
+                post_from[r, subset] = max(change.nu, 0)
+                theta[r, subset] = (
+                    change.theta if change.theta is not None else self.nominal_theta(subset)
+                )
+        data = np.empty((len(changes), horizon, self.n_streams))
         for i, channel in enumerate(self.channels):
-            start = post_from if i in theta_by_stream else horizon
-            cols.append(
-                channel.generate(horizon, start, theta_by_stream.get(i, 0.0), rng)
-            )
-        return np.stack(cols, axis=-1)
+            data[..., i] = channel.generate_batch(horizon, post_from[:, i], theta[:, i], rngs)
+        return data
 
     def log_lr_increments(self, data: np.ndarray, theta_points: np.ndarray) -> np.ndarray:
         """Increments for every grid point: ``[..., T, P, N]``.

@@ -25,12 +25,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .likelihood import (
     SubsetWeights,
     log_elementary_symmetric,
     log_subset_weights,
+    logsumexp,
     subset_masks,
 )
 from .model import PriorSpec

@@ -133,7 +133,7 @@ def _reference_setups():
 
 def _simulate(scenario, horizon, rng, nu=8):
     change = ChangeSpec(nu=nu, subset=(0, 1))
-    return scenario.generate(change, horizon, rng)
+    return scenario.generate([change], horizon, [rng])[0]
 
 
 # -- suites ----------------------------------------------------------------------

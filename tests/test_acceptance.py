@@ -156,13 +156,10 @@ def test_04_recursion_vs_direct_oracle():
     n_seeds, horizon = 100, 200
     worst = 0.0
     for label, scenario in setups:
-        data = np.stack(
-            [
-                scenario.generate(
-                    ChangeSpec(nu=20, subset=(0, 1)), horizon, replication_rng(104, r)
-                )
-                for r in range(n_seeds)
-            ]
+        data = scenario.generate(
+            [ChangeSpec(nu=20, subset=(0, 1))] * n_seeds,
+            horizon,
+            [replication_rng(104, r) for r in range(n_seeds)],
         )
         increments = scenario.log_lr_increments(data, grid.points)
         state = DetectorState(
@@ -212,7 +209,7 @@ def test_06_posterior_identity():
     for label, scenario in setups:
         for path in range(10):
             rng = replication_rng(106, path)
-            data = scenario.generate(ChangeSpec(nu=15, subset=(0, 1)), horizon, rng)
+            data = scenario.generate([ChangeSpec(nu=15, subset=(0, 1))], horizon, [rng])[0]
             oracle = posterior_direct_bayes(scenario, data, prior, grid, weights)
             increments = scenario.log_lr_increments(data, grid.points)
             state = DetectorState(prior, grid, weights, track="shiryaev")
@@ -345,7 +342,7 @@ def test_11_window_limited_behavior():
     scenario, grid, weights, prior = single_stream_setup(rho=0.1)
     # (a) a window covering the whole past follows the identical arithmetic path
     rng = replication_rng(111, 0)
-    data = scenario.generate(ChangeSpec(nu=30, subset=(0,)), 100, rng)
+    data = scenario.generate([ChangeSpec(nu=30, subset=(0,))], 100, [rng])[0]
     increments = scenario.log_lr_increments(data, grid.points)
     state = DetectorState(prior, grid, weights, omega=0.7, window_m1=150, track="both")
     identical = True
@@ -365,11 +362,10 @@ def test_11_window_limited_behavior():
         scenario, prior, grid, weights,
     )
     n_pairs = 1000
-    data = np.stack(
-        [
-            scenario.generate(ChangeSpec(nu=0, subset=(0,)), 100, replication_rng(111, r))
-            for r in range(n_pairs)
-        ]
+    data = scenario.generate(
+        [ChangeSpec(nu=0, subset=(0,))] * n_pairs,
+        100,
+        [replication_rng(111, r) for r in range(n_pairs)],
     )
     t_full = full.stopping_times(data)
     t_win = windowed.stopping_times(data)

@@ -5,6 +5,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy
+from numpy.lib import NumpyVersion
+from scipy.special import logsumexp as scipy_logsumexp
 
 from qcdetect import (
     SubsetWeights,
@@ -13,7 +16,7 @@ from qcdetect import (
     mixture_lr_enumerate,
     normalizer,
 )
-from qcdetect.likelihood import log_elementary_symmetric, subset_masks
+from qcdetect.likelihood import log_elementary_symmetric, logsumexp, subset_masks
 
 
 def esp_brute(values, K):
@@ -210,3 +213,81 @@ def test_batched_dp_matches_scalar_calls():
     for i in range(5):
         for j in range(4):
             assert batched[i, j] == pytest.approx(mixture_lr_dp(block[i, j], w), abs=1e-12)
+
+
+# -- the log-sum-exp kernel against scipy ------------------------------------------
+
+SCIPY_ALGORITHM = NumpyVersion(scipy.__version__) >= "1.17.0"
+
+
+def assert_same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+
+EDGE_ROWS = np.array(
+    [
+        [1.5, 1.5, 0.0, -2.0],  # tied maxima
+        [3.0, 3.0, 3.0, 3.0],  # all tied
+        [-np.inf, 0.7, -np.inf, -1.0],  # partly -inf
+        [-np.inf, -np.inf, -np.inf, -np.inf],  # all -inf
+        [np.inf, 2.0, -1.0, 0.0],  # +inf entry
+        [np.inf, np.inf, -np.inf, 1.0],  # tied +inf
+        [-745.0, -744.5, -800.0, -1e308],  # underflowing terms
+        [709.0, 708.5, 700.0, 1e-300],  # near overflow
+    ]
+)
+
+
+@pytest.mark.skipif(
+    not SCIPY_ALGORITHM,
+    reason=f"the kernel copies scipy 1.17's algorithm; scipy {scipy.__version__} differs",
+)
+class TestLogSumExpMatchesScipy:
+    @pytest.mark.parametrize(
+        "shape, axis",
+        [
+            ((7,), None),
+            ((7,), 0),
+            ((5, 9), -1),
+            ((5, 9), 0),
+            ((5, 9), None),
+            ((4, 7, 2), (1, 2)),
+            ((4, 7, 2), (0, 2)),
+            ((3, 11, 2, 3), -1),
+            ((3, 11, 2, 3), None),
+        ],
+    )
+    def test_random_inputs(self, shape, axis):
+        a = np.random.default_rng(len(shape)).normal(scale=40.0, size=shape)
+        assert_same_bits(logsumexp(a, axis), scipy_logsumexp(a, axis=axis))
+
+    @pytest.mark.parametrize("axis", [-1, 0, None, (0, 1)])
+    def test_ties_and_infinities(self, axis):
+        assert_same_bits(logsumexp(EDGE_ROWS, axis), scipy_logsumexp(EDGE_ROWS, axis=axis))
+
+    def test_each_edge_row_alone(self):
+        for row in EDGE_ROWS:
+            assert_same_bits(logsumexp(row), scipy_logsumexp(row))
+
+    def test_non_contiguous_views(self):
+        rng = np.random.default_rng(3)
+        loge = rng.normal(scale=20.0, size=(6, 5, 4))
+        loge[..., 0] = 0.0
+        loge[1, 2, 3] = -np.inf
+        for view, axis in [
+            (loge[..., 1:], -1),
+            (loge[:, ::2, 1:], (1, 2)),
+            (loge.transpose(2, 0, 1), 0),
+            (loge[::-1, :, 2], None),
+        ]:
+            assert not view.flags.c_contiguous
+            assert_same_bits(logsumexp(view, axis), scipy_logsumexp(view, axis=axis))
+
+    def test_scalars_and_lists(self):
+        assert_same_bits(logsumexp(2.5), scipy_logsumexp(2.5))
+        assert_same_bits(logsumexp([1, 2, 3]), scipy_logsumexp([1, 2, 3]))
+        assert_same_bits(logsumexp([[0, 1], [1, 1]], 1), scipy_logsumexp([[0, 1], [1, 1]], axis=1))
+        assert type(logsumexp([0.5, 0.25])) is type(scipy_logsumexp([0.5, 0.25]))

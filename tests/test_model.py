@@ -13,35 +13,32 @@ from qcdetect import (
     Scenario,
     gaussian_stream,
     generate,
-    prior_mass,
-    prior_tail,
     replication_rng,
-    sample_change,
 )
 from qcdetect.scenarios import ARChannelSpec
 
 
 def test_geometric_mass_head():
     prior = PriorSpec.geometric(rho=0.5)
-    assert prior_mass(prior, 0) == 0.5
+    assert prior.mass(0) == 0.5
 
 
 def test_geometric_mass_with_head_mass():
     # (1-q) * rho * (1-rho)^k = 0.5 * 0.5 * 0.5
     prior = PriorSpec.geometric(rho=0.5, q=0.5)
-    assert prior_mass(prior, 1) == pytest.approx(0.125, abs=1e-15)
+    assert prior.mass(1) == pytest.approx(0.125, abs=1e-15)
 
 
 def test_polynomial_tail_zeta_normalizer():
     # sum (k+1)^-2 = pi^2/6, so pi_0 = 6/pi^2
     prior = PriorSpec.polynomial_tail(beta=1.0)
-    assert prior_mass(prior, 0) == pytest.approx(6.0 / math.pi**2, abs=1e-12)
+    assert prior.mass(0) == pytest.approx(6.0 / math.pi**2, abs=1e-12)
 
 
 def test_geometric_tail_values():
     prior = PriorSpec.geometric(rho=0.5)
-    assert prior_tail(prior, 0) == 1.0
-    assert prior_tail(prior, 2) == pytest.approx(0.25, abs=1e-15)
+    assert prior.tail(0) == 1.0
+    assert prior.tail(2) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_tail_at_zero_is_one_minus_head_mass():
@@ -50,7 +47,22 @@ def test_tail_at_zero_is_one_minus_head_mass():
         PriorSpec.polynomial_tail(beta=1.5, q=0.3),
         PriorSpec.point_mass(4, q=0.3),
     ):
-        assert prior_tail(prior, 0) == pytest.approx(0.7, abs=1e-15)
+        assert prior.tail(0) == pytest.approx(0.7, abs=1e-15)
+
+
+def test_tail_is_elementwise_on_arrays():
+    n = np.array([[0, 1, 4], [5, 17, 300]])
+    for prior in (
+        PriorSpec.geometric(rho=0.3, q=0.3),
+        PriorSpec.polynomial_tail(beta=1.5, q=0.3),
+        PriorSpec.point_mass(4, q=0.3),
+    ):
+        tails = prior.tail(n)
+        assert tails.shape == n.shape
+        expected = [[prior.tail(int(k)) for k in row] for row in n]
+        np.testing.assert_allclose(tails, expected, rtol=1e-14, atol=0.0)
+        with pytest.raises(ValueError):
+            prior.tail(np.array([3, -1]))
 
 
 @pytest.mark.parametrize(
@@ -128,13 +140,13 @@ def test_invalid_priors_rejected():
 def test_sample_point_mass_is_degenerate():
     rng = np.random.default_rng(0)
     prior = PriorSpec.point_mass(5)
-    assert all(sample_change(prior, rng) == 5 for _ in range(10))
+    assert all(prior.sample(rng) == 5 for _ in range(10))
 
 
 def test_sample_near_degenerate_geometric():
     rng = np.random.default_rng(0)
     prior = PriorSpec.geometric(rho=1.0 - 1e-15)
-    assert all(sample_change(prior, rng) == 0 for _ in range(100))
+    assert all(prior.sample(rng) == 0 for _ in range(100))
 
 
 def test_sample_geometric_mean():
@@ -161,7 +173,7 @@ def test_sample_head_mass_frequency():
     prior = PriorSpec.geometric(rho=0.4, q=0.3)
     rng = np.random.default_rng(11)
     n = 50_000
-    hits = sum(sample_change(prior, rng) == -1 for _ in range(n))
+    hits = sum(prior.sample(rng) == -1 for _ in range(n))
     assert abs(hits / n - 0.3) <= 3 * math.sqrt(0.3 * 0.7 / n)
 
 

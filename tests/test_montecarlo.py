@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qcdetect import montecarlo
 from qcdetect import (
     ChangeSpec,
     Detector,
@@ -232,3 +233,22 @@ def test_moment_order_validated():
         estimate_bayes_delay(detector, (0,), (1.0,), 0.0, mc)
     with pytest.raises(ValueError):
         estimate_average_risk(detector, -1.0, 1, mc)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simulate_runs_is_independent_of_span_size(monkeypatch, workers):
+    scenario = Scenario((gaussian_stream(theta=1.0), gaussian_stream(theta=0.5)))
+    detector = Detector(
+        DetectorConfig(kind="shiryaev-mixture", threshold_A=30.0),
+        scenario,
+        PriorSpec.geometric(rho=0.05, q=0.1),
+        GridSpec.common_amplitude([0.5, 1.0], 2),
+        SubsetWeights.uniform(2, 2),
+    )
+    mc = MCConfig(replications=50, master_seed=18, horizon=80, workers=workers)
+    sampler = JointSampler.for_detector(detector)
+    whole = simulate_runs(detector, mc, sampler)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+    split = simulate_runs(detector, mc, sampler)
+    for field in ("nu", "stopped", "subset_id", "point_id"):
+        np.testing.assert_array_equal(getattr(split, field), getattr(whole, field))

@@ -4,12 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from qcdetect import (
+    NO_CHANGE,
     ARChannelSpec,
     ChangeSpec,
+    Detector,
+    DetectorConfig,
+    GridSpec,
     MixtureChannelSpec,
+    PriorSpec,
     Scenario,
+    SubsetWeights,
     ar_llr_increment,
     ar_residual,
     gaussian_stream,
@@ -17,6 +24,7 @@ from qcdetect import (
     q_constant,
     replication_rng,
 )
+from qcdetect.montecarlo import JointSampler, NoChangeSampler, PriorNuSampler
 
 
 def test_ar_residual_first_sample_passthrough():
@@ -189,7 +197,7 @@ def test_scenario_increments_shape_and_alignment():
     )
     points = np.array([[0.5, 0.6], [1.0, 0.8]])
     rng = np.random.default_rng(4)
-    data = scenario.generate(ChangeSpec(nu=5, subset=(0,)), 12, rng)
+    data = scenario.generate([ChangeSpec(nu=5, subset=(0,))], 12, [rng])[0]
     inc = scenario.log_lr_increments(data, points)
     assert inc.shape == (12, 2, 2)
     for i, channel in enumerate(scenario.channels):
@@ -200,3 +208,98 @@ def test_scenario_increments_shape_and_alignment():
 def test_scenario_requires_channels():
     with pytest.raises(ValueError):
         Scenario(())
+
+
+def reference_stream(channel, horizon, post_from, theta, rng):
+    """One stream drawn and shaped on its own, the law a span must reproduce."""
+    if isinstance(channel, MixtureChannelSpec):
+        component_mean = channel.mu1 if rng.random() < channel.beta_mix else channel.mu2
+        z = rng.normal(0.0, 1.0, size=horizon)
+        mean = np.full(horizon, component_mean)
+        mean[post_from:] = theta
+        return mean + channel.sigma * z
+    x = rng.normal(0.0, channel.sigma, size=horizon)
+    if channel.coeffs:
+        x = lfilter([1.0], np.concatenate(([1.0], -np.asarray(channel.coeffs))), x)
+    x[post_from:] += theta * channel.signal_sequence(horizon)[post_from:]
+    return x
+
+
+def reference_replication(scenario, change, horizon, rng):
+    theta = {}
+    if change.nu != NO_CHANGE:
+        values = change.theta or scenario.nominal_theta(change.subset)
+        theta = dict(zip(change.subset, values))
+    cols = [
+        reference_stream(
+            channel,
+            horizon,
+            max(change.nu, 0) if i in theta else horizon,
+            theta.get(i, 0.0),
+            rng,
+        )
+        for i, channel in enumerate(scenario.channels)
+    ]
+    return np.stack(cols, axis=-1)
+
+
+SPAN_SCENARIOS = {
+    "ar": Scenario(
+        (
+            ARChannelSpec(coeffs=(), sigma=1.0, signal=(1.0,), theta=1.0),
+            ARChannelSpec(coeffs=(0.6,), sigma=0.5, signal=(1.0, -0.5), theta=0.8),
+            ARChannelSpec(coeffs=(0.4, -0.3), sigma=2.0, signal=(0.5, 1.0, 1.5), theta=1.7),
+        )
+    ),
+    "mixture": Scenario(
+        (
+            MixtureChannelSpec(beta_mix=0.3, mu1=-1.0, mu2=0.0, sigma=1.0, theta=1.0),
+            MixtureChannelSpec(beta_mix=0.6, mu1=2.0, mu2=0.5, sigma=0.7, theta=-0.5),
+            MixtureChannelSpec(beta_mix=0.5, mu1=-3.0, mu2=1.0, sigma=1.5, theta=2.0),
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPAN_SCENARIOS))
+@pytest.mark.parametrize("sampler_name", ["none", "prior-nu", "joint"])
+def test_span_generation_equals_per_replication_generation(kind, sampler_name):
+    scenario = SPAN_SCENARIOS[kind]
+    prior = PriorSpec.geometric(rho=0.08, q=0.15)
+    detector = Detector(
+        DetectorConfig(kind="shiryaev-mixture", threshold_A=50.0),
+        scenario,
+        prior,
+        GridSpec.common_amplitude((0.5, 1.5), 3),
+        SubsetWeights(p=(1.0, 0.5, 2.0), K=2),
+    )
+    sampler = {
+        "none": NoChangeSampler(),
+        "prior-nu": PriorNuSampler((0, 2), (0.9, 1.1)),
+        "joint": JointSampler.for_detector(detector),
+    }[sampler_name]
+    horizon, n_reps = 25, 40
+
+    def drawn(r):
+        rng = replication_rng(17, r)
+        return sampler.draw(prior, rng)[0], rng
+
+    changes, rngs = zip(*(drawn(r) for r in range(n_reps)))
+    span = scenario.generate(list(changes), horizon, list(rngs))
+    assert span.shape == (n_reps, horizon, 3)
+    for r in range(n_reps):
+        change, rng = drawn(r)
+        single = scenario.generate([change], horizon, [rng])[0]
+        change, rng = drawn(r)
+        np.testing.assert_array_equal(span[r], single)
+        np.testing.assert_array_equal(span[r], reference_replication(scenario, change, horizon, rng))
+    if sampler_name != "none":
+        # the draws cover changes before the start, inside and beyond the horizon
+        nus = np.array([c.nu for c in changes])
+        assert (nus == -1).any() and ((nus >= 0) & (nus < horizon)).any() and (nus >= horizon).any()
+
+
+def test_span_generation_needs_one_generator_per_change():
+    scenario = SPAN_SCENARIOS["ar"]
+    with pytest.raises(ValueError):
+        scenario.generate([ChangeSpec(NO_CHANGE, ())] * 2, 10, [replication_rng(0, 0)])

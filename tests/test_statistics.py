@@ -140,7 +140,7 @@ def test_recursion_matches_direct_sum():
     worst = 0.0
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        data = scenario.generate(ChangeSpec(nu=7, subset=(0, 1)), 50, rng)
+        data = scenario.generate([ChangeSpec(nu=7, subset=(0, 1))], 50, [rng])[0]
         inc = scenario.log_lr_increments(data, grid.points)
         state = DetectorState(prior, grid, weights, omega=2.0, track="both")
         for t in range(50):
@@ -155,7 +155,7 @@ def test_recursion_matches_direct_sum():
 def test_windowed_state_covering_origin_is_bit_identical_to_full():
     scenario, grid, weights, prior = make_pair_setup()
     rng = np.random.default_rng(3)
-    data = scenario.generate(ChangeSpec(nu=10, subset=(0,)), 40, rng)
+    data = scenario.generate([ChangeSpec(nu=10, subset=(0,))], 40, [rng])[0]
     inc = scenario.log_lr_increments(data, grid.points)
     state = DetectorState(prior, grid, weights, omega=1.0, window_m1=100, track="both")
     for t in range(40):
@@ -169,7 +169,7 @@ def test_windowed_state_covering_origin_is_bit_identical_to_full():
 def test_window_m1_zero_keeps_single_term():
     scenario, grid, weights, prior = make_pair_setup()
     rng = np.random.default_rng(4)
-    data = scenario.generate(ChangeSpec(nu=2, subset=(0,)), 6, rng)
+    data = scenario.generate([ChangeSpec(nu=2, subset=(0,))], 6, [rng])[0]
     inc = scenario.log_lr_increments(data, grid.points)
     n = 4
     value = shiryaev_direct(inc[:n], prior, grid, weights, n=n, m1=0)
@@ -183,7 +183,7 @@ def test_windowed_sums_match_brute_force_oracle():
     # plain-python re-summation over the window, m1 = 8, 20 steps
     scenario, grid, weights, prior = make_pair_setup()
     rng = np.random.default_rng(5)
-    data = scenario.generate(ChangeSpec(nu=6, subset=(0, 1)), 20, rng)
+    data = scenario.generate([ChangeSpec(nu=6, subset=(0, 1))], 20, [rng])[0]
     inc = scenario.log_lr_increments(data, grid.points)
     m1 = 8
     omega = 1.3
@@ -212,7 +212,7 @@ def test_windowed_sums_match_brute_force_oracle():
 def test_window_shorter_than_range_rejected():
     scenario, grid, weights, prior = make_pair_setup()
     rng = np.random.default_rng(6)
-    data = scenario.generate(ChangeSpec(nu=3, subset=(0,)), 12, rng)
+    data = scenario.generate([ChangeSpec(nu=3, subset=(0,))], 12, [rng])[0]
     inc = scenario.log_lr_increments(data, grid.points)
     with pytest.raises(ValueError):
         shiryaev_direct(inc[5:], prior, grid, weights, n=12, m1=8, window_offset=5)
@@ -223,7 +223,7 @@ def test_window_shorter_than_range_rejected():
 def test_window_m0_drops_most_recent_terms():
     scenario, grid, weights, prior = make_pair_setup()
     rng = np.random.default_rng(7)
-    data = scenario.generate(ChangeSpec(nu=3, subset=(0,)), 10, rng)
+    data = scenario.generate([ChangeSpec(nu=3, subset=(0,))], 10, [rng])[0]
     inc = scenario.log_lr_increments(data, grid.points)
     n, m1, m0 = 9, 5, 2
     got = sr_direct(inc[:n], grid, weights, omega=0.0, n=n, m1=m1, m0=m0)
@@ -245,7 +245,7 @@ def test_posterior_identity_against_direct_bayes():
     worst = 0.0
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
-        data = scenario.generate(ChangeSpec(nu=8, subset=(0, 1)), 40, rng)
+        data = scenario.generate([ChangeSpec(nu=8, subset=(0, 1))], 40, [rng])[0]
         oracle = posterior_direct_bayes(scenario, data, prior, grid, weights)
         inc = scenario.log_lr_increments(data, grid.points)
         state = DetectorState(prior, grid, weights, track="shiryaev")
@@ -258,7 +258,7 @@ def test_posterior_identity_against_direct_bayes():
 def test_posterior_helper_matches_state():
     scenario, grid, weights, prior = make_pair_setup()
     rng = np.random.default_rng(8)
-    data = scenario.generate(ChangeSpec(nu=5, subset=(0,)), 10, rng)
+    data = scenario.generate([ChangeSpec(nu=5, subset=(0,))], 10, [rng])[0]
     inc = scenario.log_lr_increments(data, grid.points)
     state = DetectorState(prior, grid, weights, track="shiryaev")
     for t in range(10):
@@ -276,7 +276,7 @@ def test_degenerate_grid_reduces_to_single_parameter_mixture():
     theta = (0.8, 0.7)
     grid = GridSpec.degenerate(theta)
     rng = np.random.default_rng(9)
-    data = scenario.generate(ChangeSpec(nu=4, subset=(0, 1)), 30, rng)
+    data = scenario.generate([ChangeSpec(nu=4, subset=(0, 1))], 30, [rng])[0]
     inc = scenario.log_lr_increments(data, grid.points)
     state = DetectorState(prior, grid, weights, track="shiryaev")
     # single-parameter mixture: per-subset recursions without any theta layer
@@ -300,7 +300,7 @@ def test_degenerate_grid_reduces_to_single_parameter_mixture():
 def test_statistics_are_nonnegative():
     scenario, grid, weights, prior = make_pair_setup()
     rng = np.random.default_rng(10)
-    data = scenario.generate(ChangeSpec(nu=2, subset=(0,)), 25, rng)
+    data = scenario.generate([ChangeSpec(nu=2, subset=(0,))], 25, [rng])[0]
     inc = scenario.log_lr_increments(data, grid.points)
     state = DetectorState(prior, grid, weights, omega=0.0, track="both")
     for t in range(25):
@@ -329,7 +329,7 @@ def test_point_mass_prior_exhausts_shiryaev_support():
 def test_joint_increment_hook_matches_factorized_path():
     scenario, grid, weights, prior = make_pair_setup()
     rng = np.random.default_rng(11)
-    data = scenario.generate(ChangeSpec(nu=3, subset=(0, 1)), 15, rng)
+    data = scenario.generate([ChangeSpec(nu=3, subset=(0, 1))], 15, [rng])[0]
     inc = scenario.log_lr_increments(data, grid.points)
     from qcdetect.likelihood import subset_masks
 
