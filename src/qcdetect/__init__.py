@@ -14,23 +14,15 @@ from .detectors import (
     threshold_shiryaev,
     threshold_sr,
 )
-from .info import InfoNumbers, d_constant, estimate_kl_slope, kl_ar, kl_mixture, kl_subset
+from .info import InfoNumbers, d_constant, estimate_kl_slope, kl_subset
 from .likelihood import (
-    LLRIncrementSource,
     SubsetWeights,
     elementary_symmetric,
     mixture_lr_dp,
     mixture_lr_enumerate,
     normalizer,
 )
-from .model import (
-    NO_CHANGE,
-    ChangeSpec,
-    ObservationBatch,
-    PriorSpec,
-    generate,
-    replication_rng,
-)
+from .model import NO_CHANGE, ChangeSpec, PriorSpec, replication_rng
 from .montecarlo import (
     InfeasibleHorizonError,
     MCConfig,
@@ -46,10 +38,7 @@ from .scenarios import (
     ARChannelSpec,
     MixtureChannelSpec,
     Scenario,
-    ar_llr_increment,
-    ar_residual,
     gaussian_stream,
-    mixture_llr_increment,
     q_constant,
 )
 from .statistics import (
@@ -57,9 +46,7 @@ from .statistics import (
     GridSpec,
     posterior_no_change,
     shiryaev_direct,
-    shiryaev_update,
     sr_direct,
-    sr_update,
 )
 
 __version__ = "0.1.0"
@@ -73,18 +60,14 @@ __all__ = [
     "GridSpec",
     "InfeasibleHorizonError",
     "InfoNumbers",
-    "LLRIncrementSource",
     "MCConfig",
     "MCEstimate",
     "MixtureChannelSpec",
     "NO_CHANGE",
-    "ObservationBatch",
     "PriorSpec",
     "RunResult",
     "Scenario",
     "SubsetWeights",
-    "ar_llr_increment",
-    "ar_residual",
     "asymptotic_ratio_sweep",
     "d_constant",
     "elementary_symmetric",
@@ -94,11 +77,7 @@ __all__ = [
     "estimate_kl_slope",
     "estimate_pfa",
     "gaussian_stream",
-    "generate",
-    "kl_ar",
-    "kl_mixture",
     "kl_subset",
-    "mixture_llr_increment",
     "mixture_lr_dp",
     "mixture_lr_enumerate",
     "normalizer",
@@ -106,10 +85,8 @@ __all__ = [
     "q_constant",
     "replication_rng",
     "shiryaev_direct",
-    "shiryaev_update",
     "simulate_runs",
     "sr_direct",
-    "sr_update",
     "threshold_cost",
     "threshold_shiryaev",
     "threshold_sr",

@@ -20,7 +20,9 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -41,8 +43,8 @@ from .montecarlo import (
     FixedChangeSampler,
     InfeasibleHorizonError,
     MCConfig,
-    MCEstimate,
     PriorNuSampler,
+    _delay_estimate,
     asymptotic_ratio_sweep,
     estimate_pfa,
     simulate_runs,
@@ -126,20 +128,21 @@ class MCSection:
 
 @dataclass(frozen=True)
 class SweepSection:
-    alphas: tuple[float, ...] = ()
+    alphas: tuple[float, ...]
     r: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
+    """The sections of a run, in the order ``serialize_config`` writes them."""
+
     scenario: ScenarioSection
     prior: PriorSection
+    change: ChangeSection | None = None
     grid: GridSection
     detector: DetectorSection
     mc: MCSection
-    change: ChangeSection | None = None
-    sweep: SweepSection = SweepSection()
-    output: str | None = None
+    sweep: SweepSection = SweepSection(alphas=())
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -164,180 +167,105 @@ def _fmt_floats(values) -> str:
     return ", ".join(repr(float(v)) for v in values)
 
 
+def _fmt_ints(values) -> str:
+    return ", ".join(str(int(v)) for v in values)
+
+
 def _fmt_rows(rows) -> str:
-    return "; ".join(_fmt_floats(row) for row in rows)
+    return "; ".join(_fmt_floats(row) for row in rows if row)
 
 
+#: (parse, format) for each type a section field may have
+_CODECS = {
+    str: (str, str),
+    int: (int, str),
+    float: (float, lambda value: repr(float(value))),
+    tuple[int, ...]: (_parse_ints, _fmt_ints),
+    tuple[float, ...]: (_parse_floats, _fmt_floats),
+    tuple[tuple[float, ...], ...]: (_parse_rows, _fmt_rows),
+}
+
+
+def _fields(cls) -> dict:
+    """``name -> (type, default)`` of a dataclass's fields, in declaration order.
+
+    ``X | None`` reads as ``X``; a field without a default has ``MISSING``.
+    """
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        if isinstance(hint, types.UnionType):
+            (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        out[f.name] = (hint, f.default)
+    return out
+
+
+#: ``section -> (class, default, {key: (default, parse, format)})``, derived once
+#: from the dataclasses.  A section or key without a default is required.
 _SCHEMA = {
-    "scenario": {
-        "kind": str,
-        "streams": int,
-        "sigma": _parse_floats,
-        "theta": _parse_floats,
-        "coeffs": _parse_rows,
-        "signal": _parse_rows,
-        "beta_mix": _parse_floats,
-        "mu1": _parse_floats,
-        "mu2": _parse_floats,
-    },
-    "prior": {
-        "kind": str,
-        "rho": float,
-        "beta": float,
-        "q": float,
-        "k0": int,
-    },
-    "change": {
-        "nu": str,
-        "subset": _parse_ints,
-        "theta": _parse_floats,
-    },
-    "grid": {
-        "theta_points": _parse_rows,
-        "weights": _parse_floats,
-        "p": _parse_floats,
-        "K": int,
-    },
-    "detector": {
-        "kind": str,
-        "threshold": float,
-        "alpha": float,
-        "cost_c": float,
-        "cost_r": float,
-        "window_m1": int,
-        "window_m0": int,
-        "omega": float,
-        "putative_theta": _parse_floats,
-    },
-    "mc": {
-        "replications": int,
-        "master_seed": int,
-        "horizon": int,
-        "workers": int,
-        "moments": _parse_ints,
-    },
-    "sweep": {
-        "alphas": _parse_floats,
-        "r": int,
-    },
-    "output": {
-        "path": str,
-    },
+    name: (cls, default, {key: (d, *_CODECS[hint]) for key, (hint, d) in _fields(cls).items()})
+    for name, (cls, default) in _fields(RunConfig).items()
 }
-
-_REQUIRED_KEYS = {
-    "scenario": {"kind", "streams"},
-    "prior": {"kind"},
-    "change": {"subset"},
-    "grid": {"theta_points"},
-    "detector": {"kind"},
-    "mc": {"replications"},
-    "sweep": {"alphas"},
-    "output": {"path"},
-}
-
-_SECTION_TYPES = {
-    "scenario": ScenarioSection,
-    "prior": PriorSection,
-    "change": ChangeSection,
-    "grid": GridSection,
-    "detector": DetectorSection,
-    "mc": MCSection,
-    "sweep": SweepSection,
-}
-
-_REQUIRED_SECTIONS = ("scenario", "prior", "grid", "detector", "mc")
 
 
 def load_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive (K vs k)
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    return parse_config(parser)
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+        return parse_config(parser)
+    except configparser.Error as exc:
+        # no section header, a duplicate key, a stray '%'; some messages span lines
+        raise ConfigError(" ".join(str(exc).split()))
 
 
 def parse_config(parser: configparser.ConfigParser) -> RunConfig:
-    sections: dict[str, dict] = {}
+    sections = {}
     for name in parser.sections():
         if name not in _SCHEMA:
             raise ConfigError(f"unknown config section [{name}]")
-        schema = _SCHEMA[name]
+        cls, _, keys = _SCHEMA[name]
         values = {}
         for key, raw in parser.items(name):
-            if key not in schema:
+            if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in section [{name}]")
+            parse = keys[key][1]
             try:
-                values[key] = schema[key](raw)
+                values[key] = parse(raw)
             except ConfigError:
                 raise
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for [{name}] {key} = {raw!r}: {exc}")
-        missing = _REQUIRED_KEYS[name] - values.keys()
+        missing = sorted(k for k, (d, _, _) in keys.items() if d is MISSING and k not in values)
         if missing:
-            raise ConfigError(
-                f"missing required key(s) {sorted(missing)} in section [{name}]"
-            )
-        sections[name] = values
-    for name in _REQUIRED_SECTIONS:
-        if name not in sections:
-            raise ConfigError(f"missing required config section [{name}]")
-    output = sections.pop("output", {"path": None}).get("path")
-    kwargs = {}
-    for name, values in sections.items():
-        cls = _SECTION_TYPES[name]
+            raise ConfigError(f"missing required key(s) {missing} in section [{name}]")
         try:
-            kwargs[name] = cls(**values)
+            sections[name] = cls(**values)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid section [{name}]: {exc}")
-    return RunConfig(output=output, **kwargs)
+    for name, (_, default, _) in _SCHEMA.items():
+        if default is MISSING and name not in sections:
+            raise ConfigError(f"missing required config section [{name}]")
+    return RunConfig(**sections)
 
 
 def serialize_config(config: RunConfig) -> str:
     """Canonical text form; parsing it back yields an identical RunConfig."""
     out = io.StringIO()
-    sections: list[tuple[str, object]] = [
-        ("scenario", config.scenario),
-        ("prior", config.prior),
-    ]
-    if config.change is not None:
-        sections.append(("change", config.change))
-    sections.extend(
-        [("grid", config.grid), ("detector", config.detector), ("mc", config.mc)]
-    )
-    if config.sweep.alphas:
-        sections.append(("sweep", config.sweep))
-    for name, section in sections:
+    for name, (_, default, keys) in _SCHEMA.items():
+        section = getattr(config, name)
+        if section == default:
+            continue
         out.write(f"[{name}]\n")
-        for key, parse in _SCHEMA[name].items():
+        for key, (_, _, fmt) in keys.items():
             value = getattr(section, key)
-            if value is None:
-                continue
-            if parse is _parse_rows and all(len(row) == 0 for row in value):
-                continue  # e.g. empty AR coefficient rows; reload falls back to the default
-            if parse in (_parse_floats, _parse_ints) and len(value) == 0:
-                continue
-            if parse is _parse_rows:
-                text = _fmt_rows(value)
-            elif parse is _parse_floats:
-                text = _fmt_floats(value)
-            elif parse is _parse_ints:
-                text = ", ".join(str(int(v)) for v in value)
-            elif parse is float:
-                text = repr(float(value))
-            else:
-                text = str(value)
-            out.write(f"{key} = {text}\n")
+            text = "" if value is None else fmt(value)
+            if text:  # None and empty tuples fall back to the default on reload
+                out.write(f"{key} = {text}\n")
         out.write("\n")
-    if config.output is not None:
-        out.write(f"[output]\npath = {config.output}\n")
     return out.getvalue()
-
-
-def save_config(config: RunConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(serialize_config(config))
 
 
 # -- builders ---------------------------------------------------------------------
@@ -420,7 +348,12 @@ def build_weights(section: GridSection, n_streams: int) -> SubsetWeights:
         raise ConfigError(f"invalid subset weights: {exc}")
 
 
-def build_change(section: ChangeSection | None, scenario: Scenario) -> ChangeSection:
+def build_change(section: ChangeSection | None, scenario: Scenario) -> ChangeSpec:
+    """The change on 0-based streams, checked before any simulation.
+
+    ``nu = prior`` gives ``nu = 0`` here: every replication then draws its own
+    change point, and its ``ChangeSpec`` makes the same checks.
+    """
     if section is None:
         raise ConfigError("this command needs a [change] section")
     subset0 = tuple(i - 1 for i in section.subset)  # config uses 1-based streams
@@ -428,7 +361,14 @@ def build_change(section: ChangeSection | None, scenario: Scenario) -> ChangeSec
         raise ConfigError(
             f"change subset {section.subset} outside streams 1..{scenario.n_streams}"
         )
-    return ChangeSection(nu=section.nu, subset=subset0, theta=section.theta)
+    try:
+        nu = 0 if section.nu == "prior" else int(section.nu)
+    except ValueError:
+        raise ConfigError(f"change nu must be an integer or 'prior', got {section.nu!r}")
+    try:
+        return ChangeSpec(nu, subset0, section.theta)
+    except ValueError as exc:
+        raise ConfigError(f"invalid change: {exc}")
 
 
 @dataclass(frozen=True)
@@ -534,24 +474,14 @@ def cmd_calibrate(config: RunConfig, out: str | None) -> int:
     return EXIT_OK
 
 
-def _delay_columns(stopped: int, nu: int, censored: bool):
-    if censored or stopped <= nu:
-        return ""
-    return stopped - nu
-
-
 def cmd_simulate(config: RunConfig, out: str | None, seed: int | None, workers: int | None) -> int:
     detector = build_detector(config)
     mc = build_mc(config, seed, workers)
     change = build_change(config.change, detector.scenario)
-    if change.nu == "prior":
+    if config.change.nu == "prior":
         sampler = PriorNuSampler(change.subset, change.theta)
     else:
-        try:
-            nu = int(change.nu)
-        except ValueError:
-            raise ConfigError(f"change nu must be an integer or 'prior', got {change.nu!r}")
-        sampler = FixedChangeSampler(ChangeSpec(nu, change.subset, change.theta))
+        sampler = FixedChangeSampler(change)
     records = simulate_runs(detector, mc, sampler)
 
     rows = []
@@ -565,21 +495,18 @@ def cmd_simulate(config: RunConfig, out: str | None, seed: int | None, workers: 
                 "nu": nu_r,
                 "stopped_at": "" if censored else stopped,
                 "censored": int(censored),
-                "delay": "" if censored else _delay_columns(stopped, nu_r, censored),
+                "delay": "" if censored or stopped <= nu_r else stopped - nu_r,
             }
         )
-    censored_fraction = float(np.mean(records.stopped < 0))
     false_alarm = (records.stopped >= 1) & (records.stopped <= records.nu)
     summary = {
         "replications": mc.replications,
-        "censored_fraction": censored_fraction,
+        "censored_fraction": float(np.mean(records.censored)),
         "pfa_estimate": float(np.mean(false_alarm)),
         "delay_moments": {},
     }
-    detected = (records.stopped >= 1) & (records.stopped > records.nu)
-    delays = (records.stopped[detected] - records.nu[detected]).astype(float)
     for r in config.mc.moments:
-        est = MCEstimate.from_values(delays**r, censored_fraction=censored_fraction)
+        est = _delay_estimate(records, r)
         summary["delay_moments"][str(r)] = {
             "mean": est.mean,
             "stderr": est.stderr,
@@ -614,11 +541,8 @@ def cmd_oc_sweep(config: RunConfig, out: str | None, seed: int | None, workers: 
     )
 
     def factory(alpha: float) -> Detector:
-        if shiryaev:
-            a = threshold_shiryaev(alpha, q=prior.q)
-        else:
-            a = threshold_sr(alpha, config.detector.omega, prior)
-        return build_detector(config, threshold=a)
+        detector = replace(config.detector, threshold=None, alpha=alpha)
+        return build_detector(replace(config, detector=detector))
 
     rows = asymptotic_ratio_sweep(
         factory, config.sweep.alphas, config.sweep.r, mc, subset, theta, info_rate, mu

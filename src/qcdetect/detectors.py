@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .likelihood import SubsetWeights
-from .model import ObservationBatch, PriorSpec
+from .model import PriorSpec
 from .statistics import LOG_CLAMP, DetectorState, GridSpec
 
 SHIRYAEV_MIXTURE = "shiryaev-mixture"
@@ -149,7 +149,6 @@ class Detector:
             window_m1=self.config.window_m1,
             window_m0=self.config.window_m0,
             track="shiryaev" if self.config.uses_shiryaev else "sr",
-            k_independent=self.scenario.k_independent_increments,
         )
 
     def _check_data(self, data) -> np.ndarray:
@@ -225,9 +224,9 @@ class Detector:
         """
         return self._scan(self._check_data(data), self.log_threshold)
 
-    def run(self, batch: ObservationBatch | np.ndarray, max_horizon: int | None = None) -> RunResult:
-        """Run the rule over one observation batch."""
-        data = batch.data if isinstance(batch, ObservationBatch) else np.asarray(batch, dtype=float)
+    def run(self, data: np.ndarray, max_horizon: int | None = None) -> RunResult:
+        """Run the rule over one ``[T, N]`` block of observations."""
+        data = np.asarray(data, dtype=float)
         if max_horizon is not None:
             if max_horizon < 1:
                 raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")

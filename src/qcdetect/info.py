@@ -23,22 +23,6 @@ from .model import replication_rng
 from .statistics import GridSpec
 
 
-def kl_ar(theta: float, Q: float, sigma: float) -> float:
-    """Information rate theta^2 Q / (2 sigma^2) of the AR signal channel."""
-    if sigma <= 0.0:
-        raise ValueError(f"noise level must be positive, got {sigma}")
-    if Q <= 0.0:
-        raise ValueError(f"signal energy rate must be positive, got {Q}")
-    return theta**2 * Q / (2.0 * sigma**2)
-
-
-def kl_mixture(theta: float, mu2: float, sigma: float) -> float:
-    """Information rate (theta - mu2)^2 / (2 sigma^2) of the mixture channel."""
-    if sigma <= 0.0:
-        raise ValueError(f"noise level must be positive, got {sigma}")
-    return (theta - mu2) ** 2 / (2.0 * sigma**2)
-
-
 def kl_subset(subset, per_stream) -> float:
     """Information rate of a subset: the sum of its streams' rates."""
     subset = sorted(set(int(i) for i in subset))

@@ -16,24 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Protocol
 
 import numpy as np
 
 ENUMERATION_LIMIT = 25
-
-
-class LLRIncrementSource(Protocol):
-    """Stateful per-stream source of log likelihood-ratio increments.
-
-    ``exp(step(theta, x))`` is the post/pre density ratio of observation ``x``
-    given the history the source has absorbed so far.  Sources hold their own
-    history and are single-threaded.
-    """
-
-    def step(self, theta: float, x: float) -> float: ...
-
-    def reset(self) -> None: ...
 
 
 def logsumexp(a, axis=None):

@@ -1,4 +1,4 @@
-"""Change-point priors, change configurations, and synthetic data generation.
+"""Change-point priors, change configurations, and per-replication generators.
 
 The change point ``nu`` takes values in ``{-1, 0, 1, ...}``.  The value ``-1``
 stands for the whole event "the change was already in effect before the first
@@ -232,42 +232,6 @@ class ChangeSpec:
                     f"theta has {len(theta)} entries for {len(subset)} affected streams"
                 )
             object.__setattr__(self, "theta", theta)
-
-
-@dataclass(frozen=True)
-class ObservationBatch:
-    """A horizon x N block of observations (row t is the vector at time t+1)."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2:
-            raise ValueError(f"expected a 2-d horizon x N array, got shape {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("observations must be finite")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def horizon(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_streams(self) -> int:
-        return self.data.shape[1]
-
-
-def generate(scenario, change: ChangeSpec, horizon: int, rng: np.random.Generator) -> ObservationBatch:
-    """Simulate a multistream batch with the change applied to ``change.subset``.
-
-    Streams outside the subset follow the pre-change law throughout; affected
-    streams switch to the post-change law from time ``nu + 1`` on.
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if change.nu != NO_CHANGE and change.subset and max(change.subset) >= scenario.n_streams:
-        raise ValueError("affected subset refers to a stream outside the scenario")
-    return ObservationBatch(scenario.generate([change], horizon, [rng])[0])
 
 
 def replication_rng(master_seed: int, replication: int) -> np.random.Generator:

@@ -9,7 +9,7 @@ still drive the statistics layer through user-supplied joint increments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -125,9 +125,6 @@ class ARChannelSpec:
         drift = (st**2)[:, None] / (2.0 * s2)
         return thetas * cross - thetas**2 * drift
 
-    def increment_source(self) -> "ARLLRSource":
-        return ARLLRSource(self)
-
     def log_predictive_pre(self, x: np.ndarray) -> np.ndarray:
         """log density of each observation given its past, pre-change law."""
         xt = self.residuals(x)
@@ -232,9 +229,6 @@ class MixtureChannelSpec:
         l2 = shift * base - (thetas**2 - self.mu2**2) / (2.0 * s2)
         return l2 + self.gap_penalties(x)[..., :, None]
 
-    def increment_source(self) -> "MixtureLLRSource":
-        return MixtureLLRSource(self)
-
     def log_predictive_pre(self, x: np.ndarray) -> np.ndarray:
         """log g(x_n | history): ratio of consecutive mixture joint densities."""
         log_p2 = (
@@ -253,25 +247,6 @@ class MixtureChannelSpec:
     def log_predictive_post(self, x: np.ndarray, theta: float) -> np.ndarray:
         z = (x - theta) / self.sigma
         return -0.5 * z**2 - math.log(self.sigma) - 0.5 * math.log(2.0 * math.pi)
-
-
-def ar_residual(history, coeffs) -> float:
-    """Whitened value of the last sample in ``history`` (lags clipped at start)."""
-    history = np.asarray(history, dtype=float)
-    if history.ndim != 1 or history.size == 0:
-        raise ValueError("history must be a nonempty 1-d sequence")
-    n = history.size
-    value = history[-1]
-    for j, b in enumerate(coeffs, start=1):
-        if n - 1 - j >= 0:
-            value -= b * history[n - 1 - j]
-    return float(value)
-
-
-def ar_llr_increment(theta: float, x_resid: float, s_resid: float, sigma: float) -> float:
-    """Per-observation log LR of the AR channel given whitened values."""
-    s2 = sigma**2
-    return theta * s_resid * x_resid / s2 - theta**2 * s_resid**2 / (2.0 * s2)
 
 
 def q_constant(signal, coeffs) -> float:
@@ -293,68 +268,11 @@ def q_constant(signal, coeffs) -> float:
     return float(np.mean(steady**2))
 
 
-class ARLLRSource:
-    """Stepwise log-LR increments for one AR channel (holds its history)."""
-
-    def __init__(self, channel: ARChannelSpec):
-        self.channel = channel
-        self.reset()
-
-    def reset(self) -> None:
-        self._history: list[float] = []
-        self._n = 0
-
-    def step(self, theta: float, x: float) -> float:
-        if not math.isfinite(x):
-            raise ValueError("observation must be finite")
-        self._history.append(float(x))
-        self._n += 1
-        x_res = ar_residual(self._history, self.channel.coeffs)
-        s_res = float(self.channel.residual_signal(self._n)[-1])
-        return ar_llr_increment(theta, x_res, s_res, self.channel.sigma)
-
-
-class MixtureLLRSource:
-    """Stepwise log-LR increments for one mixture channel.
-
-    Tracks the running component density ratio in the log domain so the
-    increments stay well behaved as the ratio collapses to zero.
-    """
-
-    def __init__(self, channel: MixtureChannelSpec):
-        self.channel = channel
-        self.reset()
-
-    def reset(self) -> None:
-        self._log_g = 0.0
-
-    def step(self, theta: float, x: float) -> float:
-        if not math.isfinite(x):
-            raise ValueError("observation must be finite")
-        ch = self.channel
-        s2 = ch.sigma**2
-        prev = self._log_g
-        self._log_g = prev + float(ch._log_component_ratio(np.asarray(x)))
-        shift = theta - ch.mu2
-        l2 = shift * x / s2 - (theta**2 - ch.mu2**2) / (2.0 * s2)
-        v = ch.log_odds
-        return l2 + float(_softplus(v + prev) - _softplus(v + self._log_g))
-
-
-def mixture_llr_increment(source: MixtureLLRSource, theta: float, x: float) -> float:
-    """Advance a mixture increment source by one observation."""
-    return source.step(theta, x)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """An independent-streams observation model: one channel spec per stream."""
 
     channels: tuple
-
-    #: increments are change-point independent for both built-in channel kinds,
-    #: which is what licenses the exact detector recursions
-    k_independent_increments: bool = field(default=True, init=False)
 
     def __post_init__(self):
         channels = tuple(self.channels)
@@ -372,11 +290,14 @@ class Scenario:
     def generate(self, changes, horizon: int, rngs) -> np.ndarray:
         """Simulate ``horizon`` rows per replication: ``[R, horizon, N]``.
 
-        Replication ``r`` follows ``changes[r]`` (affected streams switch at
-        ``nu + 1``) and draws from ``rngs[r]``, stream by stream in the same
-        order and sizes as it would alone, so its data does not depend on
-        which other replications share the batch.
+        Replication ``r`` follows ``changes[r]``: streams outside its subset
+        keep the pre-change law, affected streams switch to the post-change
+        law from time ``nu + 1`` on.  It draws from ``rngs[r]``, stream by
+        stream in the same order and sizes as it would alone, so its data does
+        not depend on which other replications share the batch.
         """
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
         if len(changes) != len(rngs):
             raise ValueError(f"{len(changes)} changes for {len(rngs)} generators")
         post_from = np.full((len(changes), self.n_streams), horizon, dtype=np.int64)
@@ -384,6 +305,10 @@ class Scenario:
         for r, change in enumerate(changes):
             if change.nu != NO_CHANGE:
                 subset = list(change.subset)
+                if max(subset) >= self.n_streams:
+                    raise ValueError(
+                        f"affected subset {change.subset} is outside streams 0..{self.n_streams - 1}"
+                    )
                 post_from[r, subset] = max(change.nu, 0)
                 theta[r, subset] = (
                     change.theta if change.theta is not None else self.nominal_theta(subset)
@@ -400,11 +325,14 @@ class Scenario:
         row a per-stream parameter vector.
         """
         theta_points = np.asarray(theta_points, dtype=float)
-        per_stream = [
-            ch.log_lr_increments(data[..., i], theta_points[:, i])
-            for i, ch in enumerate(self.channels)
-        ]
-        return np.stack(per_stream, axis=-1)
+        out = np.empty(data.shape[:-1] + (theta_points.shape[0], self.n_streams))
+        for i, ch in enumerate(self.channels):
+            # bound to a name, a stream's block is freed only once the next one
+            # exists; freeing it first lets malloc trim the heap, and the next
+            # stream then page-faults its memory afresh
+            inc = ch.log_lr_increments(data[..., i], theta_points[:, i])
+            out[..., i] = inc
+        return out
 
     def kl_per_stream(self, theta_points: np.ndarray) -> np.ndarray:
         """Information rate of each stream at each grid point: ``[P, N]``."""

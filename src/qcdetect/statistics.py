@@ -145,7 +145,6 @@ class DetectorState:
         window_m1: int | None = None,
         window_m0: int = 0,
         track: str = "both",
-        k_independent: bool = True,
     ):
         if track not in ("both", "shiryaev", "sr"):
             raise ValueError(f"track must be 'both', 'shiryaev' or 'sr', got {track!r}")
@@ -162,14 +161,13 @@ class DetectorState:
         self.window_m1 = window_m1
         self.window_m0 = int(window_m0)
         self.track = track
-        self.k_independent = bool(k_independent)
         self.n = 0
         self.saturated = np.zeros(self.n_reps, dtype=bool)
         shape = (self.n_reps, self.basis.n_subsets, self.basis.grid.n_points)
         if window_m1 is None:
-            if track in ("both", "shiryaev"):
+            if self.track != "sr":
                 self.log_s = np.full(shape, _safe_log(prior.head_odds()))
-            if track in ("both", "sr"):
+            if self.track != "shiryaev":
                 self.log_r = np.full(shape, _safe_log(omega))
         else:
             self._hist: list[np.ndarray] = []
@@ -213,25 +211,19 @@ class DetectorState:
             raise ValueError(f"joint increments must have shape {expected}, got {llr.shape}")
         return llr
 
-    def _advance_recursive(self, llr: np.ndarray, prior: PriorSpec | None, update_s: bool, update_r: bool) -> None:
-        if not self.k_independent:
-            raise ValueError(
-                "increments depend on the hypothesized change point; "
-                "the exact recursion does not apply, use a window-limited state"
-            )
+    def _advance_recursive(self, llr: np.ndarray) -> None:
         n = self.n + 1
-        if update_s:
-            prior = prior if prior is not None else self.prior
-            log_tail_prev = prior.log_tail(n - 1)
-            log_tail = prior.log_tail(n)
+        if self.track != "sr":
+            log_tail_prev = self.prior.log_tail(n - 1)
+            log_tail = self.prior.log_tail(n)
             if log_tail == -math.inf:
                 raise ValueError(
                     f"prior tail vanishes at n={n}; the Shiryaev statistic is undefined"
                 )
-            log_pi = prior.log_mass(n - 1)
+            log_pi = self.prior.log_mass(n - 1)
             self.log_s = llr + np.logaddexp(self.log_s + log_tail_prev, log_pi) - log_tail
             self._clamp(self.log_s)
-        if update_r:
+        if self.track != "shiryaev":
             self.log_r = llr + np.logaddexp(0.0, self.log_r)
             self._clamp(self.log_r)
         self.n = n
@@ -242,18 +234,17 @@ class DetectorState:
             self.saturated |= over.any(axis=(1, 2))
         np.clip(arr, -LOG_CLAMP, LOG_CLAMP, out=arr)
 
-    def _advance_window(self, inc: np.ndarray, prior: PriorSpec | None, update_s: bool, update_r: bool) -> None:
+    def _advance_window(self, inc: np.ndarray) -> None:
         self._hist.append(inc)
         keep = self.window_m1 + 1
         if len(self._hist) > keep:
             del self._hist[: len(self._hist) - keep]
         self.n += 1
         hist = np.stack(self._hist, axis=1)  # [R, m, P, N], oldest first
-        if update_s:
-            prior = prior if prior is not None else self.prior
+        if self.track != "sr":
             self._log_s_value = shiryaev_direct(
                 hist,
-                prior,
+                self.prior,
                 self.basis.grid,
                 self.basis.weights,
                 n=self.n,
@@ -261,7 +252,7 @@ class DetectorState:
                 m0=self.window_m0,
                 window_offset=self.n - hist.shape[1],
             )
-        if update_r:
+        if self.track != "shiryaev":
             self._log_r_value = sr_direct(
                 hist,
                 self.basis.grid,
@@ -273,33 +264,9 @@ class DetectorState:
                 window_offset=self.n - hist.shape[1],
             )
 
-    def _advance(
-        self, increments, prior: PriorSpec | None, update_s: bool, update_r: bool, subset_llrs=None
-    ) -> None:
-        if update_s and self.track == "sr":
-            raise ValueError("state does not track the Shiryaev statistic")
-        if update_r and self.track == "shiryaev":
-            raise ValueError("state does not track the Shiryaev-Roberts statistic")
-        if self.track == "both" and not (update_s and update_r):
-            raise ValueError(
-                "state tracks both statistics; advance them together with advance()"
-            )
-        if (increments is None) == (subset_llrs is None):
-            raise ValueError("pass exactly one of increments and subset_llrs")
-        if subset_llrs is not None:
-            llr = self._check_subset_llrs(subset_llrs)
-        elif self.window_m1 is not None:
-            self._advance_window(self._check_increments(increments), prior, update_s, update_r)
-            return
-        else:
-            llr = self.subset_llrs(self._check_increments(increments))
-        self._advance_recursive(llr, prior, update_s, update_r)
-
     # -- public stepping -------------------------------------------------------
 
-    def advance(
-        self, increments=None, prior: PriorSpec | None = None, *, subset_llrs=None
-    ) -> "DetectorState":
+    def advance(self, increments=None, *, subset_llrs=None) -> "DetectorState":
         """Absorb one observation vector, updating every tracked statistic.
 
         ``increments`` are the per-stream log LR increments ``[R, P, N]``.  A
@@ -309,13 +276,14 @@ class DetectorState:
         increments of a cross-stream-dependent post-change model, where the
         increment of a subset is not the sum of per-stream terms.
         """
-        self._advance(
-            increments,
-            prior,
-            update_s=self.track in ("both", "shiryaev"),
-            update_r=self.track in ("both", "sr"),
-            subset_llrs=subset_llrs,
-        )
+        if (increments is None) == (subset_llrs is None):
+            raise ValueError("pass exactly one of increments and subset_llrs")
+        if subset_llrs is not None:
+            self._advance_recursive(self._check_subset_llrs(subset_llrs))
+        elif self.window_m1 is not None:
+            self._advance_window(self._check_increments(increments))
+        else:
+            self._advance_recursive(self.subset_llrs(self._check_increments(increments)))
         return self
 
     def retain(self, rows) -> None:
@@ -358,18 +326,6 @@ class DetectorState:
     def posterior_no_change(self) -> np.ndarray:
         """P(nu >= n | data so far) = 1 / (S(n) + 1)."""
         return np.exp(-np.logaddexp(0.0, self.log_shiryaev()))
-
-
-def shiryaev_update(state: DetectorState, increments, prior: PriorSpec) -> DetectorState:
-    """Advance a Shiryaev-only state by one observation vector."""
-    state._advance(increments, prior, update_s=True, update_r=False)
-    return state
-
-
-def sr_update(state: DetectorState, increments) -> DetectorState:
-    """Advance a Shiryaev-Roberts-only state by one observation vector."""
-    state._advance(increments, None, update_s=False, update_r=True)
-    return state
 
 
 def _safe_log(x: float) -> float:

@@ -230,7 +230,7 @@ def suite_posterior_identity(seed: int = 0, n_paths: int = 4, horizon: int = 40)
             increments = scenario.log_lr_increments(data, grid.points)
             state = DetectorState(prior, grid, weights, track="shiryaev")
             for t in range(horizon):
-                statistics.shiryaev_update(state, increments[None, t], prior)
+                state.advance(increments[None, t])
                 worst = max(
                     worst, abs(float(state.posterior_no_change()[0]) - oracle[t])
                 )
@@ -261,7 +261,7 @@ def suite_sr_mean(seed: int = 0, replications: int = 20000, horizon: int = 20):
             prior, grid, weights, n_reps=replications, omega=omega, track="sr"
         )
         for t in range(horizon):
-            statistics.sr_update(state, increments[:, t])
+            state.advance(increments[:, t])
         values = state.sr_value()
         se = float(np.std(values, ddof=1) / math.sqrt(replications))
         gap = abs(float(np.mean(values)) - (omega + horizon))

@@ -27,11 +27,8 @@ from qcdetect import (
     estimate_kl_slope,
     estimate_pfa,
     gaussian_stream,
-    kl_ar,
-    kl_mixture,
     mixture_lr_dp,
     mixture_lr_enumerate,
-    q_constant,
     replication_rng,
     threshold_cost,
     threshold_shiryaev,
@@ -242,10 +239,10 @@ def test_07_mixture_telescoping():
 
 def test_08_kl_slope_diagnostics():
     ar = ARChannelSpec(coeffs=(0.5,), sigma=1.0, signal=(1.0,), theta=1.0)
-    ar_target = kl_ar(1.0, q_constant((1.0,), (0.5,)), 1.0)
+    ar_target = ar.kl_rate(1.0)
     ar_est = estimate_kl_slope(ar, 1.0, 10_000, 200, master_seed=108)
     mix = MixtureChannelSpec(beta_mix=0.3, mu1=2.0, mu2=0.0, sigma=1.0, theta=0.8)
-    mix_target = kl_mixture(0.8, 0.0, 1.0)
+    mix_target = mix.kl_rate(0.8)
     mix_est = estimate_kl_slope(mix, 0.8, 10_000, 200, master_seed=108)
     ar_err = abs(ar_est.mean - ar_target) / ar_target
     mix_err = abs(mix_est.mean - mix_target) / mix_target

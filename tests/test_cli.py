@@ -81,11 +81,153 @@ def test_config_round_trip_with_sweep(tmp_path):
     assert _reparse(serialize_config(config)) == config
 
 
+def test_serialized_base_config_is_pinned():
+    # recorded before the schema was derived from the section dataclasses
+    assert serialize_config(_reparse(BASE_CONFIG)) == (
+        "[scenario]\nkind = ar\nstreams = 1\nsigma = 1.0\ntheta = 1.0\nsignal = 1.0\n"
+        "beta_mix = 0.5\nmu1 = 1.0\nmu2 = 0.0\n\n"
+        "[prior]\nkind = geometric\nrho = 0.1\nbeta = 2.0\nq = 0.0\nk0 = 0\n\n"
+        "[change]\nnu = 0\nsubset = 1\ntheta = 1.0\n\n"
+        "[grid]\ntheta_points = 1.0\np = 1.0\nK = 1\n\n"
+        "[detector]\nkind = shiryaev-mixture\nalpha = 0.05\ncost_r = 1.0\nwindow_m0 = 0\n"
+        "omega = 0.0\n\n"
+        "[mc]\nreplications = 150\nmaster_seed = 12\nhorizon = 150\nworkers = 1\n"
+        "moments = 1, 2\n\n"
+    )
+
+
+# Every key of every section, written the way serialize_config writes it.
+FULL_AR_CONFIG = """\
+[scenario]
+kind = ar
+streams = 2
+sigma = 1.0, 0.5
+theta = 0.8, 1.2
+coeffs = 0.5; 0.3, -0.1
+signal = 1.0, 0.0; 1.0
+beta_mix = 0.25
+mu1 = 2.0
+mu2 = -0.5
+
+[prior]
+kind = polynomial-tail
+rho = 0.2
+beta = 1.5
+q = 0.1
+k0 = 3
+
+[change]
+nu = 7
+subset = 1, 2
+theta = 0.9, 1.1
+
+[grid]
+theta_points = 0.5, 0.6; 1.0, 1.2
+weights = 0.25, 0.75
+p = 1.0, 2.0
+K = 2
+
+[detector]
+kind = sr-putative
+threshold = 250.0
+alpha = 0.01
+cost_c = 0.001
+cost_r = 2.0
+window_m1 = 40
+window_m0 = 2
+omega = 1.5
+putative_theta = 0.9, 1.1
+
+[mc]
+replications = 64
+master_seed = 99
+horizon = 300
+workers = 2
+moments = 1, 2, 3
+
+[sweep]
+alphas = 0.1, 0.01
+r = 2
+
+"""
+
+FULL_MIXTURE_CONFIG = (
+    FULL_AR_CONFIG.replace("kind = ar", "kind = mixture")
+    .replace("coeffs = 0.5; 0.3, -0.1", "coeffs = 0.2")
+    .replace("signal = 1.0, 0.0; 1.0", "signal = 1.0; 0.5")
+    .replace("beta_mix = 0.25\nmu1 = 2.0\nmu2 = -0.5",
+             "beta_mix = 0.3, 0.6\nmu1 = -1.0\nmu2 = 0.0, 0.5")
+    .replace("kind = polynomial-tail", "kind = geometric")
+    .replace("nu = 7", "nu = prior")
+    .replace("kind = sr-putative", "kind = shiryaev-putative")
+)
+
+
+@pytest.mark.parametrize("text", [FULL_AR_CONFIG, FULL_MIXTURE_CONFIG], ids=["ar", "mixture"])
+def test_every_key_round_trips(text):
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string(text)
+    assert sum(len(parser[name]) for name in parser.sections()) == 37
+    config = parse_config(parser)
+    assert serialize_config(config) == text
+    assert _reparse(serialize_config(config)) == config
+    assert config.detector == cli.DetectorSection(
+        kind=config.detector.kind, threshold=250.0, alpha=0.01, cost_c=0.001, cost_r=2.0,
+        window_m1=40, window_m0=2, omega=1.5, putative_theta=(0.9, 1.1),
+    )
+    assert config.mc.moments == (1, 2, 3)
+    assert config.sweep == cli.SweepSection(alphas=(0.1, 0.01), r=2)
+
+
+SWEEP = "\n[sweep]\nalphas = 0.1, 0.5\nr = 1\n"
+PRIOR_NU = BASE_CONFIG.replace("nu = 0", "nu = prior")
+LONG_THETA = "theta = 1.0, 2.0\n\n[grid]"
+
+BAD_CONFIGS = {
+    "no-section-header": ("simulate", "kind = ar\n" + BASE_CONFIG),
+    "duplicate-key": ("simulate", BASE_CONFIG.replace("rho = 0.1", "rho = 0.1\nrho = 0.2")),
+    "percent-in-value": ("simulate", BASE_CONFIG.replace("kind = geometric", "kind = geo%metric")),
+    "negative-nu": ("simulate", BASE_CONFIG.replace("nu = 0", "nu = -5")),
+    "theta-longer-than-subset": (
+        "simulate", BASE_CONFIG.replace("theta = 1.0\n\n[grid]", LONG_THETA)
+    ),
+    "theta-longer-than-subset-prior-nu": (
+        "simulate", PRIOR_NU.replace("theta = 1.0\n\n[grid]", LONG_THETA)
+    ),
+    "sweep-alpha-beyond-1-minus-q": ("oc-sweep", PRIOR_NU.replace("q = 0.0", "q = 0.6") + SWEEP),
+    "output-section": ("simulate", BASE_CONFIG + "\n[output]\npath = table.csv\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_is_a_one_line_config_error(name, tmp_path, capsys):
+    command, text = BAD_CONFIGS[name]
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert cli.main([command, "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1
+
+
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text(BASE_CONFIG.replace("rho = 0.1", "rho = 0.1\nbogus = 3"))
     with pytest.raises(ConfigError, match="bogus"):
         load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        (BASE_CONFIG + "\n[sweep]\nr = 1\n", "alphas"),
+        (BASE_CONFIG.replace("sigma = 1.0\n", ""), "sigma"),
+    ],
+)
+def test_missing_required_key_rejected(text, key):
+    # a key is required exactly when its section field has no default
+    with pytest.raises(ConfigError, match=f"missing required key.*{key}"):
+        _reparse(text)
 
 
 def test_missing_section_rejected(tmp_path):

@@ -15,7 +15,6 @@ from qcdetect import (
     Scenario,
     SubsetWeights,
     gaussian_stream,
-    generate,
     replication_rng,
     threshold_cost,
     threshold_shiryaev,
@@ -181,7 +180,7 @@ def test_run_stops_immediately_on_overwhelming_signal():
     scenario, grid, weights, prior = single_stream_setup(theta=20.0, q=0.5)
     config = DetectorConfig(kind="shiryaev-mixture", threshold_A=1.01)  # barely above q/(1-q)
     detector = Detector(config, scenario, prior, grid, weights)
-    batch = generate(scenario, ChangeSpec(nu=-1, subset=(0,)), 50, replication_rng(0, 0))
+    batch = scenario.generate([ChangeSpec(nu=-1, subset=(0,))], 50, [replication_rng(0, 0)])[0]
     result = detector.run(batch)
     assert result.stopped_at == 1
     assert result.trajectory.shape == (1,)
@@ -191,7 +190,7 @@ def test_run_censors_under_pure_noise_and_huge_threshold():
     scenario, grid, weights, prior = single_stream_setup()
     config = DetectorConfig(kind="shiryaev-mixture", threshold_A=1e9)
     detector = Detector(config, scenario, prior, grid, weights)
-    batch = generate(scenario, ChangeSpec(NO_CHANGE, ()), 100, replication_rng(1, 0))
+    batch = scenario.generate([ChangeSpec(NO_CHANGE, ())], 100, [replication_rng(1, 0)])[0]
     result = detector.run(batch)
     assert result.censored
     assert result.stopped_at is None
@@ -202,7 +201,7 @@ def test_run_respects_max_horizon():
     scenario, grid, weights, prior = single_stream_setup()
     config = DetectorConfig(kind="shiryaev-mixture", threshold_A=1e9)
     detector = Detector(config, scenario, prior, grid, weights)
-    batch = generate(scenario, ChangeSpec(NO_CHANGE, ()), 100, replication_rng(1, 0))
+    batch = scenario.generate([ChangeSpec(NO_CHANGE, ())], 100, [replication_rng(1, 0)])[0]
     result = detector.run(batch, max_horizon=30)
     assert result.trajectory.shape == (30,)
 
@@ -211,7 +210,7 @@ def test_stopping_time_monotone_in_threshold():
     scenario, grid, weights, prior = single_stream_setup()
     data = np.stack(
         [
-            generate(scenario, ChangeSpec(nu=5, subset=(0,)), 80, replication_rng(3, r)).data
+            scenario.generate([ChangeSpec(nu=5, subset=(0,))], 80, [replication_rng(3, r)])[0]
             for r in range(100)
         ]
     )
@@ -235,7 +234,7 @@ def test_putative_rule_is_bit_identical_to_degenerate_mixture():
     grid = GridSpec.degenerate((1.0,))
     data = np.stack(
         [
-            generate(scenario, ChangeSpec(nu=3, subset=(0,)), 60, replication_rng(4, r)).data
+            scenario.generate([ChangeSpec(nu=3, subset=(0,))], 60, [replication_rng(4, r)])[0]
             for r in range(20)
         ]
     )
@@ -260,6 +259,6 @@ def test_windowed_detector_runs():
     scenario, grid, weights, prior = single_stream_setup()
     config = DetectorConfig(kind="sr-mixture", threshold_A=50.0, window_m1=10)
     detector = Detector(config, scenario, prior, grid, weights)
-    batch = generate(scenario, ChangeSpec(nu=0, subset=(0,)), 60, replication_rng(5, 0))
+    batch = scenario.generate([ChangeSpec(nu=0, subset=(0,))], 60, [replication_rng(5, 0)])[0]
     result = detector.run(batch)
     assert result.stopped_at is not None

@@ -13,34 +13,35 @@ from qcdetect import (
     d_constant,
     estimate_kl_slope,
     gaussian_stream,
-    kl_ar,
-    kl_mixture,
     kl_subset,
     q_constant,
 )
 
 
 def test_kl_ar_values():
-    assert kl_ar(1.0, 1.0, 1.0) == pytest.approx(0.5)
-    assert kl_ar(0.0, 1.0, 1.0) == 0.0
+    # theta^2 Q / (2 sigma^2)
+    assert gaussian_stream().kl_rate(1.0) == pytest.approx(0.5)
+    assert gaussian_stream().kl_rate(0.0) == 0.0
     # AR(1) beta=0.5, unit signal: steady residual 0.5, Q = 0.25, theta = 2
-    q = q_constant((1.0,), (0.5,))
-    assert kl_ar(2.0, q, 1.0) == pytest.approx(0.5)
-
-
-def test_kl_ar_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        kl_ar(1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        kl_ar(1.0, 0.0, 1.0)
+    ar = ARChannelSpec(coeffs=(0.5,), sigma=1.0, signal=(1.0,), theta=2.0)
+    assert ar.q_constant() == q_constant((1.0,), (0.5,))
+    assert ar.kl_rate(2.0) == pytest.approx(0.5)
+    noisier = ARChannelSpec(coeffs=(0.5,), sigma=2.0, signal=(1.0,))
+    assert noisier.kl_rate(2.0) == pytest.approx(0.125)
 
 
 def test_kl_mixture_values():
-    assert kl_mixture(1.0, 0.0, 1.0) == pytest.approx(0.5)
-    assert kl_mixture(0.7, 0.7, 1.0) == 0.0
-    assert kl_mixture(2.0, 0.0, 2.0) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        kl_mixture(1.0, 0.0, -1.0)
+    # (theta - mu2)^2 / (2 sigma^2)
+    def rate(theta, mu2, sigma):
+        channel = MixtureChannelSpec(
+            beta_mix=0.5, mu1=mu2 - 5.0, mu2=mu2, sigma=sigma, theta=theta
+        )
+        return channel.kl_rate(theta)
+
+    assert rate(1.0, 0.0, 1.0) == pytest.approx(0.5)
+    assert rate(0.7, 0.7, 1.0) == 0.0
+    assert rate(2.0, 0.0, 2.0) == pytest.approx(0.5)
+    assert rate(1.0, 0.5, 1.2) == pytest.approx(0.25 / 2.88)
 
 
 def test_kl_subset_additivity():
@@ -50,13 +51,6 @@ def test_kl_subset_additivity():
         kl_subset((), [0.5])
     with pytest.raises(ValueError):
         kl_subset((2,), [0.5, 0.3])
-
-
-def test_channel_kl_rates_match_module_functions():
-    ar = ARChannelSpec(coeffs=(0.5,), sigma=1.0, signal=(1.0,), theta=2.0)
-    assert ar.kl_rate(2.0) == pytest.approx(kl_ar(2.0, ar.q_constant(), 1.0))
-    mix = MixtureChannelSpec(beta_mix=0.4, mu1=2.0, mu2=0.5, sigma=1.2, theta=1.0)
-    assert mix.kl_rate(1.0) == pytest.approx(kl_mixture(1.0, 0.5, 1.2))
 
 
 def test_d_constant_single_component():
@@ -123,7 +117,7 @@ def test_slope_estimate_zero_amplitude():
 def test_slope_estimate_matches_mixture_rate():
     channel = MixtureChannelSpec(beta_mix=0.3, mu1=2.0, mu2=0.0, sigma=1.0, theta=0.8)
     est = estimate_kl_slope(channel, 0.8, 10_000, 50, master_seed=5)
-    target = kl_mixture(0.8, 0.0, 1.0)
+    target = channel.kl_rate(0.8)
     assert abs(est.mean - target) / target <= 0.05
 
 

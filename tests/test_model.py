@@ -8,11 +8,9 @@ import pytest
 from qcdetect import (
     ChangeSpec,
     NO_CHANGE,
-    ObservationBatch,
     PriorSpec,
     Scenario,
     gaussian_stream,
-    generate,
     replication_rng,
 )
 from qcdetect.scenarios import ARChannelSpec
@@ -187,45 +185,41 @@ def _scenario():
 def test_generate_is_reproducible():
     scenario = _scenario()
     change = ChangeSpec(nu=3, subset=(0, 1))
-    a = generate(scenario, change, 20, replication_rng(5, 0)).data
-    b = generate(scenario, change, 20, replication_rng(5, 0)).data
+    a = scenario.generate([change], 20, [replication_rng(5, 0)])[0]
+    b = scenario.generate([change], 20, [replication_rng(5, 0)])[0]
     np.testing.assert_array_equal(a, b)
 
 
 def test_change_before_start_equals_change_at_zero():
     # nu = -1 and nu = 0 put every observation post-change
     scenario = _scenario()
-    a = generate(scenario, ChangeSpec(nu=-1, subset=(0,)), 15, replication_rng(1, 0)).data
-    b = generate(scenario, ChangeSpec(nu=0, subset=(0,)), 15, replication_rng(1, 0)).data
+    a = scenario.generate([ChangeSpec(nu=-1, subset=(0,))], 15, [replication_rng(1, 0)])[0]
+    b = scenario.generate([ChangeSpec(nu=0, subset=(0,))], 15, [replication_rng(1, 0)])[0]
     np.testing.assert_array_equal(a, b)
 
 
 def test_change_beyond_horizon_is_pure_noise():
     scenario = _scenario()
-    with_change = generate(
-        scenario, ChangeSpec(nu=50, subset=(0,)), 20, replication_rng(2, 0)
-    ).data
-    noise = generate(
-        scenario, ChangeSpec(NO_CHANGE, ()), 20, replication_rng(2, 0)
-    ).data
+    late = ChangeSpec(nu=50, subset=(0,))
+    with_change = scenario.generate([late], 20, [replication_rng(2, 0)])[0]
+    noise = scenario.generate([ChangeSpec(NO_CHANGE, ())], 20, [replication_rng(2, 0)])[0]
     np.testing.assert_array_equal(with_change, noise)
 
 
 def test_zero_amplitude_change_equals_no_change():
     scenario = _scenario()
-    a = generate(
-        scenario, ChangeSpec(nu=0, subset=(0, 1), theta=(0.0, 0.0)), 25, replication_rng(3, 0)
-    ).data
-    b = generate(scenario, ChangeSpec(NO_CHANGE, ()), 25, replication_rng(3, 0)).data
+    change = ChangeSpec(nu=0, subset=(0, 1), theta=(0.0, 0.0))
+    a = scenario.generate([change], 25, [replication_rng(3, 0)])[0]
+    b = scenario.generate([ChangeSpec(NO_CHANGE, ())], 25, [replication_rng(3, 0)])[0]
     np.testing.assert_array_equal(a, b)
 
 
 def test_generate_rejects_bad_inputs():
     scenario = _scenario()
     with pytest.raises(ValueError):
-        generate(scenario, ChangeSpec(nu=0, subset=(0,)), 0, replication_rng(0, 0))
+        scenario.generate([ChangeSpec(nu=0, subset=(0,))], 0, [replication_rng(0, 0)])
     with pytest.raises(ValueError):
-        generate(scenario, ChangeSpec(nu=0, subset=(5,)), 10, replication_rng(0, 0))
+        scenario.generate([ChangeSpec(nu=0, subset=(5,))], 10, [replication_rng(0, 0)])
 
 
 def test_change_spec_validation():
@@ -237,15 +231,6 @@ def test_change_spec_validation():
         ChangeSpec(nu=0, subset=(0, 1), theta=(1.0,))
     spec = ChangeSpec(nu=2, subset=(1, 0), theta=(0.5, 1.5))
     assert spec.subset == (0, 1)
-
-
-def test_observation_batch_requires_finite_matrix():
-    with pytest.raises(ValueError):
-        ObservationBatch(np.array([[1.0, math.inf]]))
-    with pytest.raises(ValueError):
-        ObservationBatch(np.zeros(3))
-    batch = ObservationBatch(np.zeros((4, 2)))
-    assert batch.horizon == 4 and batch.n_streams == 2
 
 
 def test_replication_rng_counter_keying():

@@ -17,10 +17,7 @@ from qcdetect import (
     PriorSpec,
     Scenario,
     SubsetWeights,
-    ar_llr_increment,
-    ar_residual,
     gaussian_stream,
-    mixture_llr_increment,
     q_constant,
     replication_rng,
 )
@@ -28,20 +25,25 @@ from qcdetect.montecarlo import JointSampler, NoChangeSampler, PriorNuSampler
 
 
 def test_ar_residual_first_sample_passthrough():
-    assert ar_residual([3.7], (0.5,)) == 3.7
+    # lags before the first sample are zero
+    assert ARChannelSpec(coeffs=(0.5,)).residuals([3.7])[-1] == 3.7
 
 
 def test_ar_residual_hand_value():
-    assert ar_residual([2.0, 3.0], (0.5,)) == pytest.approx(2.0)
+    assert ARChannelSpec(coeffs=(0.5,)).residuals([2.0, 3.0])[-1] == pytest.approx(2.0)
 
 
 def test_ar_residual_zero_history():
-    assert ar_residual([0.0, 0.0, 0.0], (0.4, 0.2)) == 0.0
+    assert ARChannelSpec(coeffs=(0.4, 0.2)).residuals([0.0, 0.0, 0.0])[-1] == 0.0
 
 
-def test_ar_residual_needs_history():
-    with pytest.raises(ValueError):
-        ar_residual([], (0.5,))
+def test_residuals_invert_the_noise_recursion():
+    # the generator filters white noise through 1 / (1 - sum_j b_j z^-j);
+    # residuals() applies the inverse filter and must give the noise back
+    channel = ARChannelSpec(coeffs=(0.6, -0.2, 0.1), sigma=1.5)
+    noise = np.random.default_rng(12).normal(0.0, 1.5, size=(4, 200))
+    x = lfilter([1.0], np.concatenate(([1.0], -np.asarray(channel.coeffs))), noise, axis=-1)
+    np.testing.assert_allclose(channel.residuals(x), noise, rtol=0.0, atol=1e-12)
 
 
 def test_ar_stability_check():
@@ -62,8 +64,11 @@ def test_ar_channel_validation():
 
 
 def test_ar_llr_increment_values():
-    assert ar_llr_increment(0.0, 1.3, 0.7, 1.0) == 0.0
-    assert ar_llr_increment(1.0, 1.0, 1.0, 1.0) == pytest.approx(0.5)
+    # white noise, so the residuals are the raw values: x = 1.3, s = 0.7, sigma = 1
+    channel = ARChannelSpec(signal=(0.7,))
+    assert channel.log_lr_increments(np.array([1.3]), np.array([0.0]))[0, 0] == 0.0
+    unit = gaussian_stream().log_lr_increments(np.array([1.0]), np.array([1.0]))
+    assert unit[0, 0] == pytest.approx(0.5)
 
 
 def test_ar_llr_increment_mean_under_change():
@@ -95,14 +100,14 @@ def test_residuals_under_no_change_are_white():
     assert abs(resid.var(ddof=1) - 1.5**2) <= 3 * 1.5**2 * math.sqrt(2.0 / n)
 
 
-def test_ar_increments_match_stepwise_source():
+def test_ar_increments_match_predictive_densities():
+    # each increment is log f(x_n | past) - log g(x_n | past), observation by observation
     channel = ARChannelSpec(coeffs=(0.4, 0.1), sigma=0.9, signal=(1.0, 0.5), theta=0.8)
     rng = np.random.default_rng(5)
     x = rng.normal(0.0, 1.0, 30)
     vector = channel.log_lr_increments(x, np.array([0.8]))[:, 0]
-    source = channel.increment_source()
-    stepwise = np.array([source.step(0.8, xi) for xi in x])
-    np.testing.assert_allclose(stepwise, vector, atol=1e-12)
+    density_ratio = channel.log_predictive_post(x, 0.8) - channel.log_predictive_pre(x)
+    np.testing.assert_allclose(vector, density_ratio, rtol=0.0, atol=1e-12)
 
 
 def test_mixture_channel_validation():
@@ -127,14 +132,15 @@ def test_mixture_increment_telescopes_to_density_ratio():
     assert worst <= 1e-10
 
 
-def test_mixture_increment_stepwise_matches_vectorized():
+def test_mixture_increments_match_predictive_densities():
+    # the pre-change predictive density carries the mixture's running
+    # component ratio, so the identity holds for the partial sums
     channel = MixtureChannelSpec(beta_mix=0.3, mu1=2.5, mu2=0.5, sigma=1.1, theta=1.0)
     rng = np.random.default_rng(2)
     x = rng.normal(1.0, 1.0, 40)
     vector = channel.log_lr_increments(x, np.array([1.0]))[:, 0]
-    source = channel.increment_source()
-    stepwise = np.array([mixture_llr_increment(source, 1.0, xi) for xi in x])
-    np.testing.assert_allclose(stepwise, vector, atol=1e-12)
+    density_ratio = channel.log_predictive_post(x, 1.0) - channel.log_predictive_pre(x)
+    np.testing.assert_allclose(np.cumsum(vector), np.cumsum(density_ratio), rtol=0.0, atol=1e-12)
 
 
 def test_mixture_increment_vanishing_mixing_probability():
@@ -150,10 +156,9 @@ def test_mixture_increment_vanishing_mixing_probability():
 def test_mixture_indistinguishable_observation_keeps_ratio():
     # at x = (mu1 + mu2)/2 both components have equal density
     channel = MixtureChannelSpec(beta_mix=0.3, mu1=2.0, mu2=0.0, sigma=1.0, theta=0.7)
-    source = channel.increment_source()
     x = 1.0
-    value = source.step(0.7, x)
-    assert source._log_g == 0.0
+    value = channel.log_lr_increments(np.array([x]), np.array([0.7]))[0, 0]
+    assert channel.gap_penalties(np.array([x]))[0] == 0.0
     l2 = 0.7 * x - 0.7**2 / 2.0
     assert value == pytest.approx(l2, abs=1e-14)
 

@@ -18,13 +18,7 @@ from qcdetect import (
     posterior_no_change,
 )
 from qcdetect.scenarios import ARChannelSpec
-from qcdetect.statistics import (
-    DetectorState,
-    shiryaev_direct,
-    shiryaev_update,
-    sr_direct,
-    sr_update,
-)
+from qcdetect.statistics import DetectorState, shiryaev_direct, sr_direct
 from qcdetect.verify import posterior_direct_bayes
 
 
@@ -101,7 +95,7 @@ def test_shiryaev_unit_lr_closed_form():
     inc = np.zeros((1, 1, 1))
     state = DetectorState(prior, grid, weights, track="shiryaev")
     for n in range(1, 6):
-        shiryaev_update(state, inc, prior)
+        state.advance(inc)
         direct = sum(prior.mass(k) for k in range(n)) / prior.tail(n)
         assert state.shiryaev_value()[0] == pytest.approx(2.0**n - 1.0, rel=1e-12)
         assert state.shiryaev_value()[0] == pytest.approx(direct, rel=1e-12)
@@ -115,7 +109,7 @@ def test_shiryaev_unit_lr_recurrence():
     state = DetectorState(prior, grid, weights, track="shiryaev")
     previous = 0.0
     for _ in range(10):
-        shiryaev_update(state, inc, prior)
+        state.advance(inc)
         expected = (0.3 + previous) / 0.7
         assert state.shiryaev_value()[0] == pytest.approx(expected, rel=1e-12)
         previous = expected
@@ -128,7 +122,7 @@ def test_sr_unit_lr_linear_growth(omega, expected):
     state = DetectorState(prior, grid, weights, omega=omega, track="sr")
     inc = np.zeros((1, 1, 1))
     for _ in range(7):
-        sr_update(state, inc)
+        state.advance(inc)
     assert state.sr_value()[0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -250,7 +244,7 @@ def test_posterior_identity_against_direct_bayes():
         inc = scenario.log_lr_increments(data, grid.points)
         state = DetectorState(prior, grid, weights, track="shiryaev")
         for t in range(40):
-            shiryaev_update(state, inc[None, t], prior)
+            state.advance(inc[None, t])
             worst = max(worst, abs(state.posterior_no_change()[0] - oracle[t]))
     assert worst <= 1e-9
 
@@ -262,7 +256,7 @@ def test_posterior_helper_matches_state():
     inc = scenario.log_lr_increments(data, grid.points)
     state = DetectorState(prior, grid, weights, track="shiryaev")
     for t in range(10):
-        shiryaev_update(state, inc[None, t], prior)
+        state.advance(inc[None, t])
     np.testing.assert_allclose(
         state.posterior_no_change(), posterior_no_change(state.log_shiryaev())
     )
@@ -286,7 +280,7 @@ def test_degenerate_grid_reduces_to_single_parameter_mixture():
     log_pb = log_subset_weights(weights, masks)
     log_s = np.full(masks.shape[0], -np.inf if prior.q == 0 else math.log(prior.head_odds()))
     for t in range(30):
-        shiryaev_update(state, inc[None, t], prior)
+        state.advance(inc[None, t])
         llr = masks.astype(float) @ inc[t, 0]
         log_s = (
             llr
@@ -309,21 +303,14 @@ def test_statistics_are_nonnegative():
         assert state.sr_value()[0] >= 0.0
 
 
-def test_k_dependent_increments_rejected_by_recursion():
-    scenario, grid, weights, prior = make_pair_setup()
-    state = DetectorState(prior, grid, weights, track="shiryaev", k_independent=False)
-    with pytest.raises(ValueError, match="window"):
-        shiryaev_update(state, np.zeros((1, 2, 2)), prior)
-
-
 def test_point_mass_prior_exhausts_shiryaev_support():
     scenario, grid, weights = unit_increment_setup()
     prior = PriorSpec.point_mass(1)
     state = DetectorState(prior, grid, weights, track="shiryaev")
     inc = np.zeros((1, 1, 1))
-    shiryaev_update(state, inc, prior)  # n = 1 fine
+    state.advance(inc)  # n = 1 fine
     with pytest.raises(ValueError, match="tail"):
-        shiryaev_update(state, inc, prior)  # tail(2) = 0
+        state.advance(inc)  # tail(2) = 0
 
 
 def test_joint_increment_hook_matches_factorized_path():
@@ -348,14 +335,12 @@ def test_tracking_guards():
     scenario, grid, weights = unit_increment_setup()
     prior = PriorSpec.geometric(rho=0.5)
     inc = np.zeros((1, 1, 1))
-    s_only = DetectorState(prior, grid, weights, track="shiryaev")
-    with pytest.raises(ValueError):
-        sr_update(s_only, inc)
+    s_only = DetectorState(prior, grid, weights, track="shiryaev").advance(inc)
     with pytest.raises(ValueError):
         s_only.log_sr()
-    both = DetectorState(prior, grid, weights, track="both")
+    r_only = DetectorState(prior, grid, weights, track="sr").advance(inc)
     with pytest.raises(ValueError):
-        shiryaev_update(both, inc, prior)  # must advance both together
+        r_only.log_shiryaev()
 
 
 def test_saturation_clamps_and_flags():
@@ -363,7 +348,7 @@ def test_saturation_clamps_and_flags():
     prior = PriorSpec.geometric(rho=0.5)
     state = DetectorState(prior, grid, weights, track="sr")
     for _ in range(3):
-        sr_update(state, np.full((1, 1, 1), 500.0))
+        state.advance(np.full((1, 1, 1), 500.0))
     assert state.saturated[0]
     assert np.isfinite(state.log_sr()[0])
     assert state.log_sr()[0] <= 700.0 + 1e-9
