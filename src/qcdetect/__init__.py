@@ -43,10 +43,10 @@ from .scenarios import (
 )
 from .statistics import (
     DetectorState,
+    FlatWeights,
     GridSpec,
+    direct_log_statistic,
     posterior_no_change,
-    shiryaev_direct,
-    sr_direct,
 )
 
 __version__ = "0.1.0"
@@ -57,6 +57,7 @@ __all__ = [
     "Detector",
     "DetectorConfig",
     "DetectorState",
+    "FlatWeights",
     "GridSpec",
     "InfeasibleHorizonError",
     "InfoNumbers",
@@ -70,6 +71,7 @@ __all__ = [
     "SubsetWeights",
     "asymptotic_ratio_sweep",
     "d_constant",
+    "direct_log_statistic",
     "elementary_symmetric",
     "estimate_average_risk",
     "estimate_bayes_delay",
@@ -84,9 +86,7 @@ __all__ = [
     "posterior_no_change",
     "q_constant",
     "replication_rng",
-    "shiryaev_direct",
     "simulate_runs",
-    "sr_direct",
     "threshold_cost",
     "threshold_shiryaev",
     "threshold_sr",

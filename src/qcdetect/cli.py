@@ -29,7 +29,6 @@ import numpy as np
 from . import verify as verify_mod
 from .detectors import (
     SHIRYAEV_MIXTURE,
-    SHIRYAEV_PUTATIVE,
     Detector,
     DetectorConfig,
     threshold_cost,
@@ -114,7 +113,6 @@ class DetectorSection:
     window_m1: int | None = None
     window_m0: int = 0
     omega: float = 0.0
-    putative_theta: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -384,7 +382,7 @@ def calibrate_threshold(config: RunConfig) -> CalibrationReport:
     prior = build_prior(config.prior)
     if section.threshold is not None:
         return CalibrationReport(section.kind, section.threshold, "explicit", "threshold as given")
-    shiryaev = section.kind in (SHIRYAEV_MIXTURE, SHIRYAEV_PUTATIVE)
+    shiryaev = section.kind == SHIRYAEV_MIXTURE
     try:
         if section.alpha is not None:
             if shiryaev:
@@ -433,7 +431,6 @@ def build_detector(config: RunConfig, threshold: float | None = None) -> Detecto
             window_m1=section.window_m1,
             window_m0=section.window_m0,
             head_start_omega=section.omega,
-            putative_theta=section.putative_theta,
         )
         return Detector(det_config, scenario, prior, grid, weights)
     except ValueError as exc:
@@ -534,22 +531,24 @@ def cmd_oc_sweep(config: RunConfig, out: str | None, seed: int | None, workers: 
     change = build_change(config.change, scenario)
     subset = change.subset
     theta = change.theta if change.theta is not None else scenario.nominal_theta(subset)
-    shiryaev = config.detector.kind in (SHIRYAEV_MIXTURE, SHIRYAEV_PUTATIVE)
-    mu = prior.tail_rate if shiryaev else 0.0
+    mu = prior.tail_rate if config.detector.kind == SHIRYAEV_MIXTURE else 0.0
     info_rate = float(
         sum(scenario.channels[i].kl_rate(t) for i, t in zip(subset, theta))
     )
-
-    def factory(alpha: float) -> Detector:
-        detector = replace(config.detector, threshold=None, alpha=alpha)
-        return build_detector(replace(config, detector=detector))
-
+    # every level is calibrated and checked before anything is simulated
+    detectors = {
+        alpha: build_detector(
+            replace(config, detector=replace(config.detector, threshold=None, alpha=alpha))
+        )
+        for alpha in config.sweep.alphas
+    }
     rows = asymptotic_ratio_sweep(
-        factory, config.sweep.alphas, config.sweep.r, mc, subset, theta, info_rate, mu
+        detectors.__getitem__, config.sweep.alphas, config.sweep.r, mc, subset, theta,
+        info_rate, mu,
     )
     table = []
     for row in rows:
-        pfa = estimate_pfa(factory(row.alpha), mc, alpha=row.alpha)
+        pfa = estimate_pfa(detectors[row.alpha], mc, alpha=row.alpha)
         table.append(
             {
                 "alpha": row.alpha,

@@ -17,14 +17,12 @@ import numpy as np
 
 from .likelihood import SubsetWeights
 from .model import PriorSpec
-from .statistics import LOG_CLAMP, DetectorState, GridSpec
+from .statistics import LOG_CLAMP, DetectorState, FlatWeights, GridSpec
 
 SHIRYAEV_MIXTURE = "shiryaev-mixture"
 SR_MIXTURE = "sr-mixture"
-SHIRYAEV_PUTATIVE = "shiryaev-putative"
-SR_PUTATIVE = "sr-putative"
 
-_KINDS = (SHIRYAEV_MIXTURE, SR_MIXTURE, SHIRYAEV_PUTATIVE, SR_PUTATIVE)
+_KINDS = (SHIRYAEV_MIXTURE, SR_MIXTURE)
 
 #: Bytes of recursion input (subset sums) computed ahead of the step loop.
 #: Larger blocks run no faster and raise peak memory.
@@ -35,8 +33,9 @@ _BLOCK_BYTES = 1 << 21
 class DetectorConfig:
     """Which rule to run and at what threshold.
 
-    Putative kinds concentrate the parameter mixture on ``putative_theta``;
-    they are byte-for-byte the mixture rules with a one-point grid.
+    A putative-parameter rule is a mixture rule with a one-point grid.  The
+    head start ``omega`` belongs to the Shiryaev-Roberts rule; the Shiryaev
+    rule starts from the prior's head odds.
     """
 
     kind: str
@@ -44,7 +43,6 @@ class DetectorConfig:
     window_m1: int | None = None
     window_m0: int = 0
     head_start_omega: float = 0.0
-    putative_theta: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -55,20 +53,20 @@ class DetectorConfig:
             raise ValueError(f"window length must be >= 1, got {self.window_m1}")
         if self.window_m0 < 0:
             raise ValueError(f"window offset must be >= 0, got {self.window_m0}")
+        if self.window_m0 > 0 and self.window_m1 is None:
+            raise ValueError("window offset m0 needs a window length m1")
+        if self.window_m1 is not None and self.window_m0 > self.window_m1:
+            raise ValueError(
+                f"window offset {self.window_m0} exceeds window length {self.window_m1}"
+            )
         if self.head_start_omega < 0.0:
             raise ValueError(f"head start must be >= 0, got {self.head_start_omega}")
-        if self.kind in (SHIRYAEV_PUTATIVE, SR_PUTATIVE):
-            if self.putative_theta is None:
-                raise ValueError("putative rules need putative_theta")
-            object.__setattr__(
-                self, "putative_theta", tuple(float(t) for t in self.putative_theta)
-            )
-        elif self.putative_theta is not None:
-            raise ValueError("putative_theta is only valid for putative rules")
+        if self.head_start_omega > 0.0 and self.uses_shiryaev:
+            raise ValueError("a head start omega applies only to the sr-mixture rule")
 
     @property
     def uses_shiryaev(self) -> bool:
-        return self.kind in (SHIRYAEV_MIXTURE, SHIRYAEV_PUTATIVE)
+        return self.kind == SHIRYAEV_MIXTURE
 
 
 @dataclass
@@ -96,13 +94,9 @@ class Detector:
         config: DetectorConfig,
         scenario,
         prior: PriorSpec,
-        grid: GridSpec | None,
+        grid: GridSpec,
         weights: SubsetWeights,
     ):
-        if config.kind in (SHIRYAEV_PUTATIVE, SR_PUTATIVE):
-            grid = GridSpec.degenerate(config.putative_theta)
-        if grid is None:
-            raise ValueError("mixture rules need a parameter grid")
         if grid.n_streams != scenario.n_streams:
             raise ValueError(
                 f"grid covers {grid.n_streams} streams, scenario has {scenario.n_streams}"
@@ -121,6 +115,8 @@ class Detector:
         self.prior = prior
         self.grid = grid
         self.weights = weights
+        # the change-point weighting is the only difference between the rules
+        self.weighting = prior if config.uses_shiryaev else FlatWeights(config.head_start_omega)
         self.log_threshold = math.log(config.threshold_A)
         if self.log_threshold > LOG_CLAMP:
             raise ValueError(
@@ -141,14 +137,12 @@ class Detector:
 
     def _new_state(self, n_reps: int) -> DetectorState:
         return DetectorState(
-            self.prior,
+            self.weighting,
             self.grid,
             self.weights,
             n_reps=n_reps,
-            omega=self.config.head_start_omega,
             window_m1=self.config.window_m1,
             window_m0=self.config.window_m0,
-            track="shiryaev" if self.config.uses_shiryaev else "sr",
         )
 
     def _check_data(self, data) -> np.ndarray:

@@ -207,8 +207,9 @@ def _check_head_mass(q: float) -> None:
 class ChangeSpec:
     """A concrete change: its time, the affected streams, and their parameters.
 
-    ``theta`` holds one post-change parameter per affected stream, aligned with
-    ``sorted(subset)``.  ``theta=None`` falls back to each channel's nominal
+    ``theta`` holds one post-change parameter per affected stream, given in
+    the order of ``subset``; both are stored sorted by stream, so the pairs
+    stay together.  ``theta=None`` falls back to each channel's nominal
     parameter.
     """
 
@@ -219,18 +220,22 @@ class ChangeSpec:
     def __post_init__(self):
         if self.nu < -1 and self.nu != NO_CHANGE:
             raise ValueError(f"change point must be >= -1, got {self.nu}")
-        subset = tuple(sorted(set(int(i) for i in self.subset)))
+        streams = [int(i) for i in self.subset]
+        subset = tuple(sorted(set(streams)))
         if not subset and self.nu != NO_CHANGE:
             raise ValueError("affected subset must be nonempty")
         if any(i < 0 for i in subset):
             raise ValueError("stream indices must be >= 0")
         object.__setattr__(self, "subset", subset)
         if self.theta is not None:
+            if len(subset) != len(streams):
+                raise ValueError("an affected stream is listed twice")
             theta = tuple(float(t) for t in self.theta)
             if len(theta) != len(subset):
                 raise ValueError(
                     f"theta has {len(theta)} entries for {len(subset)} affected streams"
                 )
+            theta = tuple(t for _, t in sorted(zip(streams, theta)))
             object.__setattr__(self, "theta", theta)
 
 

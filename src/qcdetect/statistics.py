@@ -1,18 +1,20 @@
 """Running Shiryaev and Shiryaev-Roberts statistics mixed over subsets and parameters.
 
-Both statistics are prior- or uniformly-weighted sums of likelihood ratios over
-candidate change points.  When the per-observation increments do not depend on
-the hypothesized change point, each (subset, parameter) component satisfies a
-one-step recursion:
+Both statistics are weighted sums of likelihood ratios over candidate change
+points; they differ only in the weights.  When the per-observation increments
+do not depend on the hypothesized change point, each (subset, parameter)
+component satisfies a one-step recursion:
 
     S_{B,t}(n) = L_{B,t}(n) * (S_{B,t}(n-1) * P(nu >= n-1) + pi_{n-1}) / P(nu >= n)
-    R_{B,t}(n) = L_{B,t}(n) * (R_{B,t}(n-1) + 1)
 
-with ``S(0) = q / (1-q)`` and ``R(0) = omega``.  The emitted statistic is the
-subset/parameter mixture of the components.  A window-limited mode sums the
-mixture likelihood ratio directly over the last ``m1 + 1`` candidate change
-points instead, which bounds memory and also serves as the oracle for the
-recursion.  All state is kept in the log domain, clamped at +/-700 with a
+with ``S(0) = q / (1-q)``.  Under a ``PriorSpec`` this is the Shiryaev
+statistic.  Under ``FlatWeights`` (``pi_k = 1``, ``P(nu >= n) = 1``, head
+start ``omega`` in place of ``q``) it is the Shiryaev-Roberts statistic
+``R(n) = L(n) * (R(n-1) + 1)`` with ``R(0) = omega``.  The emitted statistic
+is the subset/parameter mixture of the components.  A window-limited mode sums
+the mixture likelihood ratio directly over the last ``m1 + 1`` candidate
+change points instead, which bounds memory and also serves as the oracle for
+the recursion.  All state is kept in the log domain, clamped at +/-700 with a
 saturation flag (a saturated statistic is already far beyond any usable
 threshold).
 
@@ -81,7 +83,7 @@ class GridSpec:
 
     @classmethod
     def degenerate(cls, theta) -> "GridSpec":
-        """All mass on a single parameter vector (putative-parameter rules)."""
+        """All mass on a single parameter vector: a putative-parameter rule."""
         return cls(theta_points=(tuple(float(t) for t in np.atleast_1d(theta)),), weights=(1.0,))
 
     @property
@@ -123,56 +125,78 @@ class MixtureBasis:
         return len(self.members)
 
 
-class DetectorState:
-    """Batched running state for the mixed statistics.
+@dataclass(frozen=True)
+class FlatWeights:
+    """Change-point weights of the Shiryaev-Roberts statistic.
 
-    ``increments`` passed to the update operations have shape ``[R, P, N]``
-    (replications x grid points x streams).  In recursive mode the state holds
+    ``pi_k = 1`` and ``P(nu >= n) = 1``, with the head start ``omega`` in place
+    of the head mass: the Shiryaev sum under these weights is ``R(n)``.  A
+    ``PriorSpec`` is the other weighting ``DetectorState`` takes.
+    """
+
+    omega: float = 0.0
+
+    def __post_init__(self):
+        if self.omega < 0.0:
+            raise ValueError(f"head start must be >= 0, got {self.omega}")
+
+    @property
+    def q(self) -> float:
+        """The weight of the "changed before the start" summand."""
+        return self.omega
+
+    def log_mass(self, k: int) -> float:
+        return 0.0
+
+    def log_tail(self, n: int) -> float:
+        return 0.0
+
+    def head_odds(self) -> float:
+        """The starting value ``R(0) = omega``."""
+        return self.omega
+
+
+class DetectorState:
+    """Batched running state of the statistic under one change-point weighting.
+
+    ``weighting`` is a ``PriorSpec`` for the Shiryaev statistic or
+    ``FlatWeights`` for the Shiryaev-Roberts statistic.  ``increments``
+    passed to the update operations have shape ``[R, P, N]`` (replications x
+    grid points x streams).  In recursive mode the state holds
     per-(subset, point) log components of shape ``[R, S, P]``; in window mode
-    it holds the raw increment history and re-evaluates the direct sums.
+    it holds the raw increment history and re-evaluates the direct sum.
     Every update is row by row, so ``retain`` can drop replications that have
     stopped without changing the arithmetic of the others.
     """
 
     def __init__(
         self,
-        prior: PriorSpec,
+        weighting: PriorSpec | FlatWeights,
         grid: GridSpec,
         weights: SubsetWeights,
         *,
         n_reps: int = 1,
-        omega: float = 0.0,
         window_m1: int | None = None,
         window_m0: int = 0,
-        track: str = "both",
     ):
-        if track not in ("both", "shiryaev", "sr"):
-            raise ValueError(f"track must be 'both', 'shiryaev' or 'sr', got {track!r}")
-        if omega < 0.0:
-            raise ValueError(f"head start must be >= 0, got {omega}")
         if window_m1 is not None and window_m1 < 0:
             raise ValueError(f"window length must be >= 0, got {window_m1}")
-        if window_m0 < 0 or (window_m1 is not None and window_m0 > window_m1):
-            raise ValueError("need 0 <= m0 <= m1")
-        self.prior = prior
+        if not 0 <= window_m0 <= (0 if window_m1 is None else window_m1):
+            raise ValueError("need 0 <= m0 <= m1, and m0 = 0 without a window")
+        self.weighting = weighting
         self.basis = MixtureBasis(grid, weights)
         self.n_reps = int(n_reps)
-        self.omega = float(omega)
         self.window_m1 = window_m1
         self.window_m0 = int(window_m0)
-        self.track = track
         self.n = 0
         self.saturated = np.zeros(self.n_reps, dtype=bool)
-        shape = (self.n_reps, self.basis.n_subsets, self.basis.grid.n_points)
+        start = _safe_log(weighting.head_odds())
         if window_m1 is None:
-            if self.track != "sr":
-                self.log_s = np.full(shape, _safe_log(prior.head_odds()))
-            if self.track != "shiryaev":
-                self.log_r = np.full(shape, _safe_log(omega))
+            shape = (self.n_reps, self.basis.n_subsets, self.basis.grid.n_points)
+            self.log_components = np.full(shape, start)
         else:
             self._hist: list[np.ndarray] = []
-            self._log_s_value: np.ndarray | None = None
-            self._log_r_value: np.ndarray | None = None
+            self._log_value = np.full(self.n_reps, start)
 
     # -- internals -----------------------------------------------------------
 
@@ -202,7 +226,7 @@ class DetectorState:
 
     def _check_subset_llrs(self, subset_llrs) -> np.ndarray:
         if self.window_m1 is not None:
-            raise ValueError("joint increments are only supported by the recursions")
+            raise ValueError("joint increments are only supported by the recursion")
         llr = np.asarray(subset_llrs, dtype=float)
         if llr.ndim == 2:
             llr = llr[None]
@@ -213,26 +237,17 @@ class DetectorState:
 
     def _advance_recursive(self, llr: np.ndarray) -> None:
         n = self.n + 1
-        if self.track != "sr":
-            log_tail_prev = self.prior.log_tail(n - 1)
-            log_tail = self.prior.log_tail(n)
-            if log_tail == -math.inf:
-                raise ValueError(
-                    f"prior tail vanishes at n={n}; the Shiryaev statistic is undefined"
-                )
-            log_pi = self.prior.log_mass(n - 1)
-            self.log_s = llr + np.logaddexp(self.log_s + log_tail_prev, log_pi) - log_tail
-            self._clamp(self.log_s)
-        if self.track != "shiryaev":
-            self.log_r = llr + np.logaddexp(0.0, self.log_r)
-            self._clamp(self.log_r)
-        self.n = n
-
-    def _clamp(self, arr: np.ndarray) -> None:
-        over = arr > LOG_CLAMP
+        log_tail = self.weighting.log_tail(n)
+        if log_tail == -math.inf:
+            raise ValueError(f"prior tail vanishes at n={n}; the Shiryaev statistic is undefined")
+        prev = self.log_components + self.weighting.log_tail(n - 1)
+        log_pi = self.weighting.log_mass(n - 1)
+        self.log_components = llr + np.logaddexp(prev, log_pi) - log_tail
+        over = self.log_components > LOG_CLAMP
         if over.any():
             self.saturated |= over.any(axis=(1, 2))
-        np.clip(arr, -LOG_CLAMP, LOG_CLAMP, out=arr)
+        np.clip(self.log_components, -LOG_CLAMP, LOG_CLAMP, out=self.log_components)
+        self.n = n
 
     def _advance_window(self, inc: np.ndarray) -> None:
         self._hist.append(inc)
@@ -240,34 +255,20 @@ class DetectorState:
         if len(self._hist) > keep:
             del self._hist[: len(self._hist) - keep]
         self.n += 1
-        hist = np.stack(self._hist, axis=1)  # [R, m, P, N], oldest first
-        if self.track != "sr":
-            self._log_s_value = shiryaev_direct(
-                hist,
-                self.prior,
-                self.basis.grid,
-                self.basis.weights,
-                n=self.n,
-                m1=self.window_m1,
-                m0=self.window_m0,
-                window_offset=self.n - hist.shape[1],
-            )
-        if self.track != "shiryaev":
-            self._log_r_value = sr_direct(
-                hist,
-                self.basis.grid,
-                self.basis.weights,
-                omega=self.omega,
-                n=self.n,
-                m1=self.window_m1,
-                m0=self.window_m0,
-                window_offset=self.n - hist.shape[1],
-            )
+        self._log_value = direct_log_statistic(
+            np.stack(self._hist, axis=1),  # [R, m, P, N], oldest first
+            self.weighting,
+            self.basis.grid,
+            self.basis.weights,
+            n=self.n,
+            m1=self.window_m1,
+            m0=self.window_m0,
+        )
 
     # -- public stepping -------------------------------------------------------
 
     def advance(self, increments=None, *, subset_llrs=None) -> "DetectorState":
-        """Absorb one observation vector, updating every tracked statistic.
+        """Absorb one observation vector.
 
         ``increments`` are the per-stream log LR increments ``[R, P, N]``.  A
         recursive state takes instead ``subset_llrs``, the per-(subset, point)
@@ -290,149 +291,78 @@ class DetectorState:
         """Keep only the replications ``rows`` selects (a mask or indices) in the state."""
         self.saturated = self.saturated[rows]
         self.n_reps = self.saturated.shape[0]
-        for name in ("log_s", "log_r", "_log_s_value", "_log_r_value"):
-            value = getattr(self, name, None)
-            if value is not None:
-                setattr(self, name, value[rows])
-        if self.window_m1 is not None:
+        if self.window_m1 is None:
+            self.log_components = self.log_components[rows]
+        else:
             self._hist = [inc[rows] for inc in self._hist]
+            self._log_value = self._log_value[rows]
 
-    # -- values ----------------------------------------------------------------
+    # -- value -----------------------------------------------------------------
 
     def log_shiryaev(self) -> np.ndarray:
-        if self.track == "sr":
-            raise ValueError("state does not track the Shiryaev statistic")
+        """The log statistic ``[R]``: log S(n) under a prior, log R(n) under flat weights."""
         if self.window_m1 is None:
-            return logsumexp(self.log_s + self.basis.log_joint[None], axis=(1, 2))
-        if self.n == 0:
-            return np.full(self.n_reps, _safe_log(self.prior.head_odds()))
-        return self._log_s_value
+            return logsumexp(self.log_components + self.basis.log_joint[None], axis=(1, 2))
+        return self._log_value
 
-    def log_sr(self) -> np.ndarray:
-        if self.track == "shiryaev":
-            raise ValueError("state does not track the Shiryaev-Roberts statistic")
-        if self.window_m1 is None:
-            return logsumexp(self.log_r + self.basis.log_joint[None], axis=(1, 2))
-        if self.n == 0:
-            return np.full(self.n_reps, _safe_log(self.omega))
-        return self._log_r_value
-
-    def shiryaev_value(self) -> np.ndarray:
-        return np.exp(np.minimum(self.log_shiryaev(), LOG_CLAMP))
-
-    def sr_value(self) -> np.ndarray:
-        return np.exp(np.minimum(self.log_sr(), LOG_CLAMP))
-
-    def posterior_no_change(self) -> np.ndarray:
-        """P(nu >= n | data so far) = 1 / (S(n) + 1)."""
-        return np.exp(-np.logaddexp(0.0, self.log_shiryaev()))
+    #: Read-outs are named after the rule; both return the same statistic.
+    log_sr = log_shiryaev
 
 
 def _safe_log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
-def _window_log_mixture_lrs(
-    increments: np.ndarray,
+def direct_log_statistic(
+    increments,
+    weighting: PriorSpec | FlatWeights,
     grid: GridSpec,
     weights: SubsetWeights,
+    *,
     n: int,
-    m1: int | None,
-    window_offset: int,
+    m1: int | None = None,
+    m0: int = 0,
 ):
-    """log Lambda_{p,W}(n - j, n) for j = 1..m from an increment history.
+    """Window-limited log statistic at time ``n`` by direct summation over change points.
 
     ``increments`` is ``[..., T, P, N]`` holding the increments of times
-    ``window_offset + 1 .. window_offset + T``; the history must cover times
-    ``max(1, n - m1) .. n``.  Returns ``(log_lambda, m)`` with ``log_lambda``
-    of shape ``[..., m]`` indexed by ``j - 1``.
+    ``n - T + 1 .. n``; it must cover times ``max(1, n - m1) .. n``.  Sums
+    ``pi_k * Lambda_{p,W}(k, n)`` for ``k = n - min(n, m1+1) .. n-1-m0`` and
+    normalizes by the tail ``P(nu >= n)`` of ``weighting``.  When the window
+    reaches back to the origin the head weight ``q`` contributes
+    ``q * Lambda(0, n)`` as the "changed before the start" summand, so a window
+    with ``m1 >= n`` follows the exact same arithmetic path as the unwindowed
+    statistic (``m1=None``).  For ``n <= m0`` no change point is a candidate
+    yet and the head summand is all there is.
     """
     inc = np.asarray(increments, dtype=float)
     if inc.ndim < 3:
         raise ValueError("increment history must be [..., T, P, N]")
-    t_have = inc.shape[-3]
-    if n is None:
-        n = window_offset + t_have
     if n < 1:
         raise ValueError("the statistics are defined from n = 1 on")
-    if window_offset + t_have < n:
-        raise ValueError(f"history ends at time {window_offset + t_have}, need {n}")
+    log_tail = weighting.log_tail(n)
+    if log_tail == -math.inf:
+        raise ValueError(f"prior tail vanishes at n={n}; statistic undefined")
     m = n if m1 is None else min(n, m1 + 1)
-    first_needed = n - m + 1
-    if first_needed <= window_offset:
+    if inc.shape[-3] < m:
         raise ValueError(
-            f"window of length {m} needs increments from time {first_needed}, "
-            f"history starts at {window_offset + 1}"
+            f"window of length {m} needs increments from time {n - m + 1}, "
+            f"history starts at {n - inc.shape[-3] + 1}"
         )
-    lo = first_needed - window_offset - 1
-    hi = n - window_offset
-    window = inc[..., lo:hi, :, :]
+    window = inc[..., inc.shape[-3] - m:, :, :]
     # suffix sums: entry j-1 along the window axis is the log LR over (n-j, n]
     suffix = np.cumsum(window[..., ::-1, :, :], axis=-3)
     loge = log_elementary_symmetric(weights.log_p + suffix, weights.K)
     log_lam_theta = logsumexp(loge[..., 1:], axis=-1) + weights.log_normalizer
     log_lam = logsumexp(log_lam_theta + grid.log_weights, axis=-1)
-    return log_lam, m
-
-
-def shiryaev_direct(
-    increments,
-    prior: PriorSpec,
-    grid: GridSpec,
-    weights: SubsetWeights,
-    *,
-    n: int | None = None,
-    m1: int | None = None,
-    m0: int = 0,
-    window_offset: int = 0,
-):
-    """Window-limited Shiryaev statistic by direct summation over change points.
-
-    Sums ``pi_k * Lambda_{p,W}(k, n)`` for ``k = n - min(n, m1+1) .. n-1-m0``
-    and normalizes by the prior tail.  When the window reaches back to the
-    origin the head mass ``q`` contributes ``q * Lambda(0, n)`` as the
-    "changed before the start" summand, so a window with ``m1 >= n`` follows
-    the exact same arithmetic path as the unwindowed statistic (``m1=None``).
-    """
-    log_lam, m = _window_log_mixture_lrs(increments, grid, weights, n, m1, window_offset)
-    n_eff = n if n is not None else window_offset + np.asarray(increments).shape[-3]
-    log_tail = prior.log_tail(n_eff)
-    if log_tail == -math.inf:
-        raise ValueError(f"prior tail vanishes at n={n_eff}; statistic undefined")
-    if m0 >= m:
-        raise ValueError(f"m0={m0} leaves no candidate change points in a window of {m}")
-    log_pi = np.array([prior.log_mass(n_eff - j) for j in range(m0 + 1, m + 1)])
-    terms = log_pi + log_lam[..., m0:m]
-    value = logsumexp(terms, axis=-1)
-    if m == n_eff and prior.q > 0.0:
-        value = np.logaddexp(value, math.log(prior.q) + log_lam[..., m - 1])
+    if m0 < m:
+        log_pi = np.array([weighting.log_mass(n - j) for j in range(m0 + 1, m + 1)])
+        value = logsumexp(log_pi + log_lam[..., m0:m], axis=-1)
+    else:
+        value = np.full(log_lam.shape[:-1], -math.inf)
+    if m == n and weighting.q > 0.0:
+        value = np.logaddexp(value, math.log(weighting.q) + log_lam[..., m - 1])
     value = value - log_tail
-    return float(value) if np.ndim(value) == 0 else value
-
-
-def sr_direct(
-    increments,
-    grid: GridSpec,
-    weights: SubsetWeights,
-    *,
-    omega: float = 0.0,
-    n: int | None = None,
-    m1: int | None = None,
-    m0: int = 0,
-    window_offset: int = 0,
-):
-    """Window-limited Shiryaev-Roberts statistic by direct summation.
-
-    The head start contributes ``omega * Lambda(0, n)`` when the window covers
-    the origin, mirroring the head-mass convention of ``shiryaev_direct``.
-    """
-    log_lam, m = _window_log_mixture_lrs(increments, grid, weights, n, m1, window_offset)
-    n_eff = n if n is not None else window_offset + np.asarray(increments).shape[-3]
-    if m0 >= m:
-        raise ValueError(f"m0={m0} leaves no candidate change points in a window of {m}")
-    value = logsumexp(log_lam[..., m0:m], axis=-1)
-    if m == n_eff and omega > 0.0:
-        value = np.logaddexp(value, math.log(omega) + log_lam[..., m - 1])
     return float(value) if np.ndim(value) == 0 else value
 
 

@@ -36,7 +36,7 @@ from .scenarios import (
     Scenario,
     gaussian_stream,
 )
-from .statistics import DetectorState, GridSpec
+from .statistics import DetectorState, FlatWeights, GridSpec
 
 
 @dataclass(frozen=True)
@@ -143,38 +143,27 @@ def suite_recursion_direct(seed: int = 0, n_seeds: int = 10, horizon: int = 60):
     """Recursive vs direct-sum evaluation of both statistics, both scenarios."""
     results = []
     for label, scenario, grid, weights, prior in _reference_setups():
-        worst_s = 0.0
-        worst_r = 0.0
-        for k in range(n_seeds):
-            rng = np.random.default_rng(seed + 1000 * k)
-            data = _simulate(scenario, horizon, rng)
-            increments = scenario.log_lr_increments(data, grid.points)
-            state = DetectorState(prior, grid, weights, omega=1.5, track="both")
-            for t in range(horizon):
-                state.advance(increments[None, t])
-                hist = increments[: t + 1]
-                log_s = statistics.shiryaev_direct(hist, prior, grid, weights, n=t + 1)
-                log_r = statistics.sr_direct(
-                    hist, grid, weights, omega=1.5, n=t + 1
+        for rule, letter, weighting in (("shiryaev", "S", prior), ("sr", "R", FlatWeights(1.5))):
+            worst = 0.0
+            for k in range(n_seeds):
+                rng = np.random.default_rng(seed + 1000 * k)
+                data = _simulate(scenario, horizon, rng)
+                increments = scenario.log_lr_increments(data, grid.points)
+                state = DetectorState(weighting, grid, weights)
+                for t in range(horizon):
+                    state.advance(increments[None, t])
+                    direct = statistics.direct_log_statistic(
+                        increments[: t + 1], weighting, grid, weights, n=t + 1
+                    )
+                    worst = max(worst, abs(float(state.log_shiryaev()[0]) - float(direct)))
+            results.append(
+                CheckResult(
+                    "recursion-direct",
+                    f"{label}-{rule}",
+                    worst <= 1e-9,
+                    f"max |log {letter}_rec - log {letter}_direct| = {worst:.3g}",
                 )
-                worst_s = max(worst_s, abs(float(state.log_shiryaev()[0]) - float(log_s)))
-                worst_r = max(worst_r, abs(float(state.log_sr()[0]) - float(log_r)))
-        results.append(
-            CheckResult(
-                "recursion-direct",
-                f"{label}-shiryaev",
-                worst_s <= 1e-9,
-                f"max |log S_rec - log S_direct| = {worst_s:.3g}",
             )
-        )
-        results.append(
-            CheckResult(
-                "recursion-direct",
-                f"{label}-sr",
-                worst_r <= 1e-9,
-                f"max |log R_rec - log R_direct| = {worst_r:.3g}",
-            )
-        )
     return results
 
 
@@ -228,12 +217,11 @@ def suite_posterior_identity(seed: int = 0, n_paths: int = 4, horizon: int = 40)
             data = _simulate(scenario, horizon, rng)
             oracle = posterior_direct_bayes(scenario, data, prior, grid, weights)
             increments = scenario.log_lr_increments(data, grid.points)
-            state = DetectorState(prior, grid, weights, track="shiryaev")
+            state = DetectorState(prior, grid, weights)
             for t in range(horizon):
                 state.advance(increments[None, t])
-                worst = max(
-                    worst, abs(float(state.posterior_no_change()[0]) - oracle[t])
-                )
+                posterior = statistics.posterior_no_change(state.log_shiryaev())
+                worst = max(worst, abs(float(posterior[0]) - oracle[t]))
         results.append(
             CheckResult(
                 "posterior-identity",
@@ -252,17 +240,14 @@ def suite_sr_mean(seed: int = 0, replications: int = 20000, horizon: int = 20):
     scenario = Scenario((channel,))
     grid = GridSpec.degenerate((0.5,))
     weights = SubsetWeights.uniform(1)
-    prior = PriorSpec.geometric(rho=0.1)
     rng = np.random.default_rng(seed)
     data = rng.normal(0.0, 1.0, size=(replications, horizon, 1))
     increments = scenario.log_lr_increments(data, grid.points)
     for omega in (0.0, 2.0):
-        state = DetectorState(
-            prior, grid, weights, n_reps=replications, omega=omega, track="sr"
-        )
+        state = DetectorState(FlatWeights(omega), grid, weights, n_reps=replications)
         for t in range(horizon):
             state.advance(increments[:, t])
-        values = state.sr_value()
+        values = np.exp(state.log_sr())
         se = float(np.std(values, ddof=1) / math.sqrt(replications))
         gap = abs(float(np.mean(values)) - (omega + horizon))
         passed = gap <= 3.0 * se

@@ -29,6 +29,7 @@ from qcdetect import (
     gaussian_stream,
     mixture_lr_dp,
     mixture_lr_enumerate,
+    posterior_no_change,
     replication_rng,
     threshold_cost,
     threshold_shiryaev,
@@ -37,7 +38,7 @@ from qcdetect import (
 from qcdetect.info import InfoNumbers
 from qcdetect.likelihood import SubsetWeights as Weights
 from qcdetect.scenarios import ARChannelSpec
-from qcdetect.statistics import DetectorState, shiryaev_direct, sr_direct
+from qcdetect.statistics import DetectorState, FlatWeights, direct_log_statistic
 from qcdetect.verify import posterior_direct_bayes
 
 
@@ -133,14 +134,12 @@ def test_03_sr_mean_identity():
     checkpoints = (1, 10, 50)
     all_ok, details = True, []
     for omega in (0.0, 3.0):
-        state = DetectorState(
-            prior, grid, weights, n_reps=replications, omega=omega, track="sr"
-        )
+        state = DetectorState(FlatWeights(omega), grid, weights, n_reps=replications)
         for t in range(horizon):
             state.advance(increments[:, t])
             n = t + 1
             if n in checkpoints:
-                values = state.sr_value()
+                values = np.exp(state.log_sr())
                 se = values.std(ddof=1) / math.sqrt(replications)
                 gap = abs(values.mean() - (omega + n))
                 all_ok &= gap <= 3 * se
@@ -159,15 +158,16 @@ def test_04_recursion_vs_direct_oracle():
             [replication_rng(104, r) for r in range(n_seeds)],
         )
         increments = scenario.log_lr_increments(data, grid.points)
-        state = DetectorState(
-            prior, grid, weights, n_reps=n_seeds, omega=1.5, track="both"
-        )
+        state_s = DetectorState(prior, grid, weights, n_reps=n_seeds)
+        state_r = DetectorState(FlatWeights(1.5), grid, weights, n_reps=n_seeds)
         for t in range(horizon):
-            state.advance(increments[:, t])
-            log_s = shiryaev_direct(increments[:, : t + 1], prior, grid, weights, n=t + 1)
-            log_r = sr_direct(increments[:, : t + 1], grid, weights, omega=1.5, n=t + 1)
-            worst = max(worst, np.max(np.abs(state.log_shiryaev() - log_s)))
-            worst = max(worst, np.max(np.abs(state.log_sr() - log_r)))
+            state_s.advance(increments[:, t])
+            state_r.advance(increments[:, t])
+            history = increments[:, : t + 1]
+            log_s = direct_log_statistic(history, prior, grid, weights, n=t + 1)
+            log_r = direct_log_statistic(history, FlatWeights(1.5), grid, weights, n=t + 1)
+            worst = max(worst, np.max(np.abs(state_s.log_shiryaev() - log_s)))
+            worst = max(worst, np.max(np.abs(state_r.log_sr() - log_r)))
     ok = worst <= 1e-9
     assert report("04", ok, f"max |log recursive - log direct| = {worst:.3g} <= 1e-9")
 
@@ -209,10 +209,11 @@ def test_06_posterior_identity():
             data = scenario.generate([ChangeSpec(nu=15, subset=(0, 1))], horizon, [rng])[0]
             oracle = posterior_direct_bayes(scenario, data, prior, grid, weights)
             increments = scenario.log_lr_increments(data, grid.points)
-            state = DetectorState(prior, grid, weights, track="shiryaev")
+            state = DetectorState(prior, grid, weights)
             for t in range(horizon):
                 state.advance(increments[None, t])
-                worst = max(worst, abs(state.posterior_no_change()[0] - oracle[t]))
+                posterior = posterior_no_change(state.log_shiryaev())
+                worst = max(worst, abs(posterior[0] - oracle[t]))
     ok = worst <= 1e-9
     assert report("06", ok, f"max |1/(S+1) - direct Bayes| = {worst:.3g} <= 1e-9 (20 paths)")
 
@@ -341,13 +342,17 @@ def test_11_window_limited_behavior():
     rng = replication_rng(111, 0)
     data = scenario.generate([ChangeSpec(nu=30, subset=(0,))], 100, [rng])[0]
     increments = scenario.log_lr_increments(data, grid.points)
-    state = DetectorState(prior, grid, weights, omega=0.7, window_m1=150, track="both")
+    state_s = DetectorState(prior, grid, weights, window_m1=150)
+    state_r = DetectorState(FlatWeights(0.7), grid, weights, window_m1=150)
     identical = True
     for t in range(100):
-        state.advance(increments[None, t])
-        full_s = shiryaev_direct(increments[: t + 1], prior, grid, weights, n=t + 1)
-        full_r = sr_direct(increments[: t + 1], grid, weights, omega=0.7, n=t + 1)
-        identical &= state.log_shiryaev()[0] == full_s and state.log_sr()[0] == full_r
+        state_s.advance(increments[None, t])
+        state_r.advance(increments[None, t])
+        full_s = direct_log_statistic(increments[: t + 1], prior, grid, weights, n=t + 1)
+        full_r = direct_log_statistic(
+            increments[: t + 1], FlatWeights(0.7), grid, weights, n=t + 1
+        )
+        identical &= state_s.log_shiryaev()[0] == full_s and state_r.log_sr()[0] == full_r
     # (b) m1 = 20 < n = 100 changes strong-signal delays by at most one step
     a = threshold_shiryaev(1e-2)
     full = Detector(

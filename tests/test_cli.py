@@ -4,10 +4,11 @@ import configparser
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from qcdetect import cli
+from qcdetect import cli, montecarlo
 from qcdetect import statistics as statistics_mod
 from qcdetect.cli import (
     EXIT_CONFIG,
@@ -128,7 +129,7 @@ p = 1.0, 2.0
 K = 2
 
 [detector]
-kind = sr-putative
+kind = sr-mixture
 threshold = 250.0
 alpha = 0.01
 cost_c = 0.001
@@ -136,7 +137,6 @@ cost_r = 2.0
 window_m1 = 40
 window_m0 = 2
 omega = 1.5
-putative_theta = 0.9, 1.1
 
 [mc]
 replications = 64
@@ -159,7 +159,7 @@ FULL_MIXTURE_CONFIG = (
              "beta_mix = 0.3, 0.6\nmu1 = -1.0\nmu2 = 0.0, 0.5")
     .replace("kind = polynomial-tail", "kind = geometric")
     .replace("nu = 7", "nu = prior")
-    .replace("kind = sr-putative", "kind = shiryaev-putative")
+    .replace("kind = sr-mixture", "kind = shiryaev-mixture")
 )
 
 
@@ -168,13 +168,13 @@ def test_every_key_round_trips(text):
     parser = configparser.ConfigParser()
     parser.optionxform = str
     parser.read_string(text)
-    assert sum(len(parser[name]) for name in parser.sections()) == 37
+    assert sum(len(parser[name]) for name in parser.sections()) == 36
     config = parse_config(parser)
     assert serialize_config(config) == text
     assert _reparse(serialize_config(config)) == config
     assert config.detector == cli.DetectorSection(
         kind=config.detector.kind, threshold=250.0, alpha=0.01, cost_c=0.001, cost_r=2.0,
-        window_m1=40, window_m0=2, omega=1.5, putative_theta=(0.9, 1.1),
+        window_m1=40, window_m0=2, omega=1.5,
     )
     assert config.mc.moments == (1, 2, 3)
     assert config.sweep == cli.SweepSection(alphas=(0.1, 0.01), r=2)
@@ -183,6 +183,11 @@ def test_every_key_round_trips(text):
 SWEEP = "\n[sweep]\nalphas = 0.1, 0.5\nr = 1\n"
 PRIOR_NU = BASE_CONFIG.replace("nu = 0", "nu = prior")
 LONG_THETA = "theta = 1.0, 2.0\n\n[grid]"
+
+
+def with_detector_keys(lines):
+    return BASE_CONFIG.replace("alpha = 0.05", "alpha = 0.05\n" + lines)
+
 
 BAD_CONFIGS = {
     "no-section-header": ("simulate", "kind = ar\n" + BASE_CONFIG),
@@ -197,6 +202,9 @@ BAD_CONFIGS = {
     ),
     "sweep-alpha-beyond-1-minus-q": ("oc-sweep", PRIOR_NU.replace("q = 0.0", "q = 0.6") + SWEEP),
     "output-section": ("simulate", BASE_CONFIG + "\n[output]\npath = table.csv\n"),
+    "omega-on-shiryaev": ("simulate", with_detector_keys("omega = 1.5")),
+    "window-m0-without-m1": ("simulate", with_detector_keys("window_m0 = 1")),
+    "window-m0-beyond-m1": ("simulate", with_detector_keys("window_m1 = 3\nwindow_m0 = 4")),
 }
 
 
@@ -308,6 +316,29 @@ def test_simulate_summary_recomputable_from_rows(config_path, tmp_path):
     assert summary["censored_fraction"] == pytest.approx(censored / n, abs=1e-12)
 
 
+def test_simulate_with_window_offset(tmp_path):
+    path = tmp_path / "offset.ini"
+    path.write_text(with_detector_keys("window_m1 = 20\nwindow_m0 = 1"))
+    assert cli.main(["simulate", "--config", str(path)]) == EXIT_OK
+
+
+def test_change_theta_follows_its_stream(tmp_path):
+    three = BASE_CONFIG.replace("streams = 1", "streams = 3").replace("K = 1", "K = 2")
+
+    def csv_for(subset, theta):
+        path = tmp_path / "three.ini"
+        path.write_text(
+            three.replace("subset = 1\ntheta = 1.0", f"subset = {subset}\ntheta = {theta}")
+        )
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        return out.with_suffix(".csv").read_bytes()
+
+    given_order = csv_for("3, 1", "0.5, 2.0")
+    assert given_order == csv_for("1, 3", "2.0, 0.5")
+    assert given_order != csv_for("1, 3", "0.5, 2.0")
+
+
 def test_simulate_with_prior_sampled_change(tmp_path):
     path = tmp_path / "prior.ini"
     path.write_text(BASE_CONFIG.replace("nu = 0", "nu = prior"))
@@ -378,6 +409,28 @@ def test_oc_sweep_threshold_monotone_and_ratio_shared(tmp_path):
         assert float(row["ratio_se"]) == exp.ratio_se
 
 
+def test_oc_sweep_checks_every_alpha_before_simulating(tmp_path, monkeypatch, capsys):
+    # alpha = 0.5 >= 1 - q = 0.4 is infeasible; alpha = 0.1 must not be simulated first
+    calls = []
+    monkeypatch.setattr(montecarlo, "simulate_runs", lambda *args: calls.append(args))
+    path = tmp_path / "sweep.ini"
+    path.write_text(PRIOR_NU.replace("q = 0.0", "q = 0.6") + SWEEP)
+    assert cli.main(["oc-sweep", "--config", str(path)]) == EXIT_CONFIG
+    assert "alpha" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_readme_example_config_calibrates(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    config = load_config(str(path))
+    assert config.detector.kind == "shiryaev-mixture"
+    assert cli.main(["calibrate", "--config", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["threshold_A"] == pytest.approx(199.0)
+
+
 def test_csv_floats_round_trip_exactly(config_path, tmp_path):
     out = tmp_path / "sim"
     cli.main(["simulate", "--config", config_path, "--out", str(out)])
@@ -394,13 +447,13 @@ def test_verify_all_suites_pass(capsys):
 
 
 def test_verify_catches_injected_window_offset(monkeypatch, capsys):
-    original = statistics_mod.shiryaev_direct
+    original = statistics_mod.direct_log_statistic
 
-    def off_by_one(increments, prior, grid, weights, **kwargs):
+    def off_by_one(increments, weighting, grid, weights, **kwargs):
         kwargs["m0"] = kwargs.get("m0", 0) + 1  # drop the most recent change point
-        return original(increments, prior, grid, weights, **kwargs)
+        return original(increments, weighting, grid, weights, **kwargs)
 
-    monkeypatch.setattr(statistics_mod, "shiryaev_direct", off_by_one)
+    monkeypatch.setattr(statistics_mod, "direct_log_statistic", off_by_one)
     assert cli.main(["verify", "recursion-direct", "--seed", "0"]) == EXIT_VERIFY
     out = capsys.readouterr().out
     assert "FAIL recursion-direct" in out

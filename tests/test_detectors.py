@@ -152,11 +152,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DetectorConfig(kind="sr-mixture", threshold_A=0.0)
     with pytest.raises(ValueError):
-        DetectorConfig(kind="shiryaev-putative", threshold_A=5.0)  # needs theta
-    with pytest.raises(ValueError):
-        DetectorConfig(kind="sr-mixture", threshold_A=5.0, putative_theta=(1.0,))
+        DetectorConfig(kind="shiryaev-putative", threshold_A=5.0)  # a one-point grid instead
     with pytest.raises(ValueError):
         DetectorConfig(kind="sr-mixture", threshold_A=5.0, head_start_omega=-1.0)
+    with pytest.raises(ValueError, match="sr-mixture"):
+        DetectorConfig(kind="shiryaev-mixture", threshold_A=5.0, head_start_omega=1.5)
+    with pytest.raises(ValueError, match="needs a window"):
+        DetectorConfig(kind="sr-mixture", threshold_A=5.0, window_m0=1)
+    with pytest.raises(ValueError, match="exceeds"):
+        DetectorConfig(kind="sr-mixture", threshold_A=5.0, window_m1=3, window_m0=4)
+    DetectorConfig(kind="sr-mixture", threshold_A=5.0, window_m1=3, window_m0=3)
 
 
 def test_pfa_bound():
@@ -227,32 +232,6 @@ def test_stopping_time_monotone_in_threshold():
         assert np.all(t_high[resolved] >= t_low[resolved])
         # a run that crosses the high bar also crossed the low one
         assert np.all(t_low[t_high > 0] > 0)
-
-
-def test_putative_rule_is_bit_identical_to_degenerate_mixture():
-    scenario, _, weights, prior = single_stream_setup()
-    grid = GridSpec.degenerate((1.0,))
-    data = np.stack(
-        [
-            scenario.generate([ChangeSpec(nu=3, subset=(0,))], 60, [replication_rng(4, r)])[0]
-            for r in range(20)
-        ]
-    )
-    for putative_kind, mixture_kind in (
-        ("shiryaev-putative", "shiryaev-mixture"),
-        ("sr-putative", "sr-mixture"),
-    ):
-        putative = Detector(
-            DetectorConfig(kind=putative_kind, threshold_A=25.0, putative_theta=(1.0,)),
-            scenario, prior, None, weights,
-        )
-        mixture = Detector(
-            DetectorConfig(kind=mixture_kind, threshold_A=25.0),
-            scenario, prior, grid, weights,
-        )
-        np.testing.assert_array_equal(
-            putative.log_trajectories(data), mixture.log_trajectories(data)
-        )
 
 
 def test_windowed_detector_runs():

@@ -24,6 +24,7 @@ from qcdetect import (
     SubsetWeights,
     simulate_runs,
     threshold_shiryaev,
+    threshold_sr,
 )
 from qcdetect.montecarlo import FixedChangeSampler, JointSampler, PriorNuSampler
 
@@ -83,6 +84,39 @@ def average_risk_joint():
     return simulate_runs(detector, mc, JointSampler.for_detector(detector))
 
 
+def recursive_sr_head_start():
+    prior = PriorSpec.geometric(rho=0.05)
+    detector = Detector(
+        DetectorConfig(
+            kind="sr-mixture",
+            threshold_A=threshold_sr(0.05, 1.5, prior),
+            head_start_omega=1.5,
+        ),
+        ar_scenario(),
+        prior,
+        GridSpec.common_amplitude((0.5, 1.0), 3),
+        SubsetWeights(p=(1.0, 2.0, 0.5), K=2),
+    )
+    mc = MCConfig(replications=64, master_seed=34, horizon=200)
+    return simulate_runs(detector, mc, FixedChangeSampler(ChangeSpec(nu=15, subset=(0, 2))))
+
+
+def window_shiryaev_head_mass():
+    # m1 = 25 covers the origin for n <= 26, so the head term q * Lambda(0, n)
+    # enters the window sum on the early steps
+    channel = MixtureChannelSpec(beta_mix=0.3, mu1=-1.0, mu2=0.0, theta=1.0)
+    detector = Detector(
+        DetectorConfig(kind="shiryaev-mixture", threshold_A=threshold_shiryaev(0.02, 0.2),
+                       window_m1=25),
+        Scenario((channel,) * 3),
+        PriorSpec.geometric(rho=0.05, q=0.2),
+        GridSpec.common_amplitude((0.5, 1.0), 3),
+        SubsetWeights.uniform(3, 2),
+    )
+    mc = MCConfig(replications=48, master_seed=35, horizon=120)
+    return simulate_runs(detector, mc, PriorNuSampler((0, 1)))
+
+
 GOLDEN = {
     "recursive_shiryaev_ar": (
         recursive_shiryaev_ar,
@@ -95,6 +129,14 @@ GOLDEN = {
     "average_risk_joint": (
         average_risk_joint,
         "1fa79d03d123ba56f45dcafdb87df277974a3421d1227fe8bb8a3a73589de879",
+    ),
+    "recursive_sr_head_start": (
+        recursive_sr_head_start,
+        "2a87040bd30b241fc0f97b8fef743e5cda20cc314fa956ba9ac2872da9a3eb84",
+    ),
+    "window_shiryaev_head_mass": (
+        window_shiryaev_head_mass,
+        "51ca2c82e7aa5522af70e4722829892191add19701e02251bcf9f93d7898aec4",
     ),
 }
 

@@ -231,6 +231,18 @@ def test_change_spec_validation():
         ChangeSpec(nu=0, subset=(0, 1), theta=(1.0,))
     spec = ChangeSpec(nu=2, subset=(1, 0), theta=(0.5, 1.5))
     assert spec.subset == (0, 1)
+    assert spec.theta == (1.5, 0.5)
+
+
+def test_change_spec_sorts_theta_with_its_stream():
+    spec = ChangeSpec(nu=0, subset=(2, 0), theta=(0.5, 2.0))
+    assert spec.subset == (0, 2)
+    assert spec.theta == (2.0, 0.5)
+    assert ChangeSpec(nu=0, subset=(2, 0, 1), theta=(3.0, 1.0, 2.0)).theta == (1.0, 2.0, 3.0)
+    # without theta a repeated stream is just the same subset
+    assert ChangeSpec(nu=0, subset=(1, 1)).subset == (1,)
+    with pytest.raises(ValueError, match="twice"):
+        ChangeSpec(nu=0, subset=(1, 1), theta=(0.5, 2.0))
 
 
 def test_replication_rng_counter_keying():

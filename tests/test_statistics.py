@@ -18,7 +18,7 @@ from qcdetect import (
     posterior_no_change,
 )
 from qcdetect.scenarios import ARChannelSpec
-from qcdetect.statistics import DetectorState, shiryaev_direct, sr_direct
+from qcdetect.statistics import DetectorState, FlatWeights, direct_log_statistic
 from qcdetect.verify import posterior_direct_bayes
 
 
@@ -74,15 +74,19 @@ def test_shiryaev_starts_at_head_odds():
     scenario, grid, weights = unit_increment_setup()
     for q in (0.0, 0.3):
         prior = PriorSpec.geometric(rho=0.5, q=q)
-        state = DetectorState(prior, grid, weights, track="shiryaev")
-        assert state.shiryaev_value()[0] == pytest.approx(q / (1 - q), abs=1e-15)
+        state = DetectorState(prior, grid, weights)
+        assert np.exp(state.log_shiryaev()[0]) == pytest.approx(q / (1 - q), abs=1e-15)
 
 
 def test_sr_starts_at_head_start():
     scenario, grid, weights = unit_increment_setup()
-    prior = PriorSpec.geometric(rho=0.5)
-    state = DetectorState(prior, grid, weights, omega=3.0, track="sr")
-    assert state.sr_value()[0] == pytest.approx(3.0, rel=1e-15)
+    state = DetectorState(FlatWeights(3.0), grid, weights)
+    assert np.exp(state.log_sr()[0]) == pytest.approx(3.0, rel=1e-15)
+
+
+def test_flat_weights_reject_a_negative_head_start():
+    with pytest.raises(ValueError, match="head start"):
+        FlatWeights(-1.0)
 
 
 # -- closed forms under unit likelihood ratios ----------------------------------------
@@ -93,12 +97,12 @@ def test_shiryaev_unit_lr_closed_form():
     scenario, grid, weights = unit_increment_setup()
     prior = PriorSpec.geometric(rho=0.5)
     inc = np.zeros((1, 1, 1))
-    state = DetectorState(prior, grid, weights, track="shiryaev")
+    state = DetectorState(prior, grid, weights)
     for n in range(1, 6):
         state.advance(inc)
         direct = sum(prior.mass(k) for k in range(n)) / prior.tail(n)
-        assert state.shiryaev_value()[0] == pytest.approx(2.0**n - 1.0, rel=1e-12)
-        assert state.shiryaev_value()[0] == pytest.approx(direct, rel=1e-12)
+        assert np.exp(state.log_shiryaev()[0]) == pytest.approx(2.0**n - 1.0, rel=1e-12)
+        assert np.exp(state.log_shiryaev()[0]) == pytest.approx(direct, rel=1e-12)
 
 
 def test_shiryaev_unit_lr_recurrence():
@@ -106,24 +110,23 @@ def test_shiryaev_unit_lr_recurrence():
     scenario, grid, weights = unit_increment_setup()
     prior = PriorSpec.geometric(rho=0.3)
     inc = np.zeros((1, 1, 1))
-    state = DetectorState(prior, grid, weights, track="shiryaev")
+    state = DetectorState(prior, grid, weights)
     previous = 0.0
     for _ in range(10):
         state.advance(inc)
         expected = (0.3 + previous) / 0.7
-        assert state.shiryaev_value()[0] == pytest.approx(expected, rel=1e-12)
+        assert np.exp(state.log_shiryaev()[0]) == pytest.approx(expected, rel=1e-12)
         previous = expected
 
 
 @pytest.mark.parametrize("omega,expected", [(0.0, 7.0), (3.0, 10.0)])
 def test_sr_unit_lr_linear_growth(omega, expected):
     scenario, grid, weights = unit_increment_setup()
-    prior = PriorSpec.geometric(rho=0.5)
-    state = DetectorState(prior, grid, weights, omega=omega, track="sr")
+    state = DetectorState(FlatWeights(omega), grid, weights)
     inc = np.zeros((1, 1, 1))
     for _ in range(7):
         state.advance(inc)
-    assert state.sr_value()[0] == pytest.approx(expected, rel=1e-12)
+    assert np.exp(state.log_sr()[0]) == pytest.approx(expected, rel=1e-12)
 
 
 # -- recursion vs direct summation ------------------------------------------------------
@@ -136,13 +139,12 @@ def test_recursion_matches_direct_sum():
         rng = np.random.default_rng(seed)
         data = scenario.generate([ChangeSpec(nu=7, subset=(0, 1))], 50, [rng])[0]
         inc = scenario.log_lr_increments(data, grid.points)
-        state = DetectorState(prior, grid, weights, omega=2.0, track="both")
-        for t in range(50):
-            state.advance(inc[None, t])
-            log_s = shiryaev_direct(inc[: t + 1], prior, grid, weights, n=t + 1)
-            log_r = sr_direct(inc[: t + 1], grid, weights, omega=2.0, n=t + 1)
-            worst = max(worst, abs(state.log_shiryaev()[0] - log_s))
-            worst = max(worst, abs(state.log_sr()[0] - log_r))
+        for weighting in (prior, FlatWeights(2.0)):
+            state = DetectorState(weighting, grid, weights)
+            for t in range(50):
+                state.advance(inc[None, t])
+                direct = direct_log_statistic(inc[: t + 1], weighting, grid, weights, n=t + 1)
+                worst = max(worst, abs(state.log_shiryaev()[0] - direct))
     assert worst <= 1e-9
 
 
@@ -151,13 +153,12 @@ def test_windowed_state_covering_origin_is_bit_identical_to_full():
     rng = np.random.default_rng(3)
     data = scenario.generate([ChangeSpec(nu=10, subset=(0,))], 40, [rng])[0]
     inc = scenario.log_lr_increments(data, grid.points)
-    state = DetectorState(prior, grid, weights, omega=1.0, window_m1=100, track="both")
-    for t in range(40):
-        state.advance(inc[None, t])
-        full_s = shiryaev_direct(inc[: t + 1], prior, grid, weights, n=t + 1)
-        full_r = sr_direct(inc[: t + 1], grid, weights, omega=1.0, n=t + 1)
-        assert state.log_shiryaev()[0] == full_s
-        assert state.log_sr()[0] == full_r
+    for weighting in (prior, FlatWeights(1.0)):
+        state = DetectorState(weighting, grid, weights, window_m1=100)
+        for t in range(40):
+            state.advance(inc[None, t])
+            full = direct_log_statistic(inc[: t + 1], weighting, grid, weights, n=t + 1)
+            assert state.log_shiryaev()[0] == full
 
 
 def test_window_m1_zero_keeps_single_term():
@@ -166,7 +167,7 @@ def test_window_m1_zero_keeps_single_term():
     data = scenario.generate([ChangeSpec(nu=2, subset=(0,))], 6, [rng])[0]
     inc = scenario.log_lr_increments(data, grid.points)
     n = 4
-    value = shiryaev_direct(inc[:n], prior, grid, weights, n=n, m1=0)
+    value = direct_log_statistic(inc[:n], prior, grid, weights, n=n, m1=0)
     # only k = n-1 remains: pi_{n-1} Lambda(n-1, n) / tail(n)
     log_lam = logsumexp(mixture_lr_dp(inc[n - 1], weights) + grid.log_weights)
     expected = prior.log_mass(n - 1) + log_lam - prior.log_tail(n)
@@ -174,33 +175,42 @@ def test_window_m1_zero_keeps_single_term():
 
 
 def test_windowed_sums_match_brute_force_oracle():
-    # plain-python re-summation over the window, m1 = 8, 20 steps
+    # plain-python re-summation over the window, m1 = 8, m0 in {0, 2}, 20 steps
     scenario, grid, weights, prior = make_pair_setup()
     rng = np.random.default_rng(5)
     data = scenario.generate([ChangeSpec(nu=6, subset=(0, 1))], 20, [rng])[0]
     inc = scenario.log_lr_increments(data, grid.points)
     m1 = 8
     omega = 1.3
-    for n in range(1, 21):
-        k_lo = max(0, n - (m1 + 1))
-        terms_s, terms_r = [], []
-        for k in range(k_lo, n):
-            per_point = [
-                mixture_lr_dp(inc[k:n, p].sum(axis=0), weights) + grid.log_weights[p]
-                for p in range(grid.n_points)
-            ]
-            log_lam = logsumexp(per_point)
-            terms_s.append(prior.log_mass(k) + log_lam)
-            terms_r.append(log_lam)
-            if k == 0:
-                terms_s.append(math.log(prior.q) + log_lam)
-                terms_r.append(math.log(omega) + log_lam)
-        expected_s = logsumexp(terms_s) - prior.log_tail(n)
-        expected_r = logsumexp(terms_r)
-        got_s = shiryaev_direct(inc[:n], prior, grid, weights, n=n, m1=m1)
-        got_r = sr_direct(inc[:n], grid, weights, omega=omega, n=n, m1=m1)
-        assert got_s == pytest.approx(expected_s, abs=1e-10)
-        assert got_r == pytest.approx(expected_r, abs=1e-10)
+
+    def log_lam(k, n):
+        per_point = [
+            mixture_lr_dp(inc[k:n, p].sum(axis=0), weights) + grid.log_weights[p]
+            for p in range(grid.n_points)
+        ]
+        return logsumexp(per_point)
+
+    for m0 in (0, 2):
+        for n in range(1, 21):
+            k_lo = max(0, n - (m1 + 1))
+            terms_s, terms_r = [], []
+            for k in range(k_lo, n - m0):
+                terms_s.append(prior.log_mass(k) + log_lam(k, n))
+                terms_r.append(log_lam(k, n))
+            if k_lo == 0:  # the window reaches the origin: the head summand
+                terms_s.append(math.log(prior.q) + log_lam(0, n))
+                terms_r.append(math.log(omega) + log_lam(0, n))
+            expected_s = logsumexp(terms_s) - prior.log_tail(n)
+            expected_r = logsumexp(terms_r)
+            got_s = direct_log_statistic(inc[:n], prior, grid, weights, n=n, m1=m1, m0=m0)
+            got_r = direct_log_statistic(
+                inc[:n], FlatWeights(omega), grid, weights, n=n, m1=m1, m0=m0
+            )
+            assert got_s == pytest.approx(expected_s, abs=1e-10)
+            assert got_r == pytest.approx(expected_r, abs=1e-10)
+    # before the first candidate change point and without a head weight: zero
+    empty = direct_log_statistic(inc[:2], FlatWeights(0.0), grid, weights, n=2, m1=m1, m0=2)
+    assert empty == -math.inf
 
 
 def test_window_shorter_than_range_rejected():
@@ -208,10 +218,11 @@ def test_window_shorter_than_range_rejected():
     rng = np.random.default_rng(6)
     data = scenario.generate([ChangeSpec(nu=3, subset=(0,))], 12, [rng])[0]
     inc = scenario.log_lr_increments(data, grid.points)
+    # times 4..12 are needed; the history ends at time n = 12
     with pytest.raises(ValueError):
-        shiryaev_direct(inc[5:], prior, grid, weights, n=12, m1=8, window_offset=5)
+        direct_log_statistic(inc[5:], prior, grid, weights, n=12, m1=8)
     # enough history for the same window is accepted
-    shiryaev_direct(inc[2:], prior, grid, weights, n=12, m1=8, window_offset=2)
+    direct_log_statistic(inc[3:], prior, grid, weights, n=12, m1=8)
 
 
 def test_window_m0_drops_most_recent_terms():
@@ -220,7 +231,7 @@ def test_window_m0_drops_most_recent_terms():
     data = scenario.generate([ChangeSpec(nu=3, subset=(0,))], 10, [rng])[0]
     inc = scenario.log_lr_increments(data, grid.points)
     n, m1, m0 = 9, 5, 2
-    got = sr_direct(inc[:n], grid, weights, omega=0.0, n=n, m1=m1, m0=m0)
+    got = direct_log_statistic(inc[:n], FlatWeights(), grid, weights, n=n, m1=m1, m0=m0)
     terms = []
     for k in range(n - (m1 + 1), n - m0):
         per_point = [
@@ -242,24 +253,11 @@ def test_posterior_identity_against_direct_bayes():
         data = scenario.generate([ChangeSpec(nu=8, subset=(0, 1))], 40, [rng])[0]
         oracle = posterior_direct_bayes(scenario, data, prior, grid, weights)
         inc = scenario.log_lr_increments(data, grid.points)
-        state = DetectorState(prior, grid, weights, track="shiryaev")
+        state = DetectorState(prior, grid, weights)
         for t in range(40):
             state.advance(inc[None, t])
-            worst = max(worst, abs(state.posterior_no_change()[0] - oracle[t]))
+            worst = max(worst, abs(posterior_no_change(state.log_shiryaev())[0] - oracle[t]))
     assert worst <= 1e-9
-
-
-def test_posterior_helper_matches_state():
-    scenario, grid, weights, prior = make_pair_setup()
-    rng = np.random.default_rng(8)
-    data = scenario.generate([ChangeSpec(nu=5, subset=(0,))], 10, [rng])[0]
-    inc = scenario.log_lr_increments(data, grid.points)
-    state = DetectorState(prior, grid, weights, track="shiryaev")
-    for t in range(10):
-        state.advance(inc[None, t])
-    np.testing.assert_allclose(
-        state.posterior_no_change(), posterior_no_change(state.log_shiryaev())
-    )
 
 
 # -- structure ---------------------------------------------------------------------------
@@ -272,7 +270,7 @@ def test_degenerate_grid_reduces_to_single_parameter_mixture():
     rng = np.random.default_rng(9)
     data = scenario.generate([ChangeSpec(nu=4, subset=(0, 1))], 30, [rng])[0]
     inc = scenario.log_lr_increments(data, grid.points)
-    state = DetectorState(prior, grid, weights, track="shiryaev")
+    state = DetectorState(prior, grid, weights)
     # single-parameter mixture: per-subset recursions without any theta layer
     from qcdetect.likelihood import log_subset_weights, subset_masks
 
@@ -296,17 +294,17 @@ def test_statistics_are_nonnegative():
     rng = np.random.default_rng(10)
     data = scenario.generate([ChangeSpec(nu=2, subset=(0,))], 25, [rng])[0]
     inc = scenario.log_lr_increments(data, grid.points)
-    state = DetectorState(prior, grid, weights, omega=0.0, track="both")
-    for t in range(25):
-        state.advance(inc[None, t])
-        assert state.shiryaev_value()[0] >= 0.0
-        assert state.sr_value()[0] >= 0.0
+    for weighting in (prior, FlatWeights()):
+        state = DetectorState(weighting, grid, weights)
+        for t in range(25):
+            state.advance(inc[None, t])
+            assert np.exp(state.log_shiryaev()[0]) >= 0.0
 
 
 def test_point_mass_prior_exhausts_shiryaev_support():
     scenario, grid, weights = unit_increment_setup()
     prior = PriorSpec.point_mass(1)
-    state = DetectorState(prior, grid, weights, track="shiryaev")
+    state = DetectorState(prior, grid, weights)
     inc = np.zeros((1, 1, 1))
     state.advance(inc)  # n = 1 fine
     with pytest.raises(ValueError, match="tail"):
@@ -321,32 +319,19 @@ def test_joint_increment_hook_matches_factorized_path():
     from qcdetect.likelihood import subset_masks
 
     masks = subset_masks(2, 2).astype(float)
-    a = DetectorState(prior, grid, weights, omega=1.0, track="both")
-    b = DetectorState(prior, grid, weights, omega=1.0, track="both")
-    for t in range(15):
-        a.advance(inc[None, t])
-        joint = np.einsum("sn,pn->sp", masks, inc[t])
-        b.advance(subset_llrs=joint[None])
-        assert b.log_shiryaev()[0] == pytest.approx(a.log_shiryaev()[0], abs=1e-12)
-        assert b.log_sr()[0] == pytest.approx(a.log_sr()[0], abs=1e-12)
-
-
-def test_tracking_guards():
-    scenario, grid, weights = unit_increment_setup()
-    prior = PriorSpec.geometric(rho=0.5)
-    inc = np.zeros((1, 1, 1))
-    s_only = DetectorState(prior, grid, weights, track="shiryaev").advance(inc)
-    with pytest.raises(ValueError):
-        s_only.log_sr()
-    r_only = DetectorState(prior, grid, weights, track="sr").advance(inc)
-    with pytest.raises(ValueError):
-        r_only.log_shiryaev()
+    for weighting in (prior, FlatWeights(1.0)):
+        a = DetectorState(weighting, grid, weights)
+        b = DetectorState(weighting, grid, weights)
+        for t in range(15):
+            a.advance(inc[None, t])
+            joint = np.einsum("sn,pn->sp", masks, inc[t])
+            b.advance(subset_llrs=joint[None])
+            assert b.log_shiryaev()[0] == pytest.approx(a.log_shiryaev()[0], abs=1e-12)
 
 
 def test_saturation_clamps_and_flags():
     scenario, grid, weights = unit_increment_setup()
-    prior = PriorSpec.geometric(rho=0.5)
-    state = DetectorState(prior, grid, weights, track="sr")
+    state = DetectorState(FlatWeights(), grid, weights)
     for _ in range(3):
         state.advance(np.full((1, 1, 1), 500.0))
     assert state.saturated[0]
