@@ -26,7 +26,6 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from . import verify as verify_mod
 from .detectors import (
     SHIRYAEV_MIXTURE,
     Detector,
@@ -581,7 +580,9 @@ def _csv_text(table: list[dict]) -> str:
 
 
 def cmd_verify(suites: list[str], seed: int) -> int:
-    results = verify_mod.run_suites(suites if suites else None, seed=seed)
+    from . import verify  # its oracles import scipy, which no other command needs
+
+    results = verify.run_suites(suites if suites else None, seed=seed)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"

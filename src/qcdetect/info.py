@@ -88,6 +88,10 @@ def d_constant(weights: SubsetWeights, grid: GridSpec, info: InfoNumbers, r: flo
     return float(np.einsum("p,s,ps->", w, p_subset, denom**-r))
 
 
+#: Samples per path batch in ``estimate_kl_slope`` (8 MB of float64 per array).
+_SLOPE_BATCH_SAMPLES = 2**20
+
+
 def estimate_kl_slope(channel, theta: float, n: int, replications: int, master_seed: int):
     """MC estimate of the normalized log-LR slope under a change at the origin.
 
@@ -103,9 +107,16 @@ def estimate_kl_slope(channel, theta: float, n: int, replications: int, master_s
         raise ValueError(f"need at least 2 replications, got {replications}")
     thetas = np.asarray([float(theta)])
     slopes = np.empty(replications)
-    for rep in range(replications):
-        rng = replication_rng(master_seed, rep)
-        x = channel.generate(n, 0, float(theta), rng)
-        inc = channel.log_lr_increments(x, thetas)[:, 0]
-        slopes[rep] = inc.sum() / n
+    # one batch of paths per call, since the AR filter pays per time step
+    per_batch = max(1, _SLOPE_BATCH_SAMPLES // n)
+    for start in range(0, replications, per_batch):
+        reps = range(start, min(start + per_batch, replications))
+        x = channel.generate_batch(
+            n,
+            np.zeros(len(reps), dtype=np.int64),
+            np.full(len(reps), float(theta)),
+            [replication_rng(master_seed, rep) for rep in reps],
+        )
+        for rep, inc in zip(reps, channel.log_lr_increments(x, thetas)[..., 0]):
+            slopes[rep] = inc.sum() / n
     return MCEstimate.from_values(slopes)

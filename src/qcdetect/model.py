@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 GEOMETRIC = "geometric"
 POLYNOMIAL_TAIL = "polynomial-tail"
@@ -75,7 +74,7 @@ class PriorSpec:
             return scale * self.rho * (1.0 - self.rho) ** k
         if self.kind == POLYNOMIAL_TAIL:
             s = 1.0 + self.beta
-            return scale * (k + 1.0) ** (-s) / zeta(s, 1.0)
+            return scale * (k + 1.0) ** (-s) / _zeta(s, 1.0)
         if self.kind == POINT_MASS:
             return scale if k == self.k0 else 0.0
         raise ValueError(f"unknown prior kind {self.kind!r}")
@@ -88,7 +87,7 @@ class PriorSpec:
             return scale + math.log(self.rho) + k * math.log1p(-self.rho)
         if self.kind == POLYNOMIAL_TAIL:
             s = 1.0 + self.beta
-            return scale - s * math.log(k + 1.0) - math.log(zeta(s, 1.0))
+            return scale - s * math.log(k + 1.0) - math.log(_zeta(s, 1.0))
         if self.kind == POINT_MASS:
             return scale if k == self.k0 else -math.inf
         raise ValueError(f"unknown prior kind {self.kind!r}")
@@ -109,7 +108,7 @@ class PriorSpec:
         if self.kind == POLYNOMIAL_TAIL:
             # Hurwitz zeta gives the exact tail sum of (k+1)^-(1+beta).
             s = 1.0 + self.beta
-            return scale * zeta(s, n + 1.0) / zeta(s, 1.0)
+            return scale * _zeta(s, n + 1.0) / _zeta(s, 1.0)
         if self.kind == POINT_MASS:
             if is_array:
                 return np.where(n <= self.k0, scale, 0.0)
@@ -124,7 +123,7 @@ class PriorSpec:
             return scale + n * math.log1p(-self.rho)
         if self.kind == POLYNOMIAL_TAIL:
             s = 1.0 + self.beta
-            return scale + math.log(zeta(s, n + 1.0)) - math.log(zeta(s, 1.0))
+            return scale + math.log(_zeta(s, n + 1.0)) - math.log(_zeta(s, 1.0))
         if self.kind == POINT_MASS:
             return scale if n <= self.k0 else -math.inf
         raise ValueError(f"unknown prior kind {self.kind!r}")
@@ -149,7 +148,7 @@ class PriorSpec:
             if self.beta <= 1.0:
                 return math.inf
             # sum_k k (k+1)^-(1+b) = zeta(b) - zeta(1+b)
-            return scale * (zeta(self.beta, 1.0) - zeta(1.0 + self.beta, 1.0)) / zeta(
+            return scale * (_zeta(self.beta, 1.0) - _zeta(1.0 + self.beta, 1.0)) / _zeta(
                 1.0 + self.beta, 1.0
             )
         if self.kind == POINT_MASS:
@@ -179,10 +178,10 @@ class PriorSpec:
             return max(0, int(math.ceil(math.log1p(-v) / math.log1p(-self.rho))) - 1)
         # polynomial tail: bisect on the normalized tail (monotone, O(1) per probe)
         s = 1.0 + self.beta
-        z0 = zeta(s, 1.0)
+        z0 = _zeta(s, 1.0)
 
         def norm_tail(n: int) -> float:
-            return zeta(s, n + 1.0) / z0
+            return _zeta(s, n + 1.0) / z0
 
         target = 1.0 - v  # find smallest k with norm_tail(k+1) <= target
         hi = 1
@@ -196,6 +195,13 @@ class PriorSpec:
             else:
                 hi = mid
         return hi - 1
+
+
+def _zeta(s, a):
+    """Hurwitz zeta; only polynomial-tail priors need it, so scipy loads on first use."""
+    from scipy.special import zeta
+
+    return zeta(s, a)
 
 
 def _check_head_mass(q: float) -> None:
@@ -226,10 +232,10 @@ class ChangeSpec:
             raise ValueError("affected subset must be nonempty")
         if any(i < 0 for i in subset):
             raise ValueError("stream indices must be >= 0")
+        if len(subset) != len(streams):
+            raise ValueError("an affected stream is listed twice")
         object.__setattr__(self, "subset", subset)
         if self.theta is not None:
-            if len(subset) != len(streams):
-                raise ValueError("an affected stream is listed twice")
             theta = tuple(float(t) for t in self.theta)
             if len(theta) != len(subset):
                 raise ValueError(

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .model import NO_CHANGE
 
@@ -104,8 +103,9 @@ class ARChannelSpec:
         for row, rng in zip(x, rngs):
             row[:] = rng.normal(0.0, self.sigma, size=horizon)
         if self.coeffs:
-            # xi_t = sum_j coeffs[j] xi_{t-j} + w_t with zero initial state
-            x = lfilter([1.0], np.concatenate(([1.0], -np.asarray(self.coeffs))), x, axis=-1)
+            # xi_t = sum_j coeffs[j] xi_{t-j} + w_t with zero initial state,
+            # stepping through the time-major view of x in place
+            ar_filter(x.T, self.coeffs)
         after = np.arange(horizon) >= post_from[:, None]
         if after.any():
             signal = theta[:, None] * self.signal_sequence(horizon)
@@ -247,6 +247,32 @@ class MixtureChannelSpec:
     def log_predictive_post(self, x: np.ndarray, theta: float) -> np.ndarray:
         z = (x - theta) / self.sigma
         return -0.5 * z**2 - math.log(self.sigma) - 0.5 * math.log(2.0 * math.pi)
+
+
+def ar_filter(xt: np.ndarray, coeffs) -> None:
+    """All-pole filter ``y_t = x_t + sum_j coeffs[j] y_{t-j}`` along axis 0, in place.
+
+    ``xt`` is ``[T, ...]`` with zero initial state, such as the transposed
+    view of a ``[R, T]`` array; each step is a few ufunc calls over one time
+    slice of every series, with no allocation per step.  The steps follow
+    ``scipy.signal.lfilter([1], [1, -coeffs...])``'s direct form II transposed
+    operation for operation: ``y = z_0 + x``, then
+    ``z_k = z_{k+1} + 0 x - a_{k+1} y`` with ``(a_1, ..., a_p) = -coeffs`` and
+    the last delay ``0 x - a_p y``.  The ``0 x`` terms, taken for all steps
+    at once before the loop, keep even the signs of zeros, so the result is
+    lfilter's bit for bit.
+    """
+    a = [-float(c) for c in coeffs]
+    z = list(np.zeros((len(a),) + xt.shape[1:]))  # the delays z_0 .. z_{p-1}
+    a_y = np.empty(xt.shape[1:])
+    for y, zero_x in zip(xt, xt * 0.0):
+        np.add(z[0], y, out=y)
+        for k in range(len(a) - 1):
+            np.add(z[k + 1], zero_x, out=z[k])
+            np.multiply(y, a[k], out=a_y)
+            np.subtract(z[k], a_y, out=z[k])
+        np.multiply(y, a[-1], out=a_y)
+        np.subtract(zero_x, a_y, out=z[-1])
 
 
 def q_constant(signal, coeffs) -> float:

@@ -205,6 +205,9 @@ BAD_CONFIGS = {
     "omega-on-shiryaev": ("simulate", with_detector_keys("omega = 1.5")),
     "window-m0-without-m1": ("simulate", with_detector_keys("window_m0 = 1")),
     "window-m0-beyond-m1": ("simulate", with_detector_keys("window_m1 = 3\nwindow_m0 = 4")),
+    "repeated-stream-without-theta": (
+        "simulate", BASE_CONFIG.replace("subset = 1\ntheta = 1.0\n", "subset = 1, 1\n")
+    ),
 }
 
 

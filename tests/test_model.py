@@ -239,8 +239,9 @@ def test_change_spec_sorts_theta_with_its_stream():
     assert spec.subset == (0, 2)
     assert spec.theta == (2.0, 0.5)
     assert ChangeSpec(nu=0, subset=(2, 0, 1), theta=(3.0, 1.0, 2.0)).theta == (1.0, 2.0, 3.0)
-    # without theta a repeated stream is just the same subset
-    assert ChangeSpec(nu=0, subset=(1, 1)).subset == (1,)
+    # a repeated stream is rejected with or without theta
+    with pytest.raises(ValueError, match="twice"):
+        ChangeSpec(nu=0, subset=(1, 1))
     with pytest.raises(ValueError, match="twice"):
         ChangeSpec(nu=0, subset=(1, 1), theta=(0.5, 2.0))
 

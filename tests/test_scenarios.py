@@ -22,6 +22,7 @@ from qcdetect import (
     replication_rng,
 )
 from qcdetect.montecarlo import JointSampler, NoChangeSampler, PriorNuSampler
+from qcdetect import scenarios
 
 
 def test_ar_residual_first_sample_passthrough():
@@ -308,3 +309,58 @@ def test_span_generation_needs_one_generator_per_change():
     scenario = SPAN_SCENARIOS["ar"]
     with pytest.raises(ValueError):
         scenario.generate([ChangeSpec(NO_CHANGE, ())] * 2, 10, [replication_rng(0, 0)])
+
+
+# -- the in-repo AR filter against scipy's lfilter ------------------------------------
+
+
+def lfilter_ar(x, coeffs):
+    return lfilter([1.0], np.concatenate(([1.0], -np.asarray(coeffs))), x, axis=-1)
+
+
+def assert_same_bits(actual, expected):
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+FILTER_COEFFS = [(0.5,), (-0.5,), (0.0, 0.5), (-0.2, -0.3), (0.6, -0.2, -0.1), (0.3, 0.0, -0.2, -0.1)]
+
+
+@pytest.mark.parametrize("coeffs", FILTER_COEFFS, ids=str)
+@pytest.mark.parametrize("reps", [1, 7, 1024])
+@pytest.mark.parametrize("horizon", [1, 2, 400])
+def test_ar_filter_is_lfilter_bit_for_bit(coeffs, reps, horizon):
+    rng = np.random.default_rng(reps * 1000 + horizon)
+    x = rng.normal(size=(reps, horizon))
+    u = rng.random(x.shape)
+    x[u < 0.1] = 0.0
+    x[u > 0.9] = -0.0
+    # a leading run of signed zeros keeps the state at zero, where only
+    # lfilter's exact operations (0.0 + x first, the 0 * x terms) give its signs
+    lead = min(horizon, 6)
+    x[:, :lead] = np.where(rng.random((reps, lead)) < 0.5, 0.0, -0.0)
+    expected = lfilter_ar(x, coeffs)
+    time_major = x.T.copy()
+    scenarios.ar_filter(time_major, coeffs)
+    assert_same_bits(time_major.T, expected)
+    scenarios.ar_filter(x.T, coeffs)  # in place through the transposed view
+    assert_same_bits(x, expected)
+
+
+@pytest.mark.parametrize("coeffs", [(), (0.6,), (0.4, -0.3), (0.5, 0.0, -0.2)], ids=len)
+def test_ar_generate_batch_equals_the_per_replication_law(coeffs):
+    channel = ARChannelSpec(coeffs=coeffs, sigma=0.7, signal=(1.0, -0.5, 0.25), theta=0.8)
+    horizon, reps = 60, 40
+    post_from = np.random.default_rng(3).integers(0, horizon + 1, size=reps)
+    post_from[:4] = (0, 1, horizon - 1, horizon)
+    theta = np.linspace(0.0, 2.0, reps)
+    rngs = [replication_rng(5, r) for r in range(reps)]
+    batch = channel.generate_batch(horizon, post_from, theta, rngs)
+    expected = np.stack(
+        [
+            reference_stream(channel, horizon, post_from[r], theta[r], replication_rng(5, r))
+            for r in range(reps)
+        ]
+    )
+    assert batch.shape == (reps, horizon)
+    assert_same_bits(batch, expected)

@@ -1,4 +1,4 @@
-"""Stepping with row retirement: stopping times against the full trajectories."""
+"""Stepping: the recursion against the direct sum, and row retirement against full trajectories."""
 
 from unittest import mock
 
@@ -16,9 +16,57 @@ from qcdetect import (
     gaussian_stream,
 )
 from qcdetect import detectors
-from qcdetect.statistics import DetectorState
+from qcdetect.statistics import DetectorState, FlatWeights, direct_log_statistic
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+#: The tolerance of ``verify``'s ``recursion-direct`` suite, on the log statistic.
+RECURSION_DIRECT_TOL = 1e-9
+
+
+@st.composite
+def recursion_cases(draw):
+    """A random weighting, grid and subset prior over N <= 5 Gaussian streams, and data."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    n_points = draw(st.integers(1, 2))
+    point = st.tuples(*[st.floats(0.2, 2.0)] * n)
+    points = draw(st.lists(point, min_size=n_points, max_size=n_points, unique=True))
+    raw = draw(st.lists(st.floats(0.1, 1.0), min_size=n_points, max_size=n_points))
+    grid = GridSpec(theta_points=tuple(points), weights=tuple(w / sum(raw) for w in raw))
+    weights = SubsetWeights(
+        p=tuple(draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n))), K=k
+    )
+    family = draw(st.sampled_from(["geometric", "polynomial-tail", "flat"]))
+    q = draw(st.sampled_from([0.0, 0.1]))
+    if family == "geometric":
+        weighting = PriorSpec.geometric(rho=draw(st.floats(0.01, 0.3)), q=q)
+    elif family == "polynomial-tail":
+        weighting = PriorSpec.polynomial_tail(beta=draw(st.floats(0.5, 3.0)), q=q)
+    else:
+        weighting = FlatWeights(draw(st.sampled_from([0.0, 1.5])))
+    reps = draw(st.integers(1, 4))
+    horizon = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.normal(size=(reps, horizon, n))
+    nu = rng.integers(0, horizon + 1, size=reps)
+    shift = rng.uniform(0.0, 2.0, size=(reps, 1, n)) * (rng.random((reps, 1, n)) < 0.5)
+    data += shift * (np.arange(horizon)[None, :, None] >= nu[:, None, None])
+    scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(n)))
+    return weighting, grid, weights, scenario.log_lr_increments(data, grid.points)
+
+
+@PROPERTY_SETTINGS
+@given(recursion_cases())
+def test_recursion_equals_the_direct_sum_at_every_step(case):
+    weighting, grid, weights, increments = case
+    state = DetectorState(weighting, grid, weights, n_reps=increments.shape[0])
+    for t in range(increments.shape[1]):
+        state.advance(increments[:, t])
+        direct = direct_log_statistic(increments[:, : t + 1], weighting, grid, weights, n=t + 1)
+        np.testing.assert_allclose(
+            state.log_shiryaev(), direct, rtol=0.0, atol=RECURSION_DIRECT_TOL
+        )
 
 
 @st.composite
