@@ -9,7 +9,6 @@ operating characteristics.
 from .detectors import (
     Detector,
     DetectorConfig,
-    RunResult,
     threshold_cost,
     threshold_shiryaev,
     threshold_sr,
@@ -20,9 +19,16 @@ from .likelihood import (
     elementary_symmetric,
     mixture_lr_dp,
     mixture_lr_enumerate,
-    normalizer,
 )
-from .model import NO_CHANGE, ChangeSpec, PriorSpec, replication_rng
+from .model import (
+    NO_CHANGE,
+    ChangeSpec,
+    GeometricPrior,
+    PointMassPrior,
+    PolynomialTailPrior,
+    PriorSpec,
+    replication_rng,
+)
 from .montecarlo import (
     InfeasibleHorizonError,
     MCConfig,
@@ -58,6 +64,7 @@ __all__ = [
     "DetectorConfig",
     "DetectorState",
     "FlatWeights",
+    "GeometricPrior",
     "GridSpec",
     "InfeasibleHorizonError",
     "InfoNumbers",
@@ -65,8 +72,9 @@ __all__ = [
     "MCEstimate",
     "MixtureChannelSpec",
     "NO_CHANGE",
+    "PointMassPrior",
+    "PolynomialTailPrior",
     "PriorSpec",
-    "RunResult",
     "Scenario",
     "SubsetWeights",
     "asymptotic_ratio_sweep",
@@ -82,7 +90,6 @@ __all__ = [
     "kl_subset",
     "mixture_lr_dp",
     "mixture_lr_enumerate",
-    "normalizer",
     "posterior_no_change",
     "q_constant",
     "replication_rng",

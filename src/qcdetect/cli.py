@@ -18,7 +18,6 @@ import configparser
 import csv
 import io
 import json
-import os
 import sys
 import types
 import typing
@@ -36,7 +35,7 @@ from .detectors import (
 )
 from .info import InfoNumbers, d_constant
 from .likelihood import SubsetWeights
-from .model import ChangeSpec, PriorSpec
+from .model import ChangeSpec, GeometricPrior, PointMassPrior, PolynomialTailPrior, PriorSpec
 from .montecarlo import (
     FixedChangeSampler,
     InfeasibleHorizonError,
@@ -54,8 +53,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_HORIZON = 4
-
-WORKERS_ENV = "QCD_WORKERS"
 
 
 class ConfigError(ValueError):
@@ -312,11 +309,11 @@ def build_scenario(section: ScenarioSection) -> Scenario:
 def build_prior(section: PriorSection) -> PriorSpec:
     try:
         if section.kind == "geometric":
-            return PriorSpec.geometric(rho=section.rho, q=section.q)
+            return GeometricPrior(section.rho, q=section.q)
         if section.kind == "polynomial-tail":
-            return PriorSpec.polynomial_tail(beta=section.beta, q=section.q)
+            return PolynomialTailPrior(section.beta, q=section.q)
         if section.kind == "point-mass":
-            return PriorSpec.point_mass(k0=section.k0, q=section.q)
+            return PointMassPrior(section.k0, q=section.q)
     except ValueError as exc:
         raise ConfigError(f"invalid prior: {exc}")
     raise ConfigError(f"unknown prior kind {section.kind!r}")
@@ -530,7 +527,6 @@ def cmd_oc_sweep(config: RunConfig, out: str | None, seed: int | None, workers: 
     change = build_change(config.change, scenario)
     subset = change.subset
     theta = change.theta if change.theta is not None else scenario.nominal_theta(subset)
-    mu = prior.tail_rate if config.detector.kind == SHIRYAEV_MIXTURE else 0.0
     info_rate = float(
         sum(scenario.channels[i].kl_rate(t) for i, t in zip(subset, theta))
     )
@@ -541,6 +537,8 @@ def cmd_oc_sweep(config: RunConfig, out: str | None, seed: int | None, workers: 
         )
         for alpha in config.sweep.alphas
     }
+    # read after the detectors, which reject a Shiryaev rule on a prior without a tail rate
+    mu = prior.tail_rate if config.detector.kind == SHIRYAEV_MIXTURE else 0.0
     rows = asymptotic_ratio_sweep(
         detectors.__getitem__, config.sweep.alphas, config.sweep.r, mc, subset, theta,
         info_rate, mu,
@@ -615,31 +613,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_workers(value: int | None) -> int | None:
-    if value is not None:
-        return value
-    env = os.environ.get(WORKERS_ENV)
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
             return cmd_verify(args.suites, args.seed)
         config = load_config(args.config)
-        workers = _default_workers(args.workers)
         if args.command == "calibrate":
             return cmd_calibrate(config, args.out)
         if args.command == "simulate":
-            return cmd_simulate(config, args.out, args.seed, workers)
+            return cmd_simulate(config, args.out, args.seed, args.workers)
         if args.command == "oc-sweep":
-            return cmd_oc_sweep(config, args.out, args.seed, workers)
+            return cmd_oc_sweep(config, args.out, args.seed, args.workers)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .likelihood import SubsetWeights
-from .model import PriorSpec
+from .model import PointMassPrior, PriorSpec
 from .statistics import LOG_CLAMP, DetectorState, FlatWeights, GridSpec
 
 SHIRYAEV_MIXTURE = "shiryaev-mixture"
@@ -27,6 +27,13 @@ _KINDS = (SHIRYAEV_MIXTURE, SR_MIXTURE)
 #: Bytes of recursion input (subset sums) computed ahead of the step loop.
 #: Larger blocks run no faster and raise peak memory.
 _BLOCK_BYTES = 1 << 21
+
+#: Largest number of subsets S the recursion takes: every subset of 12
+#: streams.  The recursion lists its subsets in Python and keeps S x P log
+#: components per replication (64 MiB at R = 1024, P = 2), and its time per
+#: step grows with S.  Beyond this the window engine, whose cost grows with
+#: N * K instead, is the way to run.
+MAX_RECURSION_SUBSETS = 4095
 
 
 @dataclass(frozen=True)
@@ -69,23 +76,6 @@ class DetectorConfig:
         return self.kind == SHIRYAEV_MIXTURE
 
 
-@dataclass
-class RunResult:
-    """Outcome of one detector run.
-
-    ``stopped_at`` is the 1-based stopping time, or ``None`` when the statistic
-    never reached the threshold within the horizon (a censored run).  The
-    trajectory holds the statistic at times ``1 .. min(stopped_at, horizon)``.
-    """
-
-    stopped_at: int | None
-    trajectory: np.ndarray
-
-    @property
-    def censored(self) -> bool:
-        return self.stopped_at is None
-
-
 class Detector:
     """A stopping rule bound to its observation model, prior, and mixtures."""
 
@@ -105,6 +95,16 @@ class Detector:
             raise ValueError(
                 f"subset weights cover {weights.n_streams} streams, "
                 f"scenario has {scenario.n_streams}"
+            )
+        if config.uses_shiryaev and isinstance(prior, PointMassPrior):
+            raise ValueError(
+                f"the {SHIRYAEV_MIXTURE} rule needs a prior tail that never vanishes; "
+                f"a point-mass prior's tail is 0 after k0 = {prior.k0}"
+            )
+        if config.window_m1 is None and weights.n_subsets > MAX_RECURSION_SUBSETS:
+            raise ValueError(
+                f"the recursion over {weights.n_subsets} subsets exceeds its budget of "
+                f"{MAX_RECURSION_SUBSETS}; set [detector] window_m1 to run the window engine"
             )
         if config.uses_shiryaev and config.threshold_A <= prior.head_odds():
             raise ValueError(
@@ -217,20 +217,6 @@ class Detector:
         Each run is stepped only up to its own stop.
         """
         return self._scan(self._check_data(data), self.log_threshold)
-
-    def run(self, data: np.ndarray, max_horizon: int | None = None) -> RunResult:
-        """Run the rule over one ``[T, N]`` block of observations."""
-        data = np.asarray(data, dtype=float)
-        if max_horizon is not None:
-            if max_horizon < 1:
-                raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")
-            data = data[:max_horizon]
-        data = self._check_data(data[None])
-        out = np.empty(data.shape[:2])
-        stop = int(self._scan(data, self.log_threshold, out)[0])
-        if stop > 0:
-            return RunResult(stop, np.exp(np.minimum(out[0, :stop], LOG_CLAMP)))
-        return RunResult(None, np.exp(np.minimum(out[0], LOG_CLAMP)))
 
 
 def threshold_shiryaev(alpha: float, q: float = 0.0) -> float:

@@ -13,6 +13,7 @@ streams and avoids overflow for log likelihood ratios up to +/-600.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -87,8 +88,8 @@ def log_elementary_symmetric(log_values: np.ndarray, K: int) -> np.ndarray:
 class SubsetWeights:
     """Factorized weights over subsets of at most K affected streams.
 
-    ``p_B = normalizer * prod_{i in B} p_i`` over all subsets with
-    ``1 <= |B| <= K``; the weights sum to one by construction.
+    ``p_B = C * prod_{i in B} p_i`` over all subsets with ``1 <= |B| <= K``,
+    where ``log C = log_normalizer`` makes the weights sum to one.
     """
 
     p: tuple[float, ...]
@@ -117,20 +118,16 @@ class SubsetWeights:
     def log_p(self) -> np.ndarray:
         return np.log(np.asarray(self.p))
 
+    @property
+    def n_subsets(self) -> int:
+        """The number of subsets with 1 <= |B| <= K, counted without listing them."""
+        return sum(math.comb(self.n_streams, k) for k in range(1, self.K + 1))
+
     @cached_property
     def log_normalizer(self) -> float:
         # computed once per instance; frozen dataclasses still carry a __dict__
         loge = log_elementary_symmetric(self.log_p, self.K)
         return -float(logsumexp(loge[1:]))
-
-    @property
-    def normalizer(self) -> float:
-        return float(np.exp(self.log_normalizer))
-
-
-def normalizer(p, K: int) -> float:
-    """The constant C making the factorized subset weights sum to one."""
-    return SubsetWeights(p=tuple(p), K=K).normalizer
 
 
 def mixture_lr_dp(stream_log_lrs, weights: SubsetWeights):

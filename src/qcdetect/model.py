@@ -10,13 +10,9 @@ is the first post-change sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-
-GEOMETRIC = "geometric"
-POLYNOMIAL_TAIL = "polynomial-tail"
-POINT_MASS = "point-mass"
 
 #: Sentinel change-point value meaning "no change ever" (pure noise runs).
 NO_CHANGE = 2**62
@@ -24,159 +20,139 @@ NO_CHANGE = 2**62
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Prior distribution of the change point.
+    """Prior of the change point: head mass ``q`` on ``nu = -1``, a family on ``k >= 0``.
 
-    Supported families:
-
-    * ``geometric``: ``pi_k = (1-q) * rho * (1-rho)**k`` with exponential tail
-      rate ``|log(1-rho)|``.
-    * ``polynomial-tail``: ``pi_k`` proportional to ``(k+1)**-(1+beta)``, a
-      heavy-tailed family with tail rate 0.
-    * ``point-mass``: all mass at a fixed ``k0`` (diagnostics only; it has no
-      positive tail beyond ``k0``).
+    ``mass(k) = P(nu = k)`` and ``tail(n) = P(nu >= n)``, elementwise when
+    ``n`` is an array; ``log_mass`` and ``log_tail`` are their logs.
+    ``tail_rate`` is the exponential decay rate ``lim |log P(nu > n)| / n`` of
+    the right tail and ``mean()`` is ``E[nu; nu >= 0]`` (may be infinite).
+    The families are ``GeometricPrior``, ``PolynomialTailPrior`` and
+    ``PointMassPrior``; each checks its own parameter and supplies the
+    inverse CDF ``_quantile`` that ``sample`` draws through.
     """
 
-    kind: str
-    rho: float = 0.0
-    beta: float = 0.0
-    q: float = 0.0
-    k0: int = 0
+    q: float = field(default=0.0, kw_only=True)
 
-    @classmethod
-    def geometric(cls, rho: float, q: float = 0.0) -> "PriorSpec":
-        if not 0.0 < rho < 1.0:
-            raise ValueError(f"geometric rate must be in (0, 1), got {rho}")
-        _check_head_mass(q)
-        return cls(kind=GEOMETRIC, rho=float(rho), q=float(q))
-
-    @classmethod
-    def polynomial_tail(cls, beta: float, q: float = 0.0) -> "PriorSpec":
-        if beta <= 0.0:
-            raise ValueError(f"tail exponent must be positive, got {beta}")
-        _check_head_mass(q)
-        return cls(kind=POLYNOMIAL_TAIL, beta=float(beta), q=float(q))
-
-    @classmethod
-    def point_mass(cls, k0: int, q: float = 0.0) -> "PriorSpec":
-        if k0 < 0:
-            raise ValueError(f"point-mass location must be >= 0, got {k0}")
-        _check_head_mass(q)
-        return cls(kind=POINT_MASS, k0=int(k0), q=float(q))
-
-    # -- probabilities -----------------------------------------------------
-
-    def mass(self, k: int) -> float:
-        """P(nu = k) for k >= 0."""
-        if k < 0:
-            raise ValueError("mass is defined for k >= 0; the head is q")
-        scale = 1.0 - self.q
-        if self.kind == GEOMETRIC:
-            return scale * self.rho * (1.0 - self.rho) ** k
-        if self.kind == POLYNOMIAL_TAIL:
-            s = 1.0 + self.beta
-            return scale * (k + 1.0) ** (-s) / _zeta(s, 1.0)
-        if self.kind == POINT_MASS:
-            return scale if k == self.k0 else 0.0
-        raise ValueError(f"unknown prior kind {self.kind!r}")
-
-    def log_mass(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("mass is defined for k >= 0; the head is q")
-        scale = math.log1p(-self.q) if self.q < 1.0 else -math.inf
-        if self.kind == GEOMETRIC:
-            return scale + math.log(self.rho) + k * math.log1p(-self.rho)
-        if self.kind == POLYNOMIAL_TAIL:
-            s = 1.0 + self.beta
-            return scale - s * math.log(k + 1.0) - math.log(_zeta(s, 1.0))
-        if self.kind == POINT_MASS:
-            return scale if k == self.k0 else -math.inf
-        raise ValueError(f"unknown prior kind {self.kind!r}")
-
-    def tail(self, n: int | np.ndarray) -> float | np.ndarray:
-        """P(nu >= n) for n >= 0, evaluated without truncation error.
-
-        Elementwise when ``n`` is an array (computed in floating point).
-        """
-        is_array = np.ndim(n) > 0
-        if is_array:
-            n = np.asarray(n, dtype=float)
-        if np.any(n < 0):
-            raise ValueError("tail is defined for n >= 0")
-        scale = 1.0 - self.q
-        if self.kind == GEOMETRIC:
-            return scale * (1.0 - self.rho) ** n
-        if self.kind == POLYNOMIAL_TAIL:
-            # Hurwitz zeta gives the exact tail sum of (k+1)^-(1+beta).
-            s = 1.0 + self.beta
-            return scale * _zeta(s, n + 1.0) / _zeta(s, 1.0)
-        if self.kind == POINT_MASS:
-            if is_array:
-                return np.where(n <= self.k0, scale, 0.0)
-            return scale if n <= self.k0 else 0.0
-        raise ValueError(f"unknown prior kind {self.kind!r}")
-
-    def log_tail(self, n: int) -> float:
-        if n < 0:
-            raise ValueError("tail is defined for n >= 0")
-        scale = math.log1p(-self.q) if self.q < 1.0 else -math.inf
-        if self.kind == GEOMETRIC:
-            return scale + n * math.log1p(-self.rho)
-        if self.kind == POLYNOMIAL_TAIL:
-            s = 1.0 + self.beta
-            return scale + math.log(_zeta(s, n + 1.0)) - math.log(_zeta(s, 1.0))
-        if self.kind == POINT_MASS:
-            return scale if n <= self.k0 else -math.inf
-        raise ValueError(f"unknown prior kind {self.kind!r}")
-
-    # -- summaries ---------------------------------------------------------
-
-    @property
-    def tail_rate(self) -> float:
-        """Exponential decay rate of the right tail: lim |log P(nu > n)| / n."""
-        if self.kind == GEOMETRIC:
-            return abs(math.log1p(-self.rho))
-        if self.kind == POLYNOMIAL_TAIL:
-            return 0.0
-        raise ValueError("a point-mass prior has no tail rate")
-
-    def mean(self) -> float:
-        """E[nu; nu >= 0] = sum_k k * pi_k (may be infinite)."""
-        scale = 1.0 - self.q
-        if self.kind == GEOMETRIC:
-            return scale * (1.0 - self.rho) / self.rho
-        if self.kind == POLYNOMIAL_TAIL:
-            if self.beta <= 1.0:
-                return math.inf
-            # sum_k k (k+1)^-(1+b) = zeta(b) - zeta(1+b)
-            return scale * (_zeta(self.beta, 1.0) - _zeta(1.0 + self.beta, 1.0)) / _zeta(
-                1.0 + self.beta, 1.0
-            )
-        if self.kind == POINT_MASS:
-            return scale * self.k0
-        raise ValueError(f"unknown prior kind {self.kind!r}")
+    def __post_init__(self):
+        if type(self) is PriorSpec:
+            raise TypeError("PriorSpec is abstract; use one of its families")
+        if not 0.0 <= self.q < 1.0:
+            raise ValueError(f"head mass q must be in [0, 1), got {self.q}")
+        object.__setattr__(self, "q", float(self.q))
 
     def head_odds(self) -> float:
         """q / (1 - q), the starting value of the Shiryaev statistic."""
         return self.q / (1.0 - self.q)
 
-    # -- sampling ----------------------------------------------------------
-
     def sample(self, rng: np.random.Generator) -> int:
         """Draw nu; returns -1 with probability q, else k with probability pi_k."""
-        if self.kind == POINT_MASS and self.q == 0.0:
-            return self.k0
         u = rng.random()
         if u < self.q:
             return -1
-        if self.kind == POINT_MASS:
-            return self.k0
-        v = (u - self.q) / (1.0 - self.q)  # uniform on [0, 1)
-        if self.kind == GEOMETRIC:
-            # inverse CDF: smallest k with 1 - (1-rho)^(k+1) > v
-            if v <= 0.0:
-                return 0
-            return max(0, int(math.ceil(math.log1p(-v) / math.log1p(-self.rho))) - 1)
-        # polynomial tail: bisect on the normalized tail (monotone, O(1) per probe)
+        return self._quantile((u - self.q) / (1.0 - self.q))  # uniform on [0, 1)
+
+
+def _check_index(k: int, what: str) -> None:
+    if k < 0:
+        raise ValueError(f"{what} is defined for indices >= 0; nu = -1 is the head mass q")
+
+
+def _tail_index(n: int | np.ndarray) -> int | np.ndarray:
+    """``n``, as a float array when it is one, after rejecting negative entries."""
+    if np.ndim(n) > 0:
+        n = np.asarray(n, dtype=float)
+    if np.any(n < 0):
+        raise ValueError("tail is defined for n >= 0")
+    return n
+
+
+@dataclass(frozen=True)
+class GeometricPrior(PriorSpec):
+    """``pi_k = (1-q) * rho * (1-rho)**k`` with tail rate ``|log(1-rho)|``."""
+
+    rho: float
+
+    def __post_init__(self):
+        if not 0.0 < self.rho < 1.0:
+            raise ValueError(f"geometric rate must be in (0, 1), got {self.rho}")
+        object.__setattr__(self, "rho", float(self.rho))
+        super().__post_init__()
+
+    def mass(self, k: int) -> float:
+        _check_index(k, "mass")
+        return (1.0 - self.q) * self.rho * (1.0 - self.rho) ** k
+
+    def log_mass(self, k: int) -> float:
+        _check_index(k, "mass")
+        return math.log1p(-self.q) + math.log(self.rho) + k * math.log1p(-self.rho)
+
+    def tail(self, n: int | np.ndarray) -> float | np.ndarray:
+        return (1.0 - self.q) * (1.0 - self.rho) ** _tail_index(n)
+
+    def log_tail(self, n: int) -> float:
+        _check_index(n, "tail")
+        return math.log1p(-self.q) + n * math.log1p(-self.rho)
+
+    @property
+    def tail_rate(self) -> float:
+        return abs(math.log1p(-self.rho))
+
+    def mean(self) -> float:
+        return (1.0 - self.q) * (1.0 - self.rho) / self.rho
+
+    def _quantile(self, v: float) -> int:
+        # smallest k with 1 - (1-rho)^(k+1) > v
+        if v <= 0.0:
+            return 0
+        return max(0, int(math.ceil(math.log1p(-v) / math.log1p(-self.rho))) - 1)
+
+
+@dataclass(frozen=True)
+class PolynomialTailPrior(PriorSpec):
+    """``pi_k`` proportional to ``(k+1)**-(1+beta)``: a heavy tail, tail rate 0."""
+
+    beta: float
+
+    def __post_init__(self):
+        if not self.beta > 0.0:
+            raise ValueError(f"tail exponent must be positive, got {self.beta}")
+        object.__setattr__(self, "beta", float(self.beta))
+        super().__post_init__()
+
+    def mass(self, k: int) -> float:
+        _check_index(k, "mass")
+        s = 1.0 + self.beta
+        return (1.0 - self.q) * (k + 1.0) ** (-s) / _zeta(s, 1.0)
+
+    def log_mass(self, k: int) -> float:
+        _check_index(k, "mass")
+        s = 1.0 + self.beta
+        return math.log1p(-self.q) - s * math.log(k + 1.0) - math.log(_zeta(s, 1.0))
+
+    def tail(self, n: int | np.ndarray) -> float | np.ndarray:
+        # Hurwitz zeta gives the exact tail sum of (k+1)^-(1+beta).
+        s = 1.0 + self.beta
+        return (1.0 - self.q) * _zeta(s, _tail_index(n) + 1.0) / _zeta(s, 1.0)
+
+    def log_tail(self, n: int) -> float:
+        _check_index(n, "tail")
+        s = 1.0 + self.beta
+        return math.log1p(-self.q) + math.log(_zeta(s, n + 1.0)) - math.log(_zeta(s, 1.0))
+
+    @property
+    def tail_rate(self) -> float:
+        return 0.0
+
+    def mean(self) -> float:
+        if self.beta <= 1.0:
+            return math.inf
+        # sum_k k (k+1)^-(1+b) = zeta(b) - zeta(1+b)
+        return (1.0 - self.q) * (_zeta(self.beta, 1.0) - _zeta(1.0 + self.beta, 1.0)) / _zeta(
+            1.0 + self.beta, 1.0
+        )
+
+    def _quantile(self, v: float) -> int:
+        # bisect on the normalized tail (monotone, O(1) per probe)
         s = 1.0 + self.beta
         z0 = _zeta(s, 1.0)
 
@@ -197,16 +173,57 @@ class PriorSpec:
         return hi - 1
 
 
+@dataclass(frozen=True)
+class PointMassPrior(PriorSpec):
+    """All of ``1 - q`` at ``k0`` (diagnostics only; no positive tail beyond ``k0``)."""
+
+    k0: int
+
+    def __post_init__(self):
+        if self.k0 < 0:
+            raise ValueError(f"point-mass location must be >= 0, got {self.k0}")
+        object.__setattr__(self, "k0", int(self.k0))
+        super().__post_init__()
+
+    def mass(self, k: int) -> float:
+        _check_index(k, "mass")
+        return 1.0 - self.q if k == self.k0 else 0.0
+
+    def log_mass(self, k: int) -> float:
+        _check_index(k, "mass")
+        return math.log1p(-self.q) if k == self.k0 else -math.inf
+
+    def tail(self, n: int | np.ndarray) -> float | np.ndarray:
+        n = _tail_index(n)
+        if np.ndim(n) > 0:
+            return np.where(n <= self.k0, 1.0 - self.q, 0.0)
+        return 1.0 - self.q if n <= self.k0 else 0.0
+
+    def log_tail(self, n: int) -> float:
+        _check_index(n, "tail")
+        return math.log1p(-self.q) if n <= self.k0 else -math.inf
+
+    @property
+    def tail_rate(self) -> float:
+        raise ValueError("a point-mass prior has no tail rate")
+
+    def mean(self) -> float:
+        return (1.0 - self.q) * self.k0
+
+    def sample(self, rng: np.random.Generator) -> int:
+        if self.q == 0.0:  # a certain draw takes no random number
+            return self.k0
+        return super().sample(rng)
+
+    def _quantile(self, v: float) -> int:
+        return self.k0
+
+
 def _zeta(s, a):
     """Hurwitz zeta; only polynomial-tail priors need it, so scipy loads on first use."""
     from scipy.special import zeta
 
     return zeta(s, a)
-
-
-def _check_head_mass(q: float) -> None:
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"head mass q must be in [0, 1), got {q}")
 
 
 @dataclass(frozen=True)

@@ -86,11 +86,6 @@ class ARChannelSpec:
 
     # -- simulation and likelihood ------------------------------------------
 
-    def generate(self, horizon: int, post_from: int, theta: float, rng) -> np.ndarray:
-        """One stream of length ``horizon``; rows >= post_from carry the signal."""
-        post, amplitude = np.array([post_from]), np.array([float(theta)])
-        return self.generate_batch(horizon, post, amplitude, [rng])[0]
-
     def generate_batch(
         self, horizon: int, post_from: np.ndarray, theta: np.ndarray, rngs
     ) -> np.ndarray:
@@ -176,11 +171,6 @@ class MixtureChannelSpec:
         return (float(theta) - self.mu2) ** 2 / (2.0 * self.sigma**2)
 
     # -- simulation and likelihood ------------------------------------------
-
-    def generate(self, horizon: int, post_from: int, theta: float, rng) -> np.ndarray:
-        """One stream; the pre-change segment uses a single latent component."""
-        post, amplitude = np.array([post_from]), np.array([float(theta)])
-        return self.generate_batch(horizon, post, amplitude, [rng])[0]
 
     def generate_batch(
         self, horizon: int, post_from: np.ndarray, theta: np.ndarray, rngs

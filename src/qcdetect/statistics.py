@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,7 +105,11 @@ class GridSpec:
 
 
 class MixtureBasis:
-    """Precomputed subset masks and log mixing weights for one (grid, weights) pair."""
+    """Subset members and joint log weights for one (grid, weights) pair.
+
+    Only the recursion reads ``members`` and ``log_joint``; both are listed
+    on first use, so the window engine never enumerates the subsets.
+    """
 
     def __init__(self, grid: GridSpec, weights: SubsetWeights):
         if weights.n_streams != grid.n_streams:
@@ -113,16 +118,21 @@ class MixtureBasis:
             )
         self.grid = grid
         self.weights = weights
-        self.masks = subset_masks(weights.n_streams, weights.K)
-        self.members = [np.flatnonzero(row) for row in self.masks]
-        self.log_p_subset = log_subset_weights(weights, self.masks)
-        self.log_w = grid.log_weights
-        # joint log weight of each (subset, point) component
-        self.log_joint = self.log_p_subset[:, None] + self.log_w[None, :]
+        self.n_subsets = weights.n_subsets
 
-    @property
-    def n_subsets(self) -> int:
-        return len(self.members)
+    @cached_property
+    def _masks(self) -> np.ndarray:
+        return subset_masks(self.weights.n_streams, self.weights.K)
+
+    @cached_property
+    def members(self) -> list[np.ndarray]:
+        return [np.flatnonzero(row) for row in self._masks]
+
+    @cached_property
+    def log_joint(self) -> np.ndarray:
+        """Joint log weight of each (subset, point) component: ``[S, P]``."""
+        log_p_subset = log_subset_weights(self.weights, self._masks)
+        return log_p_subset[:, None] + self.grid.log_weights[None, :]
 
 
 @dataclass(frozen=True)

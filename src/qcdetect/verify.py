@@ -29,7 +29,7 @@ from .likelihood import (
     mixture_lr_enumerate,
     subset_masks,
 )
-from .model import ChangeSpec, PriorSpec
+from .model import ChangeSpec, GeometricPrior, PriorSpec
 from .scenarios import (
     ARChannelSpec,
     MixtureChannelSpec,
@@ -124,7 +124,7 @@ def _mixture_scenario() -> Scenario:
 def _reference_setups():
     grid = GridSpec(theta_points=((0.5, 0.7), (1.0, 0.9)), weights=(0.6, 0.4))
     weights = SubsetWeights(p=(1.0, 1.5), K=2)
-    prior = PriorSpec.geometric(rho=0.1, q=0.05)
+    prior = GeometricPrior(rho=0.1, q=0.05)
     return [
         ("ar", _ar_scenario(), grid, weights, prior),
         ("mixture", _mixture_scenario(), grid, weights, prior),

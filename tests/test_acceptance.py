@@ -15,10 +15,10 @@ from qcdetect import (
     ChangeSpec,
     Detector,
     DetectorConfig,
+    GeometricPrior,
     GridSpec,
     MCConfig,
     MixtureChannelSpec,
-    PriorSpec,
     Scenario,
     SubsetWeights,
     asymptotic_ratio_sweep,
@@ -51,7 +51,7 @@ def three_stream_setup():
     scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(3)))
     grid = GridSpec.common_amplitude([0.5, 1.0], 3)
     weights = SubsetWeights.uniform(3, 3)
-    prior = PriorSpec.geometric(rho=0.1)
+    prior = GeometricPrior(rho=0.1)
     return scenario, grid, weights, prior
 
 
@@ -59,7 +59,7 @@ def single_stream_setup(rho=0.01):
     scenario = Scenario((gaussian_stream(theta=1.0),))
     grid = GridSpec.degenerate((1.0,))
     weights = SubsetWeights.uniform(1)
-    prior = PriorSpec.geometric(rho=rho)
+    prior = GeometricPrior(rho=rho)
     return scenario, grid, weights, prior
 
 
@@ -78,7 +78,7 @@ def dual_scenarios():
     )
     grid = GridSpec(theta_points=((0.5, 0.6), (1.0, 0.9)), weights=(0.6, 0.4))
     weights = SubsetWeights(p=(1.0, 1.5), K=2)
-    prior = PriorSpec.geometric(rho=0.1, q=0.05)
+    prior = GeometricPrior(rho=0.1, q=0.05)
     return [("ar", ar), ("mixture", mixture)], grid, weights, prior
 
 

@@ -189,6 +189,12 @@ def with_detector_keys(lines):
     return BASE_CONFIG.replace("alpha = 0.05", "alpha = 0.05\n" + lines)
 
 
+def with_point_mass(text):
+    return text.replace("kind = geometric\nrho = 0.1", "kind = point-mass\nk0 = 5").replace(
+        "horizon = 150", "horizon = 50"
+    )
+
+
 BAD_CONFIGS = {
     "no-section-header": ("simulate", "kind = ar\n" + BASE_CONFIG),
     "duplicate-key": ("simulate", BASE_CONFIG.replace("rho = 0.1", "rho = 0.1\nrho = 0.2")),
@@ -208,17 +214,35 @@ BAD_CONFIGS = {
     "repeated-stream-without-theta": (
         "simulate", BASE_CONFIG.replace("subset = 1\ntheta = 1.0\n", "subset = 1, 1\n")
     ),
+    # the Shiryaev statistic is undefined once a point-mass prior's tail vanishes
+    "point-mass-shiryaev-simulate": ("simulate", with_point_mass(BASE_CONFIG)),
+    "point-mass-shiryaev-oc-sweep": ("oc-sweep", with_point_mass(PRIOR_NU) + SWEEP),
+    "recursion-beyond-subset-budget": (
+        "simulate", BASE_CONFIG.replace("streams = 1", "streams = 13").replace("K = 1", "K = 13")
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
-def test_bad_config_is_a_one_line_config_error(name, tmp_path, capsys):
+def test_bad_config_is_a_one_line_config_error(name, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "simulate_runs", lambda *args: calls.append(args))
+    monkeypatch.setattr(montecarlo, "simulate_runs", lambda *args: calls.append(args))
     command, text = BAD_CONFIGS[name]
     path = tmp_path / "bad.ini"
     path.write_text(text)
     assert cli.main([command, "--config", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and err.count("\n") == 1
+    assert calls == []  # rejected before anything is simulated
+
+
+@pytest.mark.parametrize("command", ["simulate", "oc-sweep"])
+def test_sr_mixture_runs_with_a_point_mass_prior(command, tmp_path):
+    text = with_point_mass(PRIOR_NU).replace("kind = shiryaev-mixture", "kind = sr-mixture")
+    path = tmp_path / "sr.ini"
+    path.write_text(text + SWEEP)
+    assert cli.main([command, "--config", str(path)]) == EXIT_OK
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -382,9 +406,9 @@ def test_oc_sweep_threshold_monotone_and_ratio_shared(tmp_path):
     from qcdetect import (
         Detector,
         DetectorConfig,
+        GeometricPrior,
         GridSpec,
         MCConfig,
-        PriorSpec,
         Scenario,
         SubsetWeights,
         asymptotic_ratio_sweep,
@@ -395,7 +419,7 @@ def test_oc_sweep_threshold_monotone_and_ratio_shared(tmp_path):
     scenario = Scenario((gaussian_stream(theta=1.0),))
     grid = GridSpec.degenerate((1.0,))
     weights = SubsetWeights.uniform(1)
-    prior = PriorSpec.geometric(rho=0.1)
+    prior = GeometricPrior(rho=0.1)
     mc = MCConfig(replications=150, master_seed=12, horizon=400)
 
     def factory(alpha):
@@ -434,6 +458,15 @@ def test_readme_example_config_calibrates(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["threshold_A"] == pytest.approx(199.0)
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    stops, log_values, pfa = capsys.readouterr().out.splitlines()
+    assert stops.startswith("[") and "-1" not in stops
+    assert 0.0 < float(pfa.split()[0]) <= 0.005
+
+
 def test_csv_floats_round_trip_exactly(config_path, tmp_path):
     out = tmp_path / "sim"
     cli.main(["simulate", "--config", config_path, "--out", str(out)])
@@ -465,10 +498,3 @@ def test_verify_catches_injected_window_offset(monkeypatch, capsys):
 def test_verify_passes_across_seeds():
     for seed in range(10):
         assert cli.main(["verify", "dp-enumeration", "telescoping", "--seed", str(seed)]) == EXIT_OK
-
-
-def test_workers_env_default(config_path, monkeypatch, capsys):
-    monkeypatch.setenv("QCD_WORKERS", "not-a-number")
-    assert cli.main(["simulate", "--config", config_path]) == EXIT_CONFIG
-    monkeypatch.setenv("QCD_WORKERS", "2")
-    assert cli.main(["simulate", "--config", config_path]) == EXIT_OK

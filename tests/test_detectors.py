@@ -1,17 +1,23 @@
 """Stopping rules and threshold calibration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qcdetect import likelihood, statistics
 from qcdetect import (
     ChangeSpec,
     Detector,
     DetectorConfig,
+    DetectorState,
+    FlatWeights,
+    GeometricPrior,
     GridSpec,
     NO_CHANGE,
-    PriorSpec,
+    PointMassPrior,
+    PolynomialTailPrior,
     Scenario,
     SubsetWeights,
     gaussian_stream,
@@ -20,13 +26,14 @@ from qcdetect import (
     threshold_shiryaev,
     threshold_sr,
 )
+from qcdetect.detectors import MAX_RECURSION_SUBSETS
 
 
 def single_stream_setup(theta=1.0, rho=0.1, q=0.0):
     scenario = Scenario((gaussian_stream(theta=theta),))
     grid = GridSpec.degenerate((theta,))
     weights = SubsetWeights.uniform(1)
-    prior = PriorSpec.geometric(rho=rho, q=q)
+    prior = GeometricPrior(rho=rho, q=q)
     return scenario, grid, weights, prior
 
 
@@ -49,16 +56,16 @@ def test_threshold_shiryaev_range_checks():
 
 
 def test_threshold_sr_values():
-    assert threshold_sr(0.1, 0.0, PriorSpec.geometric(rho=0.5)) == pytest.approx(10.0)
+    assert threshold_sr(0.1, 0.0, GeometricPrior(rho=0.5)) == pytest.approx(10.0)
     # b = 0.9, mean = 9: (5 * 0.9 + 9) / 0.01
-    assert threshold_sr(0.01, 5.0, PriorSpec.geometric(rho=0.1)) == pytest.approx(1350.0)
+    assert threshold_sr(0.01, 5.0, GeometricPrior(rho=0.1)) == pytest.approx(1350.0)
 
 
 def test_threshold_sr_rejects_degenerate_and_heavy_priors():
     with pytest.raises(ValueError):
-        threshold_sr(0.1, 0.0, PriorSpec.point_mass(0))  # bound is zero
+        threshold_sr(0.1, 0.0, PointMassPrior(0))  # bound is zero
     with pytest.raises(ValueError):
-        threshold_sr(0.1, 0.0, PriorSpec.polynomial_tail(beta=1.0))  # infinite mean
+        threshold_sr(0.1, 0.0, PolynomialTailPrior(beta=1.0))  # infinite mean
 
 
 def test_threshold_cost_first_order_closed_form():
@@ -95,10 +102,19 @@ def test_threshold_cost_infeasible():
 
 def test_detector_requires_threshold_above_head_odds():
     scenario, grid, weights, _ = single_stream_setup()
-    prior = PriorSpec.geometric(rho=0.1, q=0.5)  # head odds = 1
+    prior = GeometricPrior(rho=0.1, q=0.5)  # head odds = 1
     config = DetectorConfig(kind="shiryaev-mixture", threshold_A=0.9)
     with pytest.raises(ValueError):
         Detector(config, scenario, prior, grid, weights)
+
+
+def test_shiryaev_rule_rejects_a_point_mass_prior():
+    scenario, grid, weights, _ = single_stream_setup()
+    prior = PointMassPrior(5)  # P(nu >= 6) = 0: the statistic is undefined from n = 6 on
+    with pytest.raises(ValueError, match="point-mass"):
+        Detector(DetectorConfig(kind="shiryaev-mixture", threshold_A=19.0),
+                 scenario, prior, grid, weights)
+    Detector(DetectorConfig(kind="sr-mixture", threshold_A=19.0), scenario, prior, grid, weights)
 
 
 def test_detector_rejects_thresholds_beyond_the_log_clamp():
@@ -118,7 +134,7 @@ def _two_stream_detector():
     scenario = Scenario((gaussian_stream(theta=1.0), gaussian_stream(theta=1.0)))
     grid = GridSpec.common_amplitude((1.0,), 2)
     config = DetectorConfig(kind="shiryaev-mixture", threshold_A=50.0)
-    return Detector(config, scenario, PriorSpec.geometric(rho=0.1), grid, SubsetWeights.uniform(2))
+    return Detector(config, scenario, GeometricPrior(rho=0.1), grid, SubsetWeights.uniform(2))
 
 
 def test_data_of_the_wrong_width_is_rejected():
@@ -128,8 +144,6 @@ def test_data_of_the_wrong_width_is_rejected():
         detector.log_trajectories(data)
     with pytest.raises(ValueError, match="3 streams, scenario has 2"):
         detector.stopping_times(data)
-    with pytest.raises(ValueError, match="3 streams, scenario has 2"):
-        detector.run(data[0])
 
 
 def test_non_finite_data_is_rejected():
@@ -142,8 +156,6 @@ def test_non_finite_data_is_rejected():
             detector.log_trajectories(poisoned)
         with pytest.raises(ValueError, match="finite"):
             detector.stopping_times(poisoned)
-        with pytest.raises(ValueError, match="finite"):
-            detector.run(poisoned[1])
 
 
 def test_config_validation():
@@ -185,30 +197,20 @@ def test_run_stops_immediately_on_overwhelming_signal():
     scenario, grid, weights, prior = single_stream_setup(theta=20.0, q=0.5)
     config = DetectorConfig(kind="shiryaev-mixture", threshold_A=1.01)  # barely above q/(1-q)
     detector = Detector(config, scenario, prior, grid, weights)
-    batch = scenario.generate([ChangeSpec(nu=-1, subset=(0,))], 50, [replication_rng(0, 0)])[0]
-    result = detector.run(batch)
-    assert result.stopped_at == 1
-    assert result.trajectory.shape == (1,)
+    batch = scenario.generate([ChangeSpec(nu=-1, subset=(0,))], 50, [replication_rng(0, 0)])
+    assert detector.stopping_times(batch).tolist() == [1]
+    assert detector.log_trajectories(batch)[0, 0] >= math.log(1.01)
 
 
 def test_run_censors_under_pure_noise_and_huge_threshold():
     scenario, grid, weights, prior = single_stream_setup()
     config = DetectorConfig(kind="shiryaev-mixture", threshold_A=1e9)
     detector = Detector(config, scenario, prior, grid, weights)
-    batch = scenario.generate([ChangeSpec(NO_CHANGE, ())], 100, [replication_rng(1, 0)])[0]
-    result = detector.run(batch)
-    assert result.censored
-    assert result.stopped_at is None
-    assert result.trajectory.shape == (100,)
-
-
-def test_run_respects_max_horizon():
-    scenario, grid, weights, prior = single_stream_setup()
-    config = DetectorConfig(kind="shiryaev-mixture", threshold_A=1e9)
-    detector = Detector(config, scenario, prior, grid, weights)
-    batch = scenario.generate([ChangeSpec(NO_CHANGE, ())], 100, [replication_rng(1, 0)])[0]
-    result = detector.run(batch, max_horizon=30)
-    assert result.trajectory.shape == (30,)
+    batch = scenario.generate([ChangeSpec(NO_CHANGE, ())], 100, [replication_rng(1, 0)])
+    assert detector.stopping_times(batch).tolist() == [-1]
+    trajectory = detector.log_trajectories(batch)
+    assert trajectory.shape == (1, 100)
+    assert np.all(trajectory < math.log(1e9))
 
 
 def test_stopping_time_monotone_in_threshold():
@@ -238,6 +240,37 @@ def test_windowed_detector_runs():
     scenario, grid, weights, prior = single_stream_setup()
     config = DetectorConfig(kind="sr-mixture", threshold_A=50.0, window_m1=10)
     detector = Detector(config, scenario, prior, grid, weights)
-    batch = scenario.generate([ChangeSpec(nu=0, subset=(0,))], 60, [replication_rng(5, 0)])[0]
-    result = detector.run(batch)
-    assert result.stopped_at is not None
+    batch = scenario.generate([ChangeSpec(nu=0, subset=(0,))], 60, [replication_rng(5, 0)])
+    assert detector.stopping_times(batch)[0] > 0
+
+
+def _wide_setup(n):
+    scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(n)))
+    grid = GridSpec.common_amplitude((1.0,), n)
+    return scenario, GeometricPrior(rho=0.1), grid, SubsetWeights.uniform(n)
+
+
+def test_window_engine_never_lists_subsets(monkeypatch):
+    def no_listing(*args):
+        raise AssertionError("the subsets were enumerated")
+
+    monkeypatch.setattr(statistics, "subset_masks", no_listing)
+    monkeypatch.setattr(likelihood, "subset_masks", no_listing)
+    n = 22  # 4,194,303 subsets
+    config = DetectorConfig(kind="sr-mixture", threshold_A=1e6, window_m1=3)
+    detector = Detector(config, *_wide_setup(n))
+    data = np.random.default_rng(0).normal(size=(2, 6, n))
+    assert detector.stopping_times(data).shape == (2,)
+    assert np.isfinite(detector.log_trajectories(data)).all()
+    state = DetectorState(FlatWeights(), detector.grid, detector.weights, window_m1=3)
+    assert state.basis.n_subsets == 2**n - 1
+
+
+def test_recursion_beyond_the_subset_budget_is_rejected():
+    assert SubsetWeights.uniform(12).n_subsets == MAX_RECURSION_SUBSETS
+    for kind in ("shiryaev-mixture", "sr-mixture"):
+        config = DetectorConfig(kind=kind, threshold_A=50.0)
+        Detector(config, *_wide_setup(12))
+        with pytest.raises(ValueError, match=r"8191 subsets .*\[detector\] window_m1"):
+            Detector(config, *_wide_setup(13))
+        Detector(replace(config, window_m1=5), *_wide_setup(13))

@@ -16,10 +16,10 @@ from qcdetect import (
     ChangeSpec,
     Detector,
     DetectorConfig,
+    GeometricPrior,
     GridSpec,
     MCConfig,
     MixtureChannelSpec,
-    PriorSpec,
     Scenario,
     SubsetWeights,
     simulate_runs,
@@ -51,7 +51,7 @@ def recursive_shiryaev_ar():
     detector = Detector(
         DetectorConfig(kind="shiryaev-mixture", threshold_A=threshold_shiryaev(0.01)),
         scenario,
-        PriorSpec.geometric(rho=0.05),
+        GeometricPrior(rho=0.05),
         GridSpec.common_amplitude((0.5, 1.0), 3),
         SubsetWeights.uniform(3, 2),
     )
@@ -64,7 +64,7 @@ def window_sr_mixture():
     detector = Detector(
         DetectorConfig(kind="sr-mixture", threshold_A=300.0, window_m1=15),
         Scenario((channel,) * 3),
-        PriorSpec.geometric(rho=0.05),
+        GeometricPrior(rho=0.05),
         GridSpec.common_amplitude((0.5, 1.0), 3),
         SubsetWeights.uniform(3, 2),
     )
@@ -76,7 +76,7 @@ def average_risk_joint():
     detector = Detector(
         DetectorConfig(kind="shiryaev-mixture", threshold_A=threshold_shiryaev(0.02)),
         ar_scenario(),
-        PriorSpec.geometric(rho=0.03, q=0.1),
+        GeometricPrior(rho=0.03, q=0.1),
         GridSpec.common_amplitude((0.5, 1.0), 3, weights=(0.4, 0.6)),
         SubsetWeights(p=(1.0, 2.0, 0.5), K=3),
     )
@@ -85,7 +85,7 @@ def average_risk_joint():
 
 
 def recursive_sr_head_start():
-    prior = PriorSpec.geometric(rho=0.05)
+    prior = GeometricPrior(rho=0.05)
     detector = Detector(
         DetectorConfig(
             kind="sr-mixture",
@@ -109,7 +109,7 @@ def window_shiryaev_head_mass():
         DetectorConfig(kind="shiryaev-mixture", threshold_A=threshold_shiryaev(0.02, 0.2),
                        window_m1=25),
         Scenario((channel,) * 3),
-        PriorSpec.geometric(rho=0.05, q=0.2),
+        GeometricPrior(rho=0.05, q=0.2),
         GridSpec.common_amplitude((0.5, 1.0), 3),
         SubsetWeights.uniform(3, 2),
     )

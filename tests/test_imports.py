@@ -83,10 +83,10 @@ def test_polynomial_tail_prior_loads_zeta_lazily(tmp_path):
         f"""
         import numpy as np
         from qcdetect import cli
-        from qcdetect.model import PriorSpec
+        from qcdetect.model import PolynomialTailPrior
 
         before = {LOADED_SCIPY}
-        light, heavy = PriorSpec.polynomial_tail(1.5, q=0.1), PriorSpec.polynomial_tail(0.5, q=0.1)
+        light, heavy = PolynomialTailPrior(1.5, q=0.1), PolynomialTailPrior(0.5, q=0.1)
         values = {{
             "mass": [light.mass(k) for k in (0, 1, 7)],
             "log_mass": [light.log_mass(k) for k in (0, 7)],

@@ -14,7 +14,6 @@ from qcdetect import (
     elementary_symmetric,
     mixture_lr_dp,
     mixture_lr_enumerate,
-    normalizer,
 )
 from qcdetect.likelihood import log_elementary_symmetric, logsumexp, subset_masks
 
@@ -69,6 +68,10 @@ def test_log_esp_matches_plain_esp():
         )
 
 
+def normalizer(p, K):
+    return math.exp(SubsetWeights(p=tuple(p), K=K).log_normalizer)
+
+
 def test_normalizer_uniform_identity():
     # sum of e_j over j=1..N at p_i = p equals (1+p)^N - 1
     assert normalizer([1.0, 1.0, 1.0], 3) == pytest.approx(1.0 / 7.0, rel=1e-14)
@@ -85,6 +88,12 @@ def test_normalizer_rejects_nonpositive_weights():
         normalizer([1.0, -2.0], 2)
 
 
+def test_subset_count_matches_enumeration():
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            assert SubsetWeights.uniform(n, k).n_subsets == len(subset_masks(n, k))
+
+
 def test_subset_weights_sum_to_one():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -93,7 +102,7 @@ def test_subset_weights_sum_to_one():
         w = SubsetWeights(p=tuple(rng.uniform(0.1, 3.0, n)), K=k)
         masks = subset_masks(n, k)
         total = sum(
-            w.normalizer * math.prod(w.p[i] for i in np.flatnonzero(m)) for m in masks
+            normalizer(w.p, w.K) * math.prod(w.p[i] for i in np.flatnonzero(m)) for m in masks
         )
         assert total == pytest.approx(1.0, abs=1e-12)
 

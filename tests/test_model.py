@@ -7,7 +7,10 @@ import pytest
 
 from qcdetect import (
     ChangeSpec,
+    GeometricPrior,
     NO_CHANGE,
+    PointMassPrior,
+    PolynomialTailPrior,
     PriorSpec,
     Scenario,
     gaussian_stream,
@@ -17,33 +20,33 @@ from qcdetect.scenarios import ARChannelSpec
 
 
 def test_geometric_mass_head():
-    prior = PriorSpec.geometric(rho=0.5)
+    prior = GeometricPrior(rho=0.5)
     assert prior.mass(0) == 0.5
 
 
 def test_geometric_mass_with_head_mass():
     # (1-q) * rho * (1-rho)^k = 0.5 * 0.5 * 0.5
-    prior = PriorSpec.geometric(rho=0.5, q=0.5)
+    prior = GeometricPrior(rho=0.5, q=0.5)
     assert prior.mass(1) == pytest.approx(0.125, abs=1e-15)
 
 
 def test_polynomial_tail_zeta_normalizer():
     # sum (k+1)^-2 = pi^2/6, so pi_0 = 6/pi^2
-    prior = PriorSpec.polynomial_tail(beta=1.0)
+    prior = PolynomialTailPrior(beta=1.0)
     assert prior.mass(0) == pytest.approx(6.0 / math.pi**2, abs=1e-12)
 
 
 def test_geometric_tail_values():
-    prior = PriorSpec.geometric(rho=0.5)
+    prior = GeometricPrior(rho=0.5)
     assert prior.tail(0) == 1.0
     assert prior.tail(2) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_tail_at_zero_is_one_minus_head_mass():
     for prior in (
-        PriorSpec.geometric(rho=0.3, q=0.3),
-        PriorSpec.polynomial_tail(beta=1.5, q=0.3),
-        PriorSpec.point_mass(4, q=0.3),
+        GeometricPrior(rho=0.3, q=0.3),
+        PolynomialTailPrior(beta=1.5, q=0.3),
+        PointMassPrior(4, q=0.3),
     ):
         assert prior.tail(0) == pytest.approx(0.7, abs=1e-15)
 
@@ -51,9 +54,9 @@ def test_tail_at_zero_is_one_minus_head_mass():
 def test_tail_is_elementwise_on_arrays():
     n = np.array([[0, 1, 4], [5, 17, 300]])
     for prior in (
-        PriorSpec.geometric(rho=0.3, q=0.3),
-        PriorSpec.polynomial_tail(beta=1.5, q=0.3),
-        PriorSpec.point_mass(4, q=0.3),
+        GeometricPrior(rho=0.3, q=0.3),
+        PolynomialTailPrior(beta=1.5, q=0.3),
+        PointMassPrior(4, q=0.3),
     ):
         tails = prior.tail(n)
         assert tails.shape == n.shape
@@ -66,11 +69,11 @@ def test_tail_is_elementwise_on_arrays():
 @pytest.mark.parametrize(
     "prior",
     [
-        PriorSpec.geometric(rho=0.2),
-        PriorSpec.geometric(rho=0.05, q=0.25),
-        PriorSpec.polynomial_tail(beta=0.8),
-        PriorSpec.polynomial_tail(beta=2.5, q=0.1),
-        PriorSpec.point_mass(7, q=0.05),
+        GeometricPrior(rho=0.2),
+        GeometricPrior(rho=0.05, q=0.25),
+        PolynomialTailPrior(beta=0.8),
+        PolynomialTailPrior(beta=2.5, q=0.1),
+        PointMassPrior(7, q=0.05),
     ],
 )
 def test_mass_sums_to_one_with_analytic_tail(prior):
@@ -82,9 +85,9 @@ def test_mass_sums_to_one_with_analytic_tail(prior):
 @pytest.mark.parametrize(
     "prior",
     [
-        PriorSpec.geometric(rho=0.2, q=0.1),
-        PriorSpec.polynomial_tail(beta=1.2),
-        PriorSpec.point_mass(500),
+        GeometricPrior(rho=0.2, q=0.1),
+        PolynomialTailPrior(beta=1.2),
+        PointMassPrior(500),
     ],
 )
 def test_tail_differences_recover_mass(prior):
@@ -95,7 +98,7 @@ def test_tail_differences_recover_mass(prior):
 
 
 def test_geometric_tail_rate_matches_log_tail_slope():
-    prior = PriorSpec.geometric(rho=0.3)
+    prior = GeometricPrior(rho=0.3)
     n = 1000
     assert abs(prior.log_tail(n)) / n == pytest.approx(
         abs(math.log1p(-0.3)), abs=1e-6
@@ -104,51 +107,66 @@ def test_geometric_tail_rate_matches_log_tail_slope():
 
 
 def test_polynomial_tail_rate_is_zero():
-    assert PriorSpec.polynomial_tail(beta=1.0).tail_rate == 0.0
+    assert PolynomialTailPrior(beta=1.0).tail_rate == 0.0
 
 
 def test_point_mass_has_no_tail_rate():
     with pytest.raises(ValueError):
-        PriorSpec.point_mass(3).tail_rate
+        PointMassPrior(3).tail_rate
 
 
 def test_prior_means():
-    assert PriorSpec.geometric(rho=0.1).mean() == pytest.approx(9.0)
-    assert PriorSpec.point_mass(5).mean() == 5.0
-    assert math.isinf(PriorSpec.polynomial_tail(beta=1.0).mean())
+    assert GeometricPrior(rho=0.1).mean() == pytest.approx(9.0)
+    assert PointMassPrior(5).mean() == 5.0
+    assert math.isinf(PolynomialTailPrior(beta=1.0).mean())
     # sum k (k+1)^-(1+b) / zeta(1+b) = (zeta(b) - zeta(1+b)) / zeta(1+b)
     from scipy.special import zeta
 
     beta = 2.0
     expected = (zeta(beta) - zeta(1 + beta)) / zeta(1 + beta)
-    assert PriorSpec.polynomial_tail(beta=beta).mean() == pytest.approx(expected, rel=1e-12)
+    assert PolynomialTailPrior(beta=beta).mean() == pytest.approx(expected, rel=1e-12)
 
 
 def test_invalid_priors_rejected():
     with pytest.raises(ValueError):
-        PriorSpec.geometric(rho=0.0)
+        GeometricPrior(rho=0.0)
     with pytest.raises(ValueError):
-        PriorSpec.geometric(rho=0.5, q=1.0)
+        GeometricPrior(rho=0.5, q=1.0)
     with pytest.raises(ValueError):
-        PriorSpec.polynomial_tail(beta=0.0)
+        PolynomialTailPrior(beta=0.0)
     with pytest.raises(ValueError):
-        PriorSpec.point_mass(-1)
+        PointMassPrior(-1)
+    # each family checks its own parameter and the head mass on direct construction
+    for build in (
+        lambda: GeometricPrior(rho=0.1, q=1.5),
+        lambda: GeometricPrior(rho=0.0),
+        lambda: GeometricPrior(rho=math.nan),
+        lambda: PolynomialTailPrior(beta=-1.0),
+        lambda: PolynomialTailPrior(beta=math.nan),
+        lambda: PolynomialTailPrior(beta=2.0, q=-0.1),
+        lambda: PointMassPrior(k0=-1, q=0.2),
+        lambda: PointMassPrior(k0=3, q=1.0),
+    ):
+        with pytest.raises(ValueError):
+            build()
+    with pytest.raises(TypeError):
+        PriorSpec(q=0.1)  # the base has no family
 
 
 def test_sample_point_mass_is_degenerate():
     rng = np.random.default_rng(0)
-    prior = PriorSpec.point_mass(5)
+    prior = PointMassPrior(5)
     assert all(prior.sample(rng) == 5 for _ in range(10))
 
 
 def test_sample_near_degenerate_geometric():
     rng = np.random.default_rng(0)
-    prior = PriorSpec.geometric(rho=1.0 - 1e-15)
+    prior = GeometricPrior(rho=1.0 - 1e-15)
     assert all(prior.sample(rng) == 0 for _ in range(100))
 
 
 def test_sample_geometric_mean():
-    prior = PriorSpec.geometric(rho=0.1)
+    prior = GeometricPrior(rho=0.1)
     rng = np.random.default_rng(2024)
     n = 1_000_000
     values = np.fromiter((prior.sample(rng) for _ in range(n)), dtype=float, count=n)
@@ -157,7 +175,7 @@ def test_sample_geometric_mean():
 
 
 def test_sample_polynomial_tail_matches_masses():
-    prior = PriorSpec.polynomial_tail(beta=2.0, q=0.2)
+    prior = PolynomialTailPrior(beta=2.0, q=0.2)
     rng = np.random.default_rng(7)
     n = 50_000
     values = np.fromiter((prior.sample(rng) for _ in range(n)), dtype=float, count=n)
@@ -168,7 +186,7 @@ def test_sample_polynomial_tail_matches_masses():
 
 
 def test_sample_head_mass_frequency():
-    prior = PriorSpec.geometric(rho=0.4, q=0.3)
+    prior = GeometricPrior(rho=0.4, q=0.3)
     rng = np.random.default_rng(11)
     n = 50_000
     hits = sum(prior.sample(rng) == -1 for _ in range(n))

@@ -10,10 +10,10 @@ from qcdetect import (
     ChangeSpec,
     Detector,
     DetectorConfig,
+    GeometricPrior,
     GridSpec,
     InfeasibleHorizonError,
     MCConfig,
-    PriorSpec,
     Scenario,
     SubsetWeights,
     estimate_average_risk,
@@ -38,7 +38,7 @@ def make_detector(kind="shiryaev-mixture", threshold=19.0, theta=1.0, rho=0.1, o
     scenario = Scenario((gaussian_stream(theta=theta),))
     grid = GridSpec.degenerate((theta,))
     weights = SubsetWeights.uniform(1)
-    prior = PriorSpec.geometric(rho=rho)
+    prior = GeometricPrior(rho=rho)
     config = DetectorConfig(kind=kind, threshold_A=threshold, head_start_omega=omega)
     return Detector(config, scenario, prior, grid, weights)
 
@@ -89,7 +89,7 @@ def test_pfa_bound_small_case():
 
 
 def test_pfa_sr_bound_small_case():
-    prior = PriorSpec.geometric(rho=0.1)
+    prior = GeometricPrior(rho=0.1)
     a = threshold_sr(0.05, 0.0, prior)  # mean(nu) = 9 -> A = 180
     detector = make_detector(kind="sr-mixture", threshold=a)
     mc = MCConfig(replications=3000, master_seed=10, horizon=300)
@@ -201,7 +201,7 @@ def test_joint_sampler_draws_match_mixture_weights():
     scenario = Scenario((gaussian_stream(theta=1.0), gaussian_stream(theta=1.0)))
     grid = GridSpec.common_amplitude([0.5, 1.0], 2, weights=(0.25, 0.75))
     weights = SubsetWeights.uniform(2, 2)
-    prior = PriorSpec.geometric(rho=0.1)
+    prior = GeometricPrior(rho=0.1)
     detector = Detector(
         DetectorConfig(kind="shiryaev-mixture", threshold_A=5.0),
         scenario, prior, grid, weights,
@@ -241,7 +241,7 @@ def test_simulate_runs_is_independent_of_span_size(monkeypatch, workers):
     detector = Detector(
         DetectorConfig(kind="shiryaev-mixture", threshold_A=30.0),
         scenario,
-        PriorSpec.geometric(rho=0.05, q=0.1),
+        GeometricPrior(rho=0.05, q=0.1),
         GridSpec.common_amplitude([0.5, 1.0], 2),
         SubsetWeights.uniform(2, 2),
     )

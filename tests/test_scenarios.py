@@ -7,14 +7,14 @@ import pytest
 from scipy.signal import lfilter
 
 from qcdetect import (
-    NO_CHANGE,
     ARChannelSpec,
     ChangeSpec,
     Detector,
     DetectorConfig,
+    GeometricPrior,
     GridSpec,
     MixtureChannelSpec,
-    PriorSpec,
+    NO_CHANGE,
     Scenario,
     SubsetWeights,
     gaussian_stream,
@@ -23,6 +23,11 @@ from qcdetect import (
 )
 from qcdetect.montecarlo import JointSampler, NoChangeSampler, PriorNuSampler
 from qcdetect import scenarios
+
+
+def one_path(channel, horizon, post_from, theta, rng):
+    """One stream of ``horizon`` samples carrying ``theta`` from index ``post_from`` on."""
+    return channel.generate_batch(horizon, np.array([post_from]), np.array([theta]), [rng])[0]
 
 
 def test_ar_residual_first_sample_passthrough():
@@ -93,7 +98,7 @@ def test_q_constant_cases():
 def test_residuals_under_no_change_are_white():
     channel = ARChannelSpec(coeffs=(0.6, -0.2), sigma=1.5, signal=(1.0,), theta=1.0)
     rng = replication_rng(17, 0)
-    x = channel.generate(40_000, 40_000, 0.0, rng)
+    x = one_path(channel, 40_000, 40_000, 0.0, rng)
     resid = channel.residuals(x)
     n = resid.size
     assert abs(resid.mean()) <= 3 * 1.5 / math.sqrt(n)
@@ -169,7 +174,7 @@ def test_mixture_component_ratio_collapses_post_change():
     channel = MixtureChannelSpec(beta_mix=0.4, mu1=2.0, mu2=0.0, sigma=1.0, theta=0.6)
     rng = replication_rng(23, 0)
     n = 10_000
-    x = channel.generate(n, 0, 0.6, rng)
+    x = one_path(channel, n, 0, 0.6, rng)
     log_g = np.cumsum(channel._log_component_ratio(x))
     expected = channel.kl_rate(0.6) - (0.6 - 2.0) ** 2 / 2.0  # I2 - I1
     assert log_g[-1] / n == pytest.approx(expected, rel=0.10)
@@ -179,7 +184,7 @@ def test_mixture_slope_approaches_information_rate():
     channel = MixtureChannelSpec(beta_mix=0.4, mu1=2.0, mu2=0.0, sigma=1.0, theta=0.6)
     rng = replication_rng(29, 0)
     n = 10_000
-    x = channel.generate(n, 0, 0.6, rng)
+    x = one_path(channel, n, 0, 0.6, rng)
     inc = channel.log_lr_increments(x, np.array([0.6]))[:, 0]
     assert inc.sum() / n == pytest.approx(channel.kl_rate(0.6), rel=0.05)
 
@@ -189,7 +194,7 @@ def test_mixture_latent_component_frequency():
     hits = 0
     n = 2000
     for rep in range(n):
-        x = channel.generate(1, 1, 0.0, replication_rng(31, rep))
+        x = one_path(channel, 1, 1, 0.0, replication_rng(31, rep))
         hits += x[0] > 4.0  # component means are 16 sigma apart
     assert abs(hits / n - 0.3) <= 3 * math.sqrt(0.3 * 0.7 / n)
 
@@ -271,7 +276,7 @@ SPAN_SCENARIOS = {
 @pytest.mark.parametrize("sampler_name", ["none", "prior-nu", "joint"])
 def test_span_generation_equals_per_replication_generation(kind, sampler_name):
     scenario = SPAN_SCENARIOS[kind]
-    prior = PriorSpec.geometric(rho=0.08, q=0.15)
+    prior = GeometricPrior(rho=0.08, q=0.15)
     detector = Detector(
         DetectorConfig(kind="shiryaev-mixture", threshold_A=50.0),
         scenario,

@@ -8,9 +8,10 @@ from scipy.special import logsumexp
 
 from qcdetect import (
     ChangeSpec,
+    GeometricPrior,
     GridSpec,
     MixtureChannelSpec,
-    PriorSpec,
+    PointMassPrior,
     Scenario,
     SubsetWeights,
     gaussian_stream,
@@ -31,7 +32,7 @@ def make_pair_setup():
     )
     grid = GridSpec(theta_points=((0.5, 0.6), (1.0, 0.8)), weights=(0.5, 0.5))
     weights = SubsetWeights(p=(1.0, 1.5), K=2)
-    prior = PriorSpec.geometric(rho=0.1, q=0.05)
+    prior = GeometricPrior(rho=0.1, q=0.05)
     return scenario, grid, weights, prior
 
 
@@ -73,7 +74,7 @@ def test_common_amplitude_grid():
 def test_shiryaev_starts_at_head_odds():
     scenario, grid, weights = unit_increment_setup()
     for q in (0.0, 0.3):
-        prior = PriorSpec.geometric(rho=0.5, q=q)
+        prior = GeometricPrior(rho=0.5, q=q)
         state = DetectorState(prior, grid, weights)
         assert np.exp(state.log_shiryaev()[0]) == pytest.approx(q / (1 - q), abs=1e-15)
 
@@ -95,7 +96,7 @@ def test_flat_weights_reject_a_negative_head_start():
 def test_shiryaev_unit_lr_closed_form():
     # S(n) = (1-rho)^-n - 1 for q = 0; checked against direct summation
     scenario, grid, weights = unit_increment_setup()
-    prior = PriorSpec.geometric(rho=0.5)
+    prior = GeometricPrior(rho=0.5)
     inc = np.zeros((1, 1, 1))
     state = DetectorState(prior, grid, weights)
     for n in range(1, 6):
@@ -108,7 +109,7 @@ def test_shiryaev_unit_lr_closed_form():
 def test_shiryaev_unit_lr_recurrence():
     # S(n) = (rho + S(n-1)) / (1 - rho)
     scenario, grid, weights = unit_increment_setup()
-    prior = PriorSpec.geometric(rho=0.3)
+    prior = GeometricPrior(rho=0.3)
     inc = np.zeros((1, 1, 1))
     state = DetectorState(prior, grid, weights)
     previous = 0.0
@@ -303,7 +304,7 @@ def test_statistics_are_nonnegative():
 
 def test_point_mass_prior_exhausts_shiryaev_support():
     scenario, grid, weights = unit_increment_setup()
-    prior = PriorSpec.point_mass(1)
+    prior = PointMassPrior(1)
     state = DetectorState(prior, grid, weights)
     inc = np.zeros((1, 1, 1))
     state.advance(inc)  # n = 1 fine

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from qcdetect import (
     Detector,
     DetectorConfig,
+    GeometricPrior,
     GridSpec,
-    PriorSpec,
+    PolynomialTailPrior,
     Scenario,
     SubsetWeights,
     gaussian_stream,
@@ -40,9 +41,9 @@ def recursion_cases(draw):
     family = draw(st.sampled_from(["geometric", "polynomial-tail", "flat"]))
     q = draw(st.sampled_from([0.0, 0.1]))
     if family == "geometric":
-        weighting = PriorSpec.geometric(rho=draw(st.floats(0.01, 0.3)), q=q)
+        weighting = GeometricPrior(rho=draw(st.floats(0.01, 0.3)), q=q)
     elif family == "polynomial-tail":
-        weighting = PriorSpec.polynomial_tail(beta=draw(st.floats(0.5, 3.0)), q=q)
+        weighting = PolynomialTailPrior(beta=draw(st.floats(0.5, 3.0)), q=q)
     else:
         weighting = FlatWeights(draw(st.sampled_from([0.0, 1.5])))
     reps = draw(st.integers(1, 4))
@@ -84,9 +85,9 @@ def detector_cases(draw):
     )
     if draw(st.booleans()):
         rho = draw(st.floats(0.01, 0.3))
-        prior = PriorSpec.geometric(rho=rho, q=draw(st.sampled_from([0.0, 0.1])))
+        prior = GeometricPrior(rho=rho, q=draw(st.sampled_from([0.0, 0.1])))
     else:
-        prior = PriorSpec.polynomial_tail(beta=draw(st.floats(0.5, 3.0)))
+        prior = PolynomialTailPrior(beta=draw(st.floats(0.5, 3.0)))
     kind = draw(st.sampled_from(["shiryaev-mixture", "sr-mixture"]))
     config = DetectorConfig(
         kind=kind,
@@ -171,7 +172,7 @@ def test_scan_steps_only_rows_that_have_not_stopped():
     scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(n)))
     grid = GridSpec.common_amplitude((0.5, 1.0), n)
     weights = SubsetWeights.uniform(n)
-    prior = PriorSpec.geometric(rho=0.05)
+    prior = GeometricPrior(rho=0.05)
     rng = np.random.default_rng(7)
     horizon = 200
     changed = rng.normal(size=(64, horizon, n))
