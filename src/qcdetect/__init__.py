@@ -13,7 +13,7 @@ from .detectors import (
     threshold_shiryaev,
     threshold_sr,
 )
-from .info import InfoNumbers, d_constant, estimate_kl_slope, kl_subset
+from .info import d_constant, estimate_kl_slope
 from .likelihood import (
     SubsetWeights,
     elementary_symmetric,
@@ -67,7 +67,6 @@ __all__ = [
     "GeometricPrior",
     "GridSpec",
     "InfeasibleHorizonError",
-    "InfoNumbers",
     "MCConfig",
     "MCEstimate",
     "MixtureChannelSpec",
@@ -87,7 +86,6 @@ __all__ = [
     "estimate_kl_slope",
     "estimate_pfa",
     "gaussian_stream",
-    "kl_subset",
     "mixture_lr_dp",
     "mixture_lr_enumerate",
     "posterior_no_change",

@@ -21,7 +21,7 @@ import json
 import sys
 import types
 import typing
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .detectors import (
     threshold_shiryaev,
     threshold_sr,
 )
-from .info import InfoNumbers, d_constant
+from .info import d_constant
 from .likelihood import SubsetWeights
 from .model import ChangeSpec, GeometricPrior, PointMassPrior, PolynomialTailPrior, PriorSpec
 from .montecarlo import (
@@ -119,11 +119,19 @@ class MCSection:
     workers: int = 1
     moments: tuple[int, ...] = (1,)
 
+    def __post_init__(self):
+        if any(r < 1 for r in self.moments):
+            raise ValueError(f"moment orders must be >= 1, got {self.moments}")
+
 
 @dataclass(frozen=True)
 class SweepSection:
     alphas: tuple[float, ...]
     r: int = 1
+
+    def __post_init__(self):
+        if self.r < 1:
+            raise ValueError(f"moment order r must be >= 1, got {self.r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -375,6 +383,9 @@ class CalibrationReport:
 
 def calibrate_threshold(config: RunConfig) -> CalibrationReport:
     section = config.detector
+    targets = [k for k in ("threshold", "alpha", "cost_c") if getattr(section, k) is not None]
+    if len(targets) > 1:
+        raise ConfigError(f"[detector] sets {' and '.join(targets)}; give only one of them")
     prior = build_prior(config.prior)
     if section.threshold is not None:
         return CalibrationReport(section.kind, section.threshold, "explicit", "threshold as given")
@@ -398,8 +409,8 @@ def calibrate_threshold(config: RunConfig) -> CalibrationReport:
             grid = build_grid(config.grid, scenario.n_streams)
             weights = build_weights(config.grid, scenario.n_streams)
             mu = prior.tail_rate if shiryaev else 0.0
-            info = InfoNumbers.for_scenario(scenario, grid, mu=mu)
-            d = d_constant(weights, grid, info, section.cost_r)
+            rates = scenario.kl_per_stream(grid.points)
+            d = d_constant(weights, grid, rates, mu, section.cost_r)
             a = threshold_cost(section.cost_c, section.cost_r, d)
             return CalibrationReport(
                 section.kind,
@@ -453,13 +464,7 @@ def cmd_calibrate(config: RunConfig, out: str | None) -> int:
     report = calibrate_threshold(config)
     # constructing the detector cross-validates threshold against prior and grid
     build_detector(config, threshold=report.threshold_A)
-    payload = {
-        "kind": report.kind,
-        "threshold_A": report.threshold_A,
-        "target": report.target,
-        "formula": report.formula,
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(asdict(report), indent=2, sort_keys=True)
     print(text)
     if out:
         with open(out, "w") as fh:
@@ -527,18 +532,22 @@ def cmd_oc_sweep(config: RunConfig, out: str | None, seed: int | None, workers: 
     change = build_change(config.change, scenario)
     subset = change.subset
     theta = change.theta if change.theta is not None else scenario.nominal_theta(subset)
-    info_rate = float(
-        sum(scenario.channels[i].kl_rate(t) for i, t in zip(subset, theta))
-    )
-    # every level is calibrated and checked before anything is simulated
-    detectors = {
-        alpha: build_detector(
-            replace(config, detector=replace(config.detector, threshold=None, alpha=alpha))
+    try:
+        info_rate = float(
+            sum(scenario.channels[i].kl_rate(t) for i, t in zip(subset, theta))
         )
+    except ValueError as exc:
+        raise ConfigError(f"invalid change: {exc}")
+    # every level is calibrated and checked before anything is simulated
+    level = replace(config.detector, threshold=None, cost_c=None)
+    detectors = {
+        alpha: build_detector(replace(config, detector=replace(level, alpha=alpha)))
         for alpha in config.sweep.alphas
     }
     # read after the detectors, which reject a Shiryaev rule on a prior without a tail rate
     mu = prior.tail_rate if config.detector.kind == SHIRYAEV_MIXTURE else 0.0
+    if not info_rate + mu > 0.0:
+        raise ConfigError(f"the first-order delay needs I + mu > 0, got {info_rate + mu!r}")
     rows = asymptotic_ratio_sweep(
         detectors.__getitem__, config.sweep.alphas, config.sweep.r, mc, subset, theta,
         info_rate, mu,

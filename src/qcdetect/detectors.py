@@ -172,7 +172,6 @@ class Detector:
         increments = self.scenario.log_lr_increments(data, self.grid.points)
         state = self._new_state(n_reps)
         recursive = self.config.window_m1 is None
-        read = state.log_shiryaev if self.config.uses_shiryaev else state.log_sr
         stopped = np.full(n_reps, -1, dtype=np.int64)
         rows = np.arange(n_reps)
         t = 0
@@ -192,7 +191,7 @@ class Detector:
                     state.advance(block[:, 0])
                 block = block[:, 1:]
                 t += 1
-                value = read()
+                value = state.log_shiryaev()
                 if out is not None:
                     out[rows, t - 1] = value
                 crossed = value >= log_threshold
@@ -247,22 +246,22 @@ def threshold_sr(alpha: float, omega: float, prior: PriorSpec) -> float:
     return a
 
 
-def threshold_cost(c: float, r: float, D: float, scale: float = 1.0) -> float:
-    """Solve r * D * A * (log A)^(r-1) = scale / c for the unique root A > 1.
+def threshold_cost(c: float, r: float, D: float) -> float:
+    """Solve r * D * A * (log A)^(r-1) = 1 / c for the unique root A > 1.
 
     Solved in u = log A, where the equation is strictly increasing; bisection
     brackets the root and Newton polishing drives the relative residual of the
     original equation below 1e-10.
     """
-    if c <= 0.0 or D <= 0.0 or scale <= 0.0:
-        raise ValueError("c, D and scale must be positive")
+    if c <= 0.0 or D <= 0.0:
+        raise ValueError("c and D must be positive")
     if r < 1.0:
         raise ValueError(f"moment order must be >= 1, got {r}")
-    target = scale / (c * r * D)  # A (log A)^(r-1) = target
+    target = 1.0 / (c * r * D)  # A (log A)^(r-1) = target
     if r == 1.0:
         if target <= 1.0:
             raise ValueError(
-                f"no threshold A > 1: need scale/c > D, got scale/c = {scale / c!r} <= D = {D!r}"
+                f"no threshold A > 1: need 1/c > D, got 1/c = {1.0 / c!r} <= D = {D!r}"
             )
         return target
 
@@ -288,7 +287,7 @@ def threshold_cost(c: float, r: float, D: float, scale: float = 1.0) -> float:
     for _ in range(6):  # Newton: h'(u) = 1 + (r-1)/u
         u -= h(u) / (1.0 + (r - 1.0) / u)
     a = math.exp(u)
-    residual = abs(r * D * a * math.log(a) ** (r - 1.0) - scale / c) / (scale / c)
+    residual = abs(r * D * a * math.log(a) ** (r - 1.0) - 1.0 / c) / (1.0 / c)
     if residual > 1e-10:
         raise ArithmeticError(f"threshold solve did not converge (residual {residual:g})")
     return a

@@ -14,8 +14,6 @@ moment order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .likelihood import SubsetWeights, log_subset_weights, subset_masks
@@ -23,56 +21,21 @@ from .model import replication_rng
 from .statistics import GridSpec
 
 
-def kl_subset(subset, per_stream) -> float:
-    """Information rate of a subset: the sum of its streams' rates."""
-    subset = sorted(set(int(i) for i in subset))
-    if not subset:
-        raise ValueError("subset must be nonempty")
-    per_stream = np.asarray(per_stream, dtype=float)
-    if min(subset) < 0 or max(subset) >= per_stream.shape[-1]:
-        raise ValueError("subset refers to a stream outside the rate vector")
-    return float(per_stream[..., subset].sum(axis=-1))
-
-
-@dataclass(frozen=True)
-class InfoNumbers:
-    """Per-stream information rates on a parameter grid, plus the prior tail rate.
-
-    ``per_stream`` has one row per grid point (``[P, N]``); a flat vector is
-    promoted to a single row.
-    """
-
-    per_stream: tuple
-    mu: float = 0.0
-
-    def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.per_stream, dtype=float))
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ValueError("information rates must be finite and nonnegative")
-        if self.mu < 0.0:
-            raise ValueError(f"prior tail rate must be >= 0, got {self.mu}")
-        object.__setattr__(self, "per_stream", tuple(tuple(row) for row in arr))
-
-    @classmethod
-    def for_scenario(cls, scenario, grid: GridSpec, mu: float = 0.0) -> "InfoNumbers":
-        return cls(per_stream=scenario.kl_per_stream(grid.points), mu=mu)
-
-    @property
-    def rates(self) -> np.ndarray:
-        return np.asarray(self.per_stream)
-
-
-def d_constant(weights: SubsetWeights, grid: GridSpec, info: InfoNumbers, r: float) -> float:
+def d_constant(weights: SubsetWeights, grid: GridSpec, rates, mu: float, r: float) -> float:
     """Average of (I_{B,theta} + mu)^-r over the subset and parameter mixtures.
 
-    Subsets are enumerated explicitly: the reciprocal-power functional of a
-    subset sum does not factor over streams, so no symmetric-polynomial
-    shortcut applies (same enumeration helper and stream cap as the mixture
-    likelihood oracle).
+    ``rates`` are the per-stream information rates at each grid point
+    (``[P, N]``) and ``mu`` is the prior's tail rate.  Subsets are listed
+    explicitly, within ``subset_masks``' budget: the reciprocal-power
+    functional of a subset sum does not factor over streams, so no
+    symmetric-polynomial shortcut applies.
     """
-    rates = info.rates
-    if rates.shape == (1, weights.n_streams) and grid.n_points > 1:
-        rates = np.broadcast_to(rates, (grid.n_points, weights.n_streams))
+    # row-major, as the matrix product below has always seen its rates
+    rates = np.asarray(rates, dtype=float, order="C")
+    if not np.all(np.isfinite(rates)) or np.any(rates < 0.0):
+        raise ValueError("information rates must be finite and nonnegative")
+    if mu < 0.0:
+        raise ValueError(f"prior tail rate must be >= 0, got {mu}")
     if rates.shape != (grid.n_points, weights.n_streams):
         raise ValueError(
             f"information rates have shape {rates.shape}, expected "
@@ -81,7 +44,7 @@ def d_constant(weights: SubsetWeights, grid: GridSpec, info: InfoNumbers, r: flo
     masks = subset_masks(weights.n_streams, weights.K)
     p_subset = np.exp(log_subset_weights(weights, masks))
     subset_rates = rates @ masks.T  # [P, S]
-    denom = subset_rates + info.mu
+    denom = subset_rates + mu
     if np.any(denom <= 0.0):
         raise ValueError("I + mu must be positive for every subset and grid point")
     w = np.asarray(grid.weights)

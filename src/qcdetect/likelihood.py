@@ -20,7 +20,14 @@ from itertools import combinations
 
 import numpy as np
 
-ENUMERATION_LIMIT = 25
+#: Most subsets ``subset_masks`` lists, in a Python loop of a few seconds at
+#: this size: every subset of 20 streams.  Time and memory grow with the count.
+MAX_LISTED_SUBSETS = 2**20
+
+
+def count_subsets(n_streams: int, K: int) -> int:
+    """The number of subsets of ``n_streams`` streams with 1 <= |B| <= K."""
+    return sum(math.comb(n_streams, k) for k in range(1, K + 1))
 
 
 def logsumexp(a, axis=None):
@@ -121,7 +128,7 @@ class SubsetWeights:
     @property
     def n_subsets(self) -> int:
         """The number of subsets with 1 <= |B| <= K, counted without listing them."""
-        return sum(math.comb(self.n_streams, k) for k in range(1, self.K + 1))
+        return count_subsets(self.n_streams, self.K)
 
     @cached_property
     def log_normalizer(self) -> float:
@@ -152,8 +159,12 @@ def subset_masks(n_streams: int, K: int) -> np.ndarray:
     """Boolean membership masks for all subsets with 1 <= |B| <= K.
 
     Rows are ordered by subset size, lexicographic within a size; this order is
-    the library-wide convention for indexing subsets.
+    the library-wide convention for indexing subsets.  More than
+    ``MAX_LISTED_SUBSETS`` subsets are refused before any is listed.
     """
+    count = count_subsets(n_streams, K)
+    if count > MAX_LISTED_SUBSETS:
+        raise ValueError(f"listing {count} subsets exceeds the budget of {MAX_LISTED_SUBSETS}")
     rows = []
     for size in range(1, K + 1):
         for combo in combinations(range(n_streams), size):
@@ -163,10 +174,8 @@ def subset_masks(n_streams: int, K: int) -> np.ndarray:
     return np.array(rows)
 
 
-def log_subset_weights(weights: SubsetWeights, masks: np.ndarray | None = None) -> np.ndarray:
-    """log p_B for every subset, aligned with ``subset_masks`` order."""
-    if masks is None:
-        masks = subset_masks(weights.n_streams, weights.K)
+def log_subset_weights(weights: SubsetWeights, masks: np.ndarray) -> np.ndarray:
+    """log p_B for every subset in ``masks`` (rows in ``subset_masks`` order)."""
     return masks @ weights.log_p + weights.log_normalizer
 
 
@@ -178,8 +187,6 @@ def mixture_lr_enumerate(stream_log_lrs, weights: SubsetWeights) -> float:
     n = llr.shape[0]
     if n != weights.n_streams:
         raise ValueError(f"got {n} per-stream values for {weights.n_streams} streams")
-    if n > ENUMERATION_LIMIT:
-        raise ValueError(f"enumeration is limited to N <= {ENUMERATION_LIMIT} streams")
     masks = subset_masks(n, weights.K)
     terms = log_subset_weights(weights, masks) + masks @ llr
     return float(logsumexp(terms))

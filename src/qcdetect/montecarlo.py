@@ -78,10 +78,8 @@ class MCEstimate:
 class RunRecords:
     """Per-replication outcomes, indexed by replication."""
 
-    nu: np.ndarray         # sampled change point (NO_CHANGE for pure-noise runs)
-    stopped: np.ndarray    # 1-based stopping time, -1 when censored
-    subset_id: np.ndarray  # sampled subset index, -1 when fixed
-    point_id: np.ndarray   # sampled grid-point index, -1 when fixed
+    nu: np.ndarray       # sampled change point (NO_CHANGE for pure-noise runs)
+    stopped: np.ndarray  # 1-based stopping time, -1 when censored
 
     @property
     def censored(self) -> np.ndarray:
@@ -92,19 +90,17 @@ class RunRecords:
 
 
 @dataclass(frozen=True)
-class NoChangeSampler:
-    """Pure-noise runs: the change never happens within the horizon."""
-
-    def draw(self, prior: PriorSpec, rng) -> tuple[ChangeSpec, int, int]:
-        return ChangeSpec(NO_CHANGE, ()), -1, -1
-
-
-@dataclass(frozen=True)
 class FixedChangeSampler:
+    """The same change in every replication; draws no random number."""
+
     change: ChangeSpec
 
-    def draw(self, prior: PriorSpec, rng) -> tuple[ChangeSpec, int, int]:
-        return self.change, -1, -1
+    def draw(self, prior: PriorSpec, rng) -> ChangeSpec:
+        return self.change
+
+
+#: Pure-noise runs: the change never happens within the horizon.
+NO_CHANGE_SAMPLER = FixedChangeSampler(ChangeSpec(NO_CHANGE, ()))
 
 
 @dataclass(frozen=True)
@@ -114,9 +110,9 @@ class PriorNuSampler:
     subset: tuple[int, ...]
     theta: tuple[float, ...] | None = None
 
-    def draw(self, prior: PriorSpec, rng) -> tuple[ChangeSpec, int, int]:
+    def draw(self, prior: PriorSpec, rng) -> ChangeSpec:
         nu = prior.sample(rng)
-        return ChangeSpec(nu, self.subset, self.theta), -1, -1
+        return ChangeSpec(nu, self.subset, self.theta)
 
 
 @dataclass(frozen=True)
@@ -140,7 +136,7 @@ class JointSampler:
             point_cdf=tuple(np.cumsum(w)),
         )
 
-    def draw(self, prior: PriorSpec, rng) -> tuple[ChangeSpec, int, int]:
+    def draw(self, prior: PriorSpec, rng) -> ChangeSpec:
         nu = prior.sample(rng)
         b_idx = int(np.searchsorted(self.subset_cdf, rng.random(), side="right"))
         b_idx = min(b_idx, len(self.subsets) - 1)
@@ -148,7 +144,7 @@ class JointSampler:
         p_idx = min(p_idx, len(self.points) - 1)
         subset = self.subsets[b_idx]
         theta = tuple(self.points[p_idx][i] for i in subset)
-        return ChangeSpec(nu, subset, theta), b_idx, p_idx
+        return ChangeSpec(nu, subset, theta)
 
 
 # -- core simulation loop ------------------------------------------------------
@@ -156,20 +152,16 @@ class JointSampler:
 
 def _simulate_span(detector: Detector, sampler, mc: MCConfig, start: int, count: int):
     nu = np.empty(count, dtype=np.int64)
-    subset_id = np.empty(count, dtype=np.int32)
-    point_id = np.empty(count, dtype=np.int32)
     changes = []
     rngs = []
     for j in range(count):
         rng = replication_rng(mc.master_seed, start + j)
-        change, b_idx, p_idx = sampler.draw(detector.prior, rng)
+        change = sampler.draw(detector.prior, rng)
         nu[j] = change.nu
-        subset_id[j] = b_idx
-        point_id[j] = p_idx
         changes.append(change)
         rngs.append(rng)
     stopped = detector.stopping_times(detector.scenario.generate(changes, mc.horizon, rngs))
-    return start, nu, stopped, subset_id, point_id
+    return start, nu, stopped
 
 
 def simulate_runs(detector: Detector, mc: MCConfig, sampler) -> RunRecords:
@@ -181,17 +173,13 @@ def simulate_runs(detector: Detector, mc: MCConfig, sampler) -> RunRecords:
     records = RunRecords(
         nu=np.empty(mc.replications, dtype=np.int64),
         stopped=np.empty(mc.replications, dtype=np.int64),
-        subset_id=np.empty(mc.replications, dtype=np.int32),
-        point_id=np.empty(mc.replications, dtype=np.int32),
     )
 
     def fill(result):
-        start, nu, stopped, subset_id, point_id = result
+        start, nu, stopped = result
         end = start + nu.shape[0]
         records.nu[start:end] = nu
         records.stopped[start:end] = stopped
-        records.subset_id[start:end] = subset_id
-        records.point_id[start:end] = point_id
 
     if mc.workers == 1 or len(spans) == 1:
         for start, count in spans:
@@ -222,7 +210,7 @@ def estimate_pfa(detector: Detector, mc: MCConfig, alpha: float | None = None) -
     """
     if alpha is None:
         alpha = detector.pfa_bound()
-    records = simulate_runs(detector, mc, NoChangeSampler())
+    records = simulate_runs(detector, mc, NO_CHANGE_SAMPLER)
     unresolved = records.censored
     tail_beyond = detector.prior.tail(mc.horizon + 1)
     if unresolved.any() and not tail_beyond < 1e-3 * alpha:

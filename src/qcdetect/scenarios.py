@@ -54,10 +54,6 @@ class ARChannelSpec:
                     f"AR coefficients are unstable (companion spectral radius {radius:.6g})"
                 )
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
-
     def signal_sequence(self, horizon: int) -> np.ndarray:
         """The template tiled out to ``horizon`` samples (time 1..horizon)."""
         reps = -(-horizon // len(self.signal))
@@ -78,11 +74,8 @@ class ARChannelSpec:
     def residual_signal(self, horizon: int) -> np.ndarray:
         return self.residuals(self.signal_sequence(horizon))
 
-    def q_constant(self) -> float:
-        return q_constant(self.signal, self.coeffs)
-
     def kl_rate(self, theta: float) -> float:
-        return float(theta) ** 2 * self.q_constant() / (2.0 * self.sigma**2)
+        return float(theta) ** 2 * q_constant(self.signal, self.coeffs) / (2.0 * self.sigma**2)
 
     # -- simulation and likelihood ------------------------------------------
 
@@ -156,10 +149,13 @@ class MixtureChannelSpec:
             raise ValueError(f"mixing probability must be in (0, 1), got {self.beta_mix}")
         if self.sigma <= 0.0:
             raise ValueError(f"noise level must be positive, got {self.sigma}")
-        if abs(self.theta - self.mu1) <= abs(self.theta - self.mu2):
+        self._check_post_change_mean(self.theta)
+
+    def _check_post_change_mean(self, theta: float) -> None:
+        if abs(theta - self.mu1) <= abs(theta - self.mu2):
             raise ValueError(
                 "post-change mean must be strictly closer to mu2 than to mu1 "
-                f"(theta={self.theta}, mu1={self.mu1}, mu2={self.mu2})"
+                f"(theta={theta}, mu1={self.mu1}, mu2={self.mu2})"
             )
 
     @property
@@ -168,6 +164,8 @@ class MixtureChannelSpec:
         return math.log(self.beta_mix) - math.log1p(-self.beta_mix)
 
     def kl_rate(self, theta: float) -> float:
+        # nearer mu1 the log-LR slope is near (theta - mu1)^2 / (2 sigma^2) instead
+        self._check_post_change_mean(theta)
         return (float(theta) - self.mu2) ** 2 / (2.0 * self.sigma**2)
 
     # -- simulation and likelihood ------------------------------------------

@@ -35,7 +35,6 @@ from qcdetect import (
     threshold_shiryaev,
     threshold_sr,
 )
-from qcdetect.info import InfoNumbers
 from qcdetect.likelihood import SubsetWeights as Weights
 from qcdetect.scenarios import ARChannelSpec
 from qcdetect.statistics import DetectorState, FlatWeights, direct_log_statistic
@@ -315,8 +314,7 @@ def test_10_cost_threshold_and_average_risk():
         worst = max(worst, abs(r * d * a * math.log(a) ** (r - 1) - 1.0 / c) * c)
     scenario, grid, weights, prior = single_stream_setup(rho=0.01)
     mu = prior.tail_rate
-    info = InfoNumbers.for_scenario(scenario, grid, mu=mu)
-    d_value = d_constant(weights, grid, info, 1)
+    d_value = d_constant(weights, grid, scenario.kl_per_stream(grid.points), mu, 1)
     c = 1e-4
     a = threshold_cost(c, 1, d_value)
     detector = Detector(

@@ -220,6 +220,31 @@ BAD_CONFIGS = {
     "recursion-beyond-subset-budget": (
         "simulate", BASE_CONFIG.replace("streams = 1", "streams = 13").replace("K = 1", "K = 13")
     ),
+    # the average-risk constant would list 33.5M subsets
+    "cost-beyond-subset-budget": (
+        "calibrate",
+        BASE_CONFIG.replace("streams = 1", "streams = 25")
+        .replace("K = 1", "K = 25")
+        .replace("alpha = 0.05", "cost_c = 0.001\nwindow_m1 = 10"),
+    ),
+    "two-calibration-targets": ("calibrate", with_detector_keys("threshold = 3.0")),
+    "moments-below-one": ("simulate", BASE_CONFIG.replace("moments = 1, 2", "moments = 0, -1")),
+    "sweep-moment-order-zero": ("oc-sweep", PRIOR_NU + SWEEP.replace("r = 1", "r = 0")),
+    # I + mu = 0: no change in the data and no prior tail rate under the SR rule
+    "sweep-zero-information-rate": (
+        "oc-sweep",
+        PRIOR_NU.replace("kind = shiryaev-mixture", "kind = sr-mixture").replace(
+            "subset = 1\ntheta = 1.0", "subset = 1\ntheta = 0.0"
+        ) + SWEEP,
+    ),
+    # 1.8 is nearer mu1 = 2: the rate (theta - mu2)^2 / 2 = 1.62 would be wrong
+    "sweep-mixture-mean-nearer-mu1": (
+        "oc-sweep",
+        PRIOR_NU.replace(
+            "kind = ar\nstreams = 1\nsigma = 1.0\ntheta = 1.0",
+            "kind = mixture\nstreams = 1\nsigma = 1.0\ntheta = 0.8\nmu1 = 2.0\nmu2 = 0.0",
+        ).replace("subset = 1\ntheta = 1.0", "subset = 1\ntheta = 1.8") + SWEEP,
+    ),
 }
 
 
@@ -445,6 +470,18 @@ def test_oc_sweep_checks_every_alpha_before_simulating(tmp_path, monkeypatch, ca
     assert cli.main(["oc-sweep", "--config", str(path)]) == EXIT_CONFIG
     assert "alpha" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("target", ["threshold = 3.0", "cost_c = 0.001"])
+def test_oc_sweep_overrides_every_calibration_target(target, tmp_path, capsys):
+    # each level is calibrated from its alpha alone, whatever [detector] sets
+    tables = []
+    for text in (PRIOR_NU, PRIOR_NU.replace("alpha = 0.05", target)):
+        path = tmp_path / "sweep.ini"
+        path.write_text(text + SWEEP)
+        assert cli.main(["oc-sweep", "--config", str(path)]) == EXIT_OK
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
 
 
 def test_readme_example_config_calibrates(tmp_path, capsys):

@@ -70,7 +70,7 @@ def test_threshold_sr_rejects_degenerate_and_heavy_priors():
 
 def test_threshold_cost_first_order_closed_form():
     assert threshold_cost(1e-3, 1, 1.0) == pytest.approx(1000.0, rel=1e-12)
-    assert threshold_cost(0.01, 1, 1.0, scale=13.5) == pytest.approx(1350.0, rel=1e-12)
+    assert threshold_cost(0.01, 1, 1.0 / 13.5) == pytest.approx(1350.0, rel=1e-12)
 
 
 def test_threshold_cost_quadratic_case():

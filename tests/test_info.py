@@ -6,15 +6,12 @@ import pytest
 from qcdetect import (
     ARChannelSpec,
     GridSpec,
-    InfoNumbers,
     MixtureChannelSpec,
     Scenario,
     SubsetWeights,
     d_constant,
     estimate_kl_slope,
     gaussian_stream,
-    kl_subset,
-    q_constant,
 )
 
 
@@ -24,7 +21,6 @@ def test_kl_ar_values():
     assert gaussian_stream().kl_rate(0.0) == 0.0
     # AR(1) beta=0.5, unit signal: steady residual 0.5, Q = 0.25, theta = 2
     ar = ARChannelSpec(coeffs=(0.5,), sigma=1.0, signal=(1.0,), theta=2.0)
-    assert ar.q_constant() == q_constant((1.0,), (0.5,))
     assert ar.kl_rate(2.0) == pytest.approx(0.5)
     noisier = ARChannelSpec(coeffs=(0.5,), sigma=2.0, signal=(1.0,))
     assert noisier.kl_rate(2.0) == pytest.approx(0.125)
@@ -44,37 +40,35 @@ def test_kl_mixture_values():
     assert rate(1.0, 0.5, 1.2) == pytest.approx(0.25 / 2.88)
 
 
-def test_kl_subset_additivity():
-    assert kl_subset((0,), [0.5, 0.3]) == pytest.approx(0.5)
-    assert kl_subset((0, 1), [0.5, 0.3]) == pytest.approx(0.8)
-    with pytest.raises(ValueError):
-        kl_subset((), [0.5])
-    with pytest.raises(ValueError):
-        kl_subset((2,), [0.5, 0.3])
+def test_kl_mixture_refuses_a_mean_nearer_mu1():
+    # nearer mu1 the slope is about (theta - mu1)^2 / 2 = 0.02, not (theta - mu2)^2 / 2
+    channel = MixtureChannelSpec(beta_mix=0.5, mu1=2.0, mu2=0.0, theta=0.8)
+    for theta in (1.8, 1.0, 3.0):
+        with pytest.raises(ValueError, match="closer to mu2"):
+            channel.kl_rate(theta)
+    assert channel.kl_rate(0.9) == pytest.approx(0.405)
 
 
 def test_d_constant_single_component():
     grid = GridSpec.degenerate((1.0,))
     weights = SubsetWeights.uniform(1)
-    info = InfoNumbers(per_stream=[[0.5]], mu=0.0)
-    assert d_constant(weights, grid, info, 1) == pytest.approx(2.0, rel=1e-14)
+    assert d_constant(weights, grid, [[0.5]], 0.0, 1) == pytest.approx(2.0, rel=1e-14)
     # exact reciprocal power for any r
-    assert d_constant(weights, grid, info, 3) == pytest.approx(8.0, rel=1e-14)
+    assert d_constant(weights, grid, [[0.5]], 0.0, 3) == pytest.approx(8.0, rel=1e-14)
 
 
 def test_d_constant_two_streams_uniform_subsets():
     # subsets {1}, {2}, {1,2} with p_B = 1/3: (2 + 2 + 1) / 3
     grid = GridSpec.degenerate((1.0, 1.0))
     weights = SubsetWeights.uniform(2, 2)
-    info = InfoNumbers(per_stream=[[0.5, 0.5]], mu=0.0)
-    assert d_constant(weights, grid, info, 1) == pytest.approx(5.0 / 3.0, rel=1e-14)
+    assert d_constant(weights, grid, [[0.5, 0.5]], 0.0, 1) == pytest.approx(5.0 / 3.0, rel=1e-14)
 
 
 def test_d_constant_tail_rate_shifts_denominators():
     grid = GridSpec.degenerate((1.0,))
     weights = SubsetWeights.uniform(1)
-    base = d_constant(weights, grid, InfoNumbers(per_stream=[[0.5]], mu=0.0), 1)
-    shifted = d_constant(weights, grid, InfoNumbers(per_stream=[[0.5]], mu=0.01), 1)
+    base = d_constant(weights, grid, [[0.5]], 0.0, 1)
+    shifted = d_constant(weights, grid, [[0.5]], 0.01, 1)
     assert shifted == pytest.approx(1.0 / 0.51, rel=1e-14)
     assert shifted < base
 
@@ -82,24 +76,35 @@ def test_d_constant_tail_rate_shifts_denominators():
 def test_d_constant_grid_mixture():
     grid = GridSpec(theta_points=((0.5,), (1.0,)), weights=(0.25, 0.75))
     weights = SubsetWeights.uniform(1)
-    info = InfoNumbers(per_stream=[[0.125], [0.5]], mu=0.0)
     expected = 0.25 / 0.125 + 0.75 / 0.5
-    assert d_constant(weights, grid, info, 1) == pytest.approx(expected, rel=1e-14)
+    assert d_constant(weights, grid, [[0.125], [0.5]], 0.0, 1) == pytest.approx(expected, rel=1e-14)
 
 
 def test_d_constant_rejects_zero_denominator():
     grid = GridSpec.degenerate((1.0,))
     weights = SubsetWeights.uniform(1)
     with pytest.raises(ValueError):
-        d_constant(weights, grid, InfoNumbers(per_stream=[[0.0]], mu=0.0), 1)
+        d_constant(weights, grid, [[0.0]], 0.0, 1)
+
+
+@pytest.mark.parametrize(
+    "rates,mu", [([[-0.5]], 0.0), ([[np.nan]], 0.0), ([[np.inf]], 0.0), ([[0.5]], -0.01)]
+)
+def test_d_constant_rejects_bad_rates_and_tail_rate(rates, mu):
+    grid = GridSpec.degenerate((1.0,))
+    with pytest.raises(ValueError, match="rate"):
+        d_constant(SubsetWeights.uniform(1), grid, rates, mu, 1)
 
 
 def test_info_numbers_for_scenario():
     scenario = Scenario((gaussian_stream(theta=1.0), gaussian_stream(theta=1.0)))
     grid = GridSpec.common_amplitude([0.5, 1.0], 2)
-    info = InfoNumbers.for_scenario(scenario, grid, mu=0.01)
-    np.testing.assert_allclose(info.rates, [[0.125, 0.125], [0.5, 0.5]])
-    assert info.mu == 0.01
+    rates = scenario.kl_per_stream(grid.points)
+    np.testing.assert_allclose(rates, [[0.125, 0.125], [0.5, 0.5]])
+    weights = SubsetWeights.uniform(2, 2)
+    # subsets {1}, {2}, {1,2} with p_B = 1/3 and grid weights 1/2 each
+    expected = (2 / 0.135 + 1 / 0.26 + 2 / 0.51 + 1 / 1.01) / 6
+    assert d_constant(weights, grid, rates, 0.01, 1) == pytest.approx(expected, rel=1e-12)
 
 
 def test_slope_estimate_matches_ar_rate():

@@ -15,7 +15,12 @@ from qcdetect import (
     mixture_lr_dp,
     mixture_lr_enumerate,
 )
-from qcdetect.likelihood import log_elementary_symmetric, logsumexp, subset_masks
+from qcdetect.likelihood import (
+    MAX_LISTED_SUBSETS,
+    log_elementary_symmetric,
+    logsumexp,
+    subset_masks,
+)
 
 
 def esp_brute(values, K):
@@ -92,6 +97,15 @@ def test_subset_count_matches_enumeration():
     for n in range(1, 8):
         for k in range(1, n + 1):
             assert SubsetWeights.uniform(n, k).n_subsets == len(subset_masks(n, k))
+
+
+def test_subset_listing_beyond_its_budget_is_refused():
+    # every subset of 20 streams fits; 21 streams, or 25 at K = 25, do not
+    assert SubsetWeights.uniform(20).n_subsets <= MAX_LISTED_SUBSETS
+    for n, k in [(21, 21), (25, 25), (40, 6)]:
+        assert SubsetWeights.uniform(n, k).n_subsets > MAX_LISTED_SUBSETS
+        with pytest.raises(ValueError, match="budget"):
+            subset_masks(n, k)
 
 
 def test_subset_weights_sum_to_one():
@@ -208,8 +222,9 @@ def test_mixture_lr_rejects_nonfinite():
 
 
 def test_enumeration_rejects_large_n():
-    w = SubsetWeights.uniform(26, 1)
-    with pytest.raises(ValueError):
+    # 67M subsets: refused by the listing budget before any is listed
+    w = SubsetWeights.uniform(26)
+    with pytest.raises(ValueError, match="budget"):
         mixture_lr_enumerate(np.zeros(26), w)
 
 

@@ -21,15 +21,16 @@ from qcdetect import (
     estimate_conditional_delay,
     estimate_pfa,
     gaussian_stream,
+    replication_rng,
     simulate_runs,
     threshold_shiryaev,
     threshold_sr,
 )
 from qcdetect.montecarlo import (
+    NO_CHANGE_SAMPLER,
     FixedChangeSampler,
     JointSampler,
     MCEstimate,
-    NoChangeSampler,
     estimate_pfa_naive,
 )
 
@@ -66,8 +67,8 @@ def test_mc_estimate_from_values():
 def test_simulate_runs_is_deterministic_across_worker_counts():
     detector = make_detector()
     base = dict(replications=2500, master_seed=21, horizon=120)
-    r1 = simulate_runs(detector, MCConfig(workers=1, **base), NoChangeSampler())
-    r3 = simulate_runs(detector, MCConfig(workers=3, **base), NoChangeSampler())
+    r1 = simulate_runs(detector, MCConfig(workers=1, **base), NO_CHANGE_SAMPLER)
+    r3 = simulate_runs(detector, MCConfig(workers=3, **base), NO_CHANGE_SAMPLER)
     np.testing.assert_array_equal(r1.stopped, r3.stopped)
     np.testing.assert_array_equal(r1.nu, r3.nu)
 
@@ -207,13 +208,13 @@ def test_joint_sampler_draws_match_mixture_weights():
         scenario, prior, grid, weights,
     )
     sampler = JointSampler.for_detector(detector)
-    mc = MCConfig(replications=6000, master_seed=14, horizon=2)
-    records = simulate_runs(detector, mc, sampler)
+    changes = [sampler.draw(prior, replication_rng(14, rep)) for rep in range(6000)]
     # subsets are uniform (1/3 each), grid points carry weights (0.25, 0.75)
-    for b in range(3):
-        share = (records.subset_id == b).mean()
+    for subset in sampler.subsets:
+        share = np.mean([c.subset == subset for c in changes])
         assert abs(share - 1 / 3) <= 3 * math.sqrt((1 / 3) * (2 / 3) / 6000)
-    share = (records.point_id == 1).mean()
+    # the grid points are (0.5, 0.5) and (1.0, 1.0)
+    share = np.mean([c.theta[0] == 1.0 for c in changes])
     assert abs(share - 0.75) <= 3 * math.sqrt(0.75 * 0.25 / 6000)
 
 
@@ -250,5 +251,5 @@ def test_simulate_runs_is_independent_of_span_size(monkeypatch, workers):
     whole = simulate_runs(detector, mc, sampler)
     monkeypatch.setattr(montecarlo, "_CHUNK", 7)
     split = simulate_runs(detector, mc, sampler)
-    for field in ("nu", "stopped", "subset_id", "point_id"):
+    for field in ("nu", "stopped"):
         np.testing.assert_array_equal(getattr(split, field), getattr(whole, field))

@@ -21,7 +21,7 @@ from qcdetect import (
     q_constant,
     replication_rng,
 )
-from qcdetect.montecarlo import JointSampler, NoChangeSampler, PriorNuSampler
+from qcdetect.montecarlo import NO_CHANGE_SAMPLER, JointSampler, PriorNuSampler
 from qcdetect import scenarios
 
 
@@ -285,7 +285,7 @@ def test_span_generation_equals_per_replication_generation(kind, sampler_name):
         SubsetWeights(p=(1.0, 0.5, 2.0), K=2),
     )
     sampler = {
-        "none": NoChangeSampler(),
+        "none": NO_CHANGE_SAMPLER,
         "prior-nu": PriorNuSampler((0, 2), (0.9, 1.1)),
         "joint": JointSampler.for_detector(detector),
     }[sampler_name]
@@ -293,7 +293,7 @@ def test_span_generation_equals_per_replication_generation(kind, sampler_name):
 
     def drawn(r):
         rng = replication_rng(17, r)
-        return sampler.draw(prior, rng)[0], rng
+        return sampler.draw(prior, rng), rng
 
     changes, rngs = zip(*(drawn(r) for r in range(n_reps)))
     span = scenario.generate(list(changes), horizon, list(rngs))
