@@ -110,6 +110,10 @@ class DetectorSection:
     window_m0: int = 0
     omega: float = 0.0
 
+    def __post_init__(self):
+        if not self.cost_r >= 1.0:
+            raise ValueError(f"moment order cost_r must be >= 1, got {self.cost_r}")
+
 
 @dataclass(frozen=True)
 class MCSection:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .likelihood import SubsetWeights
 from .model import PointMassPrior, PriorSpec
-from .statistics import LOG_CLAMP, DetectorState, FlatWeights, GridSpec
+from .statistics import DetectorState, FlatWeights, GridSpec
 
 SHIRYAEV_MIXTURE = "shiryaev-mixture"
 SR_MIXTURE = "sr-mixture"
@@ -54,8 +54,8 @@ class DetectorConfig:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
-        if not self.threshold_A > 0.0:
-            raise ValueError(f"threshold must be positive, got {self.threshold_A}")
+        if not 0.0 < self.threshold_A < math.inf:
+            raise ValueError(f"threshold must be positive and finite, got {self.threshold_A}")
         if self.window_m1 is not None and self.window_m1 < 1:
             raise ValueError(f"window length must be >= 1, got {self.window_m1}")
         if self.window_m0 < 0:
@@ -118,22 +118,13 @@ class Detector:
         # the change-point weighting is the only difference between the rules
         self.weighting = prior if config.uses_shiryaev else FlatWeights(config.head_start_omega)
         self.log_threshold = math.log(config.threshold_A)
-        if self.log_threshold > LOG_CLAMP:
-            raise ValueError(
-                f"log threshold {self.log_threshold:.6g} exceeds the log-domain clamp "
-                f"{LOG_CLAMP:g}; the statistic can never reach it"
-            )
 
     def pfa_bound(self) -> float:
         """The calibration bound on the weighted false-alarm probability."""
         a = self.config.threshold_A
         if self.config.uses_shiryaev:
             return 1.0 / (1.0 + a)
-        b = self.prior.tail(1)
-        nu_bar = self.prior.mean()
-        if not math.isfinite(nu_bar):
-            raise ValueError("the SR bound needs a prior with finite mean")
-        return (self.config.head_start_omega * b + nu_bar) / a
+        return _sr_bound(self.config.head_start_omega, self.prior) / a
 
     def _new_state(self, n_reps: int) -> DetectorState:
         return DetectorState(
@@ -225,6 +216,14 @@ def threshold_shiryaev(alpha: float, q: float = 0.0) -> float:
     return (1.0 - alpha) / alpha
 
 
+def _sr_bound(omega: float, prior: PriorSpec) -> float:
+    """``omega * b + mean(nu)`` with ``b = P(nu >= 1)``: the SR threshold times alpha."""
+    nu_bar = prior.mean()
+    if not math.isfinite(nu_bar):
+        raise ValueError("the SR bound needs a prior with finite mean")
+    return omega * prior.tail(1) + nu_bar
+
+
 def threshold_sr(alpha: float, omega: float, prior: PriorSpec) -> float:
     """Threshold (omega * b + mean(nu)) / alpha for the Shiryaev-Roberts rule.
 
@@ -235,10 +234,7 @@ def threshold_sr(alpha: float, omega: float, prior: PriorSpec) -> float:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if omega < 0.0:
         raise ValueError(f"head start must be >= 0, got {omega}")
-    nu_bar = prior.mean()
-    if not math.isfinite(nu_bar):
-        raise ValueError("SR calibration needs a prior with finite mean")
-    a = (omega * prior.tail(1) + nu_bar) / alpha
+    a = _sr_bound(omega, prior) / alpha
     if a <= 0.0:
         raise ValueError(
             "SR bound is degenerate (omega * b + mean(nu) = 0); no positive threshold"

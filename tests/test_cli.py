@@ -228,6 +228,8 @@ BAD_CONFIGS = {
         .replace("alpha = 0.05", "cost_c = 0.001\nwindow_m1 = 10"),
     ),
     "two-calibration-targets": ("calibrate", with_detector_keys("threshold = 3.0")),
+    # read only by the cost route, so next to alpha it used to be ignored
+    "cost-moment-order-below-one": ("calibrate", with_detector_keys("cost_r = 0.5")),
     "moments-below-one": ("simulate", BASE_CONFIG.replace("moments = 1, 2", "moments = 0, -1")),
     "sweep-moment-order-zero": ("oc-sweep", PRIOR_NU + SWEEP.replace("r = 1", "r = 0")),
     # I + mu = 0: no change in the data and no prior tail rate under the SR rule
@@ -325,13 +327,22 @@ def test_calibrate_infeasible_alpha_is_config_error(tmp_path, capsys):
     assert cli.main(["calibrate", "--config", str(path)]) == EXIT_CONFIG
 
 
-def test_unreachable_threshold_is_config_error(tmp_path, capsys):
-    # log A = 702.3 lies beyond the log-domain clamp of the statistic
+def test_infinite_threshold_is_config_error(tmp_path, capsys):
     path = tmp_path / "bad.ini"
-    path.write_text(BASE_CONFIG.replace("alpha = 0.05", "threshold = 1e305"))
+    path.write_text(BASE_CONFIG.replace("alpha = 0.05", "threshold = inf"))
     for command in ("calibrate", "simulate"):
         assert cli.main([command, "--config", str(path)]) == EXIT_CONFIG
-        assert "clamp" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "finite" in err and err.count("\n") == 1
+
+
+def test_threshold_beyond_e700_runs(tmp_path, capsys):
+    # log A = 702.3: every finite threshold is reachable by the log-domain statistic
+    path = tmp_path / "big.ini"
+    path.write_text(BASE_CONFIG.replace("alpha = 0.05", "threshold = 1e305"))
+    assert cli.main(["calibrate", "--config", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["threshold_A"] == 1e305
+    assert cli.main(["simulate", "--config", str(path)]) == EXIT_OK
 
 
 def test_zero_replications_is_config_error(tmp_path):

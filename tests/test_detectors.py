@@ -117,17 +117,26 @@ def test_shiryaev_rule_rejects_a_point_mass_prior():
     Detector(DetectorConfig(kind="sr-mixture", threshold_A=19.0), scenario, prior, grid, weights)
 
 
-def test_detector_rejects_thresholds_beyond_the_log_clamp():
-    scenario, grid, weights, prior = single_stream_setup()
-    for kind in ("shiryaev-mixture", "sr-mixture"):
-        with pytest.raises(ValueError, match="clamp"):
-            Detector(
-                DetectorConfig(kind=kind, threshold_A=math.exp(701.0)),
-                scenario, prior, grid, weights,
-            )
+def test_engines_agree_beyond_e700():
+    # six streams changing in two of them: the log statistic passes 700 near the
+    # stop, and the recursion stops where the window engine's direct sum does
+    n, horizon = 6, 400
+    scenario = Scenario(tuple(gaussian_stream(theta=3.0) for _ in range(n)))
+    grid = GridSpec.common_amplitude((1.5, 3.0), n)
+    weights = SubsetWeights.uniform(n)
+    prior = GeometricPrior(rho=0.01)
+    data = scenario.generate(
+        [ChangeSpec(nu=0, subset=(0, 1))] * 4, horizon, [replication_rng(3, r) for r in range(4)]
+    )
+    stops = [
         Detector(
-            DetectorConfig(kind=kind, threshold_A=math.exp(699.0)), scenario, prior, grid, weights
-        )
+            DetectorConfig(kind="shiryaev-mixture", threshold_A=math.exp(699.0), window_m1=m1),
+            scenario, prior, grid, weights,
+        ).stopping_times(data)
+        for m1 in (None, horizon)
+    ]
+    np.testing.assert_array_equal(stops[0], [76, 82, 80, 78])
+    np.testing.assert_array_equal(stops[1], stops[0])
 
 
 def _two_stream_detector():
@@ -163,6 +172,9 @@ def test_config_validation():
         DetectorConfig(kind="unknown", threshold_A=1.0)
     with pytest.raises(ValueError):
         DetectorConfig(kind="sr-mixture", threshold_A=0.0)
+    for a in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            DetectorConfig(kind="shiryaev-mixture", threshold_A=a)
     with pytest.raises(ValueError):
         DetectorConfig(kind="shiryaev-putative", threshold_A=5.0)  # a one-point grid instead
     with pytest.raises(ValueError):

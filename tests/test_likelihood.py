@@ -99,6 +99,16 @@ def test_subset_count_matches_enumeration():
             assert SubsetWeights.uniform(n, k).n_subsets == len(subset_masks(n, k))
 
 
+def test_subsets_are_listed_by_size_then_lexicographically():
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            masks = subset_masks(n, k)
+            assert masks.dtype == bool
+            listed = [tuple(np.flatnonzero(row)) for row in masks]
+            expected = [c for size in range(1, k + 1) for c in combinations(range(n), size)]
+            assert listed == expected
+
+
 def test_subset_listing_beyond_its_budget_is_refused():
     # every subset of 20 streams fits; 21 streams, or 25 at K = 25, do not
     assert SubsetWeights.uniform(20).n_subsets <= MAX_LISTED_SUBSETS

@@ -330,11 +330,13 @@ def test_joint_increment_hook_matches_factorized_path():
             assert b.log_shiryaev()[0] == pytest.approx(a.log_shiryaev()[0], abs=1e-12)
 
 
-def test_saturation_clamps_and_flags():
+def test_log_statistic_is_exact_beyond_e700():
     scenario, grid, weights = unit_increment_setup()
+    inc = np.full((1, 3, 1, 1), 500.0)
     state = DetectorState(FlatWeights(), grid, weights)
-    for _ in range(3):
-        state.advance(np.full((1, 1, 1), 500.0))
-    assert state.saturated[0]
-    assert np.isfinite(state.log_sr()[0])
-    assert state.log_sr()[0] <= 700.0 + 1e-9
+    for t in range(3):
+        state.advance(inc[:, t])
+    direct = direct_log_statistic(inc, FlatWeights(), grid, weights, n=3)
+    # log R(3) = log(e^1500 + e^1000 + e^500), far beyond 700
+    assert state.log_sr()[0] == pytest.approx(1500.0, rel=0.0, abs=1e-9)
+    np.testing.assert_allclose(state.log_sr(), direct, rtol=0.0, atol=1e-9)

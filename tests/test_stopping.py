@@ -27,14 +27,21 @@ RECURSION_DIRECT_TOL = 1e-9
 
 @st.composite
 def recursion_cases(draw):
-    """A random weighting, grid and subset prior over N <= 5 Gaussian streams, and data."""
+    """A random weighting, grid and subset prior over N <= 5 Gaussian streams, and data.
+
+    At the large amplitude the log statistic passes +/-700 within a few steps.
+    """
     n = draw(st.integers(1, 5))
+    amplitude = draw(st.sampled_from([1.0, 30.0]))
     k = draw(st.integers(1, n))
     n_points = draw(st.integers(1, 2))
     point = st.tuples(*[st.floats(0.2, 2.0)] * n)
     points = draw(st.lists(point, min_size=n_points, max_size=n_points, unique=True))
     raw = draw(st.lists(st.floats(0.1, 1.0), min_size=n_points, max_size=n_points))
-    grid = GridSpec(theta_points=tuple(points), weights=tuple(w / sum(raw) for w in raw))
+    grid = GridSpec(
+        theta_points=tuple(tuple(amplitude * v for v in p) for p in points),
+        weights=tuple(w / sum(raw) for w in raw),
+    )
     weights = SubsetWeights(
         p=tuple(draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n))), K=k
     )
@@ -52,7 +59,7 @@ def recursion_cases(draw):
     data = rng.normal(size=(reps, horizon, n))
     nu = rng.integers(0, horizon + 1, size=reps)
     shift = rng.uniform(0.0, 2.0, size=(reps, 1, n)) * (rng.random((reps, 1, n)) < 0.5)
-    data += shift * (np.arange(horizon)[None, :, None] >= nu[:, None, None])
+    data += amplitude * shift * (np.arange(horizon)[None, :, None] >= nu[:, None, None])
     scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(n)))
     return weighting, grid, weights, scenario.log_lr_increments(data, grid.points)
 
