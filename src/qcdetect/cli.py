@@ -590,18 +590,27 @@ def _csv_text(table: list[dict]) -> str:
     return buffer.getvalue()
 
 
-def cmd_verify(suites: list[str], seed: int) -> int:
+def cmd_verify(suites: list[str], seed: int, as_json: bool = False) -> int:
+    """Run the oracle suites; one line per check, as text or as a JSON object."""
     from . import verify  # its oracles import scipy, which no other command needs
 
     results = verify.run_suites(suites if suites else None, seed=seed)
     failed = [r for r in results if not r.passed]
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.suite}/{r.name}: {r.detail}")
+        if as_json:
+            print(json.dumps(
+                {"suite": r.suite, "name": r.name, "passed": bool(r.passed), "detail": r.detail}
+            ))
+        else:
+            status = "PASS" if r.passed else "FAIL"
+            print(f"{status} {r.suite}/{r.name}: {r.detail}")
+    if as_json:
+        print(json.dumps({"checks": len(results), "failed": len(failed)}))
+    elif not failed:
+        print(f"all {len(results)} checks passed")
     if failed:
         print(f"{len(failed)} of {len(results)} checks failed", file=sys.stderr)
         return EXIT_VERIFY
-    print(f"all {len(results)} checks passed")
     return EXIT_OK
 
 
@@ -623,6 +632,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify")
     v.add_argument("suites", nargs="*", default=None, help="suite names (default: all)")
     v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--json", action="store_true",
+                   help="one JSON object per check, then the counts")
     return parser
 
 
@@ -630,7 +641,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            return cmd_verify(args.suites, args.seed)
+            return cmd_verify(args.suites, args.seed, args.json)
         config = load_config(args.config)
         if args.command == "calibrate":
             return cmd_calibrate(config, args.out)

@@ -165,6 +165,9 @@ class Detector:
         recursive = self.config.window_m1 is None
         stopped = np.full(n_reps, -1, dtype=np.int64)
         rows = np.arange(n_reps)
+        # rows provably below the threshold need no exact read-out, unless
+        # every value is recorded
+        floor = log_threshold if out is None else None
         t = 0
         while t < horizon and rows.size:
             if recursive:
@@ -182,7 +185,7 @@ class Detector:
                     state.advance(block[:, 0])
                 block = block[:, 1:]
                 t += 1
-                value = state.log_shiryaev()
+                value = state.log_shiryaev(floor)
                 if out is not None:
                     out[rows, t - 1] = value
                 crossed = value >= log_threshold

@@ -17,6 +17,12 @@ change points instead, which bounds memory and also serves as the oracle for
 the recursion.  All state is kept in the log domain, where it neither
 overflows nor needs a clamp, so both engines reach any finite threshold.
 
+The joint weights ``p_B * W(theta)`` of the components sum to one, so the log
+statistic never exceeds its largest log component (plus the log of the
+weights' sum, 0 up to rounding).  A stopping rule only asks whether the
+statistic reaches a threshold, so the recursion's read-out runs its
+log-sum-exp only on rows where that bound does.
+
 The no-change posterior satisfies ``P(nu >= n | data) = 1 / (S(n) + 1)``.
 """
 
@@ -102,10 +108,11 @@ class GridSpec:
 
 
 class MixtureBasis:
-    """Subset members and joint log weights for one (grid, weights) pair.
+    """Subset sums and joint log weights for one (grid, weights) pair.
 
-    Only the recursion reads ``members`` and ``log_joint``; both are listed
-    on first use, so the window engine never enumerates the subsets.
+    Only the recursion reads ``prefix``, ``log_joint`` and ``log_joint_total``;
+    all are listed on first use, so the window engine never enumerates the
+    subsets.
     """
 
     def __init__(self, grid: GridSpec, weights: SubsetWeights):
@@ -122,14 +129,27 @@ class MixtureBasis:
         return subset_masks(self.weights.n_streams, self.weights.K)
 
     @cached_property
-    def members(self) -> list[np.ndarray]:
-        return [np.flatnonzero(row) for row in self._masks]
+    def prefix(self) -> list[tuple[int, int]]:
+        """``(parent, last)`` for each subset after the singletons, in listing order.
+
+        The subset is its ``parent`` (itself less its largest member ``last``,
+        listed one size earlier) plus stream ``last``.  The singletons come
+        first, stream by stream.
+        """
+        members = [tuple(np.flatnonzero(row).tolist()) for row in self._masks]
+        index = {subset: s for s, subset in enumerate(members)}
+        return [(index[subset[:-1]], subset[-1]) for subset in members[self.weights.n_streams:]]
 
     @cached_property
     def log_joint(self) -> np.ndarray:
         """Joint log weight of each (subset, point) component: ``[S, P]``."""
         log_p_subset = log_subset_weights(self.weights, self._masks)
         return log_p_subset[:, None] + self.grid.log_weights[None, :]
+
+    @cached_property
+    def log_joint_total(self) -> float:
+        """``logsumexp(log_joint)``: 0 up to rounding, as the weights sum to one."""
+        return float(logsumexp(self.log_joint))
 
 
 @dataclass(frozen=True)
@@ -170,10 +190,14 @@ class DetectorState:
     ``FlatWeights`` for the Shiryaev-Roberts statistic.  ``increments``
     passed to the update operations have shape ``[R, P, N]`` (replications x
     grid points x streams).  In recursive mode the state holds
-    per-(subset, point) log components of shape ``[R, S, P]``; in window mode
-    it holds the raw increment history and re-evaluates the direct sum.
-    Every update is row by row, so ``retain`` can drop replications that have
-    stopped without changing the arithmetic of the others.
+    per-(subset, point) log components of shape ``[R, S, P]``, which
+    ``advance`` updates in place; in window mode it holds the raw increment
+    history and re-evaluates the direct sum.  Every update is row by row, so
+    ``retain`` can drop replications that have stopped without changing the
+    arithmetic of the others.  Since the components' joint weights sum to
+    one, the log statistic of a row is at most its largest log component
+    plus ``MixtureBasis.log_joint_total``; ``log_shiryaev(floor)`` uses this
+    bound to skip the exact read-out of rows provably below ``floor``.
     """
 
     def __init__(
@@ -216,17 +240,23 @@ class DetectorState:
     def subset_llrs(self, increments) -> np.ndarray:
         """Sum per-stream increments ``[..., P, N]`` over each subset: ``[..., S, P]``.
 
-        Accumulated member by member so every element's arithmetic is the same
-        whether it is summed alone, with other replications or with other steps.
+        Each subset's sum is its parent's sum plus the increment of its largest
+        member (``MixtureBasis.prefix``): the member-by-member fold from the
+        smallest member up, one add per subset.  Every element's arithmetic is
+        the same whether it is summed alone, with other replications or with
+        other steps.
         """
         inc = np.asarray(increments, dtype=float)
-        out = np.empty(inc.shape[:-2] + (self.basis.n_subsets, inc.shape[-2]))
-        for s, members in enumerate(self.basis.members):
-            acc = inc[..., members[0]].copy()
-            for i in members[1:]:
-                acc += inc[..., i]
-            out[..., s, :] = acc
-        return out
+        n, n_points = inc.shape[-1], inc.shape[-2]
+        # subset-major, so each add runs over contiguous memory
+        sums = np.empty((self.basis.n_subsets,) + inc.shape[:-1])  # [S, ..., P]
+        sums[:n] = np.moveaxis(inc, -1, 0)
+        for s, (parent, last) in enumerate(self.basis.prefix, start=n):
+            np.add(sums[parent], sums[last], out=sums[s])
+        # move the subset axis in with each point vector copied as one element
+        vector = np.dtype((np.void, 8 * n_points))
+        out = np.ascontiguousarray(np.moveaxis(sums.view(vector)[..., 0], 0, -1))
+        return out.view(float).reshape(inc.shape[:-2] + (self.basis.n_subsets, n_points))
 
     def _check_subset_llrs(self, subset_llrs) -> np.ndarray:
         if self.window_m1 is not None:
@@ -242,9 +272,11 @@ class DetectorState:
         log_tail = self.weighting.log_tail(n)
         if log_tail == -math.inf:
             raise ValueError(f"prior tail vanishes at n={n}; the Shiryaev statistic is undefined")
-        prev = self.log_components + self.weighting.log_tail(n - 1)
-        log_pi = self.weighting.log_mass(n - 1)
-        self.log_components = llr + np.logaddexp(prev, log_pi) - log_tail
+        log_c = self.log_components
+        log_c += self.weighting.log_tail(n - 1)
+        np.logaddexp(log_c, self.weighting.log_mass(n - 1), out=log_c)
+        log_c += llr
+        log_c -= log_tail
         self.n = n
 
     def _advance_window(self, inc: np.ndarray) -> None:
@@ -297,11 +329,29 @@ class DetectorState:
 
     # -- value -----------------------------------------------------------------
 
-    def log_shiryaev(self) -> np.ndarray:
-        """The log statistic ``[R]``: log S(n) under a prior, log R(n) under flat weights."""
-        if self.window_m1 is None:
-            return logsumexp(self.log_components + self.basis.log_joint[None], axis=(1, 2))
-        return self._log_value
+    def log_shiryaev(self, floor: float | None = None) -> np.ndarray:
+        """The log statistic ``[R]``: log S(n) under a prior, log R(n) under flat weights.
+
+        With a ``floor``, the recursion reads out exactly only the rows whose
+        bound ``max(log_components) + log_joint_total`` reaches ``floor`` less
+        a rounding margin; every other row gets its bound, which is below
+        ``floor``.  The bound holds because the joint weights sum to one.
+        """
+        if self.window_m1 is not None:
+            return self._log_value
+        log_joint = self.basis.log_joint[None]
+        if floor is None:
+            return logsumexp(self.log_components + log_joint, axis=(1, 2))
+        # the row maxima as a reduction over the first axis of a transposed
+        # copy, which runs elementwise across rows instead of row by row
+        columns = np.ascontiguousarray(self.log_components.reshape(self.n_reps, -1).T)
+        bound = columns.max(axis=0) + self.basis.log_joint_total
+        exact = ~(bound < floor - 1e-9 * max(1.0, abs(floor)))
+        if exact.all():
+            return logsumexp(self.log_components + log_joint, axis=(1, 2))
+        if exact.any():
+            bound[exact] = logsumexp(self.log_components[exact] + log_joint, axis=(1, 2))
+        return bound
 
     #: Read-outs are named after the rule; both return the same statistic.
     log_sr = log_shiryaev

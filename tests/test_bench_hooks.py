@@ -8,7 +8,20 @@ rename fails here in well under a second, without running a workload.
 import contextlib
 from pathlib import Path
 
-from qcdetect import cli, montecarlo
+import numpy as np
+
+from qcdetect import (
+    Detector,
+    DetectorConfig,
+    GeometricPrior,
+    GridSpec,
+    Scenario,
+    SubsetWeights,
+    cli,
+    gaussian_stream,
+    montecarlo,
+)
+from qcdetect.statistics import DetectorState
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -26,3 +39,31 @@ def test_tracer_and_record_capture_install(monkeypatch):
         assert cli.simulate_runs is montecarlo.simulate_runs
         assert montecarlo.simulate_runs is not original
     assert cli.simulate_runs is montecarlo.simulate_runs is original
+
+
+def test_stopping_times_reads_out_once_per_step_through_log_shiryaev(monkeypatch):
+    """The tracer's ``statistics.readout`` span covers the read-out of every step.
+
+    The read-out must go through ``DetectorState.log_shiryaev``, the attribute
+    the tracer wraps, once per step the scan takes.
+    """
+    calls = []
+    original = DetectorState.log_shiryaev
+
+    def counting(state, *args, **kwargs):
+        calls.append(state.n)
+        return original(state, *args, **kwargs)
+
+    monkeypatch.setattr(DetectorState, "log_shiryaev", counting)
+    n, horizon = 3, 120
+    scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(n)))
+    data = np.random.default_rng(5).normal(size=(16, horizon, n))
+    data[:, 40:, :2] += 1.0
+    for window_m1 in (None, 10):
+        config = DetectorConfig(kind="shiryaev-mixture", threshold_A=1e3, window_m1=window_m1)
+        detector = Detector(config, scenario, GeometricPrior(rho=0.05),
+                            GridSpec.common_amplitude((0.5, 1.0), n), SubsetWeights.uniform(n))
+        calls.clear()
+        stopped = detector.stopping_times(data)
+        assert (stopped > 0).all() and stopped.max() < horizon  # the scan ends early
+        assert calls == list(range(1, int(stopped.max()) + 1))

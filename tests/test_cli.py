@@ -546,3 +546,27 @@ def test_verify_catches_injected_window_offset(monkeypatch, capsys):
 def test_verify_passes_across_seeds():
     for seed in range(10):
         assert cli.main(["verify", "dp-enumeration", "telescoping", "--seed", str(seed)]) == EXIT_OK
+
+
+def test_verify_json_prints_one_object_per_check_and_the_counts(monkeypatch, capsys):
+    assert cli.main(["verify", "dp-enumeration", "--seed", "0"]) == EXIT_OK
+    text = capsys.readouterr().out.splitlines()
+    assert cli.main(["verify", "dp-enumeration", "--seed", "0", "--json"]) == EXIT_OK
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert records[-1] == {"checks": len(records) - 1, "failed": 0}
+    assert len(text) == len(records)  # one line per check, then the summary line
+    for line, record in zip(text[:-1], records[:-1]):
+        assert list(record) == ["suite", "name", "passed", "detail"]
+        assert line == f"PASS {record['suite']}/{record['name']}: {record['detail']}"
+
+    original = statistics_mod.direct_log_statistic
+
+    def off_by_one(increments, weighting, grid, weights, **kwargs):
+        kwargs["m0"] = kwargs.get("m0", 0) + 1
+        return original(increments, weighting, grid, weights, **kwargs)
+
+    monkeypatch.setattr(statistics_mod, "direct_log_statistic", off_by_one)
+    assert cli.main(["verify", "recursion-direct", "--seed", "0", "--json"]) == EXIT_VERIFY
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    failed = sum(not r["passed"] for r in records[:-1])
+    assert failed > 0 and records[-1] == {"checks": len(records) - 1, "failed": failed}

@@ -340,3 +340,62 @@ def test_log_statistic_is_exact_beyond_e700():
     # log R(3) = log(e^1500 + e^1000 + e^500), far beyond 700
     assert state.log_sr()[0] == pytest.approx(1500.0, rel=0.0, abs=1e-9)
     np.testing.assert_allclose(state.log_sr(), direct, rtol=0.0, atol=1e-9)
+
+
+# -- subset sums and the screened read-out ----------------------------------------
+
+
+def member_fold(increments, n_streams, K):
+    """Per-subset sums added member by member from the smallest member up."""
+    from qcdetect.likelihood import subset_masks
+
+    masks = subset_masks(n_streams, K)
+    out = np.empty(increments.shape[:-2] + (len(masks), increments.shape[-2]))
+    for s, row in enumerate(masks):
+        members = np.flatnonzero(row)
+        acc = increments[..., members[0]].copy()
+        for i in members[1:]:
+            acc += increments[..., i]
+        out[..., s, :] = acc
+    return out
+
+
+def test_prefix_subset_sums_equal_the_member_fold_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for n in range(1, 9):
+        grid = GridSpec(theta_points=((0.5,) * n, (1.0,) * n), weights=(0.3, 0.7))
+        for k in range(1, n + 1):
+            state = DetectorState(FlatWeights(), grid, SubsetWeights.uniform(n, K=k))
+            # magnitudes spread over 16 decades, so any other order of the adds shows
+            inc = rng.normal(size=(3, 4, 2, n)) * 10.0 ** rng.uniform(-8, 8, size=(3, 4, 2, n))
+            expected = member_fold(inc, n, k).view(np.int64)
+            np.testing.assert_array_equal(state.subset_llrs(inc).view(np.int64), expected)
+            np.testing.assert_array_equal(
+                state.subset_llrs(inc[:, 1]).view(np.int64), expected[:, 1]
+            )
+
+
+def test_screened_readout_is_exact_or_below_the_floor():
+    n = 4
+    grid = GridSpec(theta_points=((0.5,) * n, (1.5,) * n), weights=(0.8, 0.2))
+    weights = SubsetWeights(p=(0.3, 1.0, 2.0, 2.5), K=3)
+    rng = np.random.default_rng(13)
+    counts = np.zeros(2, dtype=int)  # rows screened, rows read out exactly
+    for weighting in (GeometricPrior(rho=0.05, q=0.1), FlatWeights()):
+        state = DetectorState(weighting, grid, weights, n_reps=64)
+        shift = rng.uniform(0.0, 1.5, size=(64, 1, n))
+        for t in range(30):
+            state.advance(rng.normal(shift[:, 0, None] * (t >= 10), 1.0, size=(64, 2, n)))
+            full = state.log_shiryaev()
+            bound = state.log_components.max(axis=(1, 2)) + state.basis.log_joint_total
+            assert (full <= bound + 1e-12).all()
+            for floor in (*np.quantile(full, [0.1, 0.5, 0.9]), full[0], -1e3, 1e3):
+                screened = bound < floor - 1e-9 * max(1.0, abs(floor))
+                value = state.log_shiryaev(floor)
+                np.testing.assert_array_equal(
+                    value[~screened].view(np.int64), full[~screened].view(np.int64)
+                )
+                assert (value[screened] < floor).all()
+                assert (full[screened] < floor).all()
+                counts += screened.sum(), (~screened).sum()
+    assert counts.min() > 1000

@@ -160,6 +160,23 @@ def test_stopping_times_do_not_depend_on_batching(case, cut):
     np.testing.assert_array_equal(whole, split)
 
 
+@PROPERTY_SETTINGS
+@given(detector_cases(), st.integers(0, 2**16))
+def test_thresholds_at_the_statistic_and_a_few_ulps_off_stop_at_the_first_crossing(case, pick):
+    detector, data, _ = case
+    log_traj = detector.log_trajectories(data)
+    level = log_traj.flat[pick % log_traj.size]
+    if not np.isfinite(level):
+        level = 0.0
+    for ulps in range(-3, 4):
+        log_threshold = level
+        for _ in range(abs(ulps)):
+            log_threshold = np.nextafter(log_threshold, np.copysign(np.inf, ulps))
+        with mock.patch.object(detector, "log_threshold", float(log_threshold)):
+            stopped = detector.stopping_times(data)
+        np.testing.assert_array_equal(stopped, first_crossing(log_traj, log_threshold))
+
+
 def _counted_stopping_times(detector, data):
     """Stopping times and the number of rows in the state at every ``advance``."""
     rows_per_step = []
