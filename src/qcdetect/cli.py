@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import io
 import json
@@ -23,12 +24,11 @@ import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
-import numpy as np
-
 from .detectors import (
     SHIRYAEV_MIXTURE,
     Detector,
     DetectorConfig,
+    delay_tail_rate,
     threshold_cost,
     threshold_shiryaev,
     threshold_sr,
@@ -41,7 +41,6 @@ from .montecarlo import (
     InfeasibleHorizonError,
     MCConfig,
     PriorNuSampler,
-    _delay_estimate,
     asymptotic_ratio_sweep,
     estimate_pfa,
     simulate_runs,
@@ -277,6 +276,15 @@ def serialize_config(config: RunConfig) -> str:
 # -- builders ---------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _invalid(what: str | None = None):
+    """Report a ValueError raised inside as a config error, about ``what`` if given."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what}: {exc}" if what else str(exc))
+
+
 def _broadcast(values, n: int, what: str):
     if len(values) == 1:
         return tuple(values) * n
@@ -291,12 +299,10 @@ def build_scenario(section: ScenarioSection) -> Scenario:
         raise ConfigError(f"streams must be >= 1, got {n}")
     sigma = _broadcast(section.sigma, n, "scenario sigma")
     theta = _broadcast(section.theta, n, "scenario theta")
-    try:
+    with _invalid("scenario"):
         if section.kind == "ar":
-            coeffs = section.coeffs if len(section.coeffs) != 1 else section.coeffs * n
-            signal = section.signal if len(section.signal) != 1 else section.signal * n
-            if len(coeffs) != n or len(signal) != n:
-                raise ConfigError("coeffs/signal need 1 or streams rows")
+            coeffs = _broadcast(section.coeffs, n, "scenario coeffs")
+            signal = _broadcast(section.signal, n, "scenario signal")
             channels = tuple(
                 ARChannelSpec(coeffs=coeffs[i], sigma=sigma[i], signal=signal[i], theta=theta[i])
                 for i in range(n)
@@ -313,52 +319,42 @@ def build_scenario(section: ScenarioSection) -> Scenario:
             )
         else:
             raise ConfigError(f"unknown scenario kind {section.kind!r}")
-    except ValueError as exc:
-        raise ConfigError(f"invalid scenario: {exc}")
     return Scenario(channels)
 
 
 def build_prior(section: PriorSection) -> PriorSpec:
-    try:
+    with _invalid("prior"):
         if section.kind == "geometric":
             return GeometricPrior(section.rho, q=section.q)
         if section.kind == "polynomial-tail":
             return PolynomialTailPrior(section.beta, q=section.q)
         if section.kind == "point-mass":
             return PointMassPrior(section.k0, q=section.q)
-    except ValueError as exc:
-        raise ConfigError(f"invalid prior: {exc}")
     raise ConfigError(f"unknown prior kind {section.kind!r}")
 
 
 def build_grid(section: GridSection, n_streams: int) -> GridSpec:
-    rows = tuple(
-        row if len(row) == n_streams else _broadcast(row, n_streams, "grid point")
-        for row in section.theta_points
-    )
+    rows = tuple(_broadcast(row, n_streams, "grid point") for row in section.theta_points)
     weights = section.weights
     if weights is None:
         weights = (1.0 / len(rows),) * len(rows)
-    try:
+    with _invalid("grid"):
         return GridSpec(theta_points=rows, weights=weights)
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid: {exc}")
 
 
 def build_weights(section: GridSection, n_streams: int) -> SubsetWeights:
     p = _broadcast(section.p, n_streams, "stream weights p")
     K = section.K if section.K is not None else n_streams
-    try:
+    with _invalid("subset weights"):
         return SubsetWeights(p=p, K=K)
-    except ValueError as exc:
-        raise ConfigError(f"invalid subset weights: {exc}")
 
 
-def build_change(section: ChangeSection | None, scenario: Scenario) -> ChangeSpec:
-    """The change on 0-based streams, checked before any simulation.
+def build_change(section: ChangeSection | None, scenario: Scenario, horizon: int):
+    """The sampler of the change on 0-based streams, checked before any simulation.
 
-    ``nu = prior`` gives ``nu = 0`` here: every replication then draws its own
-    change point, and its ``ChangeSpec`` makes the same checks.
+    A fixed change must happen inside the ``horizon``.  ``nu = prior`` is
+    checked as ``nu = 0``: every replication then draws its own change point,
+    and its ``ChangeSpec`` makes the same checks.
     """
     if section is None:
         raise ConfigError("this command needs a [change] section")
@@ -371,10 +367,13 @@ def build_change(section: ChangeSection | None, scenario: Scenario) -> ChangeSpe
         nu = 0 if section.nu == "prior" else int(section.nu)
     except ValueError:
         raise ConfigError(f"change nu must be an integer or 'prior', got {section.nu!r}")
-    try:
-        return ChangeSpec(nu, subset0, section.theta)
-    except ValueError as exc:
-        raise ConfigError(f"invalid change: {exc}")
+    with _invalid("change"):
+        change = ChangeSpec(nu, subset0, section.theta)
+        if section.nu == "prior":
+            return PriorNuSampler(change.subset, change.theta)
+        sampler = FixedChangeSampler(change)
+        sampler.check_horizon(horizon)
+    return sampler
 
 
 @dataclass(frozen=True)
@@ -393,26 +392,22 @@ def calibrate_threshold(config: RunConfig) -> CalibrationReport:
     prior = build_prior(config.prior)
     if section.threshold is not None:
         return CalibrationReport(section.kind, section.threshold, "explicit", "threshold as given")
-    shiryaev = section.kind == SHIRYAEV_MIXTURE
     try:
         if section.alpha is not None:
-            if shiryaev:
+            if section.kind == SHIRYAEV_MIXTURE:
                 a = threshold_shiryaev(section.alpha, q=prior.q)
                 return CalibrationReport(
                     section.kind, a, f"alpha={section.alpha!r}", "A = (1 - alpha) / alpha"
                 )
             a = threshold_sr(section.alpha, section.omega, prior)
             return CalibrationReport(
-                section.kind,
-                a,
-                f"alpha={section.alpha!r}",
-                "A = (omega * b + mean(nu)) / alpha",
+                section.kind, a, f"alpha={section.alpha!r}", "A = (omega * b + mean(nu)) / alpha"
             )
         if section.cost_c is not None:
             scenario = build_scenario(config.scenario)
             grid = build_grid(config.grid, scenario.n_streams)
             weights = build_weights(config.grid, scenario.n_streams)
-            mu = prior.tail_rate if shiryaev else 0.0
+            mu = delay_tail_rate(section.kind, prior)
             rates = scenario.kl_per_stream(grid.points)
             d = d_constant(weights, grid, rates, mu, section.cost_r)
             a = threshold_cost(section.cost_c, section.cost_r, d)
@@ -435,7 +430,7 @@ def build_detector(config: RunConfig, threshold: float | None = None) -> Detecto
     prior = build_prior(config.prior)
     grid = build_grid(config.grid, scenario.n_streams)
     weights = build_weights(config.grid, scenario.n_streams)
-    try:
+    with _invalid("detector"):
         det_config = DetectorConfig(
             kind=section.kind,
             threshold_A=threshold,
@@ -444,117 +439,86 @@ def build_detector(config: RunConfig, threshold: float | None = None) -> Detecto
             head_start_omega=section.omega,
         )
         return Detector(det_config, scenario, prior, grid, weights)
-    except ValueError as exc:
-        raise ConfigError(f"invalid detector: {exc}")
 
 
 def build_mc(config: RunConfig, seed: int | None, workers: int | None) -> MCConfig:
     section = config.mc
-    try:
+    with _invalid("mc section"):
         return MCConfig(
             replications=section.replications,
             master_seed=section.master_seed if seed is None else seed,
             horizon=section.horizon,
             workers=section.workers if workers is None else workers,
         )
-    except ValueError as exc:
-        raise ConfigError(f"invalid mc section: {exc}")
 
 
 # -- commands ---------------------------------------------------------------------
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Print a command's text and write the same bytes to ``out``, if given."""
+    print(text, end="")
+    if out:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
 
 
 def cmd_calibrate(config: RunConfig, out: str | None) -> int:
     report = calibrate_threshold(config)
     # constructing the detector cross-validates threshold against prior and grid
     build_detector(config, threshold=report.threshold_A)
-    text = json.dumps(asdict(report), indent=2, sort_keys=True)
-    print(text)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+    _emit(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n", out)
     return EXIT_OK
 
 
 def cmd_simulate(config: RunConfig, out: str | None, seed: int | None, workers: int | None) -> int:
     detector = build_detector(config)
     mc = build_mc(config, seed, workers)
-    change = build_change(config.change, detector.scenario)
-    if config.change.nu == "prior":
-        sampler = PriorNuSampler(change.subset, change.theta)
-    else:
-        sampler = FixedChangeSampler(change)
+    sampler = build_change(config.change, detector.scenario, mc.horizon)
     records = simulate_runs(detector, mc, sampler)
-
-    rows = []
-    for rep in range(mc.replications):
-        stopped = int(records.stopped[rep])
-        nu_r = int(records.nu[rep])
-        censored = stopped < 0
-        rows.append(
-            {
-                "replication": rep,
-                "nu": nu_r,
-                "stopped_at": "" if censored else stopped,
-                "censored": int(censored),
-                "delay": "" if censored or stopped <= nu_r else stopped - nu_r,
-            }
-        )
-    false_alarm = (records.stopped >= 1) & (records.stopped <= records.nu)
+    moments = {str(r): records.delay_moment(r) for r in config.mc.moments}
     summary = {
         "replications": mc.replications,
-        "censored_fraction": float(np.mean(records.censored)),
-        "pfa_estimate": float(np.mean(false_alarm)),
-        "delay_moments": {},
+        "censored_fraction": records.censored_fraction,
+        "pfa_estimate": float(records.false_alarm.mean()),
+        "delay_moments": {
+            r: {"mean": est.mean, "stderr": est.stderr, "n_effective": est.n_effective}
+            for r, est in moments.items()
+        },
     }
-    for r in config.mc.moments:
-        est = _delay_estimate(records, r)
-        summary["delay_moments"][str(r)] = {
-            "mean": est.mean,
-            "stderr": est.stderr,
-            "n_effective": est.n_effective,
-        }
-    print(json.dumps(summary, indent=2, sort_keys=True))
     if out:
+        columns = (records.nu, records.stopped, records.censored, records.detected)
+        rows = [
+            {"replication": rep, "nu": nu, "stopped_at": "" if censored else stopped,
+             "censored": int(censored), "delay": stopped - nu if detected else ""}
+            for rep, (nu, stopped, censored, detected)
+            in enumerate(zip(*(column.tolist() for column in columns)))
+        ]
         with open(out + ".csv", "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["replication", "nu", "stopped_at", "censored", "delay"]
-            )
-            writer.writeheader()
-            writer.writerows(rows)
-        with open(out + ".json", "w") as fh:
-            fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+            fh.write(_csv_text(rows))
+    _emit(json.dumps(summary, indent=2, sort_keys=True) + "\n", out and out + ".json")
     return EXIT_OK
 
 
 def cmd_oc_sweep(config: RunConfig, out: str | None, seed: int | None, workers: int | None) -> int:
     if not config.sweep.alphas:
         raise ConfigError("oc-sweep needs a [sweep] section with an alphas grid")
-    scenario = build_scenario(config.scenario)
-    prior = build_prior(config.prior)
     mc = build_mc(config, seed, workers)
-    change = build_change(config.change, scenario)
-    subset = change.subset
-    theta = change.theta if change.theta is not None else scenario.nominal_theta(subset)
-    try:
-        info_rate = float(
-            sum(scenario.channels[i].kl_rate(t) for i, t in zip(subset, theta))
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid change: {exc}")
     # every level is calibrated and checked before anything is simulated
     level = replace(config.detector, threshold=None, cost_c=None)
     detectors = {
         alpha: build_detector(replace(config, detector=replace(level, alpha=alpha)))
         for alpha in config.sweep.alphas
     }
-    # read after the detectors, which reject a Shiryaev rule on a prior without a tail rate
-    mu = prior.tail_rate if config.detector.kind == SHIRYAEV_MIXTURE else 0.0
-    if not info_rate + mu > 0.0:
-        raise ConfigError(f"the first-order delay needs I + mu > 0, got {info_rate + mu!r}")
+    detector = detectors[config.sweep.alphas[0]]
+    sampler = build_change(config.change, detector.scenario, mc.horizon)
+    if not isinstance(sampler, PriorNuSampler):
+        raise ConfigError("oc-sweep draws nu from the prior; set [change] nu = prior")
+    with _invalid():
+        detector.first_order_rate(sampler.subset, sampler.theta)
     rows = asymptotic_ratio_sweep(
-        detectors.__getitem__, config.sweep.alphas, config.sweep.r, mc, subset, theta,
-        info_rate, mu,
+        detectors.__getitem__, config.sweep.alphas, config.sweep.r, mc, sampler.subset,
+        sampler.theta,
     )
     table = []
     for row in rows:
@@ -573,11 +537,7 @@ def cmd_oc_sweep(config: RunConfig, out: str | None, seed: int | None, workers: 
                 "censored_fraction": row.censored_fraction,
             }
         )
-    text = _csv_text(table)
-    print(text, end="")
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+    _emit(_csv_text(table), out)
     return EXIT_OK
 
 
@@ -594,7 +554,8 @@ def cmd_verify(suites: list[str], seed: int, as_json: bool = False) -> int:
     """Run the oracle suites; one line per check, as text or as a JSON object."""
     from . import verify  # its oracles import scipy, which no other command needs
 
-    results = verify.run_suites(suites if suites else None, seed=seed)
+    with _invalid():  # an unknown suite or a negative seed, found before any check runs
+        results = verify.run_suites(suites if suites else None, seed=seed)
     failed = [r for r in results if not r.passed]
     for r in results:
         if as_json:
@@ -647,9 +608,7 @@ def main(argv=None) -> int:
             return cmd_calibrate(config, args.out)
         if args.command == "simulate":
             return cmd_simulate(config, args.out, args.seed, args.workers)
-        if args.command == "oc-sweep":
-            return cmd_oc_sweep(config, args.out, args.seed, args.workers)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_oc_sweep(config, args.out, args.seed, args.workers)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -126,6 +126,23 @@ class Detector:
             return 1.0 / (1.0 + a)
         return _sr_bound(self.config.head_start_omega, self.prior) / a
 
+    def first_order_rate(self, subset, theta=None) -> float:
+        """``I + mu`` > 0 in the first-order delay ``(|log alpha| / (I + mu))^r``.
+
+        ``I`` sums the rates of the streams in ``subset`` at ``theta`` (nominal
+        when None) and ``mu`` is ``delay_tail_rate``.
+        """
+        if theta is None:
+            theta = self.scenario.nominal_theta(subset)
+        try:
+            info = float(sum(self.scenario.channels[i].kl_rate(t) for i, t in zip(subset, theta)))
+        except ValueError as exc:
+            raise ValueError(f"invalid change: {exc}") from exc
+        rate = info + delay_tail_rate(self.config.kind, self.prior)
+        if not rate > 0.0:
+            raise ValueError(f"the first-order delay needs I + mu > 0, got {rate!r}")
+        return rate
+
     def _new_state(self, n_reps: int) -> DetectorState:
         return DetectorState(
             self.weighting,
@@ -210,6 +227,11 @@ class Detector:
         Each run is stepped only up to its own stop.
         """
         return self._scan(self._check_data(data), self.log_threshold)
+
+
+def delay_tail_rate(kind: str, prior: PriorSpec) -> float:
+    """The prior's tail rate ``mu`` in a rule's delay: 0 for the Shiryaev-Roberts rule."""
+    return prior.tail_rate if kind == SHIRYAEV_MIXTURE else 0.0
 
 
 def threshold_shiryaev(alpha: float, q: float = 0.0) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .likelihood import SubsetWeights, log_subset_weights, subset_masks
 from .model import replication_rng
+from .montecarlo import MCEstimate
 from .statistics import GridSpec
 
 
@@ -62,8 +63,6 @@ def estimate_kl_slope(channel, theta: float, n: int, replications: int, master_s
     channel at the true parameter ``theta`` and averages the per-path slope
     ``lambda(0, n) / n``; a diagnostic for the analytic information rates.
     """
-    from .montecarlo import MCEstimate  # local import to avoid a cycle
-
     if n < 1:
         raise ValueError(f"path length must be >= 1, got {n}")
     if replications < 2:

@@ -76,7 +76,11 @@ class MCEstimate:
 
 @dataclass
 class RunRecords:
-    """Per-replication outcomes, indexed by replication."""
+    """Per-replication outcomes, indexed by replication.
+
+    Each replication is exactly one of: censored (no alarm by the horizon), a
+    false alarm (at or before the change), or a detection (after it).
+    """
 
     nu: np.ndarray       # sampled change point (NO_CHANGE for pure-noise runs)
     stopped: np.ndarray  # 1-based stopping time, -1 when censored
@@ -84,6 +88,24 @@ class RunRecords:
     @property
     def censored(self) -> np.ndarray:
         return self.stopped < 0
+
+    @property
+    def censored_fraction(self) -> float:
+        return float(self.censored.mean())
+
+    @property
+    def false_alarm(self) -> np.ndarray:
+        return ~self.censored & (self.stopped <= self.nu)
+
+    @property
+    def detected(self) -> np.ndarray:
+        return ~self.censored & (self.stopped > self.nu)
+
+    def delay_moment(self, r: float) -> MCEstimate:
+        """r-th moment of ``stopped - nu`` over detections; ``nu = -1`` counts T + 1."""
+        detected = self.detected
+        delays = (self.stopped[detected] - self.nu[detected]).astype(float)
+        return MCEstimate.from_values(delays**r, censored_fraction=self.censored_fraction)
 
 
 # -- change samplers ----------------------------------------------------------
@@ -97,6 +119,10 @@ class FixedChangeSampler:
 
     def draw(self, prior: PriorSpec, rng) -> ChangeSpec:
         return self.change
+
+    def check_horizon(self, horizon: int) -> None:
+        if self.change.nu >= horizon:
+            raise ValueError(f"the change must happen inside the simulation horizon ({horizon})")
 
 
 #: Pure-noise runs: the change never happens within the horizon.
@@ -236,19 +262,9 @@ def estimate_pfa_naive(
     records = simulate_runs(
         detector, mc, PriorNuSampler(tuple(subset), None if theta is None else tuple(theta))
     )
-    alarmed = records.stopped >= 1
-    false_alarm = alarmed & (records.stopped <= records.nu)
     return MCEstimate.from_values(
-        false_alarm.astype(float), censored_fraction=float(records.censored.mean())
+        records.false_alarm.astype(float), censored_fraction=records.censored_fraction
     )
-
-
-def _delay_estimate(records: RunRecords, r: float) -> MCEstimate:
-    censored = records.censored
-    resolved = ~censored
-    detected = resolved & (records.stopped > records.nu)
-    delays = (records.stopped[detected] - records.nu[detected]).astype(float)
-    return MCEstimate.from_values(delays**r, censored_fraction=float(censored.mean()))
 
 
 def estimate_conditional_delay(
@@ -261,24 +277,19 @@ def estimate_conditional_delay(
     """
     if r < 1.0:
         raise ValueError(f"moment order must be >= 1, got {r}")
-    if change.nu >= mc.horizon:
-        raise ValueError("the change must happen inside the simulation horizon")
-    records = simulate_runs(detector, mc, FixedChangeSampler(change))
-    return _delay_estimate(records, r)
+    sampler = FixedChangeSampler(change)
+    sampler.check_horizon(mc.horizon)
+    return simulate_runs(detector, mc, sampler).delay_moment(r)
 
 
 def estimate_bayes_delay(
     detector: Detector, subset, theta, r: float, mc: MCConfig
 ) -> MCEstimate:
-    """r-th moment of (T - nu) given T > nu, with nu drawn from the prior.
-
-    ``nu = -1`` (change before the start) counts a delay of T + 1.
-    """
+    """r-th moment of (T - nu) given T > nu, with nu drawn from the prior."""
     if r < 1.0:
         raise ValueError(f"moment order must be >= 1, got {r}")
     sampler = PriorNuSampler(tuple(subset), None if theta is None else tuple(theta))
-    records = simulate_runs(detector, mc, sampler)
-    return _delay_estimate(records, r)
+    return simulate_runs(detector, mc, sampler).delay_moment(r)
 
 
 def estimate_average_risk(
@@ -296,14 +307,10 @@ def estimate_average_risk(
         raise ValueError(f"moment order must be >= 1, got {r}")
     records = simulate_runs(detector, mc, JointSampler.for_detector(detector))
     resolved = ~records.censored
-    stopped = records.stopped[resolved]
-    nu = records.nu[resolved]
-    false_alarm = (stopped <= nu).astype(float)
-    delay = np.maximum(stopped - nu, 0).astype(float)
+    false_alarm = records.false_alarm[resolved].astype(float)
+    delay = np.maximum(records.stopped - records.nu, 0)[resolved].astype(float)
     values = false_alarm + c * delay**r
-    return MCEstimate.from_values(
-        values, censored_fraction=float(records.censored.mean())
-    )
+    return MCEstimate.from_values(values, censored_fraction=records.censored_fraction)
 
 
 @dataclass(frozen=True)
@@ -321,31 +328,23 @@ class SweepRow:
 
 
 def asymptotic_ratio_sweep(
-    detector_factory,
-    alphas,
-    r: float,
-    mc: MCConfig,
-    subset,
-    theta,
-    info_rate: float,
-    mu: float,
+    detector_factory, alphas, r: float, mc: MCConfig, subset, theta
 ) -> list[SweepRow]:
     """Delay moments across a grid of false-alarm levels, against first order.
 
     ``detector_factory(alpha)`` must return the calibrated detector for each
-    level.  The ratio column divides the simulated Bayes delay moment by
-    ``(|log alpha| / (info_rate + mu))^r``; for Shiryaev-Roberts rules pass
-    ``mu = 0``.  Replication seeds are shared across levels, so compared rows
-    use common random numbers.  The change-point prior is held fixed across
-    the sweep; level-dependent priors are out of scope for this table.
+    level.  The ratio column divides the simulated Bayes delay moment of a
+    change in ``subset`` at ``theta`` by ``(|log alpha| / (I + mu))^r``, with
+    ``I + mu`` from ``Detector.first_order_rate``.  Replication seeds are
+    shared across levels, so compared rows use common random numbers.  The
+    change-point prior is held fixed across the sweep; level-dependent priors
+    are out of scope for this table.
     """
-    if info_rate + mu <= 0.0:
-        raise ValueError("info_rate + mu must be positive")
     rows = []
     for alpha in alphas:
         detector = detector_factory(alpha)
+        first_order = (abs(math.log(alpha)) / detector.first_order_rate(subset, theta)) ** r
         est = estimate_bayes_delay(detector, subset, theta, r, mc)
-        first_order = (abs(math.log(alpha)) / (info_rate + mu)) ** r
         rows.append(
             SweepRow(
                 alpha=float(alpha),

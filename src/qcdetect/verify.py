@@ -293,14 +293,18 @@ def run_suites(names=None, seed: int = 0) -> list[CheckResult]:
     """Run the named suites (all of them by default) with the given seed.
 
     A suite that raises is reported as a failed check rather than crashing the
-    harness; broken invariants often surface as exceptions first.
+    harness; broken invariants often surface as exceptions first.  An unknown
+    suite name or a negative seed raises ValueError before any suite runs.
     """
     if names is None or names == ["all"] or names == "all":
         names = list(SUITES)
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite {unknown[0]!r}; available: {sorted(SUITES)}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     results = []
     for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
         try:
             results.extend(SUITES[name](seed=seed))
         except Exception as exc:

@@ -266,8 +266,6 @@ def _trend_ok(rows):
 
 def test_09_first_order_delay_trend():
     scenario, grid, weights, prior = single_stream_setup(rho=0.01)
-    info_rate = 0.5
-    mu = prior.tail_rate
     alphas = [1e-1, 1e-2, 1e-3, 1e-4]
     mc = MCConfig(replications=5000, master_seed=109, horizon=2200)
     start = time.perf_counter()
@@ -284,10 +282,8 @@ def test_09_first_order_delay_trend():
             scenario, prior, grid, weights,
         )
 
-    rows_s = asymptotic_ratio_sweep(
-        shiryaev_factory, alphas, 1, mc, (0,), (1.0,), info_rate, mu
-    )
-    rows_r = asymptotic_ratio_sweep(sr_factory, alphas, 1, mc, (0,), (1.0,), info_rate, 0.0)
+    rows_s = asymptotic_ratio_sweep(shiryaev_factory, alphas, 1, mc, (0,), (1.0,))
+    rows_r = asymptotic_ratio_sweep(sr_factory, alphas, 1, mc, (0,), (1.0,))
     elapsed = time.perf_counter() - start
     mono_s, final_s, ok_s = _trend_ok(rows_s)
     mono_r, final_r, ok_r = _trend_ok(rows_r)

@@ -231,6 +231,10 @@ BAD_CONFIGS = {
     # read only by the cost route, so next to alpha it used to be ignored
     "cost-moment-order-below-one": ("calibrate", with_detector_keys("cost_r = 0.5")),
     "moments-below-one": ("simulate", BASE_CONFIG.replace("moments = 1, 2", "moments = 0, -1")),
+    # a change at the horizon is never observed, so no delay could be measured
+    "fixed-change-at-the-horizon": ("simulate", BASE_CONFIG.replace("nu = 0", "nu = 150")),
+    # the sweep draws nu from the prior, so a fixed nu would be silently ignored
+    "sweep-fixed-nu": ("oc-sweep", BASE_CONFIG.replace("nu = 0", "nu = 7") + SWEEP),
     "sweep-moment-order-zero": ("oc-sweep", PRIOR_NU + SWEEP.replace("r = 1", "r = 0")),
     # I + mu = 0: no change in the data and no prior tail rate under the SR rule
     "sweep-zero-information-rate": (
@@ -464,9 +468,7 @@ def test_oc_sweep_threshold_monotone_and_ratio_shared(tmp_path):
             scenario, prior, grid, weights,
         )
 
-    expected = asymptotic_ratio_sweep(
-        factory, [0.1, 0.01], 1, mc, (0,), (1.0,), 0.5, prior.tail_rate
-    )
+    expected = asymptotic_ratio_sweep(factory, [0.1, 0.01], 1, mc, (0,), (1.0,))
     for row, exp in zip(rows, expected):
         assert float(row["ratio"]) == exp.ratio
         assert float(row["ratio_se"]) == exp.ratio_se
@@ -541,6 +543,18 @@ def test_verify_catches_injected_window_offset(monkeypatch, capsys):
     assert cli.main(["verify", "recursion-direct", "--seed", "0"]) == EXIT_VERIFY
     out = capsys.readouterr().out
     assert "FAIL recursion-direct" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["nosuch"], ["dp-enumeration", "nosuch"], ["sr-mean", "--seed", "-1"]],
+    ids=["unknown-suite", "unknown-after-known", "negative-seed"],
+)
+def test_verify_bad_input_is_a_one_line_config_error(argv, capsys):
+    assert cli.main(["verify", *argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""  # rejected before any suite runs
+    assert captured.err.startswith("configuration error") and captured.err.count("\n") == 1
 
 
 def test_verify_passes_across_seeds():

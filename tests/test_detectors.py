@@ -202,6 +202,27 @@ def test_pfa_bound():
     assert sr.pfa_bound() == pytest.approx(0.1)  # mean(nu) = 9
 
 
+def test_first_order_rate_adds_the_tail_rate_for_the_shiryaev_rule_only():
+    scenario = Scenario((gaussian_stream(theta=1.0), gaussian_stream(theta=2.0)))
+    prior = GeometricPrior(rho=0.1)
+
+    def detector(kind):
+        config = DetectorConfig(kind=kind, threshold_A=19.0)
+        return Detector(
+            config, scenario, prior, GridSpec.common_amplitude((1.0,), 2),
+            SubsetWeights.uniform(2),
+        )
+
+    shiryaev, sr = detector("shiryaev-mixture"), detector("sr-mixture")
+    # a Gaussian stream's rate is theta^2 / 2; theta defaults to the nominal values
+    assert sr.first_order_rate((0, 1)) == 0.5 + 2.0
+    assert shiryaev.first_order_rate((0, 1)) == 2.5 + prior.tail_rate
+    assert sr.first_order_rate((1,), (3.0,)) == 4.5
+    assert shiryaev.first_order_rate((0,), (0.0,)) == prior.tail_rate
+    with pytest.raises(ValueError, match=r"I \+ mu > 0, got 0.0"):
+        sr.first_order_rate((0,), (0.0,))
+
+
 # -- running ----------------------------------------------------------------------------
 
 

@@ -1,12 +1,15 @@
-"""Golden stopping times: small fixed runs whose outcomes must not move.
+"""Golden outputs: small fixed runs whose results must not move.
 
-Each digest is the SHA-256 of ``stopped`` then ``nu`` (little-endian int64) of
-one ``simulate_runs`` call.  A change that alters a single bit of the data,
-the statistics or the stopping rule changes a digest; such a change must be
-deliberate and say so.
+Each stopping-time digest is the SHA-256 of ``stopped`` then ``nu``
+(little-endian int64) of one ``simulate_runs`` call.  Each CLI digest is the
+SHA-256 of a command's stdout then the files it writes with ``--out``.  A
+change that alters a single bit of the data, the statistics, the stopping rule
+or the CLI's output changes a digest; such a change must be deliberate and say
+so.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,9 @@ from qcdetect import (
     threshold_shiryaev,
     threshold_sr,
 )
+from qcdetect import cli
 from qcdetect.montecarlo import FixedChangeSampler, JointSampler, PriorNuSampler
+from test_cli import BASE_CONFIG, PRIOR_NU, SWEEP
 
 
 def digest(records) -> str:
@@ -145,3 +150,52 @@ GOLDEN = {
 def test_golden_stopping_times(name):
     run, expected = GOLDEN[name]
     assert digest(run()) == expected
+
+
+SR_RULE = ("kind = shiryaev-mixture", "kind = sr-mixture")
+COST = ("alpha = 0.05", "cost_c = 0.001")
+
+#: name -> (command, config, suffixes of the files written to ``--out``, digest)
+CLI_GOLDEN = {
+    "calibrate_alpha": (
+        "calibrate", BASE_CONFIG, ("",),
+        "c9f33f6d18a3464add15a16b4cdf95d83449e334b55b51dfa8beaea90e7ea374",
+    ),
+    "calibrate_cost": (
+        "calibrate", BASE_CONFIG.replace(*COST), ("",),
+        "d3ac9fee502f2e875b9227c0a4e50b4860c348a261aff42de678e56710908c91",
+    ),
+    "calibrate_cost_sr": (
+        "calibrate", BASE_CONFIG.replace(*COST).replace(*SR_RULE), ("",),
+        "8cfaece0b37a86fce93679aba94605451f8cf099d5a8efa79bc20f0ee7f3f754",
+    ),
+    "simulate_fixed_nu": (
+        "simulate", BASE_CONFIG, (".csv", ".json"),
+        "1dc71688dbb28d566a983053458900e6b93913b24c74ea78e7d6b60324edb93c",
+    ),
+    "simulate_prior_nu": (
+        "simulate", PRIOR_NU, (".csv", ".json"),
+        "693753b1db6298d9436914f74fc864058f79b3c5ba5755cf4d88869af3df3aca",
+    ),
+    "oc_sweep_shiryaev": (
+        "oc-sweep", PRIOR_NU + SWEEP, ("",),
+        "325e090f4b54056f1203bad4dd986207f459153b3f2374670a4c35ab1400bd33",
+    ),
+    "oc_sweep_sr": (
+        "oc-sweep", PRIOR_NU.replace(*SR_RULE) + SWEEP, ("",),
+        "0a44f5144946af0a12e2d9ef594742d6def23db8c962e9d27bf756367aa9ff5a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+def test_golden_cli_bytes(name, tmp_path, capsys):
+    command, text, suffixes, expected = CLI_GOLDEN[name]
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    out = str(tmp_path / "out")
+    assert cli.main([command, "--config", str(path), "--out", out]) == cli.EXIT_OK
+    h = hashlib.sha256(capsys.readouterr().out.encode())
+    for suffix in suffixes:
+        h.update(Path(out + suffix).read_bytes())
+    assert h.hexdigest() == expected

@@ -26,11 +26,13 @@ from qcdetect import (
     threshold_shiryaev,
     threshold_sr,
 )
+from qcdetect.model import NO_CHANGE
 from qcdetect.montecarlo import (
     NO_CHANGE_SAMPLER,
     FixedChangeSampler,
     JointSampler,
     MCEstimate,
+    RunRecords,
     estimate_pfa_naive,
 )
 
@@ -223,6 +225,40 @@ def test_fixed_change_sampler_records_nu():
     mc = MCConfig(replications=10, master_seed=15, horizon=20)
     records = simulate_runs(detector, mc, FixedChangeSampler(ChangeSpec(nu=4, subset=(0,))))
     assert np.all(records.nu == 4)
+
+
+def test_run_records_give_each_replication_one_outcome():
+    # change before the start (nu = -1), no change, and alarms before, at and after nu
+    nu = np.array([-1, -1, 5, 5, 5, 5, NO_CHANGE, NO_CHANGE, 0, 3])
+    stopped = np.array([1, -1, 3, 5, 6, -1, 7, -1, 1, 12])
+    records = RunRecords(nu=nu, stopped=stopped)
+    np.testing.assert_array_equal(records.false_alarm, [0, 0, 1, 1, 0, 0, 1, 0, 0, 0])
+    np.testing.assert_array_equal(records.detected, [1, 0, 0, 0, 1, 0, 0, 0, 1, 1])
+    assert records.censored_fraction == 0.3
+    rng = np.random.default_rng(7)
+    mixed = RunRecords(
+        nu=rng.integers(-1, 40, size=500),
+        stopped=np.where(rng.random(500) < 0.2, -1, rng.integers(1, 60, size=500)),
+    )
+    for rec in (records, mixed):
+        outcomes = np.stack([rec.censored, rec.false_alarm, rec.detected]).astype(int)
+        np.testing.assert_array_equal(outcomes.sum(axis=0), 1)
+        for r in (1, 2, 2.5):
+            # the delay moment as it was computed before RunRecords defined it
+            hit = ~rec.censored & (rec.stopped > rec.nu)
+            delays = (rec.stopped[hit] - rec.nu[hit]).astype(float)
+            expected = MCEstimate.from_values(
+                delays**r, censored_fraction=float(rec.censored.mean())
+            )
+            assert rec.delay_moment(r) == expected
+
+
+def test_fixed_change_must_lie_inside_the_horizon():
+    detector = make_detector()
+    mc = MCConfig(replications=10, master_seed=16, horizon=20)
+    with pytest.raises(ValueError, match="inside the simulation horizon"):
+        estimate_conditional_delay(detector, ChangeSpec(nu=20, subset=(0,)), 1, mc)
+    estimate_conditional_delay(detector, ChangeSpec(nu=19, subset=(0,)), 1, mc)  # the last step
 
 
 def test_moment_order_validated():
