@@ -354,7 +354,8 @@ def build_change(section: ChangeSection | None, scenario: Scenario, horizon: int
 
     A fixed change must happen inside the ``horizon``.  ``nu = prior`` is
     checked as ``nu = 0``: every replication then draws its own change point,
-    and its ``ChangeSpec`` makes the same checks.
+    and its ``ChangeSpec`` makes the same checks.  A given ``theta`` must pass
+    each affected channel's own rule, the one its ``kl_rate`` enforces.
     """
     if section is None:
         raise ConfigError("this command needs a [change] section")
@@ -369,6 +370,8 @@ def build_change(section: ChangeSection | None, scenario: Scenario, horizon: int
         raise ConfigError(f"change nu must be an integer or 'prior', got {section.nu!r}")
     with _invalid("change"):
         change = ChangeSpec(nu, subset0, section.theta)
+        for i, theta in zip(change.subset, change.theta or ()):
+            scenario.channels[i].kl_rate(theta)  # the channel's own rule on its parameter
         if section.nu == "prior":
             return PriorNuSampler(change.subset, change.theta)
         sampler = FixedChangeSampler(change)

@@ -24,10 +24,6 @@ SR_MIXTURE = "sr-mixture"
 
 _KINDS = (SHIRYAEV_MIXTURE, SR_MIXTURE)
 
-#: Bytes of recursion input (subset sums) computed ahead of the step loop.
-#: Larger blocks run no faster and raise peak memory.
-_BLOCK_BYTES = 1 << 21
-
 #: Largest number of subsets S the recursion takes: every subset of 12
 #: streams.  The recursion lists its subsets in Python and keeps S x P log
 #: components per replication (64 MiB at R = 1024, P = 2), and its time per
@@ -179,39 +175,24 @@ class Detector:
         n_reps, horizon, _ = data.shape
         increments = self.scenario.log_lr_increments(data, self.grid.points)
         state = self._new_state(n_reps)
-        recursive = self.config.window_m1 is None
         stopped = np.full(n_reps, -1, dtype=np.int64)
         rows = np.arange(n_reps)
         # rows provably below the threshold need no exact read-out, unless
         # every value is recorded
         floor = log_threshold if out is None else None
-        t = 0
-        while t < horizon and rows.size:
-            if recursive:
-                # subset sums for a block of steps: one Python loop over the
-                # subsets per block instead of per step
-                step_bytes = rows.size * state.basis.n_subsets * self.grid.n_points * 8
-                steps = max(1, _BLOCK_BYTES // step_bytes)
-                block = state.subset_llrs(increments[rows, t:t + steps])
-            else:
-                block = increments[rows, t:t + 1]
-            while block.shape[1] and rows.size:
-                if recursive:
-                    state.advance(subset_llrs=block[:, 0])
-                else:
-                    state.advance(block[:, 0])
-                block = block[:, 1:]
-                t += 1
-                value = state.log_shiryaev(floor)
-                if out is not None:
-                    out[rows, t - 1] = value
-                crossed = value >= log_threshold
-                if crossed.any():
-                    stopped[rows[crossed]] = t
-                    keep = ~crossed
-                    rows = rows[keep]
-                    state.retain(keep)
-                    block = block[keep]
+        for t in range(horizon):
+            if not rows.size:
+                break
+            state.advance(increments[rows, t])
+            value = state.log_shiryaev(floor)
+            if out is not None:
+                out[rows, t] = value
+            crossed = value >= log_threshold
+            if crossed.any():
+                stopped[rows[crossed]] = t + 1
+                keep = ~crossed
+                rows = rows[keep]
+                state.retain(keep)
         return stopped
 
     def log_trajectories(self, data: np.ndarray) -> np.ndarray:

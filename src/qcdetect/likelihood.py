@@ -104,8 +104,8 @@ class SubsetWeights:
 
     def __post_init__(self):
         p = tuple(float(v) for v in self.p)
-        if any(v <= 0.0 for v in p):
-            raise ValueError("per-stream weights must be positive")
+        if not all(0.0 < v < math.inf for v in p):
+            raise ValueError(f"per-stream weights must be positive and finite, got {p}")
         if not 1 <= self.K <= len(p):
             raise ValueError(f"K must be in [1, {len(p)}], got {self.K}")
         object.__setattr__(self, "p", p)

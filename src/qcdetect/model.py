@@ -254,6 +254,8 @@ class ChangeSpec:
         object.__setattr__(self, "subset", subset)
         if self.theta is not None:
             theta = tuple(float(t) for t in self.theta)
+            if not all(math.isfinite(t) for t in theta):
+                raise ValueError(f"post-change parameters must be finite, got {theta}")
             if len(theta) != len(subset):
                 raise ValueError(
                     f"theta has {len(theta)} entries for {len(subset)} affected streams"

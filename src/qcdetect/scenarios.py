@@ -2,8 +2,7 @@
 
 Both models yield per-observation log likelihood-ratio increments that do not
 depend on the hypothesized change point, so the exact detector recursions
-apply.  Cross-stream independence is assumed throughout; dependent models can
-still drive the statistics layer through user-supplied joint increments.
+apply.  Cross-stream independence is assumed throughout.
 """
 
 from __future__ import annotations
@@ -41,12 +40,14 @@ class ARChannelSpec:
         signal = tuple(float(s) for s in self.signal)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "signal", signal)
-        if self.sigma <= 0.0:
-            raise ValueError(f"noise level must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"noise level must be positive and finite, got {self.sigma}")
         if not signal:
             raise ValueError("signal template must be nonempty")
-        if self.theta < 0.0:
-            raise ValueError(f"amplitude must be >= 0, got {self.theta}")
+        if not all(math.isfinite(s) for s in signal):
+            raise ValueError(f"signal template must be finite, got {signal}")
+        if not 0.0 <= self.theta < math.inf:
+            raise ValueError(f"amplitude must be >= 0 and finite, got {self.theta}")
         if coeffs:
             radius = max(abs(np.roots(np.concatenate(([1.0], -np.asarray(coeffs))))))
             if radius >= 1.0:
@@ -147,11 +148,15 @@ class MixtureChannelSpec:
     def __post_init__(self):
         if not 0.0 < self.beta_mix < 1.0:
             raise ValueError(f"mixing probability must be in (0, 1), got {self.beta_mix}")
-        if self.sigma <= 0.0:
-            raise ValueError(f"noise level must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"noise level must be positive and finite, got {self.sigma}")
+        if not (math.isfinite(self.mu1) and math.isfinite(self.mu2)):
+            raise ValueError(f"component means must be finite, got mu1={self.mu1}, mu2={self.mu2}")
         self._check_post_change_mean(self.theta)
 
     def _check_post_change_mean(self, theta: float) -> None:
+        if not math.isfinite(theta):
+            raise ValueError(f"post-change mean must be finite, got {theta}")
         if abs(theta - self.mu1) <= abs(theta - self.mu2):
             raise ValueError(
                 "post-change mean must be strictly closer to mu2 than to mu1 "

@@ -14,8 +14,10 @@ start ``omega`` in place of ``q``) it is the Shiryaev-Roberts statistic
 is the subset/parameter mixture of the components.  A window-limited mode sums
 the mixture likelihood ratio directly over the last ``m1 + 1`` candidate
 change points instead, which bounds memory and also serves as the oracle for
-the recursion.  All state is kept in the log domain, where it neither
-overflows nor needs a clamp, so both engines reach any finite threshold.
+the recursion.  Both engines take the per-stream increments of one step at a
+time; the recursion sums them over each subset as it steps.  All state is kept
+in the log domain, where it neither overflows nor needs a clamp, so both
+engines reach any finite threshold.
 
 The joint weights ``p_B * W(theta)`` of the components sum to one, so the log
 statistic never exceeds its largest log component (plus the log of the
@@ -63,11 +65,13 @@ class GridSpec:
         width = len(points[0])
         if any(len(row) != width for row in points):
             raise ValueError("all parameter points must have the same dimension")
+        if not all(math.isfinite(v) for row in points for v in row):
+            raise ValueError("parameter points must be finite")
         if len(points) != len(set(points)):
             raise ValueError("parameter points must be distinct")
         if len(weights) != len(points):
             raise ValueError(f"{len(weights)} weights for {len(points)} points")
-        if any(w <= 0.0 for w in weights):
+        if not all(w > 0.0 for w in weights):
             raise ValueError("grid weights must be positive")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"grid weights must sum to 1, got {sum(weights)!r}")
@@ -187,17 +191,18 @@ class DetectorState:
     """Batched running state of the statistic under one change-point weighting.
 
     ``weighting`` is a ``PriorSpec`` for the Shiryaev statistic or
-    ``FlatWeights`` for the Shiryaev-Roberts statistic.  ``increments``
-    passed to the update operations have shape ``[R, P, N]`` (replications x
-    grid points x streams).  In recursive mode the state holds
-    per-(subset, point) log components of shape ``[R, S, P]``, which
-    ``advance`` updates in place; in window mode it holds the raw increment
-    history and re-evaluates the direct sum.  Every update is row by row, so
-    ``retain`` can drop replications that have stopped without changing the
-    arithmetic of the others.  Since the components' joint weights sum to
-    one, the log statistic of a row is at most its largest log component
-    plus ``MixtureBasis.log_joint_total``; ``log_shiryaev(floor)`` uses this
-    bound to skip the exact read-out of rows provably below ``floor``.
+    ``FlatWeights`` for the Shiryaev-Roberts statistic.  ``advance`` takes the
+    increments of one step, ``[R, P, N]`` (replications x grid points x
+    streams).  In recursive mode the state holds per-(subset, point) log
+    components of shape ``[R, S, P]``, which ``advance`` updates in place with
+    the step's subset sums; in window mode it holds the increments of the last
+    ``m1 + 1`` steps, ``[R, <= m1+1, P, N]``, and re-evaluates the direct sum.
+    Every update is row by row, so ``retain`` can drop replications that have
+    stopped without changing the arithmetic of the others.  Since the
+    components' joint weights sum to one, the log statistic of a row is at
+    most its largest log component plus ``MixtureBasis.log_joint_total``;
+    ``log_shiryaev(floor)`` uses this bound to skip the exact read-out of rows
+    provably below ``floor``.
     """
 
     def __init__(
@@ -225,26 +230,20 @@ class DetectorState:
             shape = (self.n_reps, self.basis.n_subsets, self.basis.grid.n_points)
             self.log_components = np.full(shape, start)
         else:
-            self._hist: list[np.ndarray] = []
+            # the window's increments, oldest first
+            self._window = np.empty((self.n_reps, 0, grid.n_points, weights.n_streams))
             self._log_value = np.full(self.n_reps, start)
 
     # -- internals -----------------------------------------------------------
-
-    def _check_increments(self, increments: np.ndarray) -> np.ndarray:
-        inc = np.asarray(increments, dtype=float)
-        expected = (self.n_reps, self.basis.grid.n_points, self.basis.weights.n_streams)
-        if inc.shape != expected:
-            raise ValueError(f"increments must have shape {expected}, got {inc.shape}")
-        return inc
 
     def subset_llrs(self, increments) -> np.ndarray:
         """Sum per-stream increments ``[..., P, N]`` over each subset: ``[..., S, P]``.
 
         Each subset's sum is its parent's sum plus the increment of its largest
         member (``MixtureBasis.prefix``): the member-by-member fold from the
-        smallest member up, one add per subset.  Every element's arithmetic is
-        the same whether it is summed alone, with other replications or with
-        other steps.
+        smallest member up, one add per subset.  The recursion sums one step
+        ``[R, P, N]`` at a time; an element's arithmetic does not depend on the
+        other replications or steps summed with it.
         """
         inc = np.asarray(increments, dtype=float)
         n, n_points = inc.shape[-1], inc.shape[-2]
@@ -257,15 +256,6 @@ class DetectorState:
         vector = np.dtype((np.void, 8 * n_points))
         out = np.ascontiguousarray(np.moveaxis(sums.view(vector)[..., 0], 0, -1))
         return out.view(float).reshape(inc.shape[:-2] + (self.basis.n_subsets, n_points))
-
-    def _check_subset_llrs(self, subset_llrs) -> np.ndarray:
-        if self.window_m1 is not None:
-            raise ValueError("joint increments are only supported by the recursion")
-        llr = np.asarray(subset_llrs, dtype=float)
-        expected = (self.n_reps, self.basis.n_subsets, self.basis.grid.n_points)
-        if llr.shape != expected:
-            raise ValueError(f"joint increments must have shape {expected}, got {llr.shape}")
-        return llr
 
     def _advance_recursive(self, llr: np.ndarray) -> None:
         n = self.n + 1
@@ -280,13 +270,11 @@ class DetectorState:
         self.n = n
 
     def _advance_window(self, inc: np.ndarray) -> None:
-        self._hist.append(inc)
-        keep = self.window_m1 + 1
-        if len(self._hist) > keep:
-            del self._hist[: len(self._hist) - keep]
+        window = np.concatenate((self._window, inc[:, None]), axis=1)
+        self._window = window[:, -(self.window_m1 + 1):]  # only the newest when m1 = 0
         self.n += 1
         self._log_value = direct_log_statistic(
-            np.stack(self._hist, axis=1),  # [R, m, P, N], oldest first
+            self._window,
             self.weighting,
             self.basis.grid,
             self.basis.weights,
@@ -297,24 +285,16 @@ class DetectorState:
 
     # -- public stepping -------------------------------------------------------
 
-    def advance(self, increments=None, *, subset_llrs=None) -> "DetectorState":
-        """Absorb one observation vector.
-
-        ``increments`` are the per-stream log LR increments ``[R, P, N]``.  A
-        recursive state takes instead ``subset_llrs``, the per-(subset, point)
-        increments ``[R, S, P]`` in ``subset_masks`` order: either the sums
-        ``subset_llrs()`` computes, for a block of steps at once, or the joint
-        increments of a cross-stream-dependent post-change model, where the
-        increment of a subset is not the sum of per-stream terms.
-        """
-        if (increments is None) == (subset_llrs is None):
-            raise ValueError("pass exactly one of increments and subset_llrs")
-        if subset_llrs is not None:
-            self._advance_recursive(self._check_subset_llrs(subset_llrs))
-        elif self.window_m1 is not None:
-            self._advance_window(self._check_increments(increments))
+    def advance(self, increments) -> "DetectorState":
+        """Absorb one observation vector: the per-stream log LR increments ``[R, P, N]``."""
+        inc = np.asarray(increments, dtype=float)
+        expected = (self.n_reps, self.basis.grid.n_points, self.basis.weights.n_streams)
+        if inc.shape != expected:
+            raise ValueError(f"increments must have shape {expected}, got {inc.shape}")
+        if self.window_m1 is None:
+            self._advance_recursive(self.subset_llrs(inc))
         else:
-            self._advance_recursive(self.subset_llrs(self._check_increments(increments)))
+            self._advance_window(inc)
         return self
 
     def retain(self, rows) -> None:
@@ -323,7 +303,7 @@ class DetectorState:
             self.log_components = self.log_components[rows]
             self.n_reps = self.log_components.shape[0]
         else:
-            self._hist = [inc[rows] for inc in self._hist]
+            self._window = self._window[rows]
             self._log_value = self._log_value[rows]
             self.n_reps = self._log_value.shape[0]
 

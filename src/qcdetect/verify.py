@@ -290,17 +290,17 @@ SUITES = {
 
 
 def run_suites(names=None, seed: int = 0) -> list[CheckResult]:
-    """Run the named suites (all of them by default) with the given seed.
+    """Run the named suites with the given seed: each suite once if none is named or ``all`` is.
 
     A suite that raises is reported as a failed check rather than crashing the
     harness; broken invariants often surface as exceptions first.  An unknown
     suite name or a negative seed raises ValueError before any suite runs.
     """
-    if names is None or names == ["all"] or names == "all":
-        names = list(SUITES)
-    unknown = [name for name in names if name not in SUITES]
+    unknown = [name for name in names or () if name not in SUITES and name != "all"]
     if unknown:
         raise ValueError(f"unknown suite {unknown[0]!r}; available: {sorted(SUITES)}")
+    if names is None or "all" in names:
+        names = list(SUITES)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     results = []

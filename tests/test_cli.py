@@ -189,6 +189,14 @@ def with_detector_keys(lines):
     return BASE_CONFIG.replace("alpha = 0.05", "alpha = 0.05\n" + lines)
 
 
+def with_mixture(text, change_theta="0.5"):
+    """The scenario as one mixture channel with mu1 = 2, mu2 = 0, and the change's theta."""
+    return text.replace(
+        "kind = ar\nstreams = 1\nsigma = 1.0\ntheta = 1.0",
+        "kind = mixture\nstreams = 1\nsigma = 1.0\ntheta = 0.8\nmu1 = 2.0\nmu2 = 0.0",
+    ).replace("subset = 1\ntheta = 1.0", f"subset = 1\ntheta = {change_theta}")
+
+
 def with_point_mass(text):
     return text.replace("kind = geometric\nrho = 0.1", "kind = point-mass\nk0 = 5").replace(
         "horizon = 150", "horizon = 50"
@@ -244,13 +252,22 @@ BAD_CONFIGS = {
         ) + SWEEP,
     ),
     # 1.8 is nearer mu1 = 2: the rate (theta - mu2)^2 / 2 = 1.62 would be wrong
-    "sweep-mixture-mean-nearer-mu1": (
-        "oc-sweep",
-        PRIOR_NU.replace(
-            "kind = ar\nstreams = 1\nsigma = 1.0\ntheta = 1.0",
-            "kind = mixture\nstreams = 1\nsigma = 1.0\ntheta = 0.8\nmu1 = 2.0\nmu2 = 0.0",
-        ).replace("subset = 1\ntheta = 1.0", "subset = 1\ntheta = 1.8") + SWEEP,
-    ),
+    "sweep-mixture-mean-nearer-mu1": ("oc-sweep", with_mixture(PRIOR_NU, "1.8") + SWEEP),
+    "simulate-mixture-mean-nearer-mu1": ("simulate", with_mixture(BASE_CONFIG, "1.8")),
+    "simulate-mixture-mean-nearer-mu1-prior-nu": ("simulate", with_mixture(PRIOR_NU, "1.8")),
+    # a non-finite value ends in NaN statistics, every run censored, or a traceback
+    "grid-point-nan": ("simulate", BASE_CONFIG.replace("theta_points = 1.0", "theta_points = nan")),
+    "grid-point-inf": ("simulate", BASE_CONFIG.replace("theta_points = 1.0", "theta_points = inf")),
+    "grid-weight-nan": ("simulate", BASE_CONFIG.replace("p = 1.0", "weights = nan\np = 1.0")),
+    "stream-weight-nan": ("simulate", BASE_CONFIG.replace("p = 1.0", "p = nan")),
+    "ar-sigma-nan": ("simulate", BASE_CONFIG.replace("sigma = 1.0", "sigma = nan")),
+    "ar-signal-nan": ("simulate", BASE_CONFIG.replace("sigma = 1.0", "sigma = 1.0\nsignal = nan")),
+    "ar-theta-inf": ("simulate", BASE_CONFIG.replace("sigma = 1.0\ntheta = 1.0", "sigma = 1.0\ntheta = inf")),
+    "mixture-mu1-nan": ("simulate", with_mixture(BASE_CONFIG).replace("mu1 = 2.0", "mu1 = nan")),
+    "mixture-mu2-nan": ("simulate", with_mixture(BASE_CONFIG).replace("mu2 = 0.0", "mu2 = nan")),
+    "mixture-sigma-nan": ("simulate", with_mixture(BASE_CONFIG).replace("sigma = 1.0", "sigma = nan")),
+    "mixture-theta-nan": ("simulate", with_mixture(BASE_CONFIG).replace("theta = 0.8", "theta = nan")),
+    "change-theta-nan": ("simulate", BASE_CONFIG.replace("subset = 1\ntheta = 1.0", "subset = 1\ntheta = nan")),
 }
 
 
@@ -547,14 +564,31 @@ def test_verify_catches_injected_window_offset(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["nosuch"], ["dp-enumeration", "nosuch"], ["sr-mean", "--seed", "-1"]],
-    ids=["unknown-suite", "unknown-after-known", "negative-seed"],
+    [["nosuch"], ["dp-enumeration", "nosuch"], ["all", "nosuch"], ["sr-mean", "--seed", "-1"]],
+    ids=["unknown-suite", "unknown-after-known", "unknown-after-all", "negative-seed"],
 )
 def test_verify_bad_input_is_a_one_line_config_error(argv, capsys):
     assert cli.main(["verify", *argv]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""  # rejected before any suite runs
     assert captured.err.startswith("configuration error") and captured.err.count("\n") == 1
+
+
+def test_verify_all_anywhere_runs_every_suite_once(monkeypatch, capsys):
+    from qcdetect import verify
+
+    calls = []
+
+    def suite(name):
+        def run(seed):
+            calls.append(name)
+            return [verify.CheckResult(name, "stub", True, "ok")]
+        return run
+
+    monkeypatch.setattr(verify, "SUITES", {name: suite(name) for name in verify.SUITES})
+    assert cli.main(["verify", "dp-enumeration", "all", "telescoping"]) == EXIT_OK
+    assert calls == list(verify.SUITES)
+    assert capsys.readouterr().out.endswith(f"all {len(calls)} checks passed\n")
 
 
 def test_verify_passes_across_seeds():

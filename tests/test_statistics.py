@@ -175,6 +175,20 @@ def test_window_m1_zero_keeps_single_term():
     assert value == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("m1", [0, 1, 3])
+def test_window_state_keeps_m1_plus_one_steps_and_equals_the_direct_sum(m1):
+    scenario, grid, weights, prior = make_pair_setup()
+    rng = np.random.default_rng(6)
+    data = scenario.generate([ChangeSpec(nu=3, subset=(0, 1))], 12, [rng])[0]
+    inc = scenario.log_lr_increments(data, grid.points)
+    state = DetectorState(prior, grid, weights, window_m1=m1)
+    for t in range(12):
+        state.advance(inc[None, t])
+        assert state._window.shape[1] == min(t + 1, m1 + 1)
+        direct = direct_log_statistic(inc[: t + 1], prior, grid, weights, n=t + 1, m1=m1)
+        assert state.log_shiryaev()[0] == direct
+
+
 def test_windowed_sums_match_brute_force_oracle():
     # plain-python re-summation over the window, m1 = 8, m0 in {0, 2}, 20 steps
     scenario, grid, weights, prior = make_pair_setup()
@@ -310,24 +324,6 @@ def test_point_mass_prior_exhausts_shiryaev_support():
     state.advance(inc)  # n = 1 fine
     with pytest.raises(ValueError, match="tail"):
         state.advance(inc)  # tail(2) = 0
-
-
-def test_joint_increment_hook_matches_factorized_path():
-    scenario, grid, weights, prior = make_pair_setup()
-    rng = np.random.default_rng(11)
-    data = scenario.generate([ChangeSpec(nu=3, subset=(0, 1))], 15, [rng])[0]
-    inc = scenario.log_lr_increments(data, grid.points)
-    from qcdetect.likelihood import subset_masks
-
-    masks = subset_masks(2, 2).astype(float)
-    for weighting in (prior, FlatWeights(1.0)):
-        a = DetectorState(weighting, grid, weights)
-        b = DetectorState(weighting, grid, weights)
-        for t in range(15):
-            a.advance(inc[None, t])
-            joint = np.einsum("sn,pn->sp", masks, inc[t])
-            b.advance(subset_llrs=joint[None])
-            assert b.log_shiryaev()[0] == pytest.approx(a.log_shiryaev()[0], abs=1e-12)
 
 
 def test_log_statistic_is_exact_beyond_e700():

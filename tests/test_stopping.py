@@ -16,7 +16,6 @@ from qcdetect import (
     SubsetWeights,
     gaussian_stream,
 )
-from qcdetect import detectors
 from qcdetect.statistics import DetectorState, FlatWeights, direct_log_statistic
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -113,13 +112,11 @@ def detector_cases(draw):
     nu = rng.integers(0, horizon + 1, size=reps)
     shift = rng.uniform(0.0, 2.0, size=(reps, 1, n)) * (rng.random((reps, 1, n)) < 0.5)
     data += shift * (np.arange(horizon)[None, :, None] >= nu[:, None, None])
-    # block budgets from one step per block to the whole horizon in one block
-    block_bytes = draw(st.sampled_from([1, 4096, detectors._BLOCK_BYTES]))
-    return detector, data, block_bytes
+    return detector, data
 
 
 def reference_log_trajectories(detector, data):
-    """One per-stream ``advance`` per step for every row: no blocks, no retirement."""
+    """One ``advance`` per step for every row: no retirement."""
     increments = detector.scenario.log_lr_increments(data, detector.grid.points)
     state = detector._new_state(data.shape[0])
     read = state.log_shiryaev if detector.config.uses_shiryaev else state.log_sr
@@ -138,10 +135,9 @@ def first_crossing(log_traj, log_threshold):
 @PROPERTY_SETTINGS
 @given(detector_cases())
 def test_stopping_times_are_the_first_crossing_of_the_trajectories(case):
-    detector, data, block_bytes = case
-    with mock.patch.object(detectors, "_BLOCK_BYTES", block_bytes):
-        log_traj = detector.log_trajectories(data)
-        stopped = detector.stopping_times(data)
+    detector, data = case
+    log_traj = detector.log_trajectories(data)
+    stopped = detector.stopping_times(data)
     np.testing.assert_array_equal(log_traj, reference_log_trajectories(detector, data))
     np.testing.assert_array_equal(stopped, first_crossing(log_traj, detector.log_threshold))
     assert stopped.dtype == np.int64
@@ -150,20 +146,19 @@ def test_stopping_times_are_the_first_crossing_of_the_trajectories(case):
 @PROPERTY_SETTINGS
 @given(detector_cases(), st.integers(0, 8))
 def test_stopping_times_do_not_depend_on_batching(case, cut):
-    detector, data, block_bytes = case
+    detector, data = case
     cut = min(cut, data.shape[0])
-    with mock.patch.object(detectors, "_BLOCK_BYTES", block_bytes):
-        whole = detector.stopping_times(data)
-        split = np.concatenate(
-            [detector.stopping_times(data[:cut]), detector.stopping_times(data[cut:])]
-        )
+    whole = detector.stopping_times(data)
+    split = np.concatenate(
+        [detector.stopping_times(data[:cut]), detector.stopping_times(data[cut:])]
+    )
     np.testing.assert_array_equal(whole, split)
 
 
 @PROPERTY_SETTINGS
 @given(detector_cases(), st.integers(0, 2**16))
 def test_thresholds_at_the_statistic_and_a_few_ulps_off_stop_at_the_first_crossing(case, pick):
-    detector, data, _ = case
+    detector, data = case
     log_traj = detector.log_trajectories(data)
     level = log_traj.flat[pick % log_traj.size]
     if not np.isfinite(level):
