@@ -28,6 +28,7 @@ from .detectors import (
     SHIRYAEV_MIXTURE,
     Detector,
     DetectorConfig,
+    check_moment_order,
     delay_tail_rate,
     threshold_cost,
     threshold_shiryaev,
@@ -110,8 +111,7 @@ class DetectorSection:
     omega: float = 0.0
 
     def __post_init__(self):
-        if not self.cost_r >= 1.0:
-            raise ValueError(f"moment order cost_r must be >= 1, got {self.cost_r}")
+        check_moment_order(self.cost_r)
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,8 @@ class MCSection:
     moments: tuple[int, ...] = (1,)
 
     def __post_init__(self):
-        if any(r < 1 for r in self.moments):
-            raise ValueError(f"moment orders must be >= 1, got {self.moments}")
+        for r in self.moments:
+            check_moment_order(r)
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,7 @@ class SweepSection:
     r: int = 1
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"moment order r must be >= 1, got {self.r}")
+        check_moment_order(self.r)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .likelihood import SubsetWeights
 from .model import PointMassPrior, PriorSpec
-from .statistics import DetectorState, FlatWeights, GridSpec
+from .statistics import DetectorState, FlatWeights, GridSpec, check_window
 
 SHIRYAEV_MIXTURE = "shiryaev-mixture"
 SR_MIXTURE = "sr-mixture"
@@ -52,18 +52,8 @@ class DetectorConfig:
             raise ValueError(f"unknown detector kind {self.kind!r}")
         if not 0.0 < self.threshold_A < math.inf:
             raise ValueError(f"threshold must be positive and finite, got {self.threshold_A}")
-        if self.window_m1 is not None and self.window_m1 < 1:
-            raise ValueError(f"window length must be >= 1, got {self.window_m1}")
-        if self.window_m0 < 0:
-            raise ValueError(f"window offset must be >= 0, got {self.window_m0}")
-        if self.window_m0 > 0 and self.window_m1 is None:
-            raise ValueError("window offset m0 needs a window length m1")
-        if self.window_m1 is not None and self.window_m0 > self.window_m1:
-            raise ValueError(
-                f"window offset {self.window_m0} exceeds window length {self.window_m1}"
-            )
-        if self.head_start_omega < 0.0:
-            raise ValueError(f"head start must be >= 0, got {self.head_start_omega}")
+        check_window(self.window_m1, self.window_m0)
+        FlatWeights(self.head_start_omega)  # the head-start rule
         if self.head_start_omega > 0.0 and self.uses_shiryaev:
             raise ValueError("a head start omega applies only to the sr-mixture rule")
 
@@ -210,6 +200,12 @@ class Detector:
         return self._scan(self._check_data(data), self.log_threshold)
 
 
+def check_moment_order(r: float) -> None:
+    """The delay-moment rule: a finite order ``r >= 1`` (NaN fails it)."""
+    if not 1.0 <= r < math.inf:
+        raise ValueError(f"moment order must be finite and >= 1, got {r!r}")
+
+
 def delay_tail_rate(kind: str, prior: PriorSpec) -> float:
     """The prior's tail rate ``mu`` in a rule's delay: 0 for the Shiryaev-Roberts rule."""
     return prior.tail_rate if kind == SHIRYAEV_MIXTURE else 0.0
@@ -238,8 +234,7 @@ def threshold_sr(alpha: float, omega: float, prior: PriorSpec) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if omega < 0.0:
-        raise ValueError(f"head start must be >= 0, got {omega}")
+    FlatWeights(omega)  # the head-start rule
     a = _sr_bound(omega, prior) / alpha
     if a <= 0.0:
         raise ValueError(
@@ -255,10 +250,9 @@ def threshold_cost(c: float, r: float, D: float) -> float:
     brackets the root and Newton polishing drives the relative residual of the
     original equation below 1e-10.
     """
-    if c <= 0.0 or D <= 0.0:
-        raise ValueError("c and D must be positive")
-    if r < 1.0:
-        raise ValueError(f"moment order must be >= 1, got {r}")
+    if not (0.0 < c < math.inf and 0.0 < D < math.inf):
+        raise ValueError(f"c and D must be positive and finite, got c = {c!r}, D = {D!r}")
+    check_moment_order(r)
     target = 1.0 / (c * r * D)  # A (log A)^(r-1) = target
     if r == 1.0:
         if target <= 1.0:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .likelihood import SubsetWeights, log_subset_weights, subset_masks
+from .detectors import check_moment_order
+from .likelihood import SubsetWeights
 from .model import replication_rng
 from .montecarlo import MCEstimate
 from .statistics import GridSpec
@@ -26,30 +27,29 @@ def d_constant(weights: SubsetWeights, grid: GridSpec, rates, mu: float, r: floa
     """Average of (I_{B,theta} + mu)^-r over the subset and parameter mixtures.
 
     ``rates`` are the per-stream information rates at each grid point
-    (``[P, N]``) and ``mu`` is the prior's tail rate.  Subsets are listed
-    explicitly, within ``subset_masks``' budget: the reciprocal-power
-    functional of a subset sum does not factor over streams, so no
-    symmetric-polynomial shortcut applies.
+    (``[P, N]``) and ``mu`` is the prior's tail rate.  The subsets are read
+    from ``weights.masks``, within ``subset_masks``' budget: the
+    reciprocal-power functional of a subset sum does not factor over streams,
+    so no symmetric-polynomial shortcut applies.
     """
     # row-major, as the matrix product below has always seen its rates
     rates = np.asarray(rates, dtype=float, order="C")
     if not np.all(np.isfinite(rates)) or np.any(rates < 0.0):
         raise ValueError("information rates must be finite and nonnegative")
-    if mu < 0.0:
+    if not mu >= 0.0:
         raise ValueError(f"prior tail rate must be >= 0, got {mu}")
+    check_moment_order(r)
     if rates.shape != (grid.n_points, weights.n_streams):
         raise ValueError(
             f"information rates have shape {rates.shape}, expected "
             f"({grid.n_points}, {weights.n_streams})"
         )
-    masks = subset_masks(weights.n_streams, weights.K)
-    p_subset = np.exp(log_subset_weights(weights, masks))
-    subset_rates = rates @ masks.T  # [P, S]
+    p_subset = np.exp(weights.log_p_subsets)
+    subset_rates = rates @ weights.masks.T  # [P, S]
     denom = subset_rates + mu
     if np.any(denom <= 0.0):
         raise ValueError("I + mu must be positive for every subset and grid point")
-    w = np.asarray(grid.weights)
-    return float(np.einsum("p,s,ps->", w, p_subset, denom**-r))
+    return float(np.einsum("p,s,ps->", grid.weights, p_subset, denom**-r))
 
 
 #: Samples per path batch in ``estimate_kl_slope`` (8 MB of float64 per array).

@@ -96,7 +96,10 @@ class SubsetWeights:
     """Factorized weights over subsets of at most K affected streams.
 
     ``p_B = C * prod_{i in B} p_i`` over all subsets with ``1 <= |B| <= K``,
-    where ``log C = log_normalizer`` makes the weights sum to one.
+    where ``log C = log_normalizer`` makes the weights sum to one.  The
+    subsets are listed here once, on first use; callers read ``masks``,
+    ``members`` and ``log_p_subsets`` instead of listing them again.  Each
+    cached array is computed once per instance and is read-only.
     """
 
     p: tuple[float, ...]
@@ -122,19 +125,39 @@ class SubsetWeights:
         return len(self.p)
 
     @property
-    def log_p(self) -> np.ndarray:
-        return np.log(np.asarray(self.p))
-
-    @property
     def n_subsets(self) -> int:
         """The number of subsets with 1 <= |B| <= K, counted without listing them."""
         return count_subsets(self.n_streams, self.K)
 
     @cached_property
+    def log_p(self) -> np.ndarray:
+        return read_only(np.log(np.asarray(self.p)))
+
+    @cached_property
     def log_normalizer(self) -> float:
-        # computed once per instance; frozen dataclasses still carry a __dict__
         loge = log_elementary_symmetric(self.log_p, self.K)
         return -float(logsumexp(loge[1:]))
+
+    @cached_property
+    def masks(self) -> np.ndarray:
+        """Membership masks ``[S, N]`` of the subsets, in ``subset_masks`` order."""
+        return read_only(subset_masks(self.n_streams, self.K))
+
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """The streams of each subset, ascending, in ``masks`` order."""
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.masks)
+
+    @cached_property
+    def log_p_subsets(self) -> np.ndarray:
+        """log p_B of each subset ``[S]``, in ``masks`` order."""
+        return read_only(self.masks @ self.log_p + self.log_normalizer)
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, marked read-only: a cached array no caller may change."""
+    array.flags.writeable = False
+    return array
 
 
 def mixture_lr_dp(stream_log_lrs, weights: SubsetWeights):
@@ -178,11 +201,6 @@ def subset_masks(n_streams: int, K: int) -> np.ndarray:
     return masks
 
 
-def log_subset_weights(weights: SubsetWeights, masks: np.ndarray) -> np.ndarray:
-    """log p_B for every subset in ``masks`` (rows in ``subset_masks`` order)."""
-    return masks @ weights.log_p + weights.log_normalizer
-
-
 def mixture_lr_enumerate(stream_log_lrs, weights: SubsetWeights) -> float:
     """Exact subset-sum evaluation of the mixture LR (exponential oracle)."""
     llr = np.asarray(stream_log_lrs, dtype=float)
@@ -191,6 +209,5 @@ def mixture_lr_enumerate(stream_log_lrs, weights: SubsetWeights) -> float:
     n = llr.shape[0]
     if n != weights.n_streams:
         raise ValueError(f"got {n} per-stream values for {weights.n_streams} streams")
-    masks = subset_masks(n, weights.K)
-    terms = log_subset_weights(weights, masks) + masks @ llr
+    terms = weights.log_p_subsets + weights.masks @ llr
     return float(logsumexp(terms))

@@ -114,8 +114,8 @@ class PolynomialTailPrior(PriorSpec):
     beta: float
 
     def __post_init__(self):
-        if not self.beta > 0.0:
-            raise ValueError(f"tail exponent must be positive, got {self.beta}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"tail exponent must be positive and finite, got {self.beta}")
         object.__setattr__(self, "beta", float(self.beta))
         super().__post_init__()
 

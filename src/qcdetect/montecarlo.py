@@ -18,13 +18,11 @@ reported as infeasible.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import Detector
-from .likelihood import log_subset_weights, subset_masks
+from .detectors import Detector, check_moment_order
 from .model import NO_CHANGE, ChangeSpec, PriorSpec, replication_rng
 
 _CHUNK = 1024
@@ -152,14 +150,11 @@ class JointSampler:
 
     @classmethod
     def for_detector(cls, detector: Detector) -> "JointSampler":
-        masks = subset_masks(detector.weights.n_streams, detector.weights.K)
-        p_subset = np.exp(log_subset_weights(detector.weights, masks))
-        w = np.asarray(detector.grid.weights)
         return cls(
-            subsets=tuple(tuple(np.flatnonzero(m)) for m in masks),
-            subset_cdf=tuple(np.cumsum(p_subset)),
+            subsets=detector.weights.members,
+            subset_cdf=tuple(np.cumsum(np.exp(detector.weights.log_p_subsets))),
             points=detector.grid.theta_points,
-            point_cdf=tuple(np.cumsum(w)),
+            point_cdf=tuple(np.cumsum(detector.grid.weights)),
         )
 
     def draw(self, prior: PriorSpec, rng) -> ChangeSpec:
@@ -211,6 +206,9 @@ def simulate_runs(detector: Detector, mc: MCConfig, sampler) -> RunRecords:
         for start, count in spans:
             fill(_simulate_span(detector, sampler, mc, start, count))
     else:
+        # imported here, so a one-process run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=mc.workers) as pool:
             futures = [
                 pool.submit(_simulate_span, detector, sampler, mc, start, count)
@@ -275,8 +273,7 @@ def estimate_conditional_delay(
     Replications that alarm at or before k are discarded (they condition out);
     censored replications are excluded and reported in ``censored_fraction``.
     """
-    if r < 1.0:
-        raise ValueError(f"moment order must be >= 1, got {r}")
+    check_moment_order(r)
     sampler = FixedChangeSampler(change)
     sampler.check_horizon(mc.horizon)
     return simulate_runs(detector, mc, sampler).delay_moment(r)
@@ -286,8 +283,7 @@ def estimate_bayes_delay(
     detector: Detector, subset, theta, r: float, mc: MCConfig
 ) -> MCEstimate:
     """r-th moment of (T - nu) given T > nu, with nu drawn from the prior."""
-    if r < 1.0:
-        raise ValueError(f"moment order must be >= 1, got {r}")
+    check_moment_order(r)
     sampler = PriorNuSampler(tuple(subset), None if theta is None else tuple(theta))
     return simulate_runs(detector, mc, sampler).delay_moment(r)
 
@@ -301,10 +297,9 @@ def estimate_average_risk(
     respective priors per replication.  Censored replications are excluded and
     reported.
     """
-    if c < 0.0:
-        raise ValueError(f"delay cost must be >= 0, got {c}")
-    if r < 1.0:
-        raise ValueError(f"moment order must be >= 1, got {r}")
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"delay cost must be finite and >= 0, got {c}")
+    check_moment_order(r)
     records = simulate_runs(detector, mc, JointSampler.for_detector(detector))
     resolved = ~records.censored
     false_alarm = records.false_alarm[resolved].astype(float)

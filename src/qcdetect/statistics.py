@@ -36,13 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .likelihood import (
-    SubsetWeights,
-    log_elementary_symmetric,
-    log_subset_weights,
-    logsumexp,
-    subset_masks,
-)
+from .likelihood import SubsetWeights, log_elementary_symmetric, logsumexp, read_only
 from .model import PriorSpec
 
 
@@ -51,7 +45,8 @@ class GridSpec:
     """Discretized mixing measure over post-change parameters.
 
     Each row of ``theta_points`` is a per-stream parameter vector; ``weights``
-    are the matching probabilities (positive, summing to one).
+    are the matching probabilities (positive, summing to one).  ``points`` and
+    ``log_weights`` are computed once and read-only.
     """
 
     theta_points: tuple[tuple[float, ...], ...]
@@ -102,21 +97,21 @@ class GridSpec:
     def n_streams(self) -> int:
         return len(self.theta_points[0])
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return np.asarray(self.theta_points)
+        return read_only(np.asarray(self.theta_points))
 
-    @property
+    @cached_property
     def log_weights(self) -> np.ndarray:
-        return np.log(np.asarray(self.weights))
+        return read_only(np.log(np.asarray(self.weights)))
 
 
 class MixtureBasis:
     """Subset sums and joint log weights for one (grid, weights) pair.
 
     Only the recursion reads ``prefix``, ``log_joint`` and ``log_joint_total``;
-    all are listed on first use, so the window engine never enumerates the
-    subsets.
+    all are built on first use from the subsets ``weights`` lists, so the
+    window engine never enumerates them.
     """
 
     def __init__(self, grid: GridSpec, weights: SubsetWeights):
@@ -129,10 +124,6 @@ class MixtureBasis:
         self.n_subsets = weights.n_subsets
 
     @cached_property
-    def _masks(self) -> np.ndarray:
-        return subset_masks(self.weights.n_streams, self.weights.K)
-
-    @cached_property
     def prefix(self) -> list[tuple[int, int]]:
         """``(parent, last)`` for each subset after the singletons, in listing order.
 
@@ -140,15 +131,13 @@ class MixtureBasis:
         listed one size earlier) plus stream ``last``.  The singletons come
         first, stream by stream.
         """
-        members = [tuple(np.flatnonzero(row).tolist()) for row in self._masks]
-        index = {subset: s for s, subset in enumerate(members)}
-        return [(index[subset[:-1]], subset[-1]) for subset in members[self.weights.n_streams:]]
+        index = {b: s for s, b in enumerate(self.weights.members)}
+        return [(index[b[:-1]], b[-1]) for b in self.weights.members[self.weights.n_streams:]]
 
     @cached_property
     def log_joint(self) -> np.ndarray:
         """Joint log weight of each (subset, point) component: ``[S, P]``."""
-        log_p_subset = log_subset_weights(self.weights, self._masks)
-        return log_p_subset[:, None] + self.grid.log_weights[None, :]
+        return self.weights.log_p_subsets[:, None] + self.grid.log_weights[None, :]
 
     @cached_property
     def log_joint_total(self) -> float:
@@ -168,8 +157,9 @@ class FlatWeights:
     omega: float = 0.0
 
     def __post_init__(self):
-        if self.omega < 0.0:
-            raise ValueError(f"head start must be >= 0, got {self.omega}")
+        # the one check of the head start; NaN fails it too
+        if not 0.0 <= self.omega < math.inf:
+            raise ValueError(f"head start omega must be finite and >= 0, got {self.omega}")
 
     @property
     def q(self) -> float:
@@ -215,17 +205,15 @@ class DetectorState:
         window_m1: int | None = None,
         window_m0: int = 0,
     ):
-        if window_m1 is not None and window_m1 < 0:
-            raise ValueError(f"window length must be >= 0, got {window_m1}")
-        if not 0 <= window_m0 <= (0 if window_m1 is None else window_m1):
-            raise ValueError("need 0 <= m0 <= m1, and m0 = 0 without a window")
+        check_window(window_m1, window_m0)
         self.weighting = weighting
         self.basis = MixtureBasis(grid, weights)
         self.n_reps = int(n_reps)
         self.window_m1 = window_m1
         self.window_m0 = int(window_m0)
         self.n = 0
-        start = _safe_log(weighting.head_odds())
+        odds = weighting.head_odds()
+        start = math.log(odds) if odds > 0.0 else -math.inf
         if window_m1 is None:
             shape = (self.n_reps, self.basis.n_subsets, self.basis.grid.n_points)
             self.log_components = np.full(shape, start)
@@ -337,8 +325,12 @@ class DetectorState:
     log_sr = log_shiryaev
 
 
-def _safe_log(x: float) -> float:
-    return math.log(x) if x > 0.0 else -math.inf
+def check_window(m1: int | None, m0: int) -> None:
+    """The window rule: ``0 <= m0 <= m1``, or no window (``m1 = None``) and ``m0 = 0``."""
+    if m1 is None and m0 != 0:
+        raise ValueError(f"window offset m0 = {m0} needs a window length m1")
+    if m1 is not None and not 0 <= m0 <= m1:
+        raise ValueError(f"window offset m0 = {m0} is negative or exceeds m1 = {m1}")
 
 
 def direct_log_statistic(

@@ -22,13 +22,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import statistics
-from .likelihood import (
-    SubsetWeights,
-    log_subset_weights,
-    mixture_lr_dp,
-    mixture_lr_enumerate,
-    subset_masks,
-)
+from .likelihood import SubsetWeights, mixture_lr_dp, mixture_lr_enumerate
 from .model import ChangeSpec, GeometricPrior, PriorSpec
 from .scenarios import (
     ARChannelSpec,
@@ -64,8 +58,7 @@ def posterior_direct_bayes(
     data = np.asarray(data, dtype=float)
     horizon, n_streams = data.shape
     points = grid.points
-    masks = subset_masks(weights.n_streams, weights.K)
-    log_p_subset = log_subset_weights(weights, masks)
+    log_p_subset = weights.log_p_subsets
     log_w = grid.log_weights
     # cumulative per-stream log densities, index t = number of observations
     cg = np.zeros((n_streams, horizon + 1))
@@ -76,7 +69,7 @@ def posterior_direct_bayes(
             cf[p, i, 1:] = np.cumsum(
                 channel.log_predictive_post(data[:, i], points[p, i])
             )
-    masks_f = masks.astype(float)
+    masks_f = weights.masks.astype(float)
     out = np.empty(horizon)
     for n in range(1, horizon + 1):
         total_pre = cg[:, n].sum()

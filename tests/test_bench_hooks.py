@@ -9,6 +9,7 @@ import contextlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qcdetect import (
     Detector,
@@ -67,3 +68,27 @@ def test_stopping_times_reads_out_once_per_step_through_log_shiryaev(monkeypatch
         stopped = detector.stopping_times(data)
         assert (stopped > 0).all() and stopped.max() < horizon  # the scan ends early
         assert calls == list(range(1, int(stopped.max()) + 1))
+
+
+@pytest.mark.parametrize("window_m1", [None, 4], ids=["recursion", "window"])
+def test_tracer_reads_the_state_of_each_engine(monkeypatch, window_m1):
+    """The names the tracer reads off a ``DetectorState`` exist on both engines."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+
+    n = 3
+    scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(n)))
+    weights = SubsetWeights.uniform(n)
+    config = DetectorConfig(kind="sr-mixture", threshold_A=50.0, window_m1=window_m1)
+    detector = Detector(config, scenario, GeometricPrior(rho=0.1),
+                        GridSpec.common_amplitude((0.5, 1.0), n), weights)
+    data = np.random.default_rng(1).normal(size=(4, 30, n))
+    tracer = Tracer()
+    with contextlib.ExitStack() as stack:
+        tracer.install(stack)
+        detector.stopping_times(data)
+    calls = tracer.summary()["calls"]
+    assert calls["detectors.stopping_times"] == 1 and calls["statistics.advance"] > 0
+    assert tracer.maxima["state_bytes"] > 0
+    assert tracer.maxima["subsets"] == weights.n_subsets
+    assert tracer.counts["row_steps"] == 4 * 30

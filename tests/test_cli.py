@@ -197,6 +197,13 @@ def with_mixture(text, change_theta="0.5"):
     ).replace("subset = 1\ntheta = 1.0", f"subset = 1\ntheta = {change_theta}")
 
 
+def with_sr_threshold(lines):
+    """The SR rule at an explicit threshold, so no calibration reads the extra ``lines``."""
+    return BASE_CONFIG.replace(
+        "kind = shiryaev-mixture\nalpha = 0.05", "kind = sr-mixture\nthreshold = 50.0\n" + lines
+    )
+
+
 def with_point_mass(text):
     return text.replace("kind = geometric\nrho = 0.1", "kind = point-mass\nk0 = 5").replace(
         "horizon = 150", "horizon = 50"
@@ -268,6 +275,15 @@ BAD_CONFIGS = {
     "mixture-sigma-nan": ("simulate", with_mixture(BASE_CONFIG).replace("sigma = 1.0", "sigma = nan")),
     "mixture-theta-nan": ("simulate", with_mixture(BASE_CONFIG).replace("theta = 0.8", "theta = nan")),
     "change-theta-nan": ("simulate", BASE_CONFIG.replace("subset = 1\ntheta = 1.0", "subset = 1\ntheta = nan")),
+    # a non-finite head start used to run as omega = 0
+    "omega-nan": ("simulate", with_sr_threshold("omega = nan")),
+    "omega-inf": ("simulate", with_sr_threshold("omega = inf")),
+    # an infinite tail exponent used to give NaN statistics and censor every run
+    "polynomial-beta-inf": (
+        "simulate",
+        BASE_CONFIG.replace("kind = geometric\nrho = 0.1", "kind = polynomial-tail\nbeta = inf"),
+    ),
+    "cost-c-nan": ("calibrate", BASE_CONFIG.replace("alpha = 0.05", "cost_c = nan")),
 }
 
 
@@ -398,6 +414,22 @@ def test_simulate_summary_recomputable_from_rows(config_path, tmp_path):
         assert payload["mean"] == pytest.approx(sum(moments) / len(moments), rel=1e-12)
     censored = sum(r["censored"] == "1" for r in rows)
     assert summary["censored_fraction"] == pytest.approx(censored / n, abs=1e-12)
+
+
+def test_cost_c_nan_is_blamed_on_c(tmp_path, capsys):
+    command, text = BAD_CONFIGS["cost-c-nan"]
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert cli.main([command, "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "c = nan" in err and "threshold" not in err
+
+
+def test_simulate_with_a_one_step_window(tmp_path):
+    # m1 = 0: only the newest candidate change point, the same rule DetectorState takes
+    path = tmp_path / "one-step.ini"
+    path.write_text(with_detector_keys("window_m1 = 0"))
+    assert cli.main(["simulate", "--config", str(path)]) == EXIT_OK
 
 
 def test_simulate_with_window_offset(tmp_path):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qcdetect import likelihood, statistics
+from qcdetect import likelihood
 from qcdetect import (
     ChangeSpec,
     Detector,
@@ -26,7 +26,7 @@ from qcdetect import (
     threshold_shiryaev,
     threshold_sr,
 )
-from qcdetect.detectors import MAX_RECURSION_SUBSETS
+from qcdetect.detectors import MAX_RECURSION_SUBSETS, check_moment_order
 
 
 def single_stream_setup(theta=1.0, rho=0.1, q=0.0):
@@ -287,7 +287,7 @@ def test_window_engine_never_lists_subsets(monkeypatch):
     def no_listing(*args):
         raise AssertionError("the subsets were enumerated")
 
-    monkeypatch.setattr(statistics, "subset_masks", no_listing)
+    # SubsetWeights lists the subsets through this one function
     monkeypatch.setattr(likelihood, "subset_masks", no_listing)
     n = 22  # 4,194,303 subsets
     config = DetectorConfig(kind="sr-mixture", threshold_A=1e6, window_m1=3)
@@ -307,3 +307,50 @@ def test_recursion_beyond_the_subset_budget_is_rejected():
         with pytest.raises(ValueError, match=r"8191 subsets .*\[detector\] window_m1"):
             Detector(config, *_wide_setup(13))
         Detector(replace(config, window_m1=5), *_wide_setup(13))
+
+
+@pytest.mark.parametrize(
+    "m1, m0, valid",
+    [(0, 0, True), (3, 3, True), (None, 1, False), (3, 4, False), (-1, 0, False)],
+)
+def test_config_and_state_share_one_window_rule(m1, m0, valid):
+    _, grid, weights, prior = single_stream_setup()
+    builds = (
+        lambda: DetectorConfig(kind="sr-mixture", threshold_A=5.0, window_m1=m1, window_m0=m0),
+        lambda: DetectorState(prior, grid, weights, window_m1=m1, window_m0=m0),
+    )
+    for build in builds:
+        if valid:
+            build()
+        else:
+            with pytest.raises(ValueError, match="window"):
+                build()
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf])
+def test_non_finite_head_start_is_rejected_by_config_and_calibration(omega):
+    with pytest.raises(ValueError, match="head start"):
+        DetectorConfig(kind="sr-mixture", threshold_A=5.0, head_start_omega=omega)
+    with pytest.raises(ValueError, match="head start"):
+        threshold_sr(0.1, omega, GeometricPrior(rho=0.1))
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 0.5, 0])
+def test_moment_order_must_be_finite_and_at_least_one(r):
+    with pytest.raises(ValueError, match="moment order"):
+        check_moment_order(r)
+    with pytest.raises(ValueError, match="moment order"):
+        threshold_cost(1e-3, r, 1.0)
+
+
+def test_moment_order_accepts_finite_orders_from_one():
+    for r in (1, 1.0, 2.5, 7):
+        check_moment_order(r)
+
+
+def test_threshold_cost_rejects_non_finite_cost_and_constant():
+    with pytest.raises(ValueError, match="c = nan"):
+        threshold_cost(math.nan, 2, 1)
+    for c, D in [(math.inf, 1.0), (1e-3, math.nan), (1e-3, math.inf), (0.0, 1.0)]:
+        with pytest.raises(ValueError, match="c and D must be positive and finite"):
+            threshold_cost(c, 2, D)

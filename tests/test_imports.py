@@ -1,4 +1,5 @@
-"""The import path: scipy loads only for the commands and priors that need it.
+"""The import path: scipy loads only for the commands and priors that need it,
+and multiprocessing only for a run with more than one worker.
 
 Each case runs in a fresh interpreter, because this test process has scipy
 loaded already.
@@ -46,6 +47,7 @@ horizon = 40
 """
 
 LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+HAS_MULTIPROCESSING = "'multiprocessing' in sys.modules"
 
 
 def run_fresh(code: str, cwd: Path) -> dict:
@@ -67,14 +69,21 @@ def test_geometric_ar_run_loads_no_scipy(tmp_path):
         from qcdetect import cli
 
         after_import = {LOADED_SCIPY}
+        pool_after_import = {HAS_MULTIPROCESSING}
         cli.build_detector(cli.load_config("run.ini"))
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["simulate", "--config", "run.ini", "--out", "run", "--workers", "1"])
-        print(json.dumps({{"code": code, "after_import": after_import, "after_run": {LOADED_SCIPY}}}))
+        print(json.dumps({{
+            "code": code, "after_import": after_import, "after_run": {LOADED_SCIPY},
+            "pool_after_import": pool_after_import, "pool_after_run": {HAS_MULTIPROCESSING},
+        }}))
         """,
         tmp_path,
     )
-    assert out == {"code": 0, "after_import": [], "after_run": []}
+    assert out == {
+        "code": 0, "after_import": [], "after_run": [],
+        "pool_after_import": False, "pool_after_run": False,
+    }
     assert (tmp_path / "run.csv").is_file()
 
 

@@ -96,6 +96,13 @@ def test_d_constant_rejects_bad_rates_and_tail_rate(rates, mu):
         d_constant(SubsetWeights.uniform(1), grid, rates, mu, 1)
 
 
+@pytest.mark.parametrize("mu, r", [(np.nan, 1), (0.0, np.nan), (0.0, 0.5)])
+def test_d_constant_rejects_a_nan_tail_rate_and_a_bad_moment_order(mu, r):
+    grid = GridSpec.degenerate((1.0,))
+    with pytest.raises(ValueError, match="tail rate|moment order"):
+        d_constant(SubsetWeights.uniform(1), grid, [[0.5]], mu, r)
+
+
 def test_info_numbers_for_scenario():
     scenario = Scenario((gaussian_stream(theta=1.0), gaussian_stream(theta=1.0)))
     grid = GridSpec.common_amplitude([0.5, 1.0], 2)

@@ -325,3 +325,21 @@ class TestLogSumExpMatchesScipy:
         assert_same_bits(logsumexp([1, 2, 3]), scipy_logsumexp([1, 2, 3]))
         assert_same_bits(logsumexp([[0, 1], [1, 1]], 1), scipy_logsumexp([[0, 1], [1, 1]], axis=1))
         assert type(logsumexp([0.5, 0.25])) is type(scipy_logsumexp([0.5, 0.25]))
+
+
+def test_subset_weights_list_the_subsets_once_in_read_only_arrays():
+    weights = SubsetWeights(p=(0.5, 1.0, 2.0, 3.0), K=3)
+    masks = subset_masks(4, 3)
+    log_p = np.log(np.asarray(weights.p))
+    fresh = {
+        "log_p": log_p, "masks": masks, "log_p_subsets": masks @ log_p + weights.log_normalizer
+    }
+    for name, expected in fresh.items():
+        cached = getattr(weights, name)
+        assert getattr(weights, name) is cached  # computed once
+        assert not cached.flags.writeable
+        np.testing.assert_array_equal(cached, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0
+    assert weights.members == tuple(tuple(np.flatnonzero(row).tolist()) for row in masks)
+    assert math.fsum(np.exp(weights.log_p_subsets)) == pytest.approx(1.0, abs=1e-12)

@@ -270,3 +270,9 @@ def test_replication_rng_counter_keying():
     c = replication_rng(99, 2).normal(size=4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
+def test_polynomial_tail_exponent_must_be_positive_and_finite(beta):
+    with pytest.raises(ValueError, match="tail exponent"):
+        PolynomialTailPrior(beta=beta)

@@ -289,3 +289,23 @@ def test_simulate_runs_is_independent_of_span_size(monkeypatch, workers):
     split = simulate_runs(detector, mc, sampler)
     for field in ("nu", "stopped"):
         np.testing.assert_array_equal(getattr(split, field), getattr(whole, field))
+
+
+def test_nan_moment_order_is_rejected_before_simulating(monkeypatch):
+    def no_simulation(*args):
+        raise AssertionError("simulated before the moment order was checked")
+
+    monkeypatch.setattr(montecarlo, "simulate_runs", no_simulation)
+    detector = make_detector()
+    mc = MCConfig(replications=10, master_seed=16, horizon=20)
+    calls = (
+        lambda: estimate_bayes_delay(detector, (0,), (1.0,), math.nan, mc),
+        lambda: estimate_conditional_delay(detector, ChangeSpec(nu=0, subset=(0,)), math.nan, mc),
+        lambda: estimate_average_risk(detector, 0.1, math.nan, mc),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="moment order"):
+            call()
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="delay cost"):
+            estimate_average_risk(detector, c, 1, mc)

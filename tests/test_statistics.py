@@ -287,10 +287,8 @@ def test_degenerate_grid_reduces_to_single_parameter_mixture():
     inc = scenario.log_lr_increments(data, grid.points)
     state = DetectorState(prior, grid, weights)
     # single-parameter mixture: per-subset recursions without any theta layer
-    from qcdetect.likelihood import log_subset_weights, subset_masks
-
-    masks = subset_masks(2, 2)
-    log_pb = log_subset_weights(weights, masks)
+    masks = weights.masks
+    log_pb = weights.log_p_subsets
     log_s = np.full(masks.shape[0], -np.inf if prior.q == 0 else math.log(prior.head_odds()))
     for t in range(30):
         state.advance(inc[None, t])
@@ -395,3 +393,20 @@ def test_screened_readout_is_exact_or_below_the_floor():
                 assert (full[screened] < floor).all()
                 counts += screened.sum(), (~screened).sum()
     assert counts.min() > 1000
+
+
+def test_grid_caches_read_only_points_and_log_weights():
+    grid = GridSpec(theta_points=((0.5, 0.7), (1.0, 0.9)), weights=(0.6, 0.4))
+    fresh = {
+        "points": np.asarray(grid.theta_points), "log_weights": np.log(np.asarray(grid.weights))
+    }
+    for name, expected in fresh.items():
+        cached = getattr(grid, name)
+        assert getattr(grid, name) is cached and not cached.flags.writeable
+        np.testing.assert_array_equal(cached, expected)
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_flat_weights_reject_a_head_start_that_is_not_finite(omega):
+    with pytest.raises(ValueError, match="head start"):
+        FlatWeights(omega)
