@@ -67,6 +67,8 @@ def estimate_kl_slope(channel, theta: float, n: int, replications: int, master_s
         raise ValueError(f"path length must be >= 1, got {n}")
     if replications < 2:
         raise ValueError(f"need at least 2 replications, got {replications}")
+    if not np.isfinite(theta):
+        raise ValueError(f"post-change parameter theta must be finite, got {theta}")
     thetas = np.asarray([float(theta)])
     slopes = np.empty(replications)
     # one batch of paths per call, since the AR filter pays per time step

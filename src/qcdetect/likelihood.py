@@ -58,6 +58,25 @@ def logsumexp(a, axis=None):
     return out[()] if out.ndim == 0 else out
 
 
+def log_add_exp(x, y, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``out = max(x, y) + log1p(exp(-|x - y|))``, into the caller's buffers.
+
+    Each pass is a numpy SIMD ufunc, several times faster than the scalar libm
+    calls of ``np.logaddexp``; ``out`` may be ``x``.  It is not bit-identical
+    to ``np.logaddexp`` (a few elements in a thousand differ in the last bit,
+    which may depend on the SIMD path numpy dispatches on a CPU), but exact at
+    infinities: ``x = -inf`` gives ``y``, a tie ``x == y`` gives ``y + log 2``.
+    """
+    np.minimum(x, y, out=work)
+    np.maximum(x, y, out=out)
+    with np.errstate(invalid="ignore"):
+        np.subtract(work, out, out=work)  # -|x - y|; NaN only for a tie at infinity
+    np.fmin(work, 0.0, out=work)
+    np.exp(work, out=work)
+    np.log1p(work, out=work)
+    return np.add(out, work, out=out)
+
+
 def elementary_symmetric(values, K: int) -> np.ndarray:
     """Elementary symmetric polynomials e_0..e_K of the inputs (e_0 = 1)."""
     values = np.asarray(values, dtype=float)
@@ -74,21 +93,29 @@ def elementary_symmetric(values, K: int) -> np.ndarray:
 
 
 def log_elementary_symmetric(log_values: np.ndarray, K: int) -> np.ndarray:
-    """log e_0..e_K of exp(log_values), accumulated with log-sum-exp.
+    """log e_0..e_K of exp(log_values), accumulated with ``log_add_exp``.
 
     Works on the last axis; leading axes are broadcast (batched evaluation).
+    The DP keeps e_j first, so that each ``loge[j, ...]`` is contiguous.  Its
+    sums are ``max + log1p(exp(-|d|))`` on numpy's SIMD ufuncs: not
+    bit-identical to ``np.logaddexp``, and the last bit may depend on the SIMD
+    path numpy dispatches on a CPU.
     """
     log_values = np.asarray(log_values, dtype=float)
     n = log_values.shape[-1]
     if not 1 <= K <= n:
         raise ValueError(f"K must be in [1, {n}], got {K}")
-    loge = np.full(log_values.shape[:-1] + (K + 1,), -np.inf)
-    loge[..., 0] = 0.0
+    loge = np.full((K + 1,) + log_values.shape[:-1], -np.inf)
+    loge[0, ...] = 0.0
+    term = np.empty(log_values.shape[:-1])
+    work = np.empty_like(term)
     for i in range(n):
-        top = min(i + 1, K)
-        for j in range(top, 0, -1):
-            loge[..., j] = np.logaddexp(loge[..., j], log_values[..., i] + loge[..., j - 1])
-    return loge
+        if i < K:  # e_{i+1}'s first term; adding it to exp(-inf) = 0 is exact
+            np.add(log_values[..., i], loge[i, ...], out=loge[i + 1, ...])
+        for j in range(min(i, K), 0, -1):
+            np.add(log_values[..., i], loge[j - 1, ...], out=term)
+            log_add_exp(loge[j, ...], term, loge[j, ...], work)
+    return np.moveaxis(loge, 0, -1)
 
 
 @dataclass(frozen=True)

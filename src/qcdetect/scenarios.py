@@ -48,6 +48,8 @@ class ARChannelSpec:
             raise ValueError(f"signal template must be finite, got {signal}")
         if not 0.0 <= self.theta < math.inf:
             raise ValueError(f"amplitude must be >= 0 and finite, got {self.theta}")
+        if not all(math.isfinite(c) for c in coeffs):
+            raise ValueError(f"AR coefficients coeffs must be finite, got {coeffs}")
         if coeffs:
             radius = max(abs(np.roots(np.concatenate(([1.0], -np.asarray(coeffs))))))
             if radius >= 1.0:

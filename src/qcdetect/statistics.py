@@ -25,6 +25,11 @@ weights' sum, 0 up to rounding).  A stopping rule only asks whether the
 statistic reaches a threshold, so the recursion's read-out runs its
 log-sum-exp only on rows where that bound does.
 
+Both engines add in the log domain with ``likelihood.log_add_exp``, which is
+``max + log1p(exp(-|d|))`` on numpy's SIMD ufuncs: not bit-identical to
+``np.logaddexp``, and the last bit may depend on the SIMD path numpy dispatches
+on a CPU.  On one machine, results are the same for any worker count.
+
 The no-change posterior satisfies ``P(nu >= n | data) = 1 / (S(n) + 1)``.
 """
 
@@ -36,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .likelihood import SubsetWeights, log_elementary_symmetric, logsumexp, read_only
+from .likelihood import SubsetWeights, log_add_exp, log_elementary_symmetric, logsumexp, read_only
 from .model import PriorSpec
 
 
@@ -192,7 +197,8 @@ class DetectorState:
     components' joint weights sum to one, the log statistic of a row is at
     most its largest log component plus ``MixtureBasis.log_joint_total``;
     ``log_shiryaev(floor)`` uses this bound to skip the exact read-out of rows
-    provably below ``floor``.
+    provably below ``floor``.  The update adds with ``log_add_exp``, not
+    ``np.logaddexp``; a value may differ from the latter's in its last bit.
     """
 
     def __init__(
@@ -252,7 +258,9 @@ class DetectorState:
             raise ValueError(f"prior tail vanishes at n={n}; the Shiryaev statistic is undefined")
         log_c = self.log_components
         log_c += self.weighting.log_tail(n - 1)
-        np.logaddexp(log_c, self.weighting.log_mass(n - 1), out=log_c)
+        log_mass = self.weighting.log_mass(n - 1)
+        if log_mass > -math.inf:  # adding exp(-inf) = 0 leaves every component as it is
+            log_add_exp(log_c, log_mass, log_c, np.empty_like(log_c))
         log_c += llr
         log_c -= log_tail
         self.n = n

@@ -270,6 +270,7 @@ BAD_CONFIGS = {
     "ar-sigma-nan": ("simulate", BASE_CONFIG.replace("sigma = 1.0", "sigma = nan")),
     "ar-signal-nan": ("simulate", BASE_CONFIG.replace("sigma = 1.0", "sigma = 1.0\nsignal = nan")),
     "ar-theta-inf": ("simulate", BASE_CONFIG.replace("sigma = 1.0\ntheta = 1.0", "sigma = 1.0\ntheta = inf")),
+    "ar-coeffs-nan": ("simulate", BASE_CONFIG.replace("sigma = 1.0", "sigma = 1.0\ncoeffs = nan")),
     "mixture-mu1-nan": ("simulate", with_mixture(BASE_CONFIG).replace("mu1 = 2.0", "mu1 = nan")),
     "mixture-mu2-nan": ("simulate", with_mixture(BASE_CONFIG).replace("mu2 = 0.0", "mu2 = nan")),
     "mixture-sigma-nan": ("simulate", with_mixture(BASE_CONFIG).replace("sigma = 1.0", "sigma = nan")),
@@ -423,6 +424,15 @@ def test_cost_c_nan_is_blamed_on_c(tmp_path, capsys):
     assert cli.main([command, "--config", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "c = nan" in err and "threshold" not in err
+
+
+def test_ar_coeffs_nan_is_blamed_on_coeffs(tmp_path, capsys):
+    command, text = BAD_CONFIGS["ar-coeffs-nan"]
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert cli.main([command, "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "coeffs" in err and "infs or NaNs" not in err
 
 
 def test_simulate_with_a_one_step_window(tmp_path):

@@ -1,5 +1,7 @@
 """Information rates, the average-risk constant, and slope diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,13 @@ def test_slope_estimate_matches_mixture_rate():
     est = estimate_kl_slope(channel, 0.8, 10_000, 50, master_seed=5)
     target = channel.kl_rate(0.8)
     assert abs(est.mean - target) / target <= 0.05
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_slope_estimate_rejects_a_non_finite_theta(theta):
+    # a NaN theta used to return an estimate with mean NaN
+    with pytest.raises(ValueError, match="theta must be finite"):
+        estimate_kl_slope(gaussian_stream(), theta, 10, 4, 0)
 
 
 def test_slope_standard_error_scales_with_replications():

@@ -1,6 +1,7 @@
 """Elementary symmetric DP and subset-mixture likelihood ratios."""
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -17,6 +18,7 @@ from qcdetect import (
 )
 from qcdetect.likelihood import (
     MAX_LISTED_SUBSETS,
+    log_add_exp,
     log_elementary_symmetric,
     logsumexp,
     subset_masks,
@@ -71,6 +73,81 @@ def test_log_esp_matches_plain_esp():
         np.testing.assert_allclose(
             log_elementary_symmetric(log_values, k)[1:], expected[1:], atol=1e-10
         )
+
+
+def test_log_esp_with_zero_values_is_exact_and_quiet():
+    # log 0 = -inf entries: e_j of the remaining values, with no warning
+    log_values = np.array([[-np.inf, 0.5, -np.inf, -1.0], [-np.inf] * 4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loge = log_elementary_symmetric(log_values, 3)
+    assert loge.shape == (2, 4)
+    np.testing.assert_array_equal(loge[1], [0.0, -np.inf, -np.inf, -np.inf])
+    assert loge[0, 1] == pytest.approx(np.logaddexp(0.5, -1.0), rel=0, abs=1e-15)
+    assert loge[0, 2] == 0.5 + -1.0 and loge[0, 3] == -np.inf
+
+
+def test_log_esp_of_one_vector_has_shape_k_plus_one():
+    loge = log_elementary_symmetric(np.log([1.0, 2.0, 3.0]), 2)
+    assert loge.shape == (3,)
+    np.testing.assert_allclose(np.exp(loge), [1.0, 6.0, 11.0], rtol=1e-14)
+
+
+# -- the log-add-exp kernel against np.logaddexp -------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def lae(x, y):
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    out = np.empty(x.shape)
+    return log_add_exp(x, y, out, np.empty_like(out))
+
+
+def test_log_add_exp_within_ulps_of_numpy():
+    # |x - y| spans exact ties to complete underflow of exp(-|x - y|)
+    rng = np.random.default_rng(7)
+    for scale in (1e-3, 1.0, 30.0, 700.0):
+        x = rng.normal(scale=scale, size=(64, 63, 2))
+        near = x + rng.normal(size=x.shape)
+        y = np.where(rng.random(x.shape) < 0.5, near, rng.normal(scale=scale, size=x.shape))
+        bound = 4 * EPS * np.maximum.reduce([np.abs(x), np.abs(y), np.ones_like(x)])
+        assert np.all(np.abs(lae(x, y) - np.logaddexp(x, y)) <= bound)
+
+
+def test_log_add_exp_is_exact_at_infinities_and_ties():
+    finite = np.array([-745.0, -1.5, -0.0, 0.0, 2.0**-30, 3.25, 709.0])
+    inf = np.full_like(finite, np.inf)
+    for x, y in [(-inf, finite), (finite, -inf), (finite, finite), (-inf, -inf), (inf, inf),
+                 (inf, finite)]:
+        np.testing.assert_array_equal(lae(x, y), np.logaddexp(x, y))
+    np.testing.assert_array_equal(lae(-inf, finite), finite)
+    np.testing.assert_array_equal(lae(finite, finite), finite + math.log(2.0))
+
+
+def test_log_add_exp_updates_in_place_and_takes_a_scalar():
+    x = np.array([[-np.inf, 0.0], [1.0, -3.0]])
+    expected = lae(x, np.full_like(x, -1.0))
+    log_add_exp(x, -1.0, x, np.empty_like(x))
+    np.testing.assert_array_equal(x, expected)
+    assert x[0, 0] == -1.0
+
+
+def test_log_add_exp_on_0d_arrays():
+    out, work = np.empty(()), np.empty(())
+    got = log_add_exp(np.array(1.0), np.array(1.0), out, work)
+    assert got is out and got.shape == () and float(got) == 1.0 + math.log(2.0)
+
+
+def test_log_add_exp_raises_no_warning_at_the_exp_limits():
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-760.0, 760.0, size=4096)
+    y = np.concatenate([-x[:2048], rng.uniform(-760.0, 760.0, size=2048)])
+    x[::97] = -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lae(x, y)
+    assert np.all(np.isfinite(got))
 
 
 def normalizer(p, K):
