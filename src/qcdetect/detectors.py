@@ -169,7 +169,7 @@ class Detector:
         rows = np.arange(n_reps)
         # rows provably below the threshold need no exact read-out, unless
         # every value is recorded
-        floor = log_threshold if out is None else None
+        floor = log_threshold if out is None else -math.inf
         for t in range(horizon):
             if not rows.size:
                 break

@@ -33,27 +33,19 @@ def count_subsets(n_streams: int, K: int) -> int:
 def logsumexp(a, axis=None):
     """``log(sum(exp(a)))`` over ``axis`` (an int, a tuple or None for all).
 
-    The real-input algorithm of ``scipy.special.logsumexp`` (scipy 1.17),
-    operation for operation, so the two agree bit for bit: the maxima are
-    split off with their tie count ``m``, the rest is summed after the shift,
-    and ``log(sum(exp(a)))`` replaces any result that is not finite.  It skips
-    scipy's array-API dispatch and only runs that unshifted fallback where it
-    is needed.
+    ``max + log(sum(exp(a - max)))`` with the maximum along ``axis`` as the
+    shift, so no ``exp`` overflows.  Where that maximum is not finite the
+    shift is 0: a row of all -inf gives -inf and a row with a +inf entry gives
+    +inf, exactly, and NaN in gives NaN out, with no warning.  A reduction to
+    a single value returns a numpy scalar.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    if axis is None:
-        axis = tuple(range(a.ndim))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=axis, keepdims=True)
-        is_max = a == a_max
-        m = np.sum(is_max, axis=axis, keepdims=True, dtype=float)
-        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-        infinite = ~np.isfinite(out)
-        if infinite.any():
-            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
-            out = np.where(infinite, direct, out)
+    a_max = np.max(a, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(a_max), a_max, 0.0)
+    terms = a - shift
+    with np.errstate(divide="ignore", over="ignore"):
+        np.exp(terms, out=terms)
+        out = np.log(np.sum(terms, axis=axis, keepdims=True)) + shift
     out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
 

@@ -15,11 +15,6 @@ import numpy as np
 from .model import NO_CHANGE
 
 
-def _softplus(z):
-    # log(1 + e^z), stable for any z
-    return np.logaddexp(0.0, z)
-
-
 @dataclass(frozen=True)
 class ARChannelSpec:
     """Deterministic signal of unknown amplitude in stable Gaussian AR(p) noise.
@@ -214,7 +209,7 @@ class MixtureChannelSpec:
             [np.zeros(log_g.shape[:-1] + (1,)), log_g[..., :-1]], axis=-1
         )
         v = self.log_odds
-        return _softplus(v + prev) - _softplus(v + log_g)
+        return np.logaddexp(0.0, v + prev) - np.logaddexp(0.0, v + log_g)
 
     def log_lr_increments(self, x: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
@@ -236,8 +231,8 @@ class MixtureChannelSpec:
             [np.zeros(log_g.shape[:-1] + (1,)), log_g[..., :-1]], axis=-1
         )
         v = self.log_odds
-        # joint_n = sum log p2 + softplus(v + G_n) - softplus(v); take differences
-        return log_p2 + _softplus(v + log_g) - _softplus(v + prev)
+        # joint_n = sum log p2 + log(1 + e^{v + G_n}) - log(1 + e^v); take differences
+        return log_p2 + np.logaddexp(0.0, v + log_g) - np.logaddexp(0.0, v + prev)
 
     def log_predictive_post(self, x: np.ndarray, theta: float) -> np.ndarray:
         z = (x - theta) / self.sigma

@@ -28,7 +28,10 @@ log-sum-exp only on rows where that bound does.
 Both engines add in the log domain with ``likelihood.log_add_exp``, which is
 ``max + log1p(exp(-|d|))`` on numpy's SIMD ufuncs: not bit-identical to
 ``np.logaddexp``, and the last bit may depend on the SIMD path numpy dispatches
-on a CPU.  On one machine, results are the same for any worker count.
+on a CPU.  Every reduction, the read-out and the window engine's sums over
+subset sizes, points and change points, is ``likelihood.logsumexp``, the one
+``max + log(sum(exp(a - max)))``; it does not copy scipy's bits.  On one
+machine, results are the same for any worker count.
 
 The no-change posterior satisfies ``P(nu >= n | data) = 1 / (S(n) + 1)``.
 """
@@ -83,7 +86,7 @@ class GridSpec:
         """Each grid point assigns one amplitude to every stream."""
         amplitudes = tuple(float(a) for a in amplitudes)
         if weights is None:
-            weights = (1.0 / len(amplitudes),) * len(amplitudes)
+            weights = tuple(1.0 / len(amplitudes) for _ in amplitudes)
         return cls(
             theta_points=tuple((a,) * n_streams for a in amplitudes),
             weights=tuple(weights),
@@ -198,7 +201,8 @@ class DetectorState:
     most its largest log component plus ``MixtureBasis.log_joint_total``;
     ``log_shiryaev(floor)`` uses this bound to skip the exact read-out of rows
     provably below ``floor``.  The update adds with ``log_add_exp``, not
-    ``np.logaddexp``; a value may differ from the latter's in its last bit.
+    ``np.logaddexp``, and every reduction is ``logsumexp``, not scipy's; a
+    value may differ from theirs in its last bits.
     """
 
     def __init__(
@@ -305,28 +309,26 @@ class DetectorState:
 
     # -- value -----------------------------------------------------------------
 
-    def log_shiryaev(self, floor: float | None = None) -> np.ndarray:
+    def log_shiryaev(self, floor: float = -math.inf) -> np.ndarray:
         """The log statistic ``[R]``: log S(n) under a prior, log R(n) under flat weights.
 
-        With a ``floor``, the recursion reads out exactly only the rows whose
-        bound ``max(log_components) + log_joint_total`` reaches ``floor`` less
-        a rounding margin; every other row gets its bound, which is below
+        The recursion reads out exactly only the rows whose bound
+        ``max(log_components) + log_joint_total`` reaches ``floor`` less a
+        rounding margin; every other row gets its bound, which is below
         ``floor``.  The bound holds because the joint weights sum to one.
+        The default floor, -inf, reads every row exactly.
         """
         if self.window_m1 is not None:
             return self._log_value
-        log_joint = self.basis.log_joint[None]
-        if floor is None:
-            return logsumexp(self.log_components + log_joint, axis=(1, 2))
         # the row maxima as a reduction over the first axis of a transposed
         # copy, which runs elementwise across rows instead of row by row
         columns = np.ascontiguousarray(self.log_components.reshape(self.n_reps, -1).T)
         bound = columns.max(axis=0) + self.basis.log_joint_total
         exact = ~(bound < floor - 1e-9 * max(1.0, abs(floor)))
-        if exact.all():
-            return logsumexp(self.log_components + log_joint, axis=(1, 2))
         if exact.any():
-            bound[exact] = logsumexp(self.log_components[exact] + log_joint, axis=(1, 2))
+            bound[exact] = logsumexp(
+                self.log_components[exact] + self.basis.log_joint, axis=(1, 2)
+            )
         return bound
 
     #: Read-outs are named after the rule; both return the same statistic.
@@ -363,6 +365,7 @@ def direct_log_statistic(
     statistic (``m1=None``).  For ``n <= m0`` no change point is a candidate
     yet and the head summand is all there is.
     """
+    check_window(m1, m0)
     inc = np.asarray(increments, dtype=float)
     if inc.ndim < 3:
         raise ValueError("increment history must be [..., T, P, N]")

@@ -20,6 +20,7 @@ from qcdetect import (
     PolynomialTailPrior,
     Scenario,
     SubsetWeights,
+    direct_log_statistic,
     gaussian_stream,
     replication_rng,
     threshold_cost,
@@ -318,6 +319,7 @@ def test_config_and_state_share_one_window_rule(m1, m0, valid):
     builds = (
         lambda: DetectorConfig(kind="sr-mixture", threshold_A=5.0, window_m1=m1, window_m0=m0),
         lambda: DetectorState(prior, grid, weights, window_m1=m1, window_m0=m0),
+        lambda: direct_log_statistic(np.zeros((1, 1, 1)), prior, grid, weights, n=1, m1=m1, m0=m0),
     )
     for build in builds:
         if valid:

@@ -8,12 +8,14 @@ The reference evaluates the paper's statistic
 in the standard library's ``decimal`` at 50 significant digits.  Every float
 input (the increments ``x``, the per-stream weights ``p_i``, the grid weights
 ``W``, the prior's ``q`` and ``rho``, the head start ``omega``) is converted
-exactly, the subsets are enumerated, and the sum over change points is the
-exact identity ``sum_k pi_k Lambda(k, n) = e^{L(n)} sum_k pi_k e^{-L(k)}`` of
-each component's cumulative log LR ``L``.  Under flat weights (``pi_k = 1``,
-``P(nu >= n) = 1``, ``q = omega``) it is the Shiryaev-Roberts statistic.  No
-package code enters the reference, so it does not move when the engines'
-float arithmetic does.
+exactly, the subsets are enumerated, and each term is the exact identity
+``pi_k Lambda(k, n) = sum_c w_c e^{L_c(n)} pi_k e^{-L_c(k)}`` over the
+components' cumulative log LRs ``L_c``.  Under flat weights (``pi_k = 1``,
+``P(nu >= n) = 1``, ``q = omega``) it is the Shiryaev-Roberts statistic.  The
+window-limited statistic keeps the change points ``k = n - min(n, m1 + 1) ..
+n - 1 - m0`` of the sum, and the head term only when the window reaches the
+origin.  No package code enters the reference, so it does not move when the
+engines' float arithmetic does.
 
 The error of a float value ``v`` of ``log S`` is measured in units of
 ``eps * max(1, |log S|)`` with ``eps = 2**-52``: ulps of ``|log S|``, or of 1
@@ -22,6 +24,15 @@ whose dominant ones sit within ``log(S * P)`` of ``log S``, a few times, so
 the error can grow with the step count; ``BOUND_ULPS`` allows about one unit
 per step over the longest horizon here, several times the largest error
 either engine shows.
+
+A window shorter than ``n`` makes each value a fixed number of roundings
+deep, whatever ``n``: at most ``m1 + 1`` suffix additions (``m1 <= 10``
+here), ``N K`` log-add-exps of the DP (``N K <= 16``), three log-sum-exps of
+about three roundings each and two scalar additions (the normalizer and
+``log W``), each within an ulp of ``max(1, |log S|)``; and two roundings next
+to the log weights, the addition of ``log pi_k`` and the subtraction of
+``log P(nu >= n)``, each within ``|log pi_k| < 16`` ulps at ``n <= 60`` for
+the priors here.  ``WINDOW_BOUND_ULPS`` is that count.
 """
 
 import decimal
@@ -60,6 +71,13 @@ WEIGHTINGS = {
 
 REPLICATIONS = 3
 
+#: Windows ``(m1, m0)`` shorter than every horizon, with and without an offset.
+WINDOWS = [(0, 0), (3, 0), (3, 2), (10, 0), (10, 2)]
+
+#: Allowed error of log S under a window shorter than the horizon, in ulps of
+#: max(1, |log S|): the rounding count of the module docstring.
+WINDOW_BOUND_ULPS = (11 + 16 + 3 * 3 + 2) + 2 * 16
+
 
 def case_increments(name):
     """Per-step increments ``[R, T, P, N]``: Gaussian, with the mean shifting at the change step."""
@@ -78,37 +96,66 @@ def exact_law(weighting):
     return q, lambda k: (1 - q) * rho * (1 - rho) ** k, lambda n: (1 - q) * (1 - rho) ** n
 
 
-def exact_log_statistic(increments, p, K, grid_weights, weighting):
-    """log S(n) for n = 1..T of one path ``[T, P, N]``, as ``Decimal``s."""
-    horizon, n_points, n_streams = increments.shape
-    q, mass, tail = exact_law(weighting)
+def exact_components(increments, p, K, grid_weights):
+    """The (subset, point) components of one path ``[T, P, N]``, in ``decimal``.
+
+    Each is ``(weight, growth)``: its joint weight ``p_B W(theta)`` and
+    ``e^{L(n)}`` for ``n = 0..T``, where ``L`` is its cumulative log LR.
+    """
+    n_points, n_streams = increments.shape[1:]
     with decimal.localcontext(decimal.Context(prec=DIGITS)):
         x = [[[Decimal(v) for v in row] for row in step] for step in increments.tolist()]
         subsets = [b for size in range(1, K + 1) for b in combinations(range(n_streams), size)]
         products = [math.prod((Decimal(p[i]) for i in b), start=Decimal(1)) for b in subsets]
         total = sum(products)
-        components = [
-            (b, point, products[s] / total * Decimal(grid_weights[point]))
-            for s, b in enumerate(subsets)
-            for point in range(n_points)
+        components = []
+        for s, b in enumerate(subsets):
+            for point in range(n_points):
+                cumulative = [Decimal(0)]
+                for step in x:
+                    cumulative.append(cumulative[-1] + sum(step[point][i] for i in b))
+                weight = products[s] / total * Decimal(grid_weights[point])
+                components.append((weight, [c.exp() for c in cumulative]))
+    return components
+
+
+def exact_log_statistic(components, weighting, m1=None, m0=0):
+    """log S(n) for n = 1..T from a path's ``exact_components``, as ``Decimal``s.
+
+    Sums each component's ``pi_k e^{L(n)} / e^{L(k)}`` over every ``k < n``,
+    or with a window ``m1`` over ``k = n - min(n, m1 + 1) .. n - 1 - m0``; the
+    head term ``q Lambda(0, n)`` enters only when the window reaches the
+    origin, as in ``direct_log_statistic``.  A statistic with no summand is 0,
+    whose log is ``-Infinity``.
+    """
+    horizon = len(components[0][1]) - 1
+    q, mass, tail = exact_law(weighting)
+    values = []
+    with decimal.localcontext(decimal.Context(prec=DIGITS)):
+        masses = [mass(k) for k in range(horizon)]
+        # pi_k e^{-L(k)} of each component, k < T
+        scaled = [
+            (weight, growth, [masses[k] / growth[k] for k in range(horizon)])
+            for weight, growth in components
         ]
-        cumulative = [Decimal(0)] * len(components)  # L(n) of each component
-        discounted = [Decimal(0)] * len(components)  # sum_{k < n} pi_k e^{-L(k)}
-        values = []
         for n in range(1, horizon + 1):
-            statistic = Decimal(0)
-            for c, (b, point, weight) in enumerate(components):
-                discounted[c] += mass(n - 1) * (-cumulative[c]).exp()
-                cumulative[c] += sum(x[n - 1][point][i] for i in b)
-                statistic += weight * cumulative[c].exp() * (q + discounted[c])
+            m = n if m1 is None else min(n, m1 + 1)
+            head = q if m == n else Decimal(0)
+            ks = range(n - m, n - m0)
+            statistic = sum(
+                weight * growth[n] * (head + sum((discounted[k] for k in ks), Decimal(0)))
+                for weight, growth, discounted in scaled
+            )
             values.append((statistic / tail(n)).ln())
     return values
 
 
-def engine_log_statistic(increments, weighting, grid, weights, window_m1):
-    """The engine's log S(n) ``[R, T]``: the recursion, or the window engine over the whole path."""
+def engine_log_statistic(increments, weighting, grid, weights, window_m1, window_m0=0):
+    """The engine's log S(n) ``[R, T]``: the recursion (no ``window_m1``) or the window engine."""
     n_reps, horizon = increments.shape[:2]
-    state = DetectorState(weighting, grid, weights, n_reps=n_reps, window_m1=window_m1)
+    state = DetectorState(
+        weighting, grid, weights, n_reps=n_reps, window_m1=window_m1, window_m0=window_m0
+    )
     values = np.empty((n_reps, horizon))
     for t in range(horizon):
         values[:, t] = state.advance(increments[:, t]).log_shiryaev()
@@ -116,40 +163,80 @@ def engine_log_statistic(increments, weighting, grid, weights, window_m1):
 
 
 def errors_in_ulps(got, exact):
-    """|got - exact| in units of eps * max(1, |exact|), elementwise over one path."""
+    """|got - exact| in units of eps * max(1, |exact|), elementwise over one path.
+
+    Where the exact statistic is 0 (log -Infinity), only ``-inf`` has no error.
+    """
     return [
-        float(abs(Decimal(float(v)) - e) / (Decimal(EPS) * max(Decimal(1), abs(e))))
+        (0.0 if v == -math.inf else math.inf)
+        if e.is_infinite()
+        else float(abs(Decimal(float(v)) - e) / (Decimal(EPS) * max(Decimal(1), abs(e))))
         for v, e in zip(got, exact)
     ]
 
 
 @pytest.fixture(scope="module")
 def exact_values():
-    """The reference of every (case, weighting), computed once for both engines."""
+    """The reference of every (case, weighting, window), each path's components built once."""
+    components = {}
     cache = {}
 
-    def get(case, weighting_name):
-        key = (case, weighting_name)
+    def get(case, weighting_name, m1=None, m0=0):
+        p, K, _, grid_weights, *_ = CASES[case]
+        if case not in components:
+            components[case] = [
+                exact_components(path, p, K, grid_weights) for path in case_increments(case)
+            ]
+        key = (case, weighting_name, m1, m0)
         if key not in cache:
-            p, K, _, grid_weights, *_ = CASES[case]
             cache[key] = [
-                exact_log_statistic(path, p, K, grid_weights, WEIGHTINGS[weighting_name])
-                for path in case_increments(case)
+                exact_log_statistic(c, WEIGHTINGS[weighting_name], m1, m0)
+                for c in components[case]
             ]
         return cache[key]
 
     return get
 
 
+def assert_within(got, exact_paths, bound):
+    for row, exact in zip(got, exact_paths):
+        for n, error in enumerate(errors_in_ulps(row, exact), start=1):
+            assert error <= bound, (
+                f"log S({n}) = {row[n - 1]!r} is {error:.1f} ulps from {exact[n - 1]}"
+            )
+
+
+def case_model(case):
+    p, K, amplitudes, grid_weights, *_ = CASES[case]
+    grid = GridSpec.common_amplitude(amplitudes, len(p), weights=grid_weights)
+    return grid, SubsetWeights(p=p, K=K)
+
+
 def test_reference_matches_the_closed_form_of_one_step():
     # one stream, one point: S(1) = L(1) * (q + pi_0) / P(nu >= 1), exactly
     prior = GeometricPrior(rho=0.25, q=0.1)
     x = np.array([[[0.75]]])
-    (got,) = exact_log_statistic(x, (1.0,), 1, (1.0,), prior)
+    (got,) = exact_log_statistic(exact_components(x, (1.0,), 1, (1.0,)), prior)
     with decimal.localcontext(decimal.Context(prec=DIGITS)):
         q, rho = Decimal(0.1), Decimal(0.25)
         expected = Decimal(0.75) + ((q + (1 - q) * rho) / ((1 - q) * (1 - rho))).ln()
         assert abs(got - expected) < Decimal(10) ** (5 - DIGITS)
+
+
+def test_reference_window_of_one_change_point():
+    # m1 = 1, m0 = 1 at n = 3: only k = 1 is a candidate, and no head term
+    prior = GeometricPrior(rho=0.25, q=0.1)
+    x = np.array([[[0.75]], [[-0.5]], [[1.25]]])
+    components = exact_components(x, (1.0,), 1, (1.0,))
+    values = exact_log_statistic(components, prior, m1=1, m0=1)
+    with decimal.localcontext(decimal.Context(prec=DIGITS)):
+        q, rho = Decimal(0.1), Decimal(0.25)
+        pi_1, tail_3 = (1 - q) * rho * (1 - rho), (1 - q) * (1 - rho) ** 3
+        expected = Decimal(-0.5) + Decimal(1.25) + (pi_1 / tail_3).ln()
+        assert abs(values[2] - expected) < Decimal(10) ** (5 - DIGITS)
+        # at n = 1 the window reaches the origin, but k = 0 is offset out: q Lambda(0, 1) alone
+        expected = Decimal(0.75) + (q / ((1 - q) * (1 - rho))).ln()
+        assert abs(values[0] - expected) < Decimal(10) ** (5 - DIGITS)
 
 
 def test_large_case_passes_log_700(exact_values):
@@ -160,20 +247,23 @@ def test_large_case_passes_log_700(exact_values):
 @pytest.mark.parametrize("weighting_name", sorted(WEIGHTINGS))
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_engine_within_bound_of_exact_statistic(case, weighting_name, engine, exact_values):
-    p, K, amplitudes, grid_weights, horizon, *_ = CASES[case]
-    grid = GridSpec.common_amplitude(amplitudes, len(p), weights=grid_weights)
-    weights = SubsetWeights(p=p, K=K)
-    increments = case_increments(case)
+    horizon = CASES[case][4]
     got = engine_log_statistic(
-        increments,
+        case_increments(case),
         WEIGHTINGS[weighting_name],
-        grid,
-        weights,
+        *case_model(case),
         window_m1=None if engine == "recursion" else horizon,
     )
-    for row, exact in zip(got, exact_values(case, weighting_name)):
-        errors = errors_in_ulps(row, exact)
-        for n, error in enumerate(errors, start=1):
-            assert error <= BOUND_ULPS, (
-                f"log S({n}) = {row[n - 1]!r} is {error:.1f} ulps from {exact[n - 1]}"
-            )
+    assert_within(got, exact_values(case, weighting_name), BOUND_ULPS)
+
+
+@pytest.mark.parametrize("m1, m0", WINDOWS)
+@pytest.mark.parametrize("weighting_name", sorted(WEIGHTINGS))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_window_engine_within_bound_of_exact_window_sum(
+    case, weighting_name, m1, m0, exact_values
+):
+    got = engine_log_statistic(
+        case_increments(case), WEIGHTINGS[weighting_name], *case_model(case), m1, m0
+    )
+    assert_within(got, exact_values(case, weighting_name, m1, m0), WINDOW_BOUND_ULPS)

@@ -68,6 +68,11 @@ def test_common_amplitude_grid():
     assert grid.weights == (0.5, 0.5)
 
 
+def test_common_amplitude_grid_of_no_amplitudes_is_refused_by_the_grid_check():
+    with pytest.raises(ValueError, match="at least one parameter point"):
+        GridSpec.common_amplitude((), 3)
+
+
 # -- initial values ------------------------------------------------------------------
 
 
