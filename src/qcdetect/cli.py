@@ -45,6 +45,7 @@ from .montecarlo import (
     asymptotic_ratio_sweep,
     estimate_pfa,
     simulate_runs,
+    span_rows,
 )
 from .scenarios import ARChannelSpec, MixtureChannelSpec, Scenario
 from .statistics import GridSpec
@@ -454,6 +455,12 @@ def build_mc(config: RunConfig, seed: int | None, workers: int | None) -> MCConf
         )
 
 
+def check_span_memory(detector: Detector, mc: MCConfig) -> None:
+    """A horizon whose single replication exceeds the span memory budget, before simulating."""
+    with _invalid("[mc] horizon"):
+        span_rows(detector, mc.horizon)
+
+
 # -- commands ---------------------------------------------------------------------
 
 
@@ -477,6 +484,7 @@ def cmd_simulate(config: RunConfig, out: str | None, seed: int | None, workers: 
     detector = build_detector(config)
     mc = build_mc(config, seed, workers)
     sampler = build_change(config.change, detector.scenario, mc.horizon)
+    check_span_memory(detector, mc)
     records = simulate_runs(detector, mc, sampler)
     moments = {str(r): records.delay_moment(r) for r in config.mc.moments}
     summary = {
@@ -518,6 +526,7 @@ def cmd_oc_sweep(config: RunConfig, out: str | None, seed: int | None, workers: 
         raise ConfigError("oc-sweep draws nu from the prior; set [change] nu = prior")
     with _invalid():
         detector.first_order_rate(sampler.subset, sampler.theta)
+    check_span_memory(detector, mc)
     rows = asymptotic_ratio_sweep(
         detectors.__getitem__, config.sweep.alphas, config.sweep.r, mc, sampler.subset,
         sampler.theta,

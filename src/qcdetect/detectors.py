@@ -31,6 +31,11 @@ _KINDS = (SHIRYAEV_MIXTURE, SR_MIXTURE)
 #: N * K instead, is the way to run.
 MAX_RECURSION_SUBSETS = 4095
 
+#: Steps of log-LR increments a scan computes at once, for the rows still live
+#: at the block's start.  A block of R rows holds R * 32 * P * N floats, and a
+#: row that stops is computed at most to the end of its block.
+INCREMENT_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -129,6 +134,28 @@ class Detector:
             raise ValueError(f"the first-order delay needs I + mu > 0, got {rate!r}")
         return rate
 
+    def row_bytes(self, horizon: int) -> int:
+        """Bytes one replication of ``horizon`` steps holds while it is simulated.
+
+        The sum of its ``[T, N]`` data; the temporaries ``Scenario.generate``
+        makes for one stream, under ``3 T`` floats (its draws, its signal or
+        means, and the change mask); one block of increments,
+        ``[min(T, INCREMENT_BLOCK), P, N]``; and the engine's working set.
+        For the recursion that is the ``[S, P]`` log components with the
+        step's subset sums and ``log_add_exp`` buffer of the same shape; for
+        the window, the ``[m, P, N]`` increments, suffix sums and weighted
+        suffix sums with ``m = min(T, m1 + 1)``, and the elementary-symmetric
+        DP's ``loge``, ``[m, P, K + 1]``.
+        """
+        n, points = self.scenario.n_streams, self.grid.n_points
+        block = min(horizon, INCREMENT_BLOCK) * points * n
+        if self.config.window_m1 is None:
+            engine = 3 * self.weights.n_subsets * points
+        else:
+            m = min(horizon, self.config.window_m1 + 1)
+            engine = m * points * (3 * n + self.weights.K + 1)
+        return 8 * (horizon * (n + 3) + block + engine)
+
     def _new_state(self, n_reps: int) -> DetectorState:
         return DetectorState(
             self.weighting,
@@ -161,28 +188,43 @@ class Detector:
         state, and the scan ends once no row is left or at the horizon.
         ``out`` (``[R, T]``), when given, receives the log statistic of every
         step a row takes.
+
+        The increments are computed ``INCREMENT_BLOCK`` steps at a time, for
+        the rows live at the block's start: ``pos`` is each live row's position
+        in its block.  The block reads the scenario's lag samples before it,
+        and ``carry`` holds the mixture streams' running sums across blocks.
+        Every element of a block has the whole path's bits.
         """
-        n_reps, horizon, _ = data.shape
-        increments = self.scenario.log_lr_increments(data, self.grid.points)
+        n_reps, horizon, n_streams = data.shape
+        scenario, points = self.scenario, self.grid.points
         state = self._new_state(n_reps)
         stopped = np.full(n_reps, -1, dtype=np.int64)
         rows = np.arange(n_reps)
+        carry = np.zeros((n_reps, n_streams))
         # rows provably below the threshold need no exact read-out, unless
         # every value is recorded
         floor = log_threshold if out is None else -math.inf
-        for t in range(horizon):
+        for t0 in range(0, horizon, INCREMENT_BLOCK):
             if not rows.size:
                 break
-            state.advance(increments[rows, t])
-            value = state.log_shiryaev(floor)
-            if out is not None:
-                out[rows, t] = value
-            crossed = value >= log_threshold
-            if crossed.any():
-                stopped[rows[crossed]] = t + 1
-                keep = ~crossed
-                rows = rows[keep]
-                state.retain(keep)
+            t1 = min(t0 + INCREMENT_BLOCK, horizon)
+            lead = min(t0, scenario.lags)
+            block = scenario.log_lr_increments(data[rows, t0 - lead:t1], points, t0, carry)
+            pos = np.arange(rows.size)
+            for t in range(t0, t1):
+                state.advance(block[pos, t - t0])
+                value = state.log_shiryaev(floor)
+                if out is not None:
+                    out[rows, t] = value
+                crossed = value >= log_threshold
+                if crossed.any():
+                    stopped[rows[crossed]] = t + 1
+                    keep = ~crossed
+                    rows, pos = rows[keep], pos[keep]
+                    state.retain(keep)
+                    if not rows.size:
+                        break
+            carry = carry[pos]
         return stopped
 
     def log_trajectories(self, data: np.ndarray) -> np.ndarray:

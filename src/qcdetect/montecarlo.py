@@ -27,6 +27,10 @@ from .model import NO_CHANGE, ChangeSpec, PriorSpec, replication_rng
 
 _CHUNK = 1024
 
+#: Bytes a span of replications may hold at once, counted by
+#: ``Detector.row_bytes`` (256 MiB).  Each worker process holds one span.
+SPAN_BUDGET_BYTES = 256 * 2**20
+
 
 class InfeasibleHorizonError(RuntimeError):
     """The simulation horizon is too short for the requested precision."""
@@ -185,11 +189,27 @@ def _simulate_span(detector: Detector, sampler, mc: MCConfig, start: int, count:
     return start, nu, stopped
 
 
+def span_rows(detector: Detector, horizon: int) -> int:
+    """Replications per span: as many as ``SPAN_BUDGET_BYTES`` holds, at most 1024.
+
+    Rows are independent, so the span size moves no result.  A horizon whose
+    single replication exceeds the budget is a ``ValueError``.
+    """
+    row = detector.row_bytes(horizon)
+    if row > SPAN_BUDGET_BYTES:
+        raise ValueError(
+            f"one replication of {horizon} steps needs {row / 2**20:.6g} MiB, "
+            f"over the span memory budget of {SPAN_BUDGET_BYTES / 2**20:g} MiB"
+        )
+    return min(_CHUNK, SPAN_BUDGET_BYTES // row)
+
+
 def simulate_runs(detector: Detector, mc: MCConfig, sampler) -> RunRecords:
     """Run all replications and collect per-replication outcomes."""
+    size = span_rows(detector, mc.horizon)
     spans = [
-        (start, min(_CHUNK, mc.replications - start))
-        for start in range(0, mc.replications, _CHUNK)
+        (start, min(size, mc.replications - start))
+        for start in range(0, mc.replications, size)
     ]
     records = RunRecords(
         nu=np.empty(mc.replications, dtype=np.int64),

@@ -52,10 +52,14 @@ class ARChannelSpec:
                     f"AR coefficients are unstable (companion spectral radius {radius:.6g})"
                 )
 
-    def signal_sequence(self, horizon: int) -> np.ndarray:
-        """The template tiled out to ``horizon`` samples (time 1..horizon)."""
-        reps = -(-horizon // len(self.signal))
-        return np.tile(np.asarray(self.signal), reps)[:horizon]
+    @property
+    def lags(self) -> int:
+        """Samples before a step that its increment reads: the AR order p."""
+        return len(self.coeffs)
+
+    def signal_sequence(self, stop: int, start: int = 0) -> np.ndarray:
+        """The template tiled over steps ``start .. stop-1`` (step 0 is time 1)."""
+        return np.asarray(self.signal)[np.arange(start, stop) % len(self.signal)]
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Whitened series ``x_n - sum_j coeffs[j] * x_{n-j}`` along the last axis.
@@ -69,8 +73,14 @@ class ARChannelSpec:
             out[..., j:] -= b * x[..., :-j]
         return out
 
-    def residual_signal(self, horizon: int) -> np.ndarray:
-        return self.residuals(self.signal_sequence(horizon))
+    def residual_signal(self, stop: int, start: int = 0) -> np.ndarray:
+        """The whitened template over steps ``start .. stop-1``.
+
+        It whitens from ``p`` steps before ``start`` (or from step 0), so each
+        element takes the same operations as in the whole sequence.
+        """
+        lo = max(start - self.lags, 0)
+        return self.residuals(self.signal_sequence(stop, lo))[start - lo:]
 
     def kl_rate(self, theta: float) -> float:
         return float(theta) ** 2 * q_constant(self.signal, self.coeffs) / (2.0 * self.sigma**2)
@@ -98,14 +108,21 @@ class ARChannelSpec:
             np.add(x, signal, out=x, where=after)
         return x
 
-    def log_lr_increments(self, x: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        """Per-observation log LR at each amplitude in ``thetas``.
+    def log_lr_increments(
+        self, x: np.ndarray, thetas: np.ndarray, start: int = 0, carry=None
+    ) -> np.ndarray:
+        """Per-observation log LR at each amplitude in ``thetas``, from step ``start`` on.
 
-        ``x`` is ``[..., T]``; the result is ``[..., T, len(thetas)]``.
+        ``x`` is ``[..., lead + T]``: ``lead = min(start, p)`` lag samples,
+        then the ``T`` steps ``start .. start+T-1``; the result is
+        ``[..., T, len(thetas)]``.  The lags whiten the first steps and
+        ``start`` sets the signal's phase, so every element takes the same
+        operations as in the whole path (``start = 0``, no lead).  ``carry`` is
+        not read: an AR channel's context is its lag samples.
         """
         thetas = np.asarray(thetas, dtype=float)
-        xt = self.residuals(x)
-        st = self.residual_signal(x.shape[-1])
+        xt = self.residuals(x)[..., min(start, self.lags):]
+        st = self.residual_signal(start + xt.shape[-1], start)
         s2 = self.sigma**2
         cross = (st * xt)[..., :, None] / s2
         drift = (st**2)[:, None] / (2.0 * s2)
@@ -160,6 +177,10 @@ class MixtureChannelSpec:
                 f"(theta={theta}, mu1={self.mu1}, mu2={self.mu2})"
             )
 
+    #: Samples before a step that its increment reads: none, the past enters
+    #: through the running log density ratio instead.
+    lags = 0
+
     @property
     def log_odds(self) -> float:
         """log(beta / (1 - beta)), the mixture's prior log odds."""
@@ -197,27 +218,43 @@ class MixtureChannelSpec:
         s2 = self.sigma**2
         return (self.mu1 - self.mu2) * x / s2 - (self.mu1**2 - self.mu2**2) / (2.0 * s2)
 
-    def gap_penalties(self, x: np.ndarray) -> np.ndarray:
+    def gap_penalties(self, x: np.ndarray, carry=None) -> np.ndarray:
         """Theta-independent part of the increments along the last axis.
 
         Equals ``log(1 + v G_{n-1}) - log(1 + v G_n)`` where ``G_n`` is the
         running density ratio of the two mixture components; the increments
         telescope, so partial sums reproduce the closed-form likelihood ratio.
+        ``carry`` (``[...]``) holds ``log G`` at the step before ``x``, and
+        None means ``x`` starts at the origin, where ``log G = 0``.  It is
+        advanced in place to ``log G`` at the last step of ``x``.  ``log G``
+        is a sequential ``cumsum`` from the carried value, so a path taken in
+        blocks has the same bits as taken whole.
         """
-        log_g = np.cumsum(self._log_component_ratio(x), axis=-1)
-        prev = np.concatenate(
-            [np.zeros(log_g.shape[:-1] + (1,)), log_g[..., :-1]], axis=-1
-        )
+        ratio = self._log_component_ratio(x)
+        log_g0 = np.zeros(ratio.shape[:-1] + (1,)) if carry is None else carry[..., None]
+        log_g = np.cumsum(np.concatenate([log_g0, ratio], axis=-1), axis=-1)
+        if carry is not None:
+            carry[...] = log_g[..., -1]
         v = self.log_odds
-        return np.logaddexp(0.0, v + prev) - np.logaddexp(0.0, v + log_g)
+        return np.logaddexp(0.0, v + log_g[..., :-1]) - np.logaddexp(0.0, v + log_g[..., 1:])
 
-    def log_lr_increments(self, x: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    def log_lr_increments(
+        self, x: np.ndarray, thetas: np.ndarray, start: int = 0, carry=None
+    ) -> np.ndarray:
+        """Per-observation log LR at each mean in ``thetas``: ``[..., T, len(thetas)]``.
+
+        ``x`` is ``[..., T]``, the steps ``start .. start+T-1``.  A block after
+        the first (``start > 0``) continues the running ``log G`` held in
+        ``carry`` (see ``gap_penalties``), which it advances in place.
+        """
+        if start > 0 and carry is None:
+            raise ValueError(f"a block from step {start} needs the carried running log G")
         thetas = np.asarray(thetas, dtype=float)
         s2 = self.sigma**2
         shift = thetas - self.mu2
         base = x[..., :, None] / s2
         l2 = shift * base - (thetas**2 - self.mu2**2) / (2.0 * s2)
-        return l2 + self.gap_penalties(x)[..., :, None]
+        return l2 + self.gap_penalties(x, carry)[..., :, None]
 
     def log_predictive_pre(self, x: np.ndarray) -> np.ndarray:
         """log g(x_n | history): ratio of consecutive mixture joint densities."""
@@ -334,20 +371,35 @@ class Scenario:
             data[..., i] = channel.generate_batch(horizon, post_from[:, i], theta[:, i], rngs)
         return data
 
-    def log_lr_increments(self, data: np.ndarray, theta_points: np.ndarray) -> np.ndarray:
-        """Increments for every grid point: ``[..., T, P, N]``.
+    @property
+    def lags(self) -> int:
+        """The most samples before a step that any channel's increment reads."""
+        return max(ch.lags for ch in self.channels)
 
-        ``data`` is ``[..., T, N]``; ``theta_points`` is ``[P, N]`` with each
-        row a per-stream parameter vector.
+    def log_lr_increments(
+        self, data: np.ndarray, theta_points: np.ndarray, start: int = 0, carry=None
+    ) -> np.ndarray:
+        """Increments for every grid point from step ``start`` on: ``[..., T, P, N]``.
+
+        ``theta_points`` is ``[P, N]`` with each row a per-stream parameter
+        vector.  For the whole path, ``data`` is ``[..., T, N]`` from step 0.
+        A later block (``start > 0``) reads ``data`` as ``lead = min(start,
+        lags)`` lag samples and then its ``T`` steps, and takes each mixture
+        stream's running ``log G`` from ``carry`` (``[..., N]``, advanced in
+        place; the AR streams' columns are not touched).  Every element takes
+        the same operations as in the whole path, so a path's blocks
+        concatenate to its whole-path increments bit for bit.
         """
         theta_points = np.asarray(theta_points, dtype=float)
-        out = np.empty(data.shape[:-1] + (theta_points.shape[0], self.n_streams))
+        lead = min(start, self.lags)
+        out = np.empty(
+            data.shape[:-2] + (data.shape[-2] - lead, theta_points.shape[0], self.n_streams)
+        )
         for i, ch in enumerate(self.channels):
-            # bound to a name, a stream's block is freed only once the next one
-            # exists; freeing it first lets malloc trim the heap, and the next
-            # stream then page-faults its memory afresh
-            inc = ch.log_lr_increments(data[..., i], theta_points[:, i])
-            out[..., i] = inc
+            x = data[..., lead - min(start, ch.lags):, i]
+            out[..., i] = ch.log_lr_increments(
+                x, theta_points[:, i], start, None if carry is None else carry[..., i]
+            )
         return out
 
     def kl_per_stream(self, theta_points: np.ndarray) -> np.ndarray:

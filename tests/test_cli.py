@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qcdetect import cli, montecarlo
+from qcdetect import Scenario, cli, montecarlo
 from qcdetect import statistics as statistics_mod
 from qcdetect.cli import (
     EXIT_CONFIG,
@@ -300,6 +300,20 @@ def test_bad_config_is_a_one_line_config_error(name, tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and err.count("\n") == 1
     assert calls == []  # rejected before anything is simulated
+
+
+@pytest.mark.parametrize("command", ["simulate", "oc-sweep"])
+def test_a_horizon_over_the_memory_budget_exits_before_generating(command, tmp_path, monkeypatch, capsys):
+    def no_generation(*args, **kwargs):
+        raise AssertionError("generated data for a horizon over the memory budget")
+
+    monkeypatch.setattr(Scenario, "generate", no_generation)
+    path = tmp_path / "huge.ini"
+    path.write_text(PRIOR_NU.replace("horizon = 150", "horizon = 1000000000") + SWEEP)
+    assert cli.main([command, "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1
+    assert "[mc] horizon" in err and "256 MiB" in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "oc-sweep"])

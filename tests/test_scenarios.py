@@ -216,6 +216,55 @@ def test_scenario_increments_shape_and_alignment():
         np.testing.assert_array_equal(inc[:, :, i], single)
 
 
+def blocked_increments(scenario, data, points, cuts):
+    """``Scenario.log_lr_increments`` block by block over ``[cuts[i], cuts[i+1])``."""
+    carry = np.zeros(data.shape[:-2] + (scenario.n_streams,))
+    blocks = []
+    for t0, t1 in zip(cuts[:-1], cuts[1:]):
+        lead = min(t0, scenario.lags)
+        blocks.append(scenario.log_lr_increments(data[:, t0 - lead:t1], points, t0, carry))
+    return np.concatenate(blocks, axis=1)
+
+
+def random_cuts(rng, horizon):
+    """Block boundaries from 0 to ``horizon``, always with blocks starting at 1 and 2."""
+    inner = rng.choice(np.arange(3, horizon), size=6, replace=False)
+    return [0, 1, 2, *sorted(inner.tolist()), horizon]
+
+
+AR3_PERIOD5 = ARChannelSpec(
+    coeffs=(0.5, -0.3, 0.2), sigma=1.3, signal=(1.0, -0.5, 2.0, 0.25, 0.75), theta=0.8
+)
+MIXTURE = MixtureChannelSpec(beta_mix=0.3, mu1=-1.0, mu2=0.0, sigma=1.1, theta=0.9)
+BLOCKED_SCENARIOS = {
+    "ar3-period5": Scenario((AR3_PERIOD5, ARChannelSpec(coeffs=(0.4, 0.1), signal=(1.0, 2.0)))),
+    "mixture": Scenario((MIXTURE, MixtureChannelSpec(beta_mix=0.6, mu1=2.0, theta=0.5))),
+    "mixed": Scenario((AR3_PERIOD5, MIXTURE, gaussian_stream(theta=0.7))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED_SCENARIOS))
+@pytest.mark.parametrize("seed", range(4))
+def test_blocked_increments_equal_the_whole_path_bit_for_bit(name, seed):
+    # period 5 does not divide the scan's 32-step block; blocks start before p = 3
+    scenario = BLOCKED_SCENARIOS[name]
+    rng = np.random.default_rng(seed)
+    horizon = 97
+    changes = [ChangeSpec(nu=int(nu), subset=(0, 1)) for nu in rng.integers(0, horizon, 5)]
+    rngs = [replication_rng(40 + seed, r) for r in range(len(changes))]
+    data = scenario.generate(changes, horizon, rngs)
+    points = np.array([[0.5] * scenario.n_streams, [1.0] * scenario.n_streams])
+    whole = scenario.log_lr_increments(data, points)
+    cuts = random_cuts(rng, horizon)
+    assert np.array_equal(blocked_increments(scenario, data, points, cuts), whole)
+
+
+def test_a_mixture_block_needs_its_carry():
+    x = np.zeros((2, 8))
+    with pytest.raises(ValueError, match="running log G"):
+        MIXTURE.log_lr_increments(x, np.array([0.9]), start=4)
+
+
 def test_scenario_requires_channels():
     with pytest.raises(ValueError):
         Scenario(())

@@ -3,18 +3,26 @@
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcdetect import (
+    ARChannelSpec,
+    ChangeSpec,
     Detector,
     DetectorConfig,
     GeometricPrior,
     GridSpec,
+    MixtureChannelSpec,
     PolynomialTailPrior,
     Scenario,
     SubsetWeights,
+    cli,
+    detectors,
     gaussian_stream,
+    montecarlo,
+    replication_rng,
 )
 from qcdetect.statistics import DetectorState, FlatWeights, direct_log_statistic
 
@@ -212,3 +220,125 @@ def test_scan_steps_only_rows_that_have_not_stopped():
             assert len(rows_per_step) == steps
             active = [int(((stopped < 0) | (stopped >= t)).sum()) for t in range(1, steps + 1)]
             assert rows_per_step == active
+
+
+#: AR(2) with a period-3 signal, a mixture channel and a Gaussian stream: every
+#: kind of context a block of increments carries over from the one before.
+MIXED = Scenario(
+    (
+        ARChannelSpec(coeffs=(0.5, -0.3), signal=(1.0, -0.5, 2.0), theta=1.0),
+        MixtureChannelSpec(beta_mix=0.3, mu1=-1.0, theta=1.0),
+        gaussian_stream(theta=1.0),
+    )
+)
+
+
+def mixed_detector(window_m1):
+    return Detector(
+        DetectorConfig(kind="shiryaev-mixture", threshold_A=1e3, window_m1=window_m1),
+        MIXED,
+        GeometricPrior(rho=0.05),
+        GridSpec.common_amplitude((0.5, 1.0), MIXED.n_streams),
+        SubsetWeights.uniform(MIXED.n_streams),
+    )
+
+
+def mixed_data(reps, horizon, last_change, seed=5):
+    """Changes in streams 0 and 1 at staggered times before ``last_change``."""
+    nus = np.random.default_rng(seed).integers(0, last_change, reps)
+    changes = [ChangeSpec(nu=int(nu), subset=(0, 1)) for nu in nus]
+    return MIXED.generate(changes, horizon, [replication_rng(seed, r) for r in range(reps)])
+
+
+@pytest.mark.parametrize("window_m1", [None, 10])
+def test_scan_does_not_depend_on_block_length_or_span_size(window_m1):
+    detector = mixed_detector(window_m1)
+    data = mixed_data(reps=40, horizon=150, last_change=300)  # some rows never change
+    results = []
+    for block in (1, 32):
+        with mock.patch.object(detectors, "INCREMENT_BLOCK", block):
+            for span in (40, 7):
+                starts = range(0, len(data), span)
+                stopped = np.concatenate([detector.stopping_times(data[s:s + span]) for s in starts])
+                traj = np.concatenate([detector.log_trajectories(data[s:s + span]) for s in starts])
+                results.append((stopped, traj))
+    stopped, traj = results[0]
+    assert (stopped > 0).any() and (stopped < 0).any()
+    for other_stopped, other_traj in results[1:]:
+        np.testing.assert_array_equal(other_stopped, stopped)
+        np.testing.assert_array_equal(other_traj, traj)
+
+
+def test_increments_are_computed_per_block_for_live_rows_only():
+    detector = mixed_detector(None)
+    data = mixed_data(reps=64, horizon=300, last_change=100)
+    calls = []
+    log_lr_increments = Scenario.log_lr_increments
+
+    def recording(scenario, *args, **kwargs):
+        result = log_lr_increments(scenario, *args, **kwargs)
+        calls.append((args[2], result.shape, result.nbytes))
+        return result
+
+    with mock.patch.object(Scenario, "log_lr_increments", recording):
+        stopped = detector.stopping_times(data)
+    block, n_points = detectors.INCREMENT_BLOCK, detector.grid.n_points
+    for start, shape, nbytes in calls:
+        live = int(((stopped < 0) | (stopped > start)).sum())
+        assert shape[0] == live
+        assert nbytes <= live * block * n_points * MIXED.n_streams * 8
+    n_reps, horizon = data.shape[:2]
+    useful = int(np.where(stopped > 0, stopped, horizon).sum())
+    computed = sum(shape[0] * shape[1] for _, shape, _ in calls)
+    assert useful <= computed <= useful + n_reps * block
+    assert computed < n_reps * horizon // 2  # most rows stop early: the check has teeth
+
+
+CLI_CONFIG = """\
+[scenario]
+kind = ar
+streams = 2
+sigma = 1.0
+theta = 1.0
+coeffs = 0.5, -0.2
+signal = 1.0, 0.5, -1.0
+
+[prior]
+kind = geometric
+rho = 0.05
+q = 0.0
+
+[change]
+nu = prior
+subset = 1
+
+[grid]
+theta_points = 0.5; 1.0
+p = 1.0
+K = 2
+
+[detector]
+kind = shiryaev-mixture
+alpha = 0.01
+
+[mc]
+replications = 30
+master_seed = 9
+horizon = 120
+moments = 1, 2
+"""
+
+
+def test_simulate_output_does_not_depend_on_workers_across_spans(tmp_path, monkeypatch):
+    config = tmp_path / "run.ini"
+    config.write_text(CLI_CONFIG)
+    detector = cli.build_detector(cli.load_config(str(config)))
+    monkeypatch.setattr(montecarlo, "SPAN_BUDGET_BYTES", 9 * detector.row_bytes(120))
+    assert montecarlo.span_rows(detector, 120) == 9  # four spans of at most 9 rows
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        argv = ["simulate", "--config", str(config), "--workers", str(workers), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        outputs.append([out.with_suffix(suffix).read_bytes() for suffix in (".csv", ".json")])
+    assert outputs[0] == outputs[1]
