@@ -17,7 +17,7 @@ import numpy as np
 
 from .likelihood import SubsetWeights
 from .model import PointMassPrior, PriorSpec
-from .statistics import DetectorState, FlatWeights, GridSpec, check_window
+from .statistics import WINDOW_BUFFER_START, DetectorState, FlatWeights, GridSpec, check_window
 
 SHIRYAEV_MIXTURE = "shiryaev-mixture"
 SR_MIXTURE = "sr-mixture"
@@ -142,10 +142,14 @@ class Detector:
         means, and the change mask); one block of increments,
         ``[min(T, INCREMENT_BLOCK), P, N]``; and the engine's working set.
         For the recursion that is the ``[S, P]`` log components with the
-        step's subset sums and ``log_add_exp`` buffer of the same shape; for
-        the window, the ``[m, P, N]`` increments, suffix sums and weighted
-        suffix sums with ``m = min(T, m1 + 1)``, and the elementary-symmetric
-        DP's ``loge``, ``[m, P, K + 1]``.
+        step's subset sums and ``log_add_exp`` buffer of the same shape.  For
+        the window, with ``m = min(T, m1 + 1)`` window steps, it is the
+        ``[steps, P, N]`` increment buffer, two windows long once the window
+        fills (``WINDOW_BUFFER_START`` steps at first); and per step of
+        ``window_log_statistic``, the ``[m, P, N]`` suffix sums, shifted and
+        then exponentiated in place, their ``[m, P]`` stream maxima, the
+        DP's ``e_1..e_K``, ``[K, m, P]``, and the fused log-sum-exp's table
+        of the same shape with its shifted copy.
         """
         n, points = self.scenario.n_streams, self.grid.n_points
         block = min(horizon, INCREMENT_BLOCK) * points * n
@@ -153,7 +157,8 @@ class Detector:
             engine = 3 * self.weights.n_subsets * points
         else:
             m = min(horizon, self.config.window_m1 + 1)
-            engine = m * points * (3 * n + self.weights.K + 1)
+            steps = max(2 * m, min(2 * (self.config.window_m1 + 1), WINDOW_BUFFER_START))
+            engine = steps * points * n + m * points * (n + 1 + 3 * self.weights.K)
         return 8 * (horizon * (n + 3) + block + engine)
 
     def _new_state(self, n_reps: int) -> DetectorState:

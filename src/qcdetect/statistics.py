@@ -25,13 +25,18 @@ weights' sum, 0 up to rounding).  A stopping rule only asks whether the
 statistic reaches a threshold, so the recursion's read-out runs its
 log-sum-exp only on rows where that bound does.
 
-Both engines add in the log domain with ``likelihood.log_add_exp``, which is
-``max + log1p(exp(-|d|))`` on numpy's SIMD ufuncs: not bit-identical to
-``np.logaddexp``, and the last bit may depend on the SIMD path numpy dispatches
-on a CPU.  Every reduction, the read-out and the window engine's sums over
-subset sizes, points and change points, is ``likelihood.logsumexp``, the one
-``max + log(sum(exp(a - max)))``; it does not copy scipy's bits.  On one
-machine, results are the same for any worker count.
+The recursion adds in the log domain with ``likelihood.log_add_exp``, which
+is ``max + log1p(exp(-|d|))`` on numpy's SIMD ufuncs: not bit-identical to
+``np.logaddexp``, and the last bit may depend on the SIMD path numpy
+dispatches on a CPU.  Its read-out is ``likelihood.logsumexp``, the one
+``max + log(sum(exp(a - max)))``; it does not copy scipy's bits.  The window
+engine and the direct sum ``direct_log_statistic`` run one kernel,
+``window_log_statistic``: suffix sums cumulated backwards from the newest
+step, the elementary-symmetric DP in the linear domain after a max shift over
+the streams (the log-domain DP only where a shifted ``e_j`` would underflow),
+and one ``logsumexp`` over subset sizes, points and change points.  So the
+engine equals the direct sum bit for bit.  On one machine, results are the
+same for any worker count.
 
 The no-change posterior satisfies ``P(nu >= n | data) = 1 / (S(n) + 1)``.
 """
@@ -193,16 +198,19 @@ class DetectorState:
     increments of one step, ``[R, P, N]`` (replications x grid points x
     streams).  In recursive mode the state holds per-(subset, point) log
     components of shape ``[R, S, P]``, which ``advance`` updates in place with
-    the step's subset sums; in window mode it holds the increments of the last
-    ``m1 + 1`` steps, ``[R, <= m1+1, P, N]``, and re-evaluates the direct sum.
-    Every update is row by row, so ``retain`` can drop replications that have
-    stopped without changing the arithmetic of the others.  Since the
-    components' joint weights sum to one, the log statistic of a row is at
-    most its largest log component plus ``MixtureBasis.log_joint_total``;
-    ``log_shiryaev(floor)`` uses this bound to skip the exact read-out of rows
-    provably below ``floor``.  The update adds with ``log_add_exp``, not
-    ``np.logaddexp``, and every reduction is ``logsumexp``, not scipy's; a
-    value may differ from theirs in its last bits.
+    the step's subset sums.  In window mode it keeps the increments in a
+    stream-major buffer ``[N, R, 2(m1+1), P]`` that slides its last ``m1 + 1``
+    steps to the front once every ``m1 + 1`` steps, and evaluates the window's
+    direct sum with ``window_log_statistic``, the kernel of
+    ``direct_log_statistic``.  Every update is row by row, so ``retain`` can
+    drop replications that have stopped without changing the arithmetic of
+    the others.  Since the components' joint weights sum to one, the log
+    statistic of a row is at most its largest log component plus
+    ``MixtureBasis.log_joint_total``; ``log_shiryaev(floor)`` uses this bound
+    to skip the exact read-out of rows provably below ``floor``.  The
+    recursion adds with ``log_add_exp``, not ``np.logaddexp``, and every
+    reduction is ``logsumexp``, not scipy's; a value may differ from theirs in
+    its last bits.
     """
 
     def __init__(
@@ -228,8 +236,12 @@ class DetectorState:
             shape = (self.n_reps, self.basis.n_subsets, self.basis.grid.n_points)
             self.log_components = np.full(shape, start)
         else:
-            # the window's increments, oldest first
-            self._window = np.empty((self.n_reps, 0, grid.n_points, weights.n_streams))
+            # stream-major increments, oldest first: steps [0, _stop) are
+            # filled and the last min(n, m1 + 1) of them are the window
+            steps = min(2 * (window_m1 + 1), WINDOW_BUFFER_START)
+            shape = (weights.n_streams, self.n_reps, steps, grid.n_points)
+            self._buffer = np.empty(shape)
+            self._stop = 0
             self._log_value = np.full(self.n_reps, start)
 
     # -- internals -----------------------------------------------------------
@@ -269,18 +281,30 @@ class DetectorState:
         log_c -= log_tail
         self.n = n
 
+    @property
+    def _window(self) -> np.ndarray:
+        """The live window ``[N, R, min(n, m1 + 1), P]``, a view of the buffer."""
+        return self._buffer[:, :, max(0, self._stop - self.window_m1 - 1):self._stop]
+
+    def _slide(self) -> None:
+        """Copy the window to the front of the buffer, which grows up to two windows."""
+        live = self._window
+        capacity = min(2 * (self.window_m1 + 1), 2 * self._buffer.shape[2])
+        if capacity > self._buffer.shape[2]:
+            shape = self._buffer.shape
+            self._buffer = np.empty(shape[:2] + (capacity,) + shape[3:])
+        self._buffer[:, :, :live.shape[2]] = live
+        self._stop = live.shape[2]
+
     def _advance_window(self, inc: np.ndarray) -> None:
-        window = np.concatenate((self._window, inc[:, None]), axis=1)
-        self._window = window[:, -(self.window_m1 + 1):]  # only the newest when m1 = 0
+        if self._stop == self._buffer.shape[2]:
+            self._slide()
+        self._buffer[:, :, self._stop] = np.moveaxis(inc, -1, 0)
+        self._stop += 1
         self.n += 1
-        self._log_value = direct_log_statistic(
-            self._window,
-            self.weighting,
-            self.basis.grid,
-            self.basis.weights,
-            n=self.n,
-            m1=self.window_m1,
-            m0=self.window_m0,
+        self._log_value = window_log_statistic(
+            self._window, self.weighting, self.basis.grid, self.basis.weights,
+            n=self.n, m0=self.window_m0,
         )
 
     # -- public stepping -------------------------------------------------------
@@ -303,7 +327,10 @@ class DetectorState:
             self.log_components = self.log_components[rows]
             self.n_reps = self.log_components.shape[0]
         else:
-            self._window = self._window[rows]
+            # compact the live window's rows to the front, in place
+            live = self._window[:, rows]
+            self._buffer = self._buffer[:, :live.shape[1]]
+            self._window[...] = live
             self._log_value = self._log_value[rows]
             self.n_reps = self._log_value.shape[0]
 
@@ -335,6 +362,18 @@ class DetectorState:
     log_sr = log_shiryaev
 
 
+#: Steps the window engine's buffer holds at first, or two windows when they
+#: are fewer.  A longer window's buffer doubles as it fills, up to two windows.
+WINDOW_BUFFER_START = 64
+
+#: Smallest ``e_j`` of the shifted inputs the linear-domain DP keeps.  Each
+#: ``e_j`` at or above it carries full relative precision; a smaller one may
+#: have been flushed to 0, and ``e_j e^{j c}`` can still dominate the sum when
+#: one stream leads another by over ~745 nats, so its element is redone in the
+#: log domain.
+ESP_FLOOR = 2.0**-900
+
+
 def check_window(m1: int | None, m0: int) -> None:
     """The window rule: ``0 <= m0 <= m1``, or no window (``m1 = None``) and ``m0 = 0``."""
     if m1 is None and m0 != 0:
@@ -360,10 +399,12 @@ def direct_log_statistic(
     ``pi_k * Lambda_{p,W}(k, n)`` for ``k = n - min(n, m1+1) .. n-1-m0`` and
     normalizes by the tail ``P(nu >= n)`` of ``weighting``.  When the window
     reaches back to the origin the head weight ``q`` contributes
-    ``q * Lambda(0, n)`` as the "changed before the start" summand, so a window
-    with ``m1 >= n`` follows the exact same arithmetic path as the unwindowed
-    statistic (``m1=None``).  For ``n <= m0`` no change point is a candidate
-    yet and the head summand is all there is.
+    ``q * Lambda(0, n)`` as the "changed before the start" summand.  For
+    ``n <= m0`` no change point is a candidate yet and the head summand is all
+    there is.  The sum is ``window_log_statistic`` on the window moved
+    stream-major, the window engine's kernel, so the engine's values equal
+    these bit for bit; a window with ``m1 >= n`` gives the unwindowed
+    statistic (``m1=None``) exactly.
     """
     check_window(m1, m0)
     inc = np.asarray(increments, dtype=float)
@@ -371,9 +412,6 @@ def direct_log_statistic(
         raise ValueError("increment history must be [..., T, P, N]")
     if n < 1:
         raise ValueError("the statistics are defined from n = 1 on")
-    log_tail = weighting.log_tail(n)
-    if log_tail == -math.inf:
-        raise ValueError(f"prior tail vanishes at n={n}; statistic undefined")
     m = n if m1 is None else min(n, m1 + 1)
     if inc.shape[-3] < m:
         raise ValueError(
@@ -381,20 +419,99 @@ def direct_log_statistic(
             f"history starts at {n - inc.shape[-3] + 1}"
         )
     window = inc[..., inc.shape[-3] - m:, :, :]
-    # suffix sums: entry j-1 along the window axis is the log LR over (n-j, n]
-    suffix = np.cumsum(window[..., ::-1, :, :], axis=-3)
-    loge = log_elementary_symmetric(weights.log_p + suffix, weights.K)
-    log_lam_theta = logsumexp(loge[..., 1:], axis=-1) + weights.log_normalizer
-    log_lam = logsumexp(log_lam_theta + grid.log_weights, axis=-1)
-    if m0 < m:
-        log_pi = np.array([weighting.log_mass(n - j) for j in range(m0 + 1, m + 1)])
-        value = logsumexp(log_pi + log_lam[..., m0:m], axis=-1)
-    else:
-        value = np.full(log_lam.shape[:-1], -math.inf)
-    if m == n and weighting.q > 0.0:
-        value = np.logaddexp(value, math.log(weighting.q) + log_lam[..., m - 1])
-    value = value - log_tail
+    value = window_log_statistic(np.moveaxis(window, -1, 0), weighting, grid, weights, n=n, m0=m0)
     return float(value) if np.ndim(value) == 0 else value
+
+
+def window_log_statistic(
+    window: np.ndarray,
+    weighting: PriorSpec | FlatWeights,
+    grid: GridSpec,
+    weights: SubsetWeights,
+    *,
+    n: int,
+    m0: int,
+) -> np.ndarray:
+    """The log statistic at time ``n`` from the stream-major window ``[N, ..., m, P]``.
+
+    The window holds the increments of times ``n - m + 1 .. n``, oldest
+    first; ``m == n`` means it reaches the origin.  Slot ``s`` is the change
+    point ``k = n - 1 - s``, whose likelihood ratio runs over the last
+    ``s + 1`` steps; the slots ``s >= m0`` have a weight.  ``_log_esp`` gives
+    ``log e_j`` of each slot's subset mixture, and one ``logsumexp`` over
+    (j, slot, point) adds the step's weight table ``log pi_k - log P(nu >= n)
+    + log C + log W(theta)``, with the head weight ``q`` folded into the slot
+    of ``k = 0``.  Returns ``[...]``, a numpy scalar for a single row.
+    """
+    log_tail = weighting.log_tail(n)
+    if log_tail == -math.inf:
+        raise ValueError(f"prior tail vanishes at n={n}; statistic undefined")
+    m = window.shape[-2]
+    lo = m0  # the first slot with a weight
+    log_pi = [weighting.log_mass(n - 1 - s) for s in range(m0, m)]
+    if m == n and weighting.q > 0.0:
+        log_q = math.log(weighting.q)
+        if log_pi:
+            log_pi[-1] = float(np.logaddexp(log_pi[-1], log_q))
+        else:
+            lo, log_pi = m - 1, [log_q]
+    if not log_pi:
+        return np.full(window.shape[1:-2], -math.inf)[()]
+    table = (np.array(log_pi) - log_tail)[:, None] + (weights.log_normalizer + grid.log_weights)
+    loge = _log_esp(window, weights, lo)
+    loge += table
+    terms = np.moveaxis(loge, 0, -3)  # [..., K, slots, P], each row's terms contiguous
+    return logsumexp(terms.reshape(terms.shape[:-3] + (-1,)), axis=-1)
+
+
+def _log_esp(window: np.ndarray, weights: SubsetWeights, lo: int) -> np.ndarray:
+    """log e_1..e_K ``[K, ..., slots, P]`` over the streams, for the slots ``lo..``.
+
+    The DP runs in the linear domain: on ``y_i = exp(x_i - c)`` with
+    ``c = max_i x_i``, it adds stream ``i``'s terms ``y_i e_{j-1}`` to each
+    ``e_j``, one multiply and one add over contiguous slices, and then
+    ``log e_j = log e_j(y) + j c``.  An element where some ``e_j(y)`` is below
+    ``ESP_FLOOR`` or NaN is redone by ``log_elementary_symmetric``.
+    """
+    n_streams, K = weights.n_streams, weights.K
+    log_p = weights.log_p.reshape((n_streams,) + (1,) * (window.ndim - 1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = _log_inputs(window, log_p, lo)
+        shift = y[0].copy()
+        for i in range(1, n_streams):
+            np.maximum(shift, y[i], out=shift)
+        y -= shift
+        np.exp(y, out=y)
+        e = np.empty((K,) + shift.shape)  # e[j - 1] = e_j
+        e[0] = y[0]
+        for i in range(1, n_streams):
+            product = y[i - 1]  # stream i - 1 is done: its slice is scratch
+            for j in range(min(i + 1, K), 1, -1):
+                if j == i + 1:  # e_j's first term
+                    np.multiply(y[i], e[j - 2], out=e[j - 1])
+                else:
+                    np.multiply(y[i], e[j - 2], out=product)
+                    e[j - 1] += product
+            e[0] += y[i]
+        low = ~(e >= ESP_FLOOR).all(axis=0)
+        np.log(e, out=e)
+        for j in range(1, K + 1):
+            e[j - 1] += shift if j == 1 else j * shift
+    if low.any():
+        x = np.moveaxis(_log_inputs(window, log_p, lo)[:, low], 0, -1)
+        e[:, low] = log_elementary_symmetric(x, K)[:, 1:].T
+    return e
+
+
+def _log_inputs(window: np.ndarray, log_p: np.ndarray, lo: int) -> np.ndarray:
+    """``log p_i`` plus the suffix sums of slots ``lo..``: ``[N, ..., slots, P]``.
+
+    The suffix sums accumulate backwards from the newest step, so slot ``s``
+    is the log LR over the last ``s + 1`` steps; every call gives the same bits.
+    """
+    x = np.cumsum(window[..., ::-1, :], axis=-2)[..., lo:, :]
+    x += log_p
+    return x
 
 
 def posterior_no_change(log_shiryaev) -> np.ndarray:

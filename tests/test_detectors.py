@@ -1,6 +1,7 @@
 """Stopping rules and threshold calibration."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -276,6 +277,24 @@ def test_windowed_detector_runs():
     detector = Detector(config, scenario, prior, grid, weights)
     batch = scenario.generate([ChangeSpec(nu=0, subset=(0,))], 60, [replication_rng(5, 0)])
     assert detector.stopping_times(batch)[0] > 0
+
+
+def test_window_stopping_times_peak_within_row_bytes():
+    # no change and an unreachable threshold: all 16 rows run the whole horizon
+    n, horizon, n_reps = 6, 120, 16
+    scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(n)))
+    grid = GridSpec.common_amplitude((0.5, 1.0), n)
+    config = DetectorConfig(kind="sr-mixture", threshold_A=1e300, window_m1=50)
+    detector = Detector(config, scenario, GeometricPrior(rho=0.01), grid, SubsetWeights.uniform(n, 2))
+    changes = [ChangeSpec(NO_CHANGE, ())] * n_reps
+    data = scenario.generate(changes, horizon, [replication_rng(7, r) for r in range(n_reps)])
+    tracemalloc.start()
+    try:
+        assert (detector.stopping_times(data) == -1).all()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_reps * detector.row_bytes(horizon)
 
 
 def _wide_setup(n):

@@ -26,13 +26,27 @@ per step over the longest horizon here, several times the largest error
 either engine shows.
 
 A window shorter than ``n`` makes each value a fixed number of roundings
-deep, whatever ``n``: at most ``m1 + 1`` suffix additions (``m1 <= 10``
-here), ``N K`` log-add-exps of the DP (``N K <= 16``), three log-sum-exps of
-about three roundings each and two scalar additions (the normalizer and
-``log W``), each within an ulp of ``max(1, |log S|)``; and two roundings next
-to the log weights, the addition of ``log pi_k`` and the subtraction of
-``log P(nu >= n)``, each within ``|log pi_k| < 16`` ulps at ``n <= 60`` for
-the priors here.  ``WINDOW_BOUND_ULPS`` is that count.
+deep, whatever ``n``, each within an ulp of ``max(1, |log S|)``:
+
+- at most ``m1 + 1`` suffix additions with ``log p_i`` (``m1 <= 10`` here);
+- ``N K`` for the elementary-symmetric DP (``N K <= 16``): the log-add-exps
+  of its log-domain form, which the kernel runs where a shifted ``e_j``
+  would underflow; its linear-domain form rounds fewer times (the shift and
+  exp of each input, a multiply and an add per stream, the log and ``+ j c``);
+- about nine for the one fused log-sum-exp over (j, change point, point):
+  the shift, the exp, the log and the shift added back, and its sum of at
+  most ``K (m1 + 1) P = 88`` positive terms, which numpy adds in eight
+  partial sums, at most 13 levels of half an ulp each.  The three
+  log-sum-exps it replaced counted three roundings each;
+- two scalar additions, the normalizer and ``log W``, in the weight table;
+- and two roundings next to the log weights: the difference
+  ``log pi_k - log P(nu >= n)`` in the table, and the table's addition to
+  each term, each within ``|log pi_k| < 16`` ulps at ``n <= 60`` for the
+  priors here.
+
+``WINDOW_BOUND_ULPS`` is that count.  The fallback to the log-domain DP is
+checked on its own, on two streams whose log LRs drift apart by more than
+745 nats within a window.
 """
 
 import decimal
@@ -43,7 +57,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qcdetect import DetectorState, FlatWeights, GeometricPrior, GridSpec, SubsetWeights
+from qcdetect import DetectorState, FlatWeights, GeometricPrior, GridSpec, SubsetWeights, statistics
 
 #: Significant digits of the reference arithmetic.
 DIGITS = 50
@@ -76,7 +90,7 @@ WINDOWS = [(0, 0), (3, 0), (3, 2), (10, 0), (10, 2)]
 
 #: Allowed error of log S under a window shorter than the horizon, in ulps of
 #: max(1, |log S|): the rounding count of the module docstring.
-WINDOW_BOUND_ULPS = (11 + 16 + 3 * 3 + 2) + 2 * 16
+WINDOW_BOUND_ULPS = (11 + 16 + 9 + 2) + 2 * 16
 
 
 def case_increments(name):
@@ -267,3 +281,37 @@ def test_window_engine_within_bound_of_exact_window_sum(
         case_increments(case), WEIGHTINGS[weighting_name], *case_model(case), m1, m0
     )
     assert_within(got, exact_values(case, weighting_name, m1, m0), WINDOW_BOUND_ULPS)
+
+
+#: Two streams whose log LRs grow by about 300 and 50 a step (p, K, grid
+#: amplitudes, grid weights, horizon, per-stream means): over three steps or
+#: more the first leads the second by over 745 nats, so ``e^{-lead}``
+#: underflows and the linear-domain DP's ``e_2`` is 0, while ``e_2``'s term
+#: ``L_1 + L_2`` is the largest of the statistic.
+LEAD_CASE = ((1.0, 0.5), 2, (0.5, 1.0), (0.5, 0.5), 20, (300.0, 50.0))
+
+
+@pytest.mark.parametrize("weighting_name", ["geometric-head", "flat-head"])
+def test_window_engine_falls_back_to_the_log_dp_past_a_745_nat_lead(weighting_name, monkeypatch):
+    p, K, amplitudes, grid_weights, horizon, means = LEAD_CASE
+    rng = np.random.default_rng(len(CASES))
+    increments = np.asarray(means) + rng.normal(size=(REPLICATIONS, horizon, len(amplitudes), len(p)))
+    grid = GridSpec.common_amplitude(amplitudes, len(p), weights=grid_weights)
+    weights = SubsetWeights(p=p, K=K)
+    weighting = WEIGHTINGS[weighting_name]
+    components = [exact_components(path, p, K, grid_weights) for path in increments]
+    fallbacks = []
+    original = statistics.log_elementary_symmetric
+
+    def counting(log_values, K):
+        fallbacks.append(np.shape(log_values)[0])
+        return original(log_values, K)
+
+    monkeypatch.setattr(statistics, "log_elementary_symmetric", counting)
+    for m1, bound in ((3, WINDOW_BOUND_ULPS), (10, WINDOW_BOUND_ULPS), (horizon, BOUND_ULPS)):
+        fallbacks.clear()
+        got = engine_log_statistic(increments, weighting, grid, weights, m1)
+        assert sum(fallbacks) > 0  # some (row, change point, point) took the log-domain DP
+        # without the fallback e_2 = 0 would drop the largest term, ~50 nats a step
+        exact = [exact_log_statistic(c, weighting, None if m1 >= horizon else m1) for c in components]
+        assert_within(got, exact, bound)

@@ -189,7 +189,7 @@ def test_window_state_keeps_m1_plus_one_steps_and_equals_the_direct_sum(m1):
     state = DetectorState(prior, grid, weights, window_m1=m1)
     for t in range(12):
         state.advance(inc[None, t])
-        assert state._window.shape[1] == min(t + 1, m1 + 1)
+        assert state._window.shape[2] == min(t + 1, m1 + 1)  # [N, R, steps, P]
         direct = direct_log_statistic(inc[: t + 1], prior, grid, weights, n=t + 1, m1=m1)
         assert state.log_shiryaev()[0] == direct
 

@@ -329,9 +329,10 @@ moments = 1, 2
 """
 
 
-def test_simulate_output_does_not_depend_on_workers_across_spans(tmp_path, monkeypatch):
+def simulate_outputs_across_spans(text, tmp_path, monkeypatch):
+    """``simulate`` CSV and JSON bytes at workers 1 and 2, in spans of at most 9 rows."""
     config = tmp_path / "run.ini"
-    config.write_text(CLI_CONFIG)
+    config.write_text(text)
     detector = cli.build_detector(cli.load_config(str(config)))
     monkeypatch.setattr(montecarlo, "SPAN_BUDGET_BYTES", 9 * detector.row_bytes(120))
     assert montecarlo.span_rows(detector, 120) == 9  # four spans of at most 9 rows
@@ -341,4 +342,17 @@ def test_simulate_output_does_not_depend_on_workers_across_spans(tmp_path, monke
         argv = ["simulate", "--config", str(config), "--workers", str(workers), "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_OK
         outputs.append([out.with_suffix(suffix).read_bytes() for suffix in (".csv", ".json")])
+    return outputs
+
+
+def test_simulate_output_does_not_depend_on_workers_across_spans(tmp_path, monkeypatch):
+    outputs = simulate_outputs_across_spans(CLI_CONFIG, tmp_path, monkeypatch)
+    assert outputs[0] == outputs[1]
+
+
+def test_window_simulate_output_does_not_depend_on_workers_across_spans(tmp_path, monkeypatch):
+    # the window engine's buffer slides every 11 steps and retain compacts its rows
+    text = CLI_CONFIG.replace("alpha = 0.01\n", "alpha = 0.01\nwindow_m1 = 10\n")
+    assert "window_m1" in text
+    outputs = simulate_outputs_across_spans(text, tmp_path, monkeypatch)
     assert outputs[0] == outputs[1]
