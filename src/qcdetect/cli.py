@@ -299,7 +299,7 @@ def build_scenario(section: ScenarioSection) -> Scenario:
         raise ConfigError(f"streams must be >= 1, got {n}")
     sigma = _broadcast(section.sigma, n, "scenario sigma")
     theta = _broadcast(section.theta, n, "scenario theta")
-    with _invalid("scenario"):
+    with _invalid("[scenario]"):
         if section.kind == "ar":
             coeffs = _broadcast(section.coeffs, n, "scenario coeffs")
             signal = _broadcast(section.signal, n, "scenario signal")
@@ -485,7 +485,8 @@ def cmd_simulate(config: RunConfig, out: str | None, seed: int | None, workers: 
     mc = build_mc(config, seed, workers)
     sampler = build_change(config.change, detector.scenario, mc.horizon)
     check_span_memory(detector, mc)
-    records = simulate_runs(detector, mc, sampler)
+    with _invalid():  # increments that overflow show only as the runs are stepped
+        records = simulate_runs(detector, mc, sampler)
     moments = {str(r): records.delay_moment(r) for r in config.mc.moments}
     summary = {
         "replications": mc.replications,
@@ -527,13 +528,14 @@ def cmd_oc_sweep(config: RunConfig, out: str | None, seed: int | None, workers: 
     with _invalid():
         detector.first_order_rate(sampler.subset, sampler.theta)
     check_span_memory(detector, mc)
-    rows = asymptotic_ratio_sweep(
-        detectors.__getitem__, config.sweep.alphas, config.sweep.r, mc, sampler.subset,
-        sampler.theta,
-    )
+    with _invalid():  # increments that overflow show only as the runs are stepped
+        rows = asymptotic_ratio_sweep(
+            detectors.__getitem__, config.sweep.alphas, config.sweep.r, mc, sampler.subset,
+            sampler.theta,
+        )
+        pfas = [estimate_pfa(detectors[row.alpha], mc, alpha=row.alpha) for row in rows]
     table = []
-    for row in rows:
-        pfa = estimate_pfa(detectors[row.alpha], mc, alpha=row.alpha)
+    for row, pfa in zip(rows, pfas):
         table.append(
             {
                 "alpha": row.alpha,

@@ -198,6 +198,7 @@ class Detector:
         the rows live at the block's start: ``pos`` is each live row's position
         in its block.  The block reads the scenario's lag samples before it,
         and ``carry`` holds the mixture streams' running sums across blocks.
+        An increment that is not finite is a ``ValueError`` naming its step.
         Every element of a block has the whole path's bits.
         """
         n_reps, horizon, n_streams = data.shape
@@ -214,7 +215,16 @@ class Detector:
                 break
             t1 = min(t0 + INCREMENT_BLOCK, horizon)
             lead = min(t0, scenario.lags)
-            block = scenario.log_lr_increments(data[rows, t0 - lead:t1], points, t0, carry)
+            # an overflow shows as an increment that is not finite, named below
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                block = scenario.log_lr_increments(data[rows, t0 - lead:t1], points, t0, carry)
+            finite = np.isfinite(block).all(axis=(0, 2, 3))  # [steps]
+            if not finite.all():
+                step = t0 + 1 + int(np.argmin(finite))
+                raise ValueError(
+                    f"the log-LR increments of step {step} are not finite; the scenario's "
+                    f"parameters or the grid points overflow"
+                )
             pos = np.arange(rows.size)
             for t in range(t0, t1):
                 state.advance(block[pos, t - t0])

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 #: Sentinel change-point value meaning "no change ever" (pure noise runs).
+#: ``PriorSpec.sample`` draws at most ``NO_CHANGE - 1``, past any horizon.
 NO_CHANGE = 2**62
 
 
@@ -45,11 +46,16 @@ class PriorSpec:
         return self.q / (1.0 - self.q)
 
     def sample(self, rng: np.random.Generator) -> int:
-        """Draw nu; returns -1 with probability q, else k with probability pi_k."""
+        """Draw nu; returns -1 with probability q, else k with probability pi_k.
+
+        A draw is capped at ``NO_CHANGE - 1``, the largest change point: it
+        lies past any horizon, where every later change point gives the same
+        data and the same stop, and it fits the int64 records.
+        """
         u = rng.random()
         if u < self.q:
             return -1
-        return self._quantile((u - self.q) / (1.0 - self.q))  # uniform on [0, 1)
+        return min(self._quantile((u - self.q) / (1.0 - self.q)), NO_CHANGE - 1)
 
 
 def _check_index(k: int, what: str) -> None:
@@ -161,7 +167,7 @@ class PolynomialTailPrior(PriorSpec):
 
         target = 1.0 - v  # find smallest k with norm_tail(k+1) <= target
         hi = 1
-        while norm_tail(hi) > target:
+        while hi < NO_CHANGE and norm_tail(hi) > target:  # sample caps k below NO_CHANGE
             hi *= 2
         lo = hi // 2  # norm_tail(lo) > target or lo == 0
         while hi - lo > 1:

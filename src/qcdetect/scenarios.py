@@ -15,6 +15,19 @@ import numpy as np
 from .model import NO_CHANGE
 
 
+def check_sigma(sigma: float) -> None:
+    """The noise-level rule: ``sigma``, ``sigma**2`` and ``1 / sigma**2`` positive and finite.
+
+    The increments divide by ``sigma**2``; a square that underflows or
+    overflows would make every one of them NaN or infinite.
+    """
+    s2 = sigma * sigma  # a float product overflows to inf, where ** raises
+    if not (sigma > 0.0 and 0.0 < s2 < math.inf and 1.0 / s2 < math.inf):
+        raise ValueError(
+            f"noise level sigma, its square and 1/sigma**2 must be positive and finite, got {sigma}"
+        )
+
+
 @dataclass(frozen=True)
 class ARChannelSpec:
     """Deterministic signal of unknown amplitude in stable Gaussian AR(p) noise.
@@ -35,8 +48,7 @@ class ARChannelSpec:
         signal = tuple(float(s) for s in self.signal)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "signal", signal)
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError(f"noise level must be positive and finite, got {self.sigma}")
+        check_sigma(self.sigma)
         if not signal:
             raise ValueError("signal template must be nonempty")
         if not all(math.isfinite(s) for s in signal):
@@ -162,8 +174,7 @@ class MixtureChannelSpec:
     def __post_init__(self):
         if not 0.0 < self.beta_mix < 1.0:
             raise ValueError(f"mixing probability must be in (0, 1), got {self.beta_mix}")
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError(f"noise level must be positive and finite, got {self.sigma}")
+        check_sigma(self.sigma)
         if not (math.isfinite(self.mu1) and math.isfinite(self.mu2)):
             raise ValueError(f"component means must be finite, got mu1={self.mu1}, mu2={self.mu2}")
         self._check_post_change_mean(self.theta)

@@ -197,8 +197,8 @@ class DetectorState:
     ``FlatWeights`` for the Shiryaev-Roberts statistic.  ``advance`` takes the
     increments of one step, ``[R, P, N]`` (replications x grid points x
     streams).  In recursive mode the state holds per-(subset, point) log
-    components of shape ``[R, S, P]``, which ``advance`` updates in place with
-    the step's subset sums.  In window mode it keeps the increments in a
+    components rows last, ``[S, P, R]``, which ``advance`` updates in place
+    with the step's subset sums.  In window mode it keeps the increments in a
     stream-major buffer ``[N, R, 2(m1+1), P]`` that slides its last ``m1 + 1``
     steps to the front once every ``m1 + 1`` steps, and evaluates the window's
     direct sum with ``window_log_statistic``, the kernel of
@@ -233,7 +233,7 @@ class DetectorState:
         odds = weighting.head_odds()
         start = math.log(odds) if odds > 0.0 else -math.inf
         if window_m1 is None:
-            shape = (self.n_reps, self.basis.n_subsets, self.basis.grid.n_points)
+            shape = (self.basis.n_subsets, self.basis.grid.n_points, self.n_reps)
             self.log_components = np.full(shape, start)
         else:
             # stream-major increments, oldest first: steps [0, _stop) are
@@ -247,25 +247,22 @@ class DetectorState:
     # -- internals -----------------------------------------------------------
 
     def subset_llrs(self, increments) -> np.ndarray:
-        """Sum per-stream increments ``[..., P, N]`` over each subset: ``[..., S, P]``.
+        """Sum per-stream increments ``[..., P, N]`` over each subset: ``[S, P, ...]``.
 
         Each subset's sum is its parent's sum plus the increment of its largest
         member (``MixtureBasis.prefix``): the member-by-member fold from the
         smallest member up, one add per subset.  The recursion sums one step
-        ``[R, P, N]`` at a time; an element's arithmetic does not depend on the
-        other replications or steps summed with it.
+        ``[R, P, N]`` at a time, in its state's layout; an element's arithmetic
+        does not depend on the other replications or steps summed with it.
         """
         inc = np.asarray(increments, dtype=float)
-        n, n_points = inc.shape[-1], inc.shape[-2]
-        # subset-major, so each add runs over contiguous memory
-        sums = np.empty((self.basis.n_subsets,) + inc.shape[:-1])  # [S, ..., P]
-        sums[:n] = np.moveaxis(inc, -1, 0)
+        n = inc.shape[-1]
+        head = np.moveaxis(inc, (-1, -2), (0, 1))  # [N, P, ...]
+        sums = np.empty((self.basis.n_subsets,) + head.shape[1:])
+        sums[:n] = head
         for s, (parent, last) in enumerate(self.basis.prefix, start=n):
             np.add(sums[parent], sums[last], out=sums[s])
-        # move the subset axis in with each point vector copied as one element
-        vector = np.dtype((np.void, 8 * n_points))
-        out = np.ascontiguousarray(np.moveaxis(sums.view(vector)[..., 0], 0, -1))
-        return out.view(float).reshape(inc.shape[:-2] + (self.basis.n_subsets, n_points))
+        return sums
 
     def _advance_recursive(self, llr: np.ndarray) -> None:
         n = self.n + 1
@@ -322,10 +319,11 @@ class DetectorState:
         return self
 
     def retain(self, rows) -> None:
-        """Keep only the replications ``rows`` selects (a mask or indices) in the state."""
+        """Keep only the replications the boolean mask ``rows`` ``[R]`` selects."""
         if self.window_m1 is None:
-            self.log_components = self.log_components[rows]
-            self.n_reps = self.log_components.shape[0]
+            # a C-contiguous copy; indexing the last axis would lay rows out first
+            self.log_components = np.compress(rows, self.log_components, axis=-1)
+            self.n_reps = self.log_components.shape[-1]
         else:
             # compact the live window's rows to the front, in place
             live = self._window[:, rows]
@@ -342,23 +340,21 @@ class DetectorState:
         The recursion reads out exactly only the rows whose bound
         ``max(log_components) + log_joint_total`` reaches ``floor`` less a
         rounding margin; every other row gets its bound, which is below
-        ``floor``.  The bound holds because the joint weights sum to one.
-        The default floor, -inf, reads every row exactly.
+        ``floor``, as the joint weights sum to one.  The exact rows are
+        gathered into a C-contiguous ``[r, S, P]`` block, so each is summed
+        in one order.  The default floor, -inf, reads every row exactly.
         """
         if self.window_m1 is not None:
             return self._log_value
-        # the row maxima as a reduction over the first axis of a transposed
-        # copy, which runs elementwise across rows instead of row by row
-        columns = np.ascontiguousarray(self.log_components.reshape(self.n_reps, -1).T)
+        columns = self.log_components.reshape(-1, self.n_reps)  # [S * P, R]
         bound = columns.max(axis=0) + self.basis.log_joint_total
         exact = ~(bound < floor - 1e-9 * max(1.0, abs(floor)))
         if exact.any():
-            bound[exact] = logsumexp(
-                self.log_components[exact] + self.basis.log_joint, axis=(1, 2)
-            )
+            rows = columns.T[exact].reshape((-1,) + self.basis.log_joint.shape)
+            bound[exact] = logsumexp(np.add(rows, self.basis.log_joint, order="C"), axis=(1, 2))
         return bound
 
-    #: Read-outs are named after the rule; both return the same statistic.
+    #: The read-out under the other rule's name, kept for the benchmark's tracer.
     log_sr = log_shiryaev
 
 

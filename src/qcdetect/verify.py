@@ -240,7 +240,7 @@ def suite_sr_mean(seed: int = 0, replications: int = 20000, horizon: int = 20):
         state = DetectorState(FlatWeights(omega), grid, weights, n_reps=replications)
         for t in range(horizon):
             state.advance(increments[:, t])
-        values = np.exp(state.log_sr())
+        values = np.exp(state.log_shiryaev())
         se = float(np.std(values, ddof=1) / math.sqrt(replications))
         gap = abs(float(np.mean(values)) - (omega + horizon))
         passed = gap <= 3.0 * se

@@ -138,7 +138,7 @@ def test_03_sr_mean_identity():
             state.advance(increments[:, t])
             n = t + 1
             if n in checkpoints:
-                values = np.exp(state.log_sr())
+                values = np.exp(state.log_shiryaev())
                 se = values.std(ddof=1) / math.sqrt(replications)
                 gap = abs(values.mean() - (omega + n))
                 all_ok &= gap <= 3 * se
@@ -166,7 +166,7 @@ def test_04_recursion_vs_direct_oracle():
             log_s = direct_log_statistic(history, prior, grid, weights, n=t + 1)
             log_r = direct_log_statistic(history, FlatWeights(1.5), grid, weights, n=t + 1)
             worst = max(worst, np.max(np.abs(state_s.log_shiryaev() - log_s)))
-            worst = max(worst, np.max(np.abs(state_r.log_sr() - log_r)))
+            worst = max(worst, np.max(np.abs(state_r.log_shiryaev() - log_r)))
     ok = worst <= 1e-9
     assert report("04", ok, f"max |log recursive - log direct| = {worst:.3g} <= 1e-9")
 
@@ -346,7 +346,7 @@ def test_11_window_limited_behavior():
         full_r = direct_log_statistic(
             increments[: t + 1], FlatWeights(0.7), grid, weights, n=t + 1
         )
-        identical &= state_s.log_shiryaev()[0] == full_s and state_r.log_sr()[0] == full_r
+        identical &= state_s.log_shiryaev()[0] == full_s and state_r.log_shiryaev()[0] == full_r
     # (b) m1 = 20 < n = 100 changes strong-signal delays by at most one step
     a = threshold_shiryaev(1e-2)
     full = Detector(

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qcdetect import Scenario, cli, montecarlo
+from qcdetect import NO_CHANGE, Scenario, cli, montecarlo
 from qcdetect import statistics as statistics_mod
 from qcdetect.cli import (
     EXIT_CONFIG,
@@ -487,6 +487,75 @@ def test_simulate_with_prior_sampled_change(tmp_path):
     with open(out.with_suffix(".csv")) as fh:
         rows = list(csv.DictReader(fh))
     assert len({r["nu"] for r in rows}) > 1
+
+
+FAR_CHANGE_CONFIG = """\
+[scenario]
+kind = ar
+streams = 2
+sigma = 1.0
+theta = 1.0
+
+[prior]
+{prior}
+
+[change]
+nu = prior
+subset = 1
+
+[grid]
+theta_points = 1.0
+p = 1.0
+K = 1
+
+[detector]
+kind = sr-mixture
+threshold = 100
+
+[mc]
+replications = 64
+master_seed = 12
+horizon = 50
+"""
+
+
+@pytest.mark.parametrize(
+    "prior", ["kind = polynomial-tail\nbeta = 0.05", "kind = geometric\nrho = 1e-20"]
+)
+def test_simulate_records_change_points_past_any_horizon(prior, tmp_path):
+    # most draws lie past 2**62; they used to overflow the int64 records
+    path = tmp_path / "far.ini"
+    path.write_text(FAR_CHANGE_CONFIG.format(prior=prior))
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    with open(out.with_suffix(".csv")) as fh:
+        nu = [int(row["nu"]) for row in csv.DictReader(fh)]
+    assert max(nu) == NO_CHANGE - 1 and min(nu) >= 0
+
+
+@pytest.mark.parametrize("kind", ["ar", "mixture"])
+@pytest.mark.parametrize("sigma", ["1e-200", "1e308"])
+def test_a_sigma_whose_square_leaves_the_float_range_is_a_scenario_error(
+    kind, sigma, tmp_path, capsys
+):
+    text = BASE_CONFIG if kind == "ar" else with_mixture(BASE_CONFIG)
+    path = tmp_path / "sigma.ini"
+    path.write_text(text.replace("sigma = 1.0", f"sigma = {sigma}"))
+    assert cli.main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1
+    assert "[scenario]" in err and "sigma" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "oc-sweep"])
+def test_increments_that_overflow_are_a_config_error(command, tmp_path, capsys):
+    # the grid point passes its finiteness check, but its squared drift does not fit a float
+    path = tmp_path / "overflow.ini"
+    path.write_text(PRIOR_NU.replace("theta_points = 1.0", "theta_points = 1e200") + SWEEP)
+    assert cli.main([command, "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1
+    assert "step 1 " in err and "not finite" in err
 
 
 def test_oc_sweep_single_alpha(tmp_path, capsys):

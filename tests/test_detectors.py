@@ -297,6 +297,37 @@ def test_window_stopping_times_peak_within_row_bytes():
     assert peak < n_reps * detector.row_bytes(horizon)
 
 
+def test_recursion_stopping_times_peak_within_row_bytes():
+    # S = 1023 subsets, so the engine's [S, P, R] arrays outweigh the data
+    n, horizon, n_reps = 10, 120, 64
+    scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(n)))
+    grid = GridSpec.common_amplitude((0.5, 1.0), n)
+    config = DetectorConfig(kind="sr-mixture", threshold_A=1e300)
+    detector = Detector(config, scenario, GeometricPrior(rho=0.01), grid, SubsetWeights.uniform(n))
+    changes = [ChangeSpec(NO_CHANGE, ())] * n_reps
+    data = scenario.generate(changes, horizon, [replication_rng(7, r) for r in range(n_reps)])
+    tracemalloc.start()
+    try:
+        assert (detector.stopping_times(data) == -1).all()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_reps * detector.row_bytes(horizon)
+
+
+@pytest.mark.parametrize("window_m1", [None, 5])
+def test_increments_that_are_not_finite_raise_instead_of_censoring(window_m1):
+    # a grid point of 1e200 passes the grid's check, but its squared drift overflows
+    scenario, grid, weights, prior = single_stream_setup()
+    grid = GridSpec.degenerate((1e200,))
+    config = DetectorConfig(kind="sr-mixture", threshold_A=50.0, window_m1=window_m1)
+    detector = Detector(config, scenario, prior, grid, weights)
+    data = scenario.generate([ChangeSpec(nu=0, subset=(0,))], 40, [replication_rng(5, 0)])
+    for run in (detector.stopping_times, detector.log_trajectories):
+        with pytest.raises(ValueError, match="increments of step 1 are not finite"):
+            run(data)
+
+
 def _wide_setup(n):
     scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(n)))
     grid = GridSpec.common_amplitude((1.0,), n)

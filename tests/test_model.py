@@ -185,6 +185,14 @@ def test_sample_polynomial_tail_matches_masses():
         assert abs((values == k).mean() - p) <= 4 * math.sqrt(p * (1 - p) / n)
 
 
+@pytest.mark.parametrize("prior", [PolynomialTailPrior(0.01), GeometricPrior(1e-20)])
+def test_sample_caps_a_far_change_point_below_no_change(prior):
+    # most of these draws lie past 2**62; uncapped they overflowed the int64 records
+    rng = np.random.default_rng(3)
+    draws = np.array([prior.sample(rng) for _ in range(5000)], dtype=np.int64)
+    assert draws.min() >= 0 and draws.max() == NO_CHANGE - 1
+
+
 def test_sample_head_mass_frequency():
     prior = GeometricPrior(rho=0.4, q=0.3)
     rng = np.random.default_rng(11)

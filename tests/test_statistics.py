@@ -87,7 +87,7 @@ def test_shiryaev_starts_at_head_odds():
 def test_sr_starts_at_head_start():
     scenario, grid, weights = unit_increment_setup()
     state = DetectorState(FlatWeights(3.0), grid, weights)
-    assert np.exp(state.log_sr()[0]) == pytest.approx(3.0, rel=1e-15)
+    assert np.exp(state.log_shiryaev()[0]) == pytest.approx(3.0, rel=1e-15)
 
 
 def test_flat_weights_reject_a_negative_head_start():
@@ -132,7 +132,7 @@ def test_sr_unit_lr_linear_growth(omega, expected):
     inc = np.zeros((1, 1, 1))
     for _ in range(7):
         state.advance(inc)
-    assert np.exp(state.log_sr()[0]) == pytest.approx(expected, rel=1e-12)
+    assert np.exp(state.log_shiryaev()[0]) == pytest.approx(expected, rel=1e-12)
 
 
 # -- recursion vs direct summation ------------------------------------------------------
@@ -337,8 +337,8 @@ def test_log_statistic_is_exact_beyond_e700():
         state.advance(inc[:, t])
     direct = direct_log_statistic(inc, FlatWeights(), grid, weights, n=3)
     # log R(3) = log(e^1500 + e^1000 + e^500), far beyond 700
-    assert state.log_sr()[0] == pytest.approx(1500.0, rel=0.0, abs=1e-9)
-    np.testing.assert_allclose(state.log_sr(), direct, rtol=0.0, atol=1e-9)
+    assert state.log_shiryaev()[0] == pytest.approx(1500.0, rel=0.0, abs=1e-9)
+    np.testing.assert_allclose(state.log_shiryaev(), direct, rtol=0.0, atol=1e-9)
 
 
 # -- subset sums and the screened read-out ----------------------------------------
@@ -367,11 +367,23 @@ def test_prefix_subset_sums_equal_the_member_fold_bit_for_bit():
             state = DetectorState(FlatWeights(), grid, SubsetWeights.uniform(n, K=k))
             # magnitudes spread over 16 decades, so any other order of the adds shows
             inc = rng.normal(size=(3, 4, 2, n)) * 10.0 ** rng.uniform(-8, 8, size=(3, 4, 2, n))
-            expected = member_fold(inc, n, k).view(np.int64)
+            expected = np.moveaxis(member_fold(inc, n, k).view(np.int64), (-2, -1), (0, 1))
             np.testing.assert_array_equal(state.subset_llrs(inc).view(np.int64), expected)
             np.testing.assert_array_equal(
-                state.subset_llrs(inc[:, 1]).view(np.int64), expected[:, 1]
+                state.subset_llrs(inc[:, 1]).view(np.int64), expected[:, :, :, 1]
             )
+
+
+def test_retain_keeps_the_rows_last_state_contiguous():
+    n = 3
+    grid = GridSpec.common_amplitude((0.5, 1.0), n)
+    state = DetectorState(FlatWeights(), grid, SubsetWeights.uniform(n), n_reps=40)
+    state.advance(np.random.default_rng(14).normal(size=(40, 2, n)))
+    before, keep = state.log_components.copy(), np.arange(40) % 3 != 0
+    state.retain(keep)
+    # a non-contiguous state would slow every later step and copy in every read-out
+    assert state.log_components.flags.c_contiguous and state.n_reps == keep.sum()
+    np.testing.assert_array_equal(state.log_components, before[..., keep])
 
 
 def test_screened_readout_is_exact_or_below_the_floor():
@@ -386,7 +398,7 @@ def test_screened_readout_is_exact_or_below_the_floor():
         for t in range(30):
             state.advance(rng.normal(shift[:, 0, None] * (t >= 10), 1.0, size=(64, 2, n)))
             full = state.log_shiryaev()
-            bound = state.log_components.max(axis=(1, 2)) + state.basis.log_joint_total
+            bound = state.log_components.max(axis=(0, 1)) + state.basis.log_joint_total
             assert (full <= bound + 1e-12).all()
             for floor in (*np.quantile(full, [0.1, 0.5, 0.9]), full[0], -1e3, 1e3):
                 screened = bound < floor - 1e-9 * max(1.0, abs(floor))

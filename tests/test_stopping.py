@@ -127,11 +127,10 @@ def reference_log_trajectories(detector, data):
     """One ``advance`` per step for every row: no retirement."""
     increments = detector.scenario.log_lr_increments(data, detector.grid.points)
     state = detector._new_state(data.shape[0])
-    read = state.log_shiryaev if detector.config.uses_shiryaev else state.log_sr
     out = np.empty(data.shape[:2])
     for t in range(data.shape[1]):
         state.advance(increments[:, t])
-        out[:, t] = read()
+        out[:, t] = state.log_shiryaev()
     return out
 
 
