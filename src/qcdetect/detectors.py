@@ -137,10 +137,14 @@ class Detector:
     def row_bytes(self, horizon: int) -> int:
         """Bytes one replication of ``horizon`` steps holds while it is simulated.
 
-        The sum of its ``[T, N]`` data; the temporaries ``Scenario.generate``
-        makes for one stream, under ``3 T`` floats (its draws, its signal or
-        means, and the change mask); one block of increments,
-        ``[min(T, INCREMENT_BLOCK), P, N]``; and the engine's working set.
+        Its ``[T, N]`` data, which ``Scenario.generate`` shapes in place; what
+        generation keeps per replication besides, ``N`` latent values, ``N``
+        change starts and ``N`` parameters and up to 3 uniforms (its other
+        temporaries are a few ``R``- or ``T``-long vectors per span); the
+        scan's finite check of the data, one byte per value; one block of
+        data, ``[min(T, INCREMENT_BLOCK) + p, N]`` with the ``p`` lag samples,
+        and its increments, ``[min(T, INCREMENT_BLOCK), P, N]``; and the
+        engine's working set.
         For the recursion that is the ``[S, P]`` log components with the
         step's subset sums and ``log_add_exp`` buffer of the same shape.  For
         the window, with ``m = min(T, m1 + 1)`` window steps, it is the
@@ -152,14 +156,15 @@ class Detector:
         of the same shape with its shifted copy.
         """
         n, points = self.scenario.n_streams, self.grid.n_points
-        block = min(horizon, INCREMENT_BLOCK) * points * n
+        steps = min(horizon, INCREMENT_BLOCK)
+        block = (steps + self.scenario.lags) * n + steps * points * n
         if self.config.window_m1 is None:
             engine = 3 * self.weights.n_subsets * points
         else:
             m = min(horizon, self.config.window_m1 + 1)
             steps = max(2 * m, min(2 * (self.config.window_m1 + 1), WINDOW_BUFFER_START))
             engine = steps * points * n + m * points * (n + 1 + 3 * self.weights.K)
-        return 8 * (horizon * (n + 3) + block + engine)
+        return 8 * (horizon * n + 3 * n + 3 + block + engine) + horizon * n
 
     def _new_state(self, n_reps: int) -> DetectorState:
         return DetectorState(

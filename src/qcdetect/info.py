@@ -18,8 +18,9 @@ import numpy as np
 
 from .detectors import check_moment_order
 from .likelihood import SubsetWeights
-from .model import replication_rng
-from .montecarlo import MCEstimate
+from .model import ChangeSpec
+from .montecarlo import MCEstimate, replication_rngs
+from .scenarios import Scenario
 from .statistics import GridSpec
 
 
@@ -70,17 +71,15 @@ def estimate_kl_slope(channel, theta: float, n: int, replications: int, master_s
     if not np.isfinite(theta):
         raise ValueError(f"post-change parameter theta must be finite, got {theta}")
     thetas = np.asarray([float(theta)])
+    scenario = Scenario((channel,))
+    at_origin = ChangeSpec(-1, (0,), (float(theta),))
     slopes = np.empty(replications)
     # one batch of paths per call, since the AR filter pays per time step
     per_batch = max(1, _SLOPE_BATCH_SAMPLES // n)
     for start in range(0, replications, per_batch):
-        reps = range(start, min(start + per_batch, replications))
-        x = channel.generate_batch(
-            n,
-            np.zeros(len(reps), dtype=np.int64),
-            np.full(len(reps), float(theta)),
-            [replication_rng(master_seed, rep) for rep in reps],
-        )
-        for rep, inc in zip(reps, channel.log_lr_increments(x, thetas)[..., 0]):
+        stop = min(start + per_batch, replications)
+        rngs = replication_rngs(master_seed, start, stop)
+        x = scenario.generate([at_origin] * (stop - start), n, rngs)[..., 0]
+        for rep, inc in zip(range(start, stop), channel.log_lr_increments(x, thetas)[..., 0]):
             slopes[rep] = inc.sum() / n
     return MCEstimate.from_values(slopes)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 #: Sentinel change-point value meaning "no change ever" (pure noise runs).
-#: ``PriorSpec.sample`` draws at most ``NO_CHANGE - 1``, past any horizon.
+#: ``PriorSpec.change_points`` draws at most ``NO_CHANGE - 1``, past any horizon.
 NO_CHANGE = 2**62
 
 
@@ -29,7 +29,7 @@ class PriorSpec:
     the right tail and ``mean()`` is ``E[nu; nu >= 0]`` (may be infinite).
     The families are ``GeometricPrior``, ``PolynomialTailPrior`` and
     ``PointMassPrior``; each checks its own parameter and supplies the
-    inverse CDF ``_quantile`` that ``sample`` draws through.
+    inverse CDF of its tail that ``change_points`` maps uniforms through.
     """
 
     q: float = field(default=0.0, kw_only=True)
@@ -45,17 +45,31 @@ class PriorSpec:
         """q / (1 - q), the starting value of the Shiryaev statistic."""
         return self.q / (1.0 - self.q)
 
-    def sample(self, rng: np.random.Generator) -> int:
-        """Draw nu; returns -1 with probability q, else k with probability pi_k.
+    #: Uniforms one draw of nu takes from its generator: one picks the head
+    #: or the tail and the tail's quantile.
+    uniforms = 1
 
-        A draw is capped at ``NO_CHANGE - 1``, the largest change point: it
-        lies past any horizon, where every later change point gives the same
-        data and the same stop, and it fits the int64 records.
+    def change_points(self, u: np.ndarray) -> np.ndarray:
+        """nu for each row of ``u``, ``[R, uniforms]`` uniforms on [0, 1): ``[R]`` int64.
+
+        A row below ``q`` gives -1, the others ``k`` with probability
+        ``pi_k`` through the inverse CDF of the tail.  A draw is capped at
+        ``NO_CHANGE - 1``, the largest change point: it lies past any horizon,
+        where every later change point gives the same data and the same stop,
+        and it fits the int64 records.
         """
-        u = rng.random()
-        if u < self.q:
-            return -1
-        return min(self._quantile((u - self.q) / (1.0 - self.q)), NO_CHANGE - 1)
+        u = u[:, 0]
+        nu = np.full(u.shape, -1, dtype=np.int64)
+        tail = ~(u < self.q)
+        nu[tail] = self._quantiles((u[tail] - self.q) / (1.0 - self.q))
+        return nu
+
+    def _quantiles(self, v: np.ndarray) -> np.ndarray:
+        """The capped inverse CDF of the tail at each ``v``, through the scalar ``_quantile``."""
+        cap = NO_CHANGE - 1
+        return np.fromiter(
+            (min(self._quantile(x), cap) for x in v.tolist()), dtype=np.int64, count=v.size
+        )
 
 
 def _check_index(k: int, what: str) -> None:
@@ -157,25 +171,31 @@ class PolynomialTailPrior(PriorSpec):
             1.0 + self.beta, 1.0
         )
 
-    def _quantile(self, v: float) -> int:
-        # bisect on the normalized tail (monotone, O(1) per probe)
+    def _quantiles(self, v: np.ndarray) -> np.ndarray:
+        # the smallest k with norm_tail(k + 1) <= 1 - v for every v at once:
+        # double from 1 while the tail is above, then bisect; each step takes
+        # the same scalar zeta values and comparisons as one v on its own
         s = 1.0 + self.beta
         z0 = _zeta(s, 1.0)
+        target = 1.0 - v
 
-        def norm_tail(n: int) -> float:
-            return _zeta(s, n + 1.0) / z0
+        def above(n, rows):
+            return _zeta(s, n + 1.0) / z0 > target[rows]
 
-        target = 1.0 - v  # find smallest k with norm_tail(k+1) <= target
-        hi = 1
-        while hi < NO_CHANGE and norm_tail(hi) > target:  # sample caps k below NO_CHANGE
-            hi *= 2
+        hi = np.ones(v.shape, dtype=np.int64)
+        rows = np.arange(v.size)
+        while rows.size:  # change_points caps k below NO_CHANGE
+            rows = rows[hi[rows] < NO_CHANGE]
+            rows = rows[above(hi[rows], rows)]
+            hi[rows] *= 2
         lo = hi // 2  # norm_tail(lo) > target or lo == 0
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if norm_tail(mid) > target:
-                lo = mid
-            else:
-                hi = mid
+        rows = np.flatnonzero(hi - lo > 1)
+        while rows.size:
+            mid = (lo[rows] + hi[rows]) // 2
+            up = above(mid, rows)
+            lo[rows[up]] = mid[up]
+            hi[rows[~up]] = mid[~up]
+            rows = rows[hi[rows] - lo[rows] > 1]
         return hi - 1
 
 
@@ -216,10 +236,14 @@ class PointMassPrior(PriorSpec):
     def mean(self) -> float:
         return (1.0 - self.q) * self.k0
 
-    def sample(self, rng: np.random.Generator) -> int:
-        if self.q == 0.0:  # a certain draw takes no random number
-            return self.k0
-        return super().sample(rng)
+    @property
+    def uniforms(self) -> int:
+        return 0 if self.q == 0.0 else 1  # a certain draw takes no random number
+
+    def change_points(self, u: np.ndarray) -> np.ndarray:
+        if self.q == 0.0:
+            return np.full(len(u), self.k0, dtype=np.int64)
+        return super().change_points(u)
 
     def _quantile(self, v: float) -> int:
         return self.k0
@@ -270,10 +294,25 @@ class ChangeSpec:
             object.__setattr__(self, "theta", theta)
 
 
-def replication_rng(master_seed: int, replication: int) -> np.random.Generator:
+def replication_rng(
+    master_seed: int, replication: int, rng: np.random.Generator | None = None
+) -> np.random.Generator:
     """Counter-based generator keyed by (master seed, replication index).
 
     Replications are reproducible independently of scheduling or worker count.
+    Philox's whole state is its key and its counter, so given ``rng``, a
+    Philox generator, the function re-keys it in place and returns it: the
+    same stream as a fresh generator, without building one.
     """
-    key = np.array([master_seed & (2**64 - 1), replication & (2**64 - 1)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = (master_seed & (2**64 - 1), replication & (2**64 - 1))
+    if rng is None:
+        return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # empty: the next draw starts a new block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng

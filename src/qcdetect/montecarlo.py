@@ -1,8 +1,12 @@
 """Replicated simulation of operating characteristics.
 
-Every replication owns a counter-based generator keyed by (master seed,
-replication index), so results are reproducible and independent of worker
-count or scheduling.  Per-replication outcomes are stored in arrays indexed by
+Every replication draws from a counter-based generator keyed by (master
+seed, replication index), so results are reproducible and independent of
+worker count or scheduling.  A span of replications builds one Philox
+generator and re-keys it for each replication in turn (``replication_rngs``);
+the replication draws its change's uniforms, then its noise, inside one
+``Scenario.generate`` call, and the sampler maps the span's uniforms to
+changes at once.  Per-replication outcomes are stored in arrays indexed by
 replication and reduced once, in canonical order; partial results from worker
 shards therefore merge into exactly the single-threaded totals.
 
@@ -24,6 +28,7 @@ import numpy as np
 
 from .detectors import Detector, check_moment_order
 from .model import NO_CHANGE, ChangeSpec, PriorSpec, replication_rng
+from .scenarios import ChangeDraws, ListedChanges, change_rows
 
 _CHUNK = 1024
 
@@ -111,6 +116,11 @@ class RunRecords:
 
 
 # -- change samplers ----------------------------------------------------------
+#
+# A sampler draws each replication's change from ``uniforms(prior)`` uniforms,
+# the first of its generator's draws; ``changes`` maps a span's ``[R, k]``
+# uniforms at once to ``nu`` and the ``post_from`` and ``theta`` arrays of
+# ``scenarios.change_rows`` (see ``scenarios.ChangeDraws``).
 
 
 @dataclass(frozen=True)
@@ -119,8 +129,12 @@ class FixedChangeSampler:
 
     change: ChangeSpec
 
-    def draw(self, prior: PriorSpec, rng) -> ChangeSpec:
-        return self.change
+    def uniforms(self, prior: PriorSpec) -> int:
+        return 0
+
+    def changes(self, prior: PriorSpec, u, scenario, horizon: int):
+        one = ListedChanges((self.change,)).changes(prior, u, scenario, horizon)
+        return tuple(np.repeat(a, len(u), axis=0) for a in one)
 
     def check_horizon(self, horizon: int) -> None:
         if self.change.nu >= horizon:
@@ -133,19 +147,35 @@ NO_CHANGE_SAMPLER = FixedChangeSampler(ChangeSpec(NO_CHANGE, ()))
 
 @dataclass(frozen=True)
 class PriorNuSampler:
-    """nu drawn from the prior; affected subset and parameters fixed."""
+    """nu drawn from the prior; affected subset and parameters fixed.
+
+    The pair is checked as a ``ChangeSpec`` once, and kept in its sorted form.
+    """
 
     subset: tuple[int, ...]
     theta: tuple[float, ...] | None = None
 
-    def draw(self, prior: PriorSpec, rng) -> ChangeSpec:
-        nu = prior.sample(rng)
-        return ChangeSpec(nu, self.subset, self.theta)
+    def __post_init__(self):
+        change = ChangeSpec(0, self.subset, self.theta)
+        object.__setattr__(self, "subset", change.subset)
+        object.__setattr__(self, "theta", change.theta)
+
+    def uniforms(self, prior: PriorSpec) -> int:
+        return prior.uniforms
+
+    def changes(self, prior: PriorSpec, u, scenario, horizon: int):
+        nu = prior.change_points(u)
+        affected, theta = scenario.affected_streams(self.subset, self.theta)
+        return (nu, *change_rows(nu, affected, theta, horizon))
 
 
 @dataclass(frozen=True)
 class JointSampler:
-    """nu from the prior, subset from p_B, parameters from the grid weights."""
+    """nu from the prior, subset from p_B, parameters from the grid weights.
+
+    A replication's uniforms are the prior's, then one for the subset and
+    one for the grid point, each inverted through its CDF.
+    """
 
     subsets: tuple[tuple[int, ...], ...]
     subset_cdf: tuple[float, ...]
@@ -161,32 +191,40 @@ class JointSampler:
             point_cdf=tuple(np.cumsum(detector.grid.weights)),
         )
 
-    def draw(self, prior: PriorSpec, rng) -> ChangeSpec:
-        nu = prior.sample(rng)
-        b_idx = int(np.searchsorted(self.subset_cdf, rng.random(), side="right"))
-        b_idx = min(b_idx, len(self.subsets) - 1)
-        p_idx = int(np.searchsorted(self.point_cdf, rng.random(), side="right"))
-        p_idx = min(p_idx, len(self.points) - 1)
-        subset = self.subsets[b_idx]
-        theta = tuple(self.points[p_idx][i] for i in subset)
-        return ChangeSpec(nu, subset, theta)
+    def uniforms(self, prior: PriorSpec) -> int:
+        return prior.uniforms + 2
+
+    def changes(self, prior: PriorSpec, u, scenario, horizon: int):
+        k = prior.uniforms
+        nu = prior.change_points(u[:, :k])
+        b_idx = np.searchsorted(self.subset_cdf, u[:, k], side="right")
+        p_idx = np.searchsorted(self.point_cdf, u[:, k + 1], side="right")
+        masks = np.array([scenario.affected_streams(b)[0] for b in self.subsets])
+        affected = masks[np.minimum(b_idx, len(self.subsets) - 1)]
+        theta = np.asarray(self.points, dtype=float)[np.minimum(p_idx, len(self.points) - 1)]
+        return (nu, *change_rows(nu, affected, theta, horizon))
 
 
 # -- core simulation loop ------------------------------------------------------
 
 
+def replication_rngs(master_seed: int, start: int, stop: int):
+    """The generators of replications ``start .. stop-1``, one re-keyed in turn.
+
+    Each comes from ``replication_rng``, once per replication; a yielded
+    generator is valid until the next is taken.
+    """
+    rng = None
+    for replication in range(start, stop):
+        rng = replication_rng(master_seed, replication, rng)
+        yield rng
+
+
 def _simulate_span(detector: Detector, sampler, mc: MCConfig, start: int, count: int):
-    nu = np.empty(count, dtype=np.int64)
-    changes = []
-    rngs = []
-    for j in range(count):
-        rng = replication_rng(mc.master_seed, start + j)
-        change = sampler.draw(detector.prior, rng)
-        nu[j] = change.nu
-        changes.append(change)
-        rngs.append(rng)
-    stopped = detector.stopping_times(detector.scenario.generate(changes, mc.horizon, rngs))
-    return start, nu, stopped
+    changes = ChangeDraws(sampler, detector.prior, count)
+    rngs = replication_rngs(mc.master_seed, start, start + count)
+    data = detector.scenario.generate(changes, mc.horizon, rngs)
+    return start, changes.nu, detector.stopping_times(data)
 
 
 def span_rows(detector: Detector, horizon: int) -> int:

@@ -99,26 +99,30 @@ class ARChannelSpec:
 
     # -- simulation and likelihood ------------------------------------------
 
-    def generate_batch(
-        self, horizon: int, post_from: np.ndarray, theta: np.ndarray, rngs
-    ) -> np.ndarray:
-        """One stream per generator: ``[R, horizon]``.
+    def draw_row(self, rng: np.random.Generator, row: np.ndarray) -> float:
+        """Fill ``row`` with the stream's standard normal draws; no latent value (0.0)."""
+        rng.standard_normal(out=row)
+        return 0.0
 
-        Row ``r`` draws its noise from ``rngs[r]`` and carries ``theta[r]``
+    def shape_rows(
+        self, x: np.ndarray, post_from: np.ndarray, theta: np.ndarray, latent: np.ndarray
+    ) -> None:
+        """Turn ``draw_row``'s rows ``x`` (``[R, T]``) into the stream, in place.
+
+        The noise is ``0 + sigma z``, as ``rng.normal(0, sigma)`` forms it,
+        filtered through the AR recursion; row ``r`` then carries ``theta[r]``
         times the signal from index ``post_from[r]`` on.
         """
-        x = np.empty((len(rngs), horizon))
-        for row, rng in zip(x, rngs):
-            row[:] = rng.normal(0.0, self.sigma, size=horizon)
+        x *= self.sigma
+        x += 0.0
         if self.coeffs:
             # xi_t = sum_j coeffs[j] xi_{t-j} + w_t with zero initial state,
             # stepping through the time-major view of x in place
             ar_filter(x.T, self.coeffs)
-        after = np.arange(horizon) >= post_from[:, None]
-        if after.any():
-            signal = theta[:, None] * self.signal_sequence(horizon)
-            np.add(x, signal, out=x, where=after)
-        return x
+        signal = self.signal_sequence(x.shape[1])
+        rows = np.flatnonzero(post_from < x.shape[1])
+        for r, start, amplitude in zip(rows.tolist(), post_from[rows].tolist(), theta[rows].tolist()):
+            x[r, start:] += amplitude * signal[start:]
 
     def log_lr_increments(
         self, x: np.ndarray, thetas: np.ndarray, start: int = 0, carry=None
@@ -204,25 +208,33 @@ class MixtureChannelSpec:
 
     # -- simulation and likelihood ------------------------------------------
 
-    def generate_batch(
-        self, horizon: int, post_from: np.ndarray, theta: np.ndarray, rngs
-    ) -> np.ndarray:
-        """One stream per generator: ``[R, horizon]``.
+    def draw_row(self, rng: np.random.Generator, row: np.ndarray) -> float:
+        """Draw the latent component, then fill ``row`` with standard normals; the component mean."""
+        mean = self.mu1 if rng.random() < self.beta_mix else self.mu2
+        rng.standard_normal(out=row)
+        return mean
 
-        Row ``r`` draws its latent component and noise from ``rngs[r]`` and
-        has mean ``theta[r]`` from index ``post_from[r]`` on.
+    def shape_rows(
+        self, x: np.ndarray, post_from: np.ndarray, theta: np.ndarray, latent: np.ndarray
+    ) -> None:
+        """Turn ``draw_row``'s rows ``x`` (``[R, T]``) into the stream, in place.
+
+        Each value is ``sigma (0 + 1 z)`` plus row ``r``'s component mean
+        ``latent[r]`` before index ``post_from[r]`` and ``theta[r]`` from it on.
         """
-        z = np.empty((len(rngs), horizon))
-        mean = np.empty((len(rngs), 1))
-        for row, rng in enumerate(rngs):
-            mean[row] = self.mu1 if rng.random() < self.beta_mix else self.mu2
-            z[row] = rng.normal(0.0, 1.0, size=horizon)
-        after = np.arange(horizon) >= post_from[:, None]
-        if after.any():
-            mean = np.where(after, theta[:, None], mean)
-        z *= self.sigma
-        z += mean
-        return z
+        x += 0.0  # rng.normal(0, 1)'s 0 + 1 z
+        x *= self.sigma
+        horizon = x.shape[1]
+        # a row wholly before or wholly after its change takes one mean
+        split = (post_from > 0) & (post_from < horizon)
+        whole = np.where(post_from <= 0, theta, latent)
+        np.add(x, whole[:, None], out=x, where=~split[:, None])
+        rows = np.flatnonzero(split)
+        for r, start, mean, level in zip(
+            rows.tolist(), post_from[rows].tolist(), latent[rows].tolist(), theta[rows].tolist()
+        ):
+            x[r, :start] += mean
+            x[r, start:] += level
 
     def _log_component_ratio(self, x: np.ndarray) -> np.ndarray:
         # log p1(x) - log p2(x) per observation
@@ -296,14 +308,16 @@ def ar_filter(xt: np.ndarray, coeffs) -> None:
     ``scipy.signal.lfilter([1], [1, -coeffs...])``'s direct form II transposed
     operation for operation: ``y = z_0 + x``, then
     ``z_k = z_{k+1} + 0 x - a_{k+1} y`` with ``(a_1, ..., a_p) = -coeffs`` and
-    the last delay ``0 x - a_p y``.  The ``0 x`` terms, taken for all steps
-    at once before the loop, keep even the signs of zeros, so the result is
-    lfilter's bit for bit.
+    the last delay ``0 x - a_p y``.  The ``0 x`` terms, taken from each input
+    slice before it is overwritten, keep even the signs of zeros, so the
+    result is lfilter's bit for bit.
     """
     a = [-float(c) for c in coeffs]
     z = list(np.zeros((len(a),) + xt.shape[1:]))  # the delays z_0 .. z_{p-1}
     a_y = np.empty(xt.shape[1:])
-    for y, zero_x in zip(xt, xt * 0.0):
+    zero_x = np.empty(xt.shape[1:])
+    for y in xt:
+        np.multiply(y, 0.0, out=zero_x)
         np.add(z[0], y, out=y)
         for k in range(len(a) - 1):
             np.add(z[k + 1], zero_x, out=z[k])
@@ -354,33 +368,60 @@ class Scenario:
     def generate(self, changes, horizon: int, rngs) -> np.ndarray:
         """Simulate ``horizon`` rows per replication: ``[R, horizon, N]``.
 
-        Replication ``r`` follows ``changes[r]``: streams outside its subset
-        keep the pre-change law, affected streams switch to the post-change
-        law from time ``nu + 1`` on.  It draws from ``rngs[r]``, stream by
-        stream in the same order and sizes as it would alone, so its data does
-        not depend on which other replications share the batch.
+        ``changes`` is a sequence of ``ChangeSpec``, one per replication, or
+        a ``ChangeDraws`` whose replications draw their own.  Replication
+        ``r`` follows its change: streams outside its subset keep the
+        pre-change law, affected streams switch to the post-change law from
+        time ``nu + 1`` on.
+
+        ``rngs`` yields one generator per replication, taken in turn; once
+        the next is taken the last is not read again, so an iterator may
+        yield one generator re-keyed for each.  Replication ``r`` draws its
+        change's uniforms, then each stream's draws in stream order, in the
+        same order and sizes as it would alone, so its data does not depend
+        on which other replications share the batch.  The array part then
+        runs one stream at a time over all replications, in place.  The
+        result is the transposed view of one stream-major ``[N, R, horizon]``
+        array.
         """
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
-        if len(changes) != len(rngs):
-            raise ValueError(f"{len(changes)} changes for {len(rngs)} generators")
-        post_from = np.full((len(changes), self.n_streams), horizon, dtype=np.int64)
-        theta = np.zeros((len(changes), self.n_streams))
-        for r, change in enumerate(changes):
-            if change.nu != NO_CHANGE:
-                subset = list(change.subset)
-                if max(subset) >= self.n_streams:
-                    raise ValueError(
-                        f"affected subset {change.subset} is outside streams 0..{self.n_streams - 1}"
-                    )
-                post_from[r, subset] = max(change.nu, 0)
-                theta[r, subset] = (
-                    change.theta if change.theta is not None else self.nominal_theta(subset)
-                )
-        data = np.empty((len(changes), horizon, self.n_streams))
+        if not isinstance(changes, ChangeDraws):
+            changes = ChangeDraws(ListedChanges(tuple(changes)), None, len(changes))
+        uniforms = changes.uniforms
+        n_reps, n_uniforms = uniforms.shape
+        if hasattr(rngs, "__len__") and len(rngs) != n_reps:
+            raise ValueError(f"{n_reps} changes for {len(rngs)} generators")
+        data = np.empty((self.n_streams, n_reps, horizon))
+        latent = np.empty((self.n_streams, n_reps))
+        streams = [(i, channel.draw_row) for i, channel in enumerate(self.channels)]
+        for r, rng in zip(range(n_reps), rngs, strict=True):
+            if n_uniforms:
+                rng.random(out=uniforms[r])
+            for i, draw_row in streams:
+                latent[i, r] = draw_row(rng, data[i, r])
+        post_from, theta = changes.resolve(self, horizon)
         for i, channel in enumerate(self.channels):
-            data[..., i] = channel.generate_batch(horizon, post_from[:, i], theta[:, i], rngs)
-        return data
+            channel.shape_rows(data[i], post_from[:, i], theta[:, i], latent[i])
+        return data.transpose(1, 2, 0)
+
+    def affected_streams(self, subset, theta=None) -> tuple[np.ndarray, np.ndarray]:
+        """The ``[N]`` mask of the streams in ``subset`` and their ``[N]`` parameters.
+
+        ``theta`` lists one parameter per stream of ``subset``, in its order;
+        None takes each channel's nominal one.  Streams outside the subset
+        read 0.  A stream outside ``0 .. N-1`` is a ``ValueError``.
+        """
+        subset = list(subset)
+        if subset and max(subset) >= self.n_streams:
+            raise ValueError(
+                f"affected subset {tuple(subset)} is outside streams 0..{self.n_streams - 1}"
+            )
+        mask = np.zeros(self.n_streams, dtype=bool)
+        mask[subset] = True
+        values = np.zeros(self.n_streams)
+        values[subset] = theta if theta is not None else [self.channels[i].theta for i in subset]
+        return mask, values
 
     @property
     def lags(self) -> int:
@@ -421,6 +462,63 @@ class Scenario:
             for i, ch in enumerate(self.channels)
         ]
         return np.asarray(cols).T
+
+
+def change_rows(nu, affected, theta, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """``post_from`` and ``theta``, ``[R, N]`` each, of ``R`` changes at ``nu`` (``[R]``).
+
+    An ``affected`` stream (a mask that broadcasts to ``[R, N]``) carries
+    ``theta`` from index ``max(nu, 0)`` on; any other starts at ``horizon``,
+    so it keeps the pre-change law, with parameter 0.
+    """
+    post_from = np.where(affected, np.maximum(nu, 0)[:, None], horizon)
+    return post_from, np.where(np.broadcast_to(affected, post_from.shape), theta, 0.0)
+
+
+class ChangeDraws:
+    """The changes of ``count`` replications, drawn inside ``Scenario.generate``.
+
+    ``sampler.uniforms(prior)`` is the number ``k`` of uniforms a replication
+    draws for its change, before its noise; ``generate`` fills row ``r`` of
+    ``uniforms`` (``[count, k]``) from generator ``r``.  After the last row,
+    ``resolve`` maps all rows at once through ``sampler.changes(prior,
+    uniforms, scenario, horizon)``, which returns ``nu`` (``[count]``, kept
+    here) and the ``[count, N]`` ``post_from`` and ``theta`` of
+    ``change_rows``.
+    """
+
+    def __init__(self, sampler, prior, count: int):
+        self.sampler = sampler
+        self.prior = prior
+        self.uniforms = np.zeros((count, sampler.uniforms(prior)))
+        self.nu = None
+
+    def resolve(self, scenario: Scenario, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+        self.nu, post_from, theta = self.sampler.changes(
+            self.prior, self.uniforms, scenario, horizon
+        )
+        return post_from, theta
+
+
+@dataclass(frozen=True)
+class ListedChanges:
+    """A sampler of one given ``ChangeSpec`` per replication; draws no random number."""
+
+    listed: tuple
+
+    def uniforms(self, prior) -> int:
+        return 0
+
+    def changes(self, prior, u, scenario: Scenario, horizon: int):
+        n = len(self.listed)
+        nu = np.empty(n, dtype=np.int64)
+        affected = np.zeros((n, scenario.n_streams), dtype=bool)
+        theta = np.zeros((n, scenario.n_streams))
+        for r, change in enumerate(self.listed):
+            nu[r] = change.nu
+            if change.nu != NO_CHANGE:
+                affected[r], theta[r] = scenario.affected_streams(change.subset, change.theta)
+        return (nu, *change_rows(nu, affected, theta, horizon))
 
 
 def gaussian_stream(theta: float = 1.0, sigma: float = 1.0) -> ARChannelSpec:

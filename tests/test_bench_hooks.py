@@ -92,3 +92,32 @@ def test_tracer_reads_the_state_of_each_engine(monkeypatch, window_m1):
     assert tracer.maxima["state_bytes"] > 0
     assert tracer.maxima["subsets"] == weights.n_subsets
     assert tracer.counts["row_steps"] == 4 * 30
+
+
+def test_generation_is_traced_once_per_replication_and_once_per_span(monkeypatch):
+    """``model.rng`` counts replications and ``scenarios.generate`` spans, nested.
+
+    A span's replications are generated inside its ``Scenario.generate`` call,
+    each from a generator that ``montecarlo.replication_rng`` re-keys, so every
+    ``model.rng`` span is a child of a ``scenarios.generate`` span.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+
+    n, horizon, n_reps = 2, 30, 10
+    scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(n)))
+    config = DetectorConfig(kind="shiryaev-mixture", threshold_A=1e3)
+    detector = Detector(config, scenario, GeometricPrior(rho=0.05),
+                        GridSpec.common_amplitude((0.5, 1.0), n), SubsetWeights.uniform(n))
+    monkeypatch.setattr(montecarlo, "SPAN_BUDGET_BYTES", 3 * detector.row_bytes(horizon))
+    mc = montecarlo.MCConfig(replications=n_reps, master_seed=4, horizon=horizon)
+    tracer = Tracer()
+    with contextlib.ExitStack() as stack:
+        tracer.install(stack)
+        montecarlo.simulate_runs(detector, mc, montecarlo.PriorNuSampler((1,)))
+    calls = tracer.summary()["calls"]
+    assert calls["model.rng"] == n_reps
+    assert calls["scenarios.generate"] == 4  # spans of 3, 3, 3 and 1 replications
+    names = [span[0] for span in tracer.spans]
+    parents = [names[span[3]] for span in tracer.spans if span[0] == "model.rng"]
+    assert parents == ["scenarios.generate"] * n_reps

@@ -103,7 +103,8 @@ def test_polynomial_tail_prior_loads_zeta_lazily(tmp_path):
             "tail_array": light.tail(np.arange(4)).tolist(),
             "log_tail": [light.log_tail(n) for n in (0, 50)],
             "mean": light.mean(),
-            "sample": [heavy.sample(np.random.default_rng(s)) for s in range(12)],
+            "sample": [int(heavy.change_points(np.random.default_rng(s).random((1, 1)))[0])
+                       for s in range(12)],
         }}
         print(json.dumps({{"before": before, "after": {LOADED_SCIPY}, "values": values}}))
         """,

@@ -156,20 +156,21 @@ def test_invalid_priors_rejected():
 def test_sample_point_mass_is_degenerate():
     rng = np.random.default_rng(0)
     prior = PointMassPrior(5)
-    assert all(prior.sample(rng) == 5 for _ in range(10))
+    assert prior.uniforms == 0
+    assert (prior.change_points(rng.random((10, prior.uniforms))) == 5).all()
 
 
 def test_sample_near_degenerate_geometric():
     rng = np.random.default_rng(0)
     prior = GeometricPrior(rho=1.0 - 1e-15)
-    assert all(prior.sample(rng) == 0 for _ in range(100))
+    assert (prior.change_points(rng.random((100, 1))) == 0).all()
 
 
 def test_sample_geometric_mean():
     prior = GeometricPrior(rho=0.1)
     rng = np.random.default_rng(2024)
     n = 1_000_000
-    values = np.fromiter((prior.sample(rng) for _ in range(n)), dtype=float, count=n)
+    values = prior.change_points(rng.random((n, 1))).astype(float)
     se = math.sqrt(0.9) / 0.1 / math.sqrt(n)
     assert abs(values.mean() - 9.0) <= 3 * se
 
@@ -178,7 +179,7 @@ def test_sample_polynomial_tail_matches_masses():
     prior = PolynomialTailPrior(beta=2.0, q=0.2)
     rng = np.random.default_rng(7)
     n = 50_000
-    values = np.fromiter((prior.sample(rng) for _ in range(n)), dtype=float, count=n)
+    values = prior.change_points(rng.random((n, 1))).astype(float)
     assert abs((values == -1).mean() - 0.2) <= 3 * math.sqrt(0.2 * 0.8 / n)
     for k in (0, 1, 3):
         p = prior.mass(k)
@@ -189,7 +190,7 @@ def test_sample_polynomial_tail_matches_masses():
 def test_sample_caps_a_far_change_point_below_no_change(prior):
     # most of these draws lie past 2**62; uncapped they overflowed the int64 records
     rng = np.random.default_rng(3)
-    draws = np.array([prior.sample(rng) for _ in range(5000)], dtype=np.int64)
+    draws = prior.change_points(rng.random((5000, 1)))
     assert draws.min() >= 0 and draws.max() == NO_CHANGE - 1
 
 
@@ -197,7 +198,7 @@ def test_sample_head_mass_frequency():
     prior = GeometricPrior(rho=0.4, q=0.3)
     rng = np.random.default_rng(11)
     n = 50_000
-    hits = sum(prior.sample(rng) == -1 for _ in range(n))
+    hits = (prior.change_points(rng.random((n, 1))) == -1).sum()
     assert abs(hits / n - 0.3) <= 3 * math.sqrt(0.3 * 0.7 / n)
 
 
@@ -284,3 +285,84 @@ def test_replication_rng_counter_keying():
 def test_polynomial_tail_exponent_must_be_positive_and_finite(beta):
     with pytest.raises(ValueError, match="tail exponent"):
         PolynomialTailPrior(beta=beta)
+
+
+SEEDS_AND_REPLICATIONS = [
+    (seed, rep) for seed in (0, 1, 2**63, 2**64 - 1) for rep in (0, 1, 1023, 2**64 - 1)
+]
+
+
+def fresh_rng(seed, rep):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64)))
+
+
+def used_rng():
+    """A generator mid-stream: a partly read block and a buffered 32-bit half."""
+    rng = replication_rng(5, 9)
+    rng.normal(size=3)
+    rng.integers(0, 7, dtype=np.uint32)
+    return rng
+
+
+@pytest.mark.parametrize("seed, rep", SEEDS_AND_REPLICATIONS)
+def test_a_re_keyed_generator_is_a_fresh_one_draw_for_draw(seed, rep):
+    horizon = 40
+    rng = replication_rng(seed, rep, used_rng())
+    assert repr(rng.bit_generator.state) == repr(fresh_rng(seed, rep).bit_generator.state)
+    # uniforms, normals of every size 1..T, then mixed sequences of both
+    plans = [
+        [("random", 1)] * 5 + [("random", 7)],
+        [("normal", size) for size in range(1, horizon + 1)],
+        [("random", 1), ("normal", 3), ("random", 2), ("normal", horizon), ("random", 1), ("normal", 1)],
+    ]
+    for plan in plans:
+        rng = replication_rng(seed, rep, used_rng())
+        fresh = fresh_rng(seed, rep)
+        for method, size in plan:
+            np.testing.assert_array_equal(
+                getattr(rng, method)(size=size), getattr(fresh, method)(size=size)
+            )
+        assert replication_rng(seed, rep, rng) is rng  # re-keyed in place
+
+
+def quantile_by_bisection(prior, v):
+    """One draw's inverse-CDF of the polynomial tail, one scalar zeta per probe."""
+    from scipy.special import zeta
+
+    s = 1.0 + prior.beta
+    z0 = zeta(s, 1.0)
+    target = 1.0 - v
+    hi = 1
+    while hi < NO_CHANGE and zeta(s, hi + 1.0) / z0 > target:
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if zeta(s, mid + 1.0) / z0 > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi - 1
+
+
+def change_point_by_draw(prior, u):
+    if u < prior.q:
+        return -1
+    v = (u - prior.q) / (1.0 - prior.q)
+    if isinstance(prior, PolynomialTailPrior):
+        return min(quantile_by_bisection(prior, v), NO_CHANGE - 1)
+    return min(prior._quantile(v), NO_CHANGE - 1)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.2])
+@pytest.mark.parametrize(
+    "family", [lambda q: PolynomialTailPrior(b, q=q) for b in (0.05, 0.5, 2.0)]
+    + [lambda q: GeometricPrior(rho=0.03, q=q)],
+    ids=["poly-0.05", "poly-0.5", "poly-2", "geometric"],
+)
+def test_change_points_equal_the_per_draw_inverse_cdf(family, q):
+    prior = family(q)
+    u = np.random.default_rng(21).random((400, 1))
+    u[:4, 0] = (0.0, q, np.nextafter(1.0, 0.0), 0.5)
+    expected = [change_point_by_draw(prior, x) for x in u[:, 0].tolist()]
+    assert prior.change_points(u).tolist() == expected

@@ -210,13 +210,16 @@ def test_joint_sampler_draws_match_mixture_weights():
         scenario, prior, grid, weights,
     )
     sampler = JointSampler.for_detector(detector)
-    changes = [sampler.draw(prior, replication_rng(14, rep)) for rep in range(6000)]
+    assert sampler.uniforms(prior) == 3  # nu, the subset, the grid point
+    u = np.array([replication_rng(14, rep).random(3) for rep in range(6000)])
+    _, post_from, theta = sampler.changes(prior, u, scenario, NO_CHANGE)
+    affected = post_from < NO_CHANGE  # a change point is at most NO_CHANGE - 1
     # subsets are uniform (1/3 each), grid points carry weights (0.25, 0.75)
     for subset in sampler.subsets:
-        share = np.mean([c.subset == subset for c in changes])
+        share = np.mean(np.all(affected == np.isin([0, 1], subset), axis=1))
         assert abs(share - 1 / 3) <= 3 * math.sqrt((1 / 3) * (2 / 3) / 6000)
     # the grid points are (0.5, 0.5) and (1.0, 1.0)
-    share = np.mean([c.theta[0] == 1.0 for c in changes])
+    share = np.mean(theta.max(axis=1) == 1.0)
     assert abs(share - 0.75) <= 3 * math.sqrt(0.75 * 0.25 / 6000)
 
 

@@ -1,6 +1,7 @@
 """AR signal channels, mixture channels, and their likelihood increments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,21 +14,29 @@ from qcdetect import (
     DetectorConfig,
     GeometricPrior,
     GridSpec,
+    MCConfig,
     MixtureChannelSpec,
     NO_CHANGE,
+    PolynomialTailPrior,
     Scenario,
     SubsetWeights,
     gaussian_stream,
     q_constant,
     replication_rng,
 )
-from qcdetect.montecarlo import NO_CHANGE_SAMPLER, JointSampler, PriorNuSampler
-from qcdetect import scenarios
+from qcdetect.montecarlo import (
+    NO_CHANGE_SAMPLER,
+    FixedChangeSampler,
+    JointSampler,
+    PriorNuSampler,
+)
+from qcdetect import montecarlo, scenarios
 
 
 def one_path(channel, horizon, post_from, theta, rng):
     """One stream of ``horizon`` samples carrying ``theta`` from index ``post_from`` on."""
-    return channel.generate_batch(horizon, np.array([post_from]), np.array([theta]), [rng])[0]
+    change = ChangeSpec(nu=post_from, subset=(0,), theta=(theta,))
+    return Scenario((channel,)).generate([change], horizon, [rng])[0, :, 0]
 
 
 def test_ar_residual_first_sample_passthrough():
@@ -304,11 +313,25 @@ def reference_replication(scenario, change, horizon, rng):
 
 
 SPAN_SCENARIOS = {
-    "ar": Scenario(
+    "ar0": Scenario(
         (
             ARChannelSpec(coeffs=(), sigma=1.0, signal=(1.0,), theta=1.0),
-            ARChannelSpec(coeffs=(0.6,), sigma=0.5, signal=(1.0, -0.5), theta=0.8),
-            ARChannelSpec(coeffs=(0.4, -0.3), sigma=2.0, signal=(0.5, 1.0, 1.5), theta=1.7),
+            ARChannelSpec(coeffs=(), sigma=0.5, signal=(1.0, -0.5), theta=0.8),
+            ARChannelSpec(coeffs=(), sigma=2.0, signal=(0.5, 1.0, 1.5), theta=1.7),
+        )
+    ),
+    "ar1": Scenario(
+        (
+            ARChannelSpec(coeffs=(0.6,), sigma=1.0, signal=(1.0,), theta=1.0),
+            ARChannelSpec(coeffs=(-0.4,), sigma=0.5, signal=(1.0, -0.5), theta=0.8),
+            ARChannelSpec(coeffs=(0.3,), sigma=2.0, signal=(0.5, 1.0, 1.5), theta=1.7),
+        )
+    ),
+    "ar2": Scenario(
+        (
+            ARChannelSpec(coeffs=(0.4, -0.3), sigma=1.0, signal=(1.0,), theta=1.0),
+            ARChannelSpec(coeffs=(0.0, 0.5), sigma=0.5, signal=(1.0, -0.5), theta=0.8),
+            ARChannelSpec(coeffs=(-0.2, -0.3), sigma=2.0, signal=(0.5, 1.0, 1.5), theta=1.7),
         )
     ),
     "mixture": Scenario(
@@ -318,14 +341,50 @@ SPAN_SCENARIOS = {
             MixtureChannelSpec(beta_mix=0.5, mu1=-3.0, mu2=1.0, sigma=1.5, theta=2.0),
         )
     ),
+    "mixed": Scenario(
+        (
+            ARChannelSpec(coeffs=(0.4, -0.3), sigma=2.0, signal=(0.5, 1.0, 1.5), theta=1.7),
+            MixtureChannelSpec(beta_mix=0.3, mu1=-1.0, mu2=0.0, sigma=1.0, theta=1.0),
+            ARChannelSpec(coeffs=(0.6,), sigma=0.5, signal=(1.0, -0.5), theta=0.8),
+        )
+    ),
+}
+
+
+def reference_change(sampler, prior, rng):
+    """A replication's change drawn on its own: one scalar draw per uniform, then a ``ChangeSpec``."""
+    if isinstance(sampler, FixedChangeSampler):
+        return sampler.change
+    nu = int(prior.change_points(np.array([[rng.random() for _ in range(prior.uniforms)]]))[0])
+    if isinstance(sampler, PriorNuSampler):
+        return ChangeSpec(nu, sampler.subset, sampler.theta)
+    b = min(int(np.searchsorted(sampler.subset_cdf, rng.random(), side="right")), len(sampler.subsets) - 1)
+    p = min(int(np.searchsorted(sampler.point_cdf, rng.random(), side="right")), len(sampler.points) - 1)
+    subset = sampler.subsets[b]
+    return ChangeSpec(nu, subset, tuple(sampler.points[p][i] for i in subset))
+
+
+SPAN_PRIORS = {
+    "geometric": GeometricPrior(rho=0.08, q=0.15),
+    "polynomial": PolynomialTailPrior(beta=0.5, q=0.2),
+}
+SPAN_HORIZON = 25
+SPAN_SAMPLERS = {
+    "nu-inside": lambda detector: FixedChangeSampler(ChangeSpec(nu=9, subset=(2, 0), theta=(1.2, 0.7))),
+    "nu-minus-one": lambda detector: FixedChangeSampler(ChangeSpec(nu=-1, subset=(1,))),
+    "nu-beyond": lambda detector: FixedChangeSampler(ChangeSpec(nu=SPAN_HORIZON, subset=(0, 1))),
+    "none": lambda detector: NO_CHANGE_SAMPLER,
+    "prior-nu": lambda detector: PriorNuSampler((2, 0), (1.1, 0.9)),
+    "joint": JointSampler.for_detector,
 }
 
 
 @pytest.mark.parametrize("kind", sorted(SPAN_SCENARIOS))
-@pytest.mark.parametrize("sampler_name", ["none", "prior-nu", "joint"])
-def test_span_generation_equals_per_replication_generation(kind, sampler_name):
-    scenario = SPAN_SCENARIOS[kind]
-    prior = GeometricPrior(rho=0.08, q=0.15)
+@pytest.mark.parametrize("sampler_name", sorted(SPAN_SAMPLERS))
+@pytest.mark.parametrize("prior_name", sorted(SPAN_PRIORS))
+def test_span_generation_equals_per_replication_generation(kind, sampler_name, prior_name, monkeypatch):
+    """Every span's data is each replication generated alone, bit for bit, for any span split."""
+    scenario, prior = SPAN_SCENARIOS[kind], SPAN_PRIORS[prior_name]
     detector = Detector(
         DetectorConfig(kind="shiryaev-mixture", threshold_A=50.0),
         scenario,
@@ -333,36 +392,41 @@ def test_span_generation_equals_per_replication_generation(kind, sampler_name):
         GridSpec.common_amplitude((0.5, 1.5), 3),
         SubsetWeights(p=(1.0, 0.5, 2.0), K=2),
     )
-    sampler = {
-        "none": NO_CHANGE_SAMPLER,
-        "prior-nu": PriorNuSampler((0, 2), (0.9, 1.1)),
-        "joint": JointSampler.for_detector(detector),
-    }[sampler_name]
-    horizon, n_reps = 25, 40
-
-    def drawn(r):
-        rng = replication_rng(17, r)
-        return sampler.draw(prior, rng), rng
-
-    changes, rngs = zip(*(drawn(r) for r in range(n_reps)))
-    span = scenario.generate(list(changes), horizon, list(rngs))
-    assert span.shape == (n_reps, horizon, 3)
-    for r in range(n_reps):
-        change, rng = drawn(r)
-        single = scenario.generate([change], horizon, [rng])[0]
-        change, rng = drawn(r)
-        np.testing.assert_array_equal(span[r], single)
-        np.testing.assert_array_equal(span[r], reference_replication(scenario, change, horizon, rng))
-    if sampler_name != "none":
+    sampler = SPAN_SAMPLERS[sampler_name](detector)
+    spans = []
+    monkeypatch.setattr(Detector, "stopping_times", lambda self, data: spans.append(data) or np.zeros(len(data)))
+    mc = MCConfig(replications=40, master_seed=17, horizon=SPAN_HORIZON)
+    splits = [(0, 40), (0, 1), (1, 12), (13, 27)]
+    nus = {}
+    for start, count in splits:
+        _, nu, _ = montecarlo._simulate_span(detector, sampler, mc, start, count)
+        data = spans.pop()
+        assert data.shape == (count, SPAN_HORIZON, 3)
+        for j, k in enumerate(range(start, start + count)):
+            change = reference_change(sampler, prior, replication_rng(17, k))
+            alone = replication_rng(17, k)
+            reference_change(sampler, prior, alone)  # the draws before the noise
+            assert nu[j] == change.nu
+            expected = scenario.generate([change], SPAN_HORIZON, [alone])[0]
+            assert_same_bits(data[j], expected)
+            alone = replication_rng(17, k)
+            reference_change(sampler, prior, alone)
+            assert_same_bits(data[j], reference_replication(scenario, change, SPAN_HORIZON, alone))
+            nus[k] = int(nu[j])
+    if sampler_name in ("prior-nu", "joint"):
         # the draws cover changes before the start, inside and beyond the horizon
-        nus = np.array([c.nu for c in changes])
-        assert (nus == -1).any() and ((nus >= 0) & (nus < horizon)).any() and (nus >= horizon).any()
+        values = np.array(list(nus.values()))
+        assert (values == -1).any() and ((values >= 0) & (values < SPAN_HORIZON)).any()
+        assert (values >= SPAN_HORIZON).any()
 
 
 def test_span_generation_needs_one_generator_per_change():
-    scenario = SPAN_SCENARIOS["ar"]
+    scenario = SPAN_SCENARIOS["ar1"]
+    changes = [ChangeSpec(NO_CHANGE, ())] * 2
     with pytest.raises(ValueError):
-        scenario.generate([ChangeSpec(NO_CHANGE, ())] * 2, 10, [replication_rng(0, 0)])
+        scenario.generate(changes, 10, [replication_rng(0, 0)])
+    with pytest.raises(ValueError):  # an iterator that runs out
+        scenario.generate(changes, 10, iter([replication_rng(0, 0)]))
 
 
 # -- the in-repo AR filter against scipy's lfilter ------------------------------------
@@ -402,14 +466,15 @@ def test_ar_filter_is_lfilter_bit_for_bit(coeffs, reps, horizon):
 
 
 @pytest.mark.parametrize("coeffs", [(), (0.6,), (0.4, -0.3), (0.5, 0.0, -0.2)], ids=len)
-def test_ar_generate_batch_equals_the_per_replication_law(coeffs):
+def test_ar_generation_equals_the_per_replication_law(coeffs):
     channel = ARChannelSpec(coeffs=coeffs, sigma=0.7, signal=(1.0, -0.5, 0.25), theta=0.8)
     horizon, reps = 60, 40
     post_from = np.random.default_rng(3).integers(0, horizon + 1, size=reps)
     post_from[:4] = (0, 1, horizon - 1, horizon)
     theta = np.linspace(0.0, 2.0, reps)
+    changes = [ChangeSpec(nu=int(p), subset=(0,), theta=(t,)) for p, t in zip(post_from, theta)]
     rngs = [replication_rng(5, r) for r in range(reps)]
-    batch = channel.generate_batch(horizon, post_from, theta, rngs)
+    batch = Scenario((channel,)).generate(changes, horizon, rngs)[..., 0]
     expected = np.stack(
         [
             reference_stream(channel, horizon, post_from[r], theta[r], replication_rng(5, r))
@@ -418,3 +483,25 @@ def test_ar_generate_batch_equals_the_per_replication_law(coeffs):
     )
     assert batch.shape == (reps, horizon)
     assert_same_bits(batch, expected)
+
+
+@pytest.mark.parametrize("kind", ["ar", "mixture"])
+def test_generation_peaks_within_a_tenth_of_its_output(kind):
+    """A span holds one copy of its data: no ``[R, T]`` mask, signal or zero copy per stream."""
+    if kind == "ar":
+        channels = tuple(ARChannelSpec(coeffs=(0.5, -0.2), theta=1.0) for _ in range(4))
+    else:
+        channels = tuple(MixtureChannelSpec(beta_mix=0.3, mu1=-1.0, theta=1.0) for _ in range(4))
+    scenario = Scenario(channels)
+    reps, horizon = 256, 2000
+    # half the rows change inside the horizon, half never do
+    changes = [ChangeSpec(nu=r * 7, subset=(0, 2)) for r in range(reps)]
+    rngs = [replication_rng(3, r) for r in range(reps)]
+    tracemalloc.start()
+    try:
+        data = scenario.generate(changes, horizon, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.nbytes == 8 * reps * horizon * 4  # 16.4 MB
+    assert peak <= 1.1 * data.nbytes
