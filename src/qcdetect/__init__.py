@@ -16,7 +16,6 @@ from .detectors import (
 from .info import d_constant, estimate_kl_slope
 from .likelihood import (
     SubsetWeights,
-    elementary_symmetric,
     mixture_lr_dp,
     mixture_lr_enumerate,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "asymptotic_ratio_sweep",
     "d_constant",
     "direct_log_statistic",
-    "elementary_symmetric",
     "estimate_average_risk",
     "estimate_bayes_delay",
     "estimate_conditional_delay",

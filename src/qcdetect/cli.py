@@ -46,6 +46,7 @@ from .montecarlo import (
     estimate_pfa,
     simulate_runs,
     span_rows,
+    worker_pool,
 )
 from .scenarios import ARChannelSpec, MixtureChannelSpec, Scenario
 from .statistics import GridSpec
@@ -528,7 +529,9 @@ def cmd_oc_sweep(config: RunConfig, out: str | None, seed: int | None, workers: 
     with _invalid():
         detector.first_order_rate(sampler.subset, sampler.theta)
     check_span_memory(detector, mc)
-    with _invalid():  # increments that overflow show only as the runs are stepped
+    # one pool of worker processes for the delay and the PFA passes; increments
+    # that overflow show only as the runs are stepped
+    with worker_pool(mc.workers), _invalid():
         rows = asymptotic_ratio_sweep(
             detectors.__getitem__, config.sweep.alphas, config.sweep.r, mc, sampler.subset,
             sampler.theta,

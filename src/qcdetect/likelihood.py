@@ -69,21 +69,6 @@ def log_add_exp(x, y, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     return np.add(out, work, out=out)
 
 
-def elementary_symmetric(values, K: int) -> np.ndarray:
-    """Elementary symmetric polynomials e_0..e_K of the inputs (e_0 = 1)."""
-    values = np.asarray(values, dtype=float)
-    n = values.shape[-1]
-    if not 1 <= K <= n:
-        raise ValueError(f"K must be in [1, {n}], got {K}")
-    e = np.zeros(values.shape[:-1] + (K + 1,))
-    e[..., 0] = 1.0
-    for i in range(n):
-        top = min(i + 1, K)
-        for j in range(top, 0, -1):
-            e[..., j] += values[..., i] * e[..., j - 1]
-    return e
-
-
 def log_elementary_symmetric(log_values: np.ndarray, K: int) -> np.ndarray:
     """log e_0..e_K of exp(log_values), accumulated with ``log_add_exp``.
 

@@ -10,6 +10,15 @@ changes at once.  Per-replication outcomes are stored in arrays indexed by
 replication and reduced once, in canonical order; partial results from worker
 shards therefore merge into exactly the single-threaded totals.
 
+A pass with more than one span and more than one worker fans its spans out to
+worker processes, each holding one span at a time.  The processes come from
+``worker_pool``: a command opens one pool for all its passes (``oc-sweep``
+runs 2·L of them), sized ``min(workers, spans)`` when its first pass fans out,
+and its processes are joined when the command ends, on every exit path.  A
+pass outside any such block gets a pool of its own.  Each span carries its
+detector and sampler with it, so a reused worker keeps no state from one pass
+to the next.
+
 The false-alarm probability is estimated under the no-change law only, as the
 mean of ``P(nu >= T)`` over replications: summing the prior tail at the
 stopping time has the same expectation as the two-stage sampler (draw nu, then
@@ -22,6 +31,8 @@ reported as infeasible.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,38 +253,81 @@ def span_rows(detector: Detector, horizon: int) -> int:
     return min(_CHUNK, SPAN_BUDGET_BYTES // row)
 
 
+class WorkerPool:
+    """The worker processes of one ``worker_pool`` block, started on first need.
+
+    The first pass with more than one span and more than one worker starts
+    ``min(workers, spans)`` processes (a fork-started executor forks all of
+    them at once), and every later pass of the block reuses them.  Only a
+    later pass that could keep more processes busy than the pool has, within
+    ``workers``, replaces it with a larger one.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._executor = None
+        self._size = 0
+
+    def run(self, fn, tasks: list) -> list:
+        """``fn(*task)`` for every task, results in task order."""
+        size = min(self.workers, len(tasks))
+        if size <= 1:
+            return [fn(*task) for task in tasks]
+        if size > self._size:
+            self.close()
+            # imported here, so a one-process run never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._executor, self._size = ProcessPoolExecutor(max_workers=size), size
+        futures = [self._executor.submit(fn, *task) for task in tasks]
+        return [future.result() for future in futures]
+
+    def close(self) -> None:
+        """Cancel queued tasks and join the processes, if any were started."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor, self._size = None, 0
+
+
+_open_pool: ContextVar[WorkerPool | None] = ContextVar("qcdetect_worker_pool", default=None)
+
+
+@contextmanager
+def worker_pool(workers: int):
+    """The ``WorkerPool`` that every ``simulate_runs`` pass inside the block uses.
+
+    Inside an open block with the same worker count this is that block's pool;
+    otherwise a new one, whose processes are joined when this block exits.
+    """
+    pool = _open_pool.get()
+    if pool is not None and pool.workers == workers:
+        yield pool
+        return
+    pool = WorkerPool(workers)
+    token = _open_pool.set(pool)
+    try:
+        yield pool
+    finally:
+        _open_pool.reset(token)
+        pool.close()
+
+
 def simulate_runs(detector: Detector, mc: MCConfig, sampler) -> RunRecords:
     """Run all replications and collect per-replication outcomes."""
     size = span_rows(detector, mc.horizon)
-    spans = [
-        (start, min(size, mc.replications - start))
+    tasks = [
+        (detector, sampler, mc, start, min(size, mc.replications - start))
         for start in range(0, mc.replications, size)
     ]
     records = RunRecords(
         nu=np.empty(mc.replications, dtype=np.int64),
         stopped=np.empty(mc.replications, dtype=np.int64),
     )
-
-    def fill(result):
-        start, nu, stopped = result
-        end = start + nu.shape[0]
-        records.nu[start:end] = nu
-        records.stopped[start:end] = stopped
-
-    if mc.workers == 1 or len(spans) == 1:
-        for start, count in spans:
-            fill(_simulate_span(detector, sampler, mc, start, count))
-    else:
-        # imported here, so a one-process run never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=mc.workers) as pool:
-            futures = [
-                pool.submit(_simulate_span, detector, sampler, mc, start, count)
-                for start, count in spans
-            ]
-            for future in futures:
-                fill(future.result())
+    with worker_pool(mc.workers) as pool:
+        for start, nu, stopped in pool.run(_simulate_span, tasks):
+            end = start + nu.shape[0]
+            records.nu[start:end] = nu
+            records.stopped[start:end] = stopped
     return records
 
 
@@ -394,20 +448,21 @@ def asymptotic_ratio_sweep(
     are out of scope for this table.
     """
     rows = []
-    for alpha in alphas:
-        detector = detector_factory(alpha)
-        first_order = (abs(math.log(alpha)) / detector.first_order_rate(subset, theta)) ** r
-        est = estimate_bayes_delay(detector, subset, theta, r, mc)
-        rows.append(
-            SweepRow(
-                alpha=float(alpha),
-                threshold_A=detector.config.threshold_A,
-                delay_moment=est.mean,
-                delay_se=est.stderr,
-                first_order=first_order,
-                ratio=est.mean / first_order,
-                ratio_se=est.stderr / first_order,
-                censored_fraction=est.censored_fraction,
+    with worker_pool(mc.workers):  # one pool for all levels' passes
+        for alpha in alphas:
+            detector = detector_factory(alpha)
+            first_order = (abs(math.log(alpha)) / detector.first_order_rate(subset, theta)) ** r
+            est = estimate_bayes_delay(detector, subset, theta, r, mc)
+            rows.append(
+                SweepRow(
+                    alpha=float(alpha),
+                    threshold_A=detector.config.threshold_A,
+                    delay_moment=est.mean,
+                    delay_se=est.stderr,
+                    first_order=first_order,
+                    ratio=est.mean / first_order,
+                    ratio_se=est.stderr / first_order,
+                    censored_fraction=est.censored_fraction,
+                )
             )
-        )
     return rows

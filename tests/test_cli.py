@@ -1,9 +1,11 @@
 """Command line front end: config handling, outputs, exit codes."""
 
+import concurrent.futures
 import configparser
 import csv
 import json
 import math
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from qcdetect import NO_CHANGE, Scenario, cli, montecarlo
 from qcdetect import statistics as statistics_mod
 from qcdetect.cli import (
     EXIT_CONFIG,
+    EXIT_HORIZON,
     EXIT_OK,
     EXIT_VERIFY,
     ConfigError,
@@ -625,6 +628,53 @@ def test_oc_sweep_checks_every_alpha_before_simulating(tmp_path, monkeypatch, ca
     assert cli.main(["oc-sweep", "--config", str(path)]) == EXIT_CONFIG
     assert "alpha" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.fixture
+def built_pools(monkeypatch):
+    """Count the executors built, each still the real ``ProcessPoolExecutor``.
+
+    Spans hold 50 rows, so each of a sweep's passes over 150 replications has
+    three and fans out.
+    """
+    real, built = concurrent.futures.ProcessPoolExecutor, []
+
+    def counting(*args, **kwargs):
+        built.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 50)
+    return built
+
+
+def test_oc_sweep_runs_every_pass_on_one_pool_and_joins_it(tmp_path, built_pools, capsys):
+    path = tmp_path / "sweep.ini"
+    path.write_text(PRIOR_NU + SWEEP)
+    assert cli.main(["oc-sweep", "--config", str(path), "--workers", "2"]) == EXIT_OK
+    assert built_pools == [{"max_workers": 2}]
+    assert multiprocessing.active_children() == []
+
+
+def test_oc_sweep_joins_its_pool_when_the_pfa_horizon_is_infeasible(
+    tmp_path, built_pools, monkeypatch, capsys
+):
+    passes = []
+    original = montecarlo.simulate_runs
+
+    def counting(detector, mc, sampler):
+        passes.append(sampler is montecarlo.NO_CHANGE_SAMPLER)
+        return original(detector, mc, sampler)
+
+    monkeypatch.setattr(montecarlo, "simulate_runs", counting)
+    path = tmp_path / "sweep.ini"
+    # P(nu > 20) = 0.9^21 is not negligible, and no-change runs outlast 20 steps
+    path.write_text(PRIOR_NU.replace("horizon = 150", "horizon = 20") + SWEEP)
+    assert cli.main(["oc-sweep", "--config", str(path), "--workers", "2"]) == EXIT_HORIZON
+    assert "infeasible horizon" in capsys.readouterr().err
+    assert passes == [False, False, True]  # both delay passes, then the first PFA pass
+    assert len(built_pools) == 1
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("target", ["threshold = 3.0", "cost_c = 0.001"])

@@ -10,7 +10,6 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from qcdetect import (
     SubsetWeights,
-    elementary_symmetric,
     mixture_lr_dp,
     mixture_lr_enumerate,
 )
@@ -21,6 +20,20 @@ from qcdetect.likelihood import (
     logsumexp,
     subset_masks,
 )
+
+
+def elementary_symmetric(values, K: int) -> np.ndarray:
+    """Reference e_0..e_K of the inputs (e_0 = 1), by the linear-domain DP."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    if not 1 <= K <= n:
+        raise ValueError(f"K must be in [1, {n}], got {K}")
+    e = np.zeros(values.shape[:-1] + (K + 1,))
+    e[..., 0] = 1.0
+    for i in range(n):
+        for j in range(min(i + 1, K), 0, -1):
+            e[..., j] += values[..., i] * e[..., j - 1]
+    return e
 
 
 def esp_brute(values, K):

@@ -1,5 +1,6 @@
 """Monte Carlo estimators: determinism, estimator validity, accounting."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -33,7 +34,9 @@ from qcdetect.montecarlo import (
     JointSampler,
     MCEstimate,
     RunRecords,
+    asymptotic_ratio_sweep,
     estimate_pfa_naive,
+    worker_pool,
 )
 
 
@@ -312,3 +315,61 @@ def test_nan_moment_order_is_rejected_before_simulating(monkeypatch):
     for c in (math.nan, math.inf):
         with pytest.raises(ValueError, match="delay cost"):
             estimate_average_risk(detector, c, 1, mc)
+
+
+class InProcessExecutor:
+    """Stands in for ``ProcessPoolExecutor``: records its size, starts no process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every executor ``simulate_runs`` builds, in order."""
+    sizes = []
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor",
+        lambda max_workers: InProcessExecutor(sizes, max_workers),
+    )
+    return sizes
+
+
+def test_a_pool_never_starts_more_processes_than_a_pass_has_spans(pool_sizes, monkeypatch):
+    detector = make_detector()
+    mc = MCConfig(replications=10, master_seed=4, horizon=60, workers=16)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 5)  # two spans
+    records = simulate_runs(detector, mc, NO_CHANGE_SAMPLER)
+    assert pool_sizes == [2]
+    serial = simulate_runs(detector, MCConfig(10, 4, 60, workers=1), NO_CHANGE_SAMPLER)
+    assert pool_sizes == [2]  # one worker: no pool at all
+    np.testing.assert_array_equal(records.stopped, serial.stopped)
+
+
+def test_passes_inside_one_block_share_its_pool(pool_sizes, monkeypatch):
+    detector = make_detector()
+    monkeypatch.setattr(montecarlo, "_CHUNK", 5)
+    two, three = MCConfig(10, 4, 60, workers=16), MCConfig(15, 4, 60, workers=16)
+    with worker_pool(16):
+        for mc in (two, two, three, two):
+            simulate_runs(detector, mc, NO_CHANGE_SAMPLER)
+    # the pool grows once, for the first pass with more spans than processes
+    assert pool_sizes == [2, 3]
+    simulate_runs(detector, two, NO_CHANGE_SAMPLER)  # outside any block: a pool of its own
+    assert pool_sizes == [2, 3, 2]
+
+
+def test_a_sweep_shares_one_pool_across_its_levels(pool_sizes, monkeypatch):
+    detector = make_detector()
+    monkeypatch.setattr(montecarlo, "_CHUNK", 5)
+    mc = MCConfig(replications=10, master_seed=4, horizon=60, workers=2)
+    rows = asymptotic_ratio_sweep(lambda alpha: detector, [0.1, 0.01, 0.001], 1, mc, (0,), (1.0,))
+    assert len(rows) == 3 and pool_sizes == [2]

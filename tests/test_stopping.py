@@ -355,3 +355,21 @@ def test_window_simulate_output_does_not_depend_on_workers_across_spans(tmp_path
     assert "window_m1" in text
     outputs = simulate_outputs_across_spans(text, tmp_path, monkeypatch)
     assert outputs[0] == outputs[1]
+
+
+def test_oc_sweep_output_does_not_depend_on_workers_across_spans(tmp_path, monkeypatch):
+    # each of the six passes has four spans, and workers 2 and 3 serve them all
+    # from one pool: a warm worker that kept state from a pass would show here
+    config = tmp_path / "sweep.ini"
+    text = CLI_CONFIG.replace("horizon = 120", "horizon = 300")  # P(nu > 300) is negligible
+    config.write_text(text + "\n[sweep]\nalphas = 0.05, 0.01, 0.05\nr = 1\n")
+    monkeypatch.setattr(montecarlo, "_CHUNK", 9)
+    detector = cli.build_detector(cli.load_config(str(config)))
+    assert montecarlo.span_rows(detector, 300) == 9  # 30 replications: four spans
+    tables = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"workers{workers}.csv"
+        argv = ["oc-sweep", "--config", str(config), "--workers", str(workers), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1] == tables[2]
