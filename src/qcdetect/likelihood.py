@@ -6,9 +6,10 @@ For independent streams with factorized subset weights
     Lambda = C * sum_{B, 1 <= |B| <= K} prod_{i in B} p_i * LR_i
 
 equals ``C * sum_{j=1..K} e_j(p_1 LR_1, ..., p_N LR_N)`` where ``e_j`` is the
-j-th elementary symmetric polynomial.  The DP below evaluates all ``e_j`` in
-``O(N K)`` in the log domain, which keeps the cost polynomial in the number of
-streams and avoids overflow at any magnitude of the log likelihood ratios.
+j-th elementary symmetric polynomial.  ``log_esp``, the one DP that the window
+engine and ``mixture_lr_dp`` both run, evaluates all ``e_j`` in ``O(N K)``: in
+the linear domain after a max shift, and in the log domain where a shifted
+``e_j`` would underflow, so any magnitude of the log likelihood ratios is safe.
 """
 
 from __future__ import annotations
@@ -95,6 +96,53 @@ def log_elementary_symmetric(log_values: np.ndarray, K: int) -> np.ndarray:
     return np.moveaxis(loge, 0, -1)
 
 
+#: Smallest ``e_j`` of the shifted inputs ``log_esp`` keeps.  Each ``e_j`` at or
+#: above it carries full relative precision; a smaller one may have been
+#: flushed to 0, and ``e_j e^{j c}`` can still dominate the sum when one stream
+#: leads another by over ~745 nats, so its element is redone in the log domain.
+ESP_FLOOR = 2.0**-900
+
+
+def log_esp(inputs, K: int) -> np.ndarray:
+    """log e_1..e_K ``[K, ...]`` of the stream-major log inputs ``[N, ...]``.
+
+    ``inputs()`` returns them as a fresh array, which the DP overwrites; it is
+    called again only if an element falls back.  The DP runs in the linear
+    domain: on ``y_i = exp(x_i - c)`` with ``c = max_i x_i``, it adds stream
+    ``i``'s terms ``y_i e_{j-1}`` to each ``e_j``, one multiply and one add
+    over contiguous slices, and then ``log e_j = log e_j(y) + j c``.  An
+    element where some ``e_j(y)`` is below ``ESP_FLOOR`` or NaN is redone by
+    ``log_elementary_symmetric``.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = inputs()
+        n_streams = y.shape[0]
+        shift = y[0].copy()
+        for i in range(1, n_streams):
+            np.maximum(shift, y[i], out=shift)
+        y -= shift
+        np.exp(y, out=y)
+        e = np.empty((K,) + shift.shape)  # e[j - 1] = e_j
+        e[0] = y[0]
+        for i in range(1, n_streams):
+            product = y[i - 1]  # stream i - 1 is done: its slice is scratch
+            for j in range(min(i + 1, K), 1, -1):
+                if j == i + 1:  # e_j's first term
+                    np.multiply(y[i], e[j - 2], out=e[j - 1])
+                else:
+                    np.multiply(y[i], e[j - 2], out=product)
+                    e[j - 1] += product
+            e[0] += y[i]
+        low = ~(e >= ESP_FLOOR).all(axis=0)
+        np.log(e, out=e)
+        for j in range(1, K + 1):
+            e[j - 1] += shift if j == 1 else j * shift
+    if low.any():
+        x = np.moveaxis(inputs()[:, low], 0, -1)
+        e[:, low] = log_elementary_symmetric(x, K)[:, 1:].T
+    return e
+
+
 @dataclass(frozen=True)
 class SubsetWeights:
     """Factorized weights over subsets of at most K affected streams.
@@ -168,7 +216,7 @@ def mixture_lr_dp(stream_log_lrs, weights: SubsetWeights):
     """log of the subset-mixture likelihood ratio, via the symmetric-polynomial DP.
 
     ``stream_log_lrs`` has the per-stream log LRs on its last axis; leading
-    axes are batched.  Cost is O(N K) per evaluation.
+    axes are batched.  Cost is O(N K) per evaluation, in ``log_esp``.
     """
     llr = np.asarray(stream_log_lrs, dtype=float)
     if llr.shape[-1] != weights.n_streams:
@@ -177,8 +225,9 @@ def mixture_lr_dp(stream_log_lrs, weights: SubsetWeights):
         )
     if not np.all(np.isfinite(llr)):
         raise ValueError("per-stream log likelihood ratios must be finite")
-    loge = log_elementary_symmetric(weights.log_p + llr, weights.K)
-    mixed = logsumexp(loge[..., 1:], axis=-1) + weights.log_normalizer
+    rows = (weights.log_p + llr).reshape(-1, weights.n_streams)
+    loge = log_esp(lambda: rows.T.copy(), weights.K)  # [K, rows]
+    mixed = logsumexp(loge, axis=0).reshape(llr.shape[:-1]) + weights.log_normalizer
     return float(mixed) if np.ndim(mixed) == 0 else mixed
 
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .detectors import Detector, check_moment_order
 from .model import NO_CHANGE, ChangeSpec, PriorSpec, replication_rng
-from .scenarios import ChangeDraws, ListedChanges, change_rows
+from .scenarios import ChangeDraws
 
 _CHUNK = 1024
 
@@ -130,8 +130,8 @@ class RunRecords:
 #
 # A sampler draws each replication's change from ``uniforms(prior)`` uniforms,
 # the first of its generator's draws; ``changes`` maps a span's ``[R, k]``
-# uniforms at once to ``nu`` and the ``post_from`` and ``theta`` arrays of
-# ``scenarios.change_rows`` (see ``scenarios.ChangeDraws``).
+# uniforms at once to ``nu``, the affected streams' mask and their parameters,
+# which ``scenarios.ChangeDraws`` turns into the rows the data is shaped by.
 
 
 @dataclass(frozen=True)
@@ -143,9 +143,9 @@ class FixedChangeSampler:
     def uniforms(self, prior: PriorSpec) -> int:
         return 0
 
-    def changes(self, prior: PriorSpec, u, scenario, horizon: int):
-        one = ListedChanges((self.change,)).changes(prior, u, scenario, horizon)
-        return tuple(np.repeat(a, len(u), axis=0) for a in one)
+    def changes(self, prior: PriorSpec, u, scenario):
+        nu = np.full(len(u), self.change.nu, dtype=np.int64)
+        return (nu, *scenario.affected_streams(self.change.subset, self.change.theta))
 
     def check_horizon(self, horizon: int) -> None:
         if self.change.nu >= horizon:
@@ -174,10 +174,8 @@ class PriorNuSampler:
     def uniforms(self, prior: PriorSpec) -> int:
         return prior.uniforms
 
-    def changes(self, prior: PriorSpec, u, scenario, horizon: int):
-        nu = prior.change_points(u)
-        affected, theta = scenario.affected_streams(self.subset, self.theta)
-        return (nu, *change_rows(nu, affected, theta, horizon))
+    def changes(self, prior: PriorSpec, u, scenario):
+        return (prior.change_points(u), *scenario.affected_streams(self.subset, self.theta))
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,7 @@ class JointSampler:
     def uniforms(self, prior: PriorSpec) -> int:
         return prior.uniforms + 2
 
-    def changes(self, prior: PriorSpec, u, scenario, horizon: int):
+    def changes(self, prior: PriorSpec, u, scenario):
         k = prior.uniforms
         nu = prior.change_points(u[:, :k])
         b_idx = np.searchsorted(self.subset_cdf, u[:, k], side="right")
@@ -213,7 +211,7 @@ class JointSampler:
         masks = np.array([scenario.affected_streams(b)[0] for b in self.subsets])
         affected = masks[np.minimum(b_idx, len(self.subsets) - 1)]
         theta = np.asarray(self.points, dtype=float)[np.minimum(p_idx, len(self.points) - 1)]
-        return (nu, *change_rows(nu, affected, theta, horizon))
+        return nu, affected, theta
 
 
 # -- core simulation loop ------------------------------------------------------
@@ -369,9 +367,7 @@ def estimate_pfa_naive(
     censored runs count as no alarm, so the horizon must make P(nu near the
     horizon) negligible.
     """
-    records = simulate_runs(
-        detector, mc, PriorNuSampler(tuple(subset), None if theta is None else tuple(theta))
-    )
+    records = simulate_runs(detector, mc, PriorNuSampler(subset, theta))
     return MCEstimate.from_values(
         records.false_alarm.astype(float), censored_fraction=records.censored_fraction
     )
@@ -396,8 +392,7 @@ def estimate_bayes_delay(
 ) -> MCEstimate:
     """r-th moment of (T - nu) given T > nu, with nu drawn from the prior."""
     check_moment_order(r)
-    sampler = PriorNuSampler(tuple(subset), None if theta is None else tuple(theta))
-    return simulate_runs(detector, mc, sampler).delay_moment(r)
+    return simulate_runs(detector, mc, PriorNuSampler(subset, theta)).delay_moment(r)
 
 
 def estimate_average_risk(

@@ -464,27 +464,19 @@ class Scenario:
         return np.asarray(cols).T
 
 
-def change_rows(nu, affected, theta, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """``post_from`` and ``theta``, ``[R, N]`` each, of ``R`` changes at ``nu`` (``[R]``).
-
-    An ``affected`` stream (a mask that broadcasts to ``[R, N]``) carries
-    ``theta`` from index ``max(nu, 0)`` on; any other starts at ``horizon``,
-    so it keeps the pre-change law, with parameter 0.
-    """
-    post_from = np.where(affected, np.maximum(nu, 0)[:, None], horizon)
-    return post_from, np.where(np.broadcast_to(affected, post_from.shape), theta, 0.0)
-
-
 class ChangeDraws:
     """The changes of ``count`` replications, drawn inside ``Scenario.generate``.
 
     ``sampler.uniforms(prior)`` is the number ``k`` of uniforms a replication
     draws for its change, before its noise; ``generate`` fills row ``r`` of
     ``uniforms`` (``[count, k]``) from generator ``r``.  After the last row,
-    ``resolve`` maps all rows at once through ``sampler.changes(prior,
-    uniforms, scenario, horizon)``, which returns ``nu`` (``[count]``, kept
-    here) and the ``[count, N]`` ``post_from`` and ``theta`` of
-    ``change_rows``.
+    ``resolve`` passes all rows at once to ``sampler.changes(prior, uniforms,
+    scenario)``, which returns ``nu`` (``[count]``, kept here), the mask of the
+    affected streams and their parameters, both broadcasting to ``[count, N]``.
+    From these ``resolve`` forms the ``[count, N]`` ``post_from`` and ``theta``
+    the data is shaped by: an affected stream carries its parameter from index
+    ``max(nu, 0)`` on; any other starts at ``horizon``, so it keeps the
+    pre-change law, with parameter 0.
     """
 
     def __init__(self, sampler, prior, count: int):
@@ -494,10 +486,9 @@ class ChangeDraws:
         self.nu = None
 
     def resolve(self, scenario: Scenario, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-        self.nu, post_from, theta = self.sampler.changes(
-            self.prior, self.uniforms, scenario, horizon
-        )
-        return post_from, theta
+        self.nu, affected, theta = self.sampler.changes(self.prior, self.uniforms, scenario)
+        post_from = np.where(affected, np.maximum(self.nu, 0)[:, None], horizon)
+        return post_from, np.where(np.broadcast_to(affected, post_from.shape), theta, 0.0)
 
 
 @dataclass(frozen=True)
@@ -509,7 +500,7 @@ class ListedChanges:
     def uniforms(self, prior) -> int:
         return 0
 
-    def changes(self, prior, u, scenario: Scenario, horizon: int):
+    def changes(self, prior, u, scenario: Scenario):
         n = len(self.listed)
         nu = np.empty(n, dtype=np.int64)
         affected = np.zeros((n, scenario.n_streams), dtype=bool)
@@ -518,7 +509,7 @@ class ListedChanges:
             nu[r] = change.nu
             if change.nu != NO_CHANGE:
                 affected[r], theta[r] = scenario.affected_streams(change.subset, change.theta)
-        return (nu, *change_rows(nu, affected, theta, horizon))
+        return nu, affected, theta
 
 
 def gaussian_stream(theta: float = 1.0, sigma: float = 1.0) -> ARChannelSpec:

@@ -121,3 +121,30 @@ def test_generation_is_traced_once_per_replication_and_once_per_span(monkeypatch
     names = [span[0] for span in tracer.spans]
     parents = [names[span[3]] for span in tracer.spans if span[0] == "model.rng"]
     assert parents == ["scenarios.generate"] * n_reps
+
+
+def test_tracer_counts_the_window_engines_fallback_past_a_745_nat_lead(monkeypatch):
+    """``likelihood.esp_terms`` counts the log-domain DP the window engine falls back to.
+
+    The engine runs ``likelihood.log_esp``, which redoes an element in
+    ``likelihood.log_elementary_symmetric``, the binding the tracer wraps,
+    once one stream leads another by over ~745 nats; without a lead it never
+    does.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+
+    grid = GridSpec.common_amplitude((0.5, 1.0), 2)
+    weights = SubsetWeights(p=(1.0, 0.5), K=2)
+    weights.log_normalizer  # computed here, so only the engine's DP is counted
+    terms = []
+    for means in ((0.0, 0.0), (300.0, 50.0)):
+        increments = np.asarray(means) + np.random.default_rng(6).normal(size=(8, 6, 2, 2))
+        state = DetectorState(GeometricPrior(rho=0.1), grid, weights, n_reps=8, window_m1=3)
+        tracer = Tracer()
+        with contextlib.ExitStack() as stack:
+            tracer.install(stack)
+            for t in range(increments.shape[1]):
+                state.advance(increments[:, t])
+        terms.append(tracer.counts["esp_terms"])
+    assert terms[0] == 0 and terms[1] > 0

@@ -57,7 +57,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qcdetect import DetectorState, FlatWeights, GeometricPrior, GridSpec, SubsetWeights, statistics
+from qcdetect import DetectorState, FlatWeights, GeometricPrior, GridSpec, SubsetWeights, likelihood
 
 #: Significant digits of the reference arithmetic.
 DIGITS = 50
@@ -301,13 +301,13 @@ def test_window_engine_falls_back_to_the_log_dp_past_a_745_nat_lead(weighting_na
     weighting = WEIGHTINGS[weighting_name]
     components = [exact_components(path, p, K, grid_weights) for path in increments]
     fallbacks = []
-    original = statistics.log_elementary_symmetric
+    original = likelihood.log_elementary_symmetric
 
     def counting(log_values, K):
         fallbacks.append(np.shape(log_values)[0])
         return original(log_values, K)
 
-    monkeypatch.setattr(statistics, "log_elementary_symmetric", counting)
+    monkeypatch.setattr(likelihood, "log_elementary_symmetric", counting)
     for m1, bound in ((3, WINDOW_BOUND_ULPS), (10, WINDOW_BOUND_ULPS), (horizon, BOUND_ULPS)):
         fallbacks.clear()
         got = engine_log_statistic(increments, weighting, grid, weights, m1)

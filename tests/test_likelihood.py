@@ -13,6 +13,7 @@ from qcdetect import (
     mixture_lr_dp,
     mixture_lr_enumerate,
 )
+from qcdetect import likelihood
 from qcdetect.likelihood import (
     MAX_LISTED_SUBSETS,
     log_add_exp,
@@ -254,18 +255,34 @@ def test_enumerate_hand_enumeration():
     )
 
 
-def test_dp_matches_enumeration_small_dimensions():
+def test_dp_matches_enumeration_small_dimensions(monkeypatch):
+    # log LRs spread over +-900 put one stream over ~620 nats ahead of the next,
+    # where a shifted e_j (j >= 2) underflows and the DP falls back to the log domain
+    fallbacks = []
+    original = likelihood.log_elementary_symmetric
+
+    def counting(log_values, K):
+        fallbacks.append(np.shape(log_values)[0])
+        return original(log_values, K)
+
+    monkeypatch.setattr(likelihood, "log_elementary_symmetric", counting)
     rng = np.random.default_rng(42)
+    wide = np.random.default_rng(43)
     worst = 0.0
     for n in range(1, 13):
         for K in range(1, n + 1):
             for _ in range(5):
                 w = SubsetWeights(p=tuple(rng.uniform(0.1, 2.5, n)), K=K)
-                llr = rng.uniform(-20.0, 20.0, n)
-                worst = max(
-                    worst, abs(mixture_lr_dp(llr, w) - mixture_lr_enumerate(llr, w))
-                )
+                w.log_normalizer  # computed here, so only the DP's fallback is counted
+                inputs = [rng.uniform(-20.0, 20.0, n)]
+                if K >= 2:
+                    inputs.append(wide.uniform(-900.0, 900.0, n))
+                for llr in inputs:
+                    worst = max(
+                        worst, abs(mixture_lr_dp(llr, w) - mixture_lr_enumerate(llr, w))
+                    )
     assert worst <= 1e-9
+    assert len(fallbacks) > 50
 
 
 def test_dp_matches_enumeration_ten_streams():

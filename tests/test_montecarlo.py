@@ -215,8 +215,8 @@ def test_joint_sampler_draws_match_mixture_weights():
     sampler = JointSampler.for_detector(detector)
     assert sampler.uniforms(prior) == 3  # nu, the subset, the grid point
     u = np.array([replication_rng(14, rep).random(3) for rep in range(6000)])
-    _, post_from, theta = sampler.changes(prior, u, scenario, NO_CHANGE)
-    affected = post_from < NO_CHANGE  # a change point is at most NO_CHANGE - 1
+    nu, affected, theta = sampler.changes(prior, u, scenario)
+    assert nu.shape == (6000,) and affected.shape == theta.shape == (6000, 2)
     # subsets are uniform (1/3 each), grid points carry weights (0.25, 0.75)
     for subset in sampler.subsets:
         share = np.mean(np.all(affected == np.isin([0, 1], subset), axis=1))

@@ -1,6 +1,7 @@
 """Running mixed statistics: recursions, window-limited sums, posterior identity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -384,6 +385,44 @@ def test_retain_keeps_the_rows_last_state_contiguous():
     # a non-contiguous state would slow every later step and copy in every read-out
     assert state.log_components.flags.c_contiguous and state.n_reps == keep.sum()
     np.testing.assert_array_equal(state.log_components, before[..., keep])
+
+
+def test_subset_sums_refuse_increments_of_the_wrong_width():
+    n = 3
+    state = DetectorState(FlatWeights(), GridSpec.common_amplitude((0.5, 1.0), n), SubsetWeights.uniform(n))
+    for width in (2, 4):
+        with pytest.raises(ValueError, match=rf"\[\.\.\., P, 3\], got shape \(4, 2, {width}\)"):
+            state.subset_llrs(np.zeros((4, 2, width)))
+    assert state.subset_llrs(np.zeros((4, 2, n))).shape == (SubsetWeights.uniform(n).n_subsets, 2, 4)
+
+
+@pytest.mark.parametrize("window_m1", [None, 4], ids=["recursion", "window"])
+def test_retain_takes_only_a_boolean_mask_over_every_row(window_m1):
+    n = 3
+    grid = GridSpec.common_amplitude((0.5, 1.0), n)
+    state = DetectorState(FlatWeights(), grid, SubsetWeights.uniform(n), n_reps=4, window_m1=window_m1)
+    state.advance(np.random.default_rng(15).normal(size=(4, 2, n)))
+    before = state.log_shiryaev()
+    # an index array would keep a different number of rows on each engine, a short
+    # mask a prefix: both are refused, and the state is left as it was
+    for rows in (np.array([0, 1, 1, 1]), np.array([True]), np.ones(5, dtype=bool), np.ones((4, 1), dtype=bool)):
+        with pytest.raises(ValueError, match=r"boolean mask of shape \(4,\)"):
+            state.retain(rows)
+        assert state.n_reps == 4
+    state.retain(np.array([False, True, True, False]))
+    assert state.n_reps == 2
+    np.testing.assert_array_equal(state.log_shiryaev(), before[1:3])
+
+
+def test_direct_sum_refuses_a_history_of_the_wrong_grid_or_stream_width():
+    prior = GeometricPrior(rho=0.1)
+    grid = GridSpec.common_amplitude((1.0,), 2)  # one point
+    weights = SubsetWeights.uniform(2)
+    inc = np.random.default_rng(16).normal(size=(3, 2, 2))
+    for bad in (inc, inc[:, :1, :1], np.zeros((3, 1, 3))):
+        with pytest.raises(ValueError, match=re.escape(f"{bad.shape} must end in (P, N) = (1, 2)")):
+            direct_log_statistic(bad, prior, grid, weights, n=3)
+    direct_log_statistic(inc[:, :1], prior, grid, weights, n=3)
 
 
 def test_screened_readout_is_exact_or_below_the_floor():
