@@ -19,6 +19,8 @@ import contextlib
 import csv
 import io
 import json
+import math
+import os
 import sys
 import types
 import typing
@@ -30,9 +32,8 @@ from .detectors import (
     DetectorConfig,
     check_moment_order,
     delay_tail_rate,
+    level_threshold,
     threshold_cost,
-    threshold_shiryaev,
-    threshold_sr,
 )
 from .info import d_constant
 from .likelihood import SubsetWeights
@@ -398,15 +399,13 @@ def calibrate_threshold(config: RunConfig) -> CalibrationReport:
         return CalibrationReport(section.kind, section.threshold, "explicit", "threshold as given")
     try:
         if section.alpha is not None:
-            if section.kind == SHIRYAEV_MIXTURE:
-                a = threshold_shiryaev(section.alpha, q=prior.q)
-                return CalibrationReport(
-                    section.kind, a, f"alpha={section.alpha!r}", "A = (1 - alpha) / alpha"
-                )
-            a = threshold_sr(section.alpha, section.omega, prior)
-            return CalibrationReport(
-                section.kind, a, f"alpha={section.alpha!r}", "A = (omega * b + mean(nu)) / alpha"
+            a = level_threshold(section.kind, section.alpha, prior, section.omega)
+            formula = (
+                "A = (1 - alpha) / alpha"
+                if section.kind == SHIRYAEV_MIXTURE
+                else "A = (omega * b + mean(nu)) / alpha"
             )
+            return CalibrationReport(section.kind, a, f"alpha={section.alpha!r}", formula)
         if section.cost_c is not None:
             scenario = build_scenario(config.scenario)
             grid = build_grid(config.grid, scenario.n_streams)
@@ -465,12 +464,32 @@ def check_span_memory(detector: Detector, mc: MCConfig) -> None:
 # -- commands ---------------------------------------------------------------------
 
 
+def check_out(out: str | None) -> None:
+    """An ``--out`` path whose directory does not exist, before any work."""
+    folder = os.path.dirname(out) if out else ""
+    if folder and not os.path.isdir(folder):
+        raise ConfigError(f"--out {out!r}: directory {folder!r} does not exist")
+
+
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to the file ``path``; a failed write is a config error naming ``--out``."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out file {path!r}: {exc.strerror or exc}")
+
+
 def _emit(text: str, out: str | None) -> None:
     """Print a command's text and write the same bytes to ``out``, if given."""
     print(text, end="")
     if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        _write(out, text)
+
+
+def _json_number(value: float) -> float | None:
+    """JSON has no NaN or infinity: a moment that is not finite is ``null``."""
+    return value if math.isfinite(value) else None
 
 
 def cmd_calibrate(config: RunConfig, out: str | None) -> int:
@@ -494,7 +513,8 @@ def cmd_simulate(config: RunConfig, out: str | None, seed: int | None, workers: 
         "censored_fraction": records.censored_fraction,
         "pfa_estimate": float(records.false_alarm.mean()),
         "delay_moments": {
-            r: {"mean": est.mean, "stderr": est.stderr, "n_effective": est.n_effective}
+            r: {"mean": _json_number(est.mean), "stderr": _json_number(est.stderr),
+                "n_effective": est.n_effective}
             for r, est in moments.items()
         },
     }
@@ -506,9 +526,9 @@ def cmd_simulate(config: RunConfig, out: str | None, seed: int | None, workers: 
             for rep, (nu, stopped, censored, detected)
             in enumerate(zip(*(column.tolist() for column in columns)))
         ]
-        with open(out + ".csv", "w", newline="") as fh:
-            fh.write(_csv_text(rows))
-    _emit(json.dumps(summary, indent=2, sort_keys=True) + "\n", out and out + ".json")
+        _write(out + ".csv", _csv_text(rows))
+    _emit(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n",
+          out and out + ".json")
     return EXIT_OK
 
 
@@ -516,27 +536,21 @@ def cmd_oc_sweep(config: RunConfig, out: str | None, seed: int | None, workers: 
     if not config.sweep.alphas:
         raise ConfigError("oc-sweep needs a [sweep] section with an alphas grid")
     mc = build_mc(config, seed, workers)
-    # every level is calibrated and checked before anything is simulated
-    level = replace(config.detector, threshold=None, cost_c=None)
-    detectors = {
-        alpha: build_detector(replace(config, detector=replace(level, alpha=alpha)))
-        for alpha in config.sweep.alphas
-    }
-    detector = detectors[config.sweep.alphas[0]]
+    # the statistic every level shares, built at the first level; the sweep
+    # checks every level and I + mu before anything is simulated
+    first = replace(config.detector, threshold=None, cost_c=None, alpha=config.sweep.alphas[0])
+    detector = build_detector(replace(config, detector=first))
     sampler = build_change(config.change, detector.scenario, mc.horizon)
     if not isinstance(sampler, PriorNuSampler):
         raise ConfigError("oc-sweep draws nu from the prior; set [change] nu = prior")
-    with _invalid():
-        detector.first_order_rate(sampler.subset, sampler.theta)
     check_span_memory(detector, mc)
     # one pool of worker processes for the delay and the PFA passes; increments
     # that overflow show only as the runs are stepped
     with worker_pool(mc.workers), _invalid():
         rows = asymptotic_ratio_sweep(
-            detectors.__getitem__, config.sweep.alphas, config.sweep.r, mc, sampler.subset,
-            sampler.theta,
+            detector, config.sweep.alphas, config.sweep.r, mc, sampler.subset, sampler.theta
         )
-        pfas = [estimate_pfa(detectors[row.alpha], mc, alpha=row.alpha) for row in rows]
+        pfas = [estimate_pfa(detector.at_level(row.alpha), mc, alpha=row.alpha) for row in rows]
     table = []
     for row, pfa in zip(rows, pfas):
         table.append(
@@ -603,9 +617,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("calibrate", "simulate", "oc-sweep"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI run configuration")
-        p.add_argument("--seed", type=int, default=None, help="override master seed")
-        p.add_argument("--workers", type=int, default=None, help="worker processes")
         p.add_argument("--out", default=None, help="output path (prefix for simulate)")
+        if name != "calibrate":
+            p.add_argument("--seed", type=int, default=None, help="override master seed")
+            p.add_argument("--workers", type=int, default=None, help="worker processes")
     v = sub.add_parser("verify")
     v.add_argument("suites", nargs="*", default=None, help="suite names (default: all)")
     v.add_argument("--seed", type=int, default=0)
@@ -619,6 +634,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args.suites, args.seed, args.json)
+        check_out(args.out)
         config = load_config(args.config)
         if args.command == "calibrate":
             return cmd_calibrate(config, args.out)

@@ -11,7 +11,7 @@ formulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,6 +109,12 @@ class Detector:
         # the change-point weighting is the only difference between the rules
         self.weighting = prior if config.uses_shiryaev else FlatWeights(config.head_start_omega)
         self.log_threshold = math.log(config.threshold_A)
+
+    def at_level(self, alpha: float) -> "Detector":
+        """This statistic (scenario, prior, grid, weights, window) at level ``alpha``'s threshold."""
+        a = level_threshold(self.config.kind, alpha, self.prior, self.config.head_start_omega)
+        config = replace(self.config, threshold_A=a)
+        return Detector(config, self.scenario, self.prior, self.grid, self.weights)
 
     def pfa_bound(self) -> float:
         """The calibration bound on the weighted false-alarm probability."""
@@ -303,6 +309,13 @@ def threshold_sr(alpha: float, omega: float, prior: PriorSpec) -> float:
             "SR bound is degenerate (omega * b + mean(nu) = 0); no positive threshold"
         )
     return a
+
+
+def level_threshold(kind: str, alpha: float, prior: PriorSpec, omega: float = 0.0) -> float:
+    """The threshold of false-alarm level ``alpha``: the inverse of ``Detector.pfa_bound``."""
+    if kind == SHIRYAEV_MIXTURE:
+        return threshold_shiryaev(alpha, q=prior.q)
+    return threshold_sr(alpha, omega, prior)
 
 
 def threshold_cost(c: float, r: float, D: float) -> float:

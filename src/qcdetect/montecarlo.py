@@ -430,28 +430,30 @@ class SweepRow:
 
 
 def asymptotic_ratio_sweep(
-    detector_factory, alphas, r: float, mc: MCConfig, subset, theta
+    detector: Detector, alphas, r: float, mc: MCConfig, subset, theta
 ) -> list[SweepRow]:
     """Delay moments across a grid of false-alarm levels, against first order.
 
-    ``detector_factory(alpha)`` must return the calibrated detector for each
-    level.  The ratio column divides the simulated Bayes delay moment of a
-    change in ``subset`` at ``theta`` by ``(|log alpha| / (I + mu))^r``, with
-    ``I + mu`` from ``Detector.first_order_rate``.  Replication seeds are
-    shared across levels, so compared rows use common random numbers.  The
-    change-point prior is held fixed across the sweep; level-dependent priors
-    are out of scope for this table.
+    Every level runs ``detector``'s statistic at ``detector.at_level(alpha)``;
+    all levels and ``I + mu`` (``Detector.first_order_rate``) are checked
+    before the first pass.  The ratio column divides the simulated Bayes
+    delay moment of a change in ``subset`` at ``theta`` by
+    ``(|log alpha| / (I + mu))^r``.  Replication seeds are shared across
+    levels, so compared rows use common random numbers.  The change-point
+    prior is held fixed across the sweep; level-dependent priors are out of
+    scope for this table.
     """
+    rate = detector.first_order_rate(subset, theta)
+    levels = [(alpha, detector.at_level(alpha)) for alpha in alphas]
     rows = []
     with worker_pool(mc.workers):  # one pool for all levels' passes
-        for alpha in alphas:
-            detector = detector_factory(alpha)
-            first_order = (abs(math.log(alpha)) / detector.first_order_rate(subset, theta)) ** r
-            est = estimate_bayes_delay(detector, subset, theta, r, mc)
+        for alpha, level in levels:
+            first_order = (abs(math.log(alpha)) / rate) ** r
+            est = estimate_bayes_delay(level, subset, theta, r, mc)
             rows.append(
                 SweepRow(
                     alpha=float(alpha),
-                    threshold_A=detector.config.threshold_A,
+                    threshold_A=level.config.threshold_A,
                     delay_moment=est.mean,
                     delay_se=est.stderr,
                     first_order=first_order,

@@ -269,21 +269,13 @@ def test_09_first_order_delay_trend():
     alphas = [1e-1, 1e-2, 1e-3, 1e-4]
     mc = MCConfig(replications=5000, master_seed=109, horizon=2200)
     start = time.perf_counter()
-
-    def shiryaev_factory(alpha):
-        return Detector(
-            DetectorConfig(kind="shiryaev-mixture", threshold_A=threshold_shiryaev(alpha)),
-            scenario, prior, grid, weights,
+    rows_s, rows_r = (
+        asymptotic_ratio_sweep(
+            Detector(DetectorConfig(kind=kind, threshold_A=10.0), scenario, prior, grid, weights),
+            alphas, 1, mc, (0,), (1.0,),
         )
-
-    def sr_factory(alpha):
-        return Detector(
-            DetectorConfig(kind="sr-mixture", threshold_A=threshold_sr(alpha, 0.0, prior)),
-            scenario, prior, grid, weights,
-        )
-
-    rows_s = asymptotic_ratio_sweep(shiryaev_factory, alphas, 1, mc, (0,), (1.0,))
-    rows_r = asymptotic_ratio_sweep(sr_factory, alphas, 1, mc, (0,), (1.0,))
+        for kind in ("shiryaev-mixture", "sr-mixture")
+    )
     elapsed = time.perf_counter() - start
     mono_s, final_s, ok_s = _trend_ok(rows_s)
     mono_r, final_r, ok_r = _trend_ok(rows_r)

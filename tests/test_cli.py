@@ -606,17 +606,70 @@ def test_oc_sweep_threshold_monotone_and_ratio_shared(tmp_path):
     weights = SubsetWeights.uniform(1)
     prior = GeometricPrior(rho=0.1)
     mc = MCConfig(replications=150, master_seed=12, horizon=400)
-
-    def factory(alpha):
-        return Detector(
-            DetectorConfig(kind="shiryaev-mixture", threshold_A=threshold_shiryaev(alpha)),
-            scenario, prior, grid, weights,
-        )
-
-    expected = asymptotic_ratio_sweep(factory, [0.1, 0.01], 1, mc, (0,), (1.0,))
+    detector = Detector(
+        DetectorConfig(kind="shiryaev-mixture", threshold_A=threshold_shiryaev(0.1)),
+        scenario, prior, grid, weights,
+    )
+    expected = asymptotic_ratio_sweep(detector, [0.1, 0.01], 1, mc, (0,), (1.0,))
     for row, exp in zip(rows, expected):
         assert float(row["ratio"]) == exp.ratio
         assert float(row["ratio_se"]) == exp.ratio_se
+
+
+@pytest.mark.parametrize("command", ["calibrate", "simulate", "oc-sweep"])
+def test_out_in_a_missing_directory_exits_before_any_work(command, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "load_config", lambda *args: calls.append(args))
+    path = tmp_path / "sweep.ini"
+    path.write_text(PRIOR_NU + "\n[sweep]\nalphas = 0.1\nr = 1\n")
+    out = tmp_path / "missing" / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and calls == []
+    assert captured.err.count("\n") == 1 and "--out" in captured.err
+
+
+@pytest.mark.parametrize("command", ["calibrate", "simulate", "oc-sweep"])
+def test_a_failed_write_to_out_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "sweep.ini"
+    path.write_text(PRIOR_NU + "\n[sweep]\nalphas = 0.1\nr = 1\n")
+    (tmp_path / "out.csv").mkdir()  # simulate writes <out>.csv first
+    out = tmp_path / ("out" if command == "simulate" else "out.csv")
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1
+    assert "--out" in err
+
+
+def _no_bare_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "change, undefined",
+    [
+        (("alpha = 0.05", "threshold = 1e300"), ("mean", "stderr")),  # every run censored
+        (("replications = 150", "replications = 1"), ("stderr",)),
+    ],
+    ids=["all-censored", "one-replication"],
+)
+def test_simulate_summary_writes_null_for_an_undefined_moment(change, undefined, tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_text(BASE_CONFIG.replace(*change))
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    for text in (capsys.readouterr().out, out.with_suffix(".json").read_text()):
+        moments = json.loads(text, parse_constant=_no_bare_constant)["delay_moments"]
+        for order in ("1", "2"):
+            assert [k for k, v in moments[order].items() if v is None] == list(undefined)
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--workers"])
+def test_calibrate_takes_no_seed_or_workers(flag, config_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["calibrate", "--config", config_path, flag, "3"])
+    assert exc.value.code == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
 
 
 def test_oc_sweep_checks_every_alpha_before_simulating(tmp_path, monkeypatch, capsys):

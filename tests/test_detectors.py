@@ -204,6 +204,28 @@ def test_pfa_bound():
     assert sr.pfa_bound() == pytest.approx(0.1)  # mean(nu) = 9
 
 
+@pytest.mark.parametrize(
+    "kind, omega", [("shiryaev-mixture", 0.0), ("sr-mixture", 0.0), ("sr-mixture", 1.5)]
+)
+def test_at_level_moves_only_the_threshold(kind, omega):
+    scenario, grid, weights, prior = single_stream_setup(q=0.2)
+    config = DetectorConfig(kind=kind, threshold_A=5.0, window_m1=4, head_start_omega=omega)
+    detector = Detector(config, scenario, prior, grid, weights)
+    for alpha in (0.5, 0.01, 1e-6):
+        level = detector.at_level(alpha)
+        if kind == "shiryaev-mixture":
+            a = threshold_shiryaev(alpha, prior.q)
+        else:
+            a = threshold_sr(alpha, omega, prior)
+        assert level.config == replace(config, threshold_A=a)  # bit-equal threshold
+        assert level.log_threshold == math.log(a)
+        assert level.pfa_bound() == pytest.approx(alpha, rel=1e-12)
+        parts = ("scenario", "prior", "grid", "weights")
+        assert all(getattr(level, p) is getattr(detector, p) for p in parts)
+    with pytest.raises(ValueError, match="alpha"):
+        detector.at_level(0.9 if kind == "shiryaev-mixture" else 1.0)  # past 1 - q, or 1
+
+
 def test_first_order_rate_adds_the_tail_rate_for_the_shiryaev_rule_only():
     scenario = Scenario((gaussian_stream(theta=1.0), gaussian_stream(theta=2.0)))
     prior = GeometricPrior(rho=0.1)

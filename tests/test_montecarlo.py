@@ -367,9 +367,26 @@ def test_passes_inside_one_block_share_its_pool(pool_sizes, monkeypatch):
     assert pool_sizes == [2, 3, 2]
 
 
+def test_a_sweep_checks_every_level_and_the_rate_before_its_first_pass(monkeypatch):
+    calls = []
+    monkeypatch.setattr(montecarlo, "simulate_runs", lambda *args: calls.append(args))
+    mc = MCConfig(replications=10, master_seed=4, horizon=60)
+    with pytest.raises(ValueError, match="alpha"):  # the third level is infeasible
+        asymptotic_ratio_sweep(make_detector(), [0.1, 0.01, 1.5], 1, mc, (0,), (1.0,))
+    with pytest.raises(ValueError, match="I \\+ mu > 0"):  # no information, no tail rate
+        asymptotic_ratio_sweep(make_detector("sr-mixture"), [0.1], 1, mc, (0,), (0.0,))
+    assert calls == []
+
+
 def test_a_sweep_shares_one_pool_across_its_levels(pool_sizes, monkeypatch):
     detector = make_detector()
     monkeypatch.setattr(montecarlo, "_CHUNK", 5)
+    rates = []
+    real = Detector.first_order_rate
+    monkeypatch.setattr(
+        Detector, "first_order_rate", lambda self, *args: rates.append(1) or real(self, *args)
+    )
     mc = MCConfig(replications=10, master_seed=4, horizon=60, workers=2)
-    rows = asymptotic_ratio_sweep(lambda alpha: detector, [0.1, 0.01, 0.001], 1, mc, (0,), (1.0,))
+    rows = asymptotic_ratio_sweep(detector, [0.1, 0.01, 0.001], 1, mc, (0,), (1.0,))
     assert len(rows) == 3 and pool_sizes == [2]
+    assert len(rates) == 1  # and one I + mu
