@@ -45,6 +45,7 @@ from .montecarlo import (
     PriorNuSampler,
     asymptotic_ratio_sweep,
     estimate_pfa,
+    level_scan,
     simulate_runs,
     span_rows,
     worker_pool,
@@ -279,6 +280,15 @@ def serialize_config(config: RunConfig) -> str:
 
 
 @contextlib.contextmanager
+def _calibration():
+    """Report a threshold that cannot be calibrated as a config error."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"calibration failed: {exc}")
+
+
+@contextlib.contextmanager
 def _invalid(what: str | None = None):
     """Report a ValueError raised inside as a config error, about ``what`` if given."""
     try:
@@ -397,7 +407,7 @@ def calibrate_threshold(config: RunConfig) -> CalibrationReport:
     prior = build_prior(config.prior)
     if section.threshold is not None:
         return CalibrationReport(section.kind, section.threshold, "explicit", "threshold as given")
-    try:
+    with _calibration():
         if section.alpha is not None:
             a = level_threshold(section.kind, section.alpha, prior, section.omega)
             formula = (
@@ -420,8 +430,6 @@ def calibrate_threshold(config: RunConfig) -> CalibrationReport:
                 f"c={section.cost_c!r}, r={section.cost_r!r}",
                 f"r * D * A * (log A)^(r-1) = 1/c with D = {d!r}",
             )
-    except (ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"calibration failed: {exc}")
     raise ConfigError("detector section needs one of: threshold, alpha, cost_c")
 
 
@@ -544,13 +552,18 @@ def cmd_oc_sweep(config: RunConfig, out: str | None, seed: int | None, workers: 
     if not isinstance(sampler, PriorNuSampler):
         raise ConfigError("oc-sweep draws nu from the prior; set [change] nu = prior")
     check_span_memory(detector, mc)
-    # one pool of worker processes for the delay and the PFA passes; increments
-    # that overflow show only as the runs are stepped
-    with worker_pool(mc.workers), _invalid():
-        rows = asymptotic_ratio_sweep(
-            detector, config.sweep.alphas, config.sweep.r, mc, sampler.subset, sampler.theta
-        )
-        pfas = [estimate_pfa(detector.at_level(row.alpha), mc, alpha=row.alpha) for row in rows]
+    # one scan per dataset and one pool of worker processes for the delay and
+    # the PFA passes
+    with contextlib.ExitStack() as stack:
+        with _calibration():  # every level before any pass, reported as the first level is
+            scan = stack.enter_context(level_scan(detector, config.sweep.alphas))
+        stack.enter_context(worker_pool(mc.workers))
+        with _invalid():  # increments that overflow show only as the runs are stepped
+            rows = asymptotic_ratio_sweep(
+                detector, scan.alphas, config.sweep.r, mc, sampler.subset, sampler.theta
+            )
+            pfas = [estimate_pfa(level, mc, alpha=alpha)
+                    for alpha, level in zip(scan.alphas, scan.levels)]
     table = []
     for row, pfa in zip(rows, pfas):
         table.append(

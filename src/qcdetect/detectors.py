@@ -159,7 +159,10 @@ class Detector:
         ``window_log_statistic``, the ``[m, P, N]`` suffix sums, shifted and
         then exponentiated in place, their ``[m, P]`` stream maxima, the
         DP's ``e_1..e_K``, ``[K, m, P]``, and the fused log-sum-exp's table
-        of the same shape with its shifted copy.
+        of the same shape with its shifted copy.  The scan's ``[R, L]`` stops,
+        ``8 * L`` bytes a row at ``L`` levels, are left out with the span's
+        other ``R``-long vectors: a sweep's handful of levels is small beside
+        the ``8 * T * N`` bytes of data.
         """
         n, points = self.scenario.n_streams, self.grid.n_points
         steps = min(horizon, INCREMENT_BLOCK)
@@ -195,13 +198,16 @@ class Detector:
         return data
 
     def _scan(
-        self, data: np.ndarray, log_threshold: float, out: np.ndarray | None = None
+        self, data: np.ndarray, log_thresholds, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Step the statistic over checked ``[R, T, N]`` data; stopping times ``[R]``.
+        """Step the statistic over checked ``[R, T, N]`` data; first crossings ``[R, L]``.
 
-        A run stops at the first step whose log statistic reaches
-        ``log_threshold`` (-1 when it never does).  Its row then leaves the
-        state, and the scan ends once no row is left or at the horizon.
+        Column ``j`` holds each run's first step whose log statistic reaches
+        ``log_thresholds[j]`` (-1 when none does); the levels may come in any
+        order and repeat.  Each live row is compared with its next level, the
+        lowest it has not reached; a row that reaches it counts every level its
+        value reaches at once.  A row leaves the state once it has reached its
+        highest level, and the scan ends once no row is left or at the horizon.
         ``out`` (``[R, T]``), when given, receives the log statistic of every
         step a row takes.
 
@@ -214,13 +220,14 @@ class Detector:
         """
         n_reps, horizon, n_streams = data.shape
         scenario, points = self.scenario, self.grid.points
+        levels, columns = np.unique(np.asarray(log_thresholds, dtype=float), return_inverse=True)
+        order = np.arange(levels.size)
         state = self._new_state(n_reps)
-        stopped = np.full(n_reps, -1, dtype=np.int64)
+        stopped = np.full((n_reps, levels.size), -1, dtype=np.int64)
         rows = np.arange(n_reps)
+        reached = np.zeros(n_reps, dtype=np.intp)  # levels each live row has reached
+        next_level = np.full(n_reps, levels[0])
         carry = np.zeros((n_reps, n_streams))
-        # rows provably below the threshold need no exact read-out, unless
-        # every value is recorded
-        floor = log_threshold if out is None else -math.inf
         for t0 in range(0, horizon, INCREMENT_BLOCK):
             if not rows.size:
                 break
@@ -239,33 +246,50 @@ class Detector:
             pos = np.arange(rows.size)
             for t in range(t0, t1):
                 state.advance(block[pos, t - t0])
-                value = state.log_shiryaev(floor)
+                # a row provably below its next level needs no exact read-out,
+                # unless every value is recorded
+                value = state.log_shiryaev(next_level if out is None else -math.inf)
                 if out is not None:
                     out[rows, t] = value
-                crossed = value >= log_threshold
+                crossed = value >= next_level
                 if crossed.any():
-                    stopped[rows[crossed]] = t + 1
-                    keep = ~crossed
-                    rows, pos = rows[keep], pos[keep]
-                    state.retain(keep)
-                    if not rows.size:
-                        break
+                    hit = np.flatnonzero(crossed)
+                    first, last = reached[hit], np.searchsorted(levels, value[hit], side="right")
+                    now = (first[:, None] <= order) & (order < last[:, None])  # levels reached
+                    stopped[rows[hit]] = np.where(now, t + 1, stopped[rows[hit]])
+                    reached[hit] = last
+                    keep = reached < levels.size
+                    if not keep.all():
+                        rows, pos, reached = rows[keep], pos[keep], reached[keep]
+                        state.retain(keep)
+                        if not rows.size:
+                            break
+                    next_level = levels[reached]
             carry = carry[pos]
-        return stopped
+        return stopped[:, columns]
 
     def log_trajectories(self, data: np.ndarray) -> np.ndarray:
         """Log statistic at every time for a batch of runs: [R, T] from [R, T, N]."""
         data = self._check_data(data)
         out = np.empty(data.shape[:2])
-        self._scan(data, math.inf, out)
+        self._scan(data, [math.inf], out)
         return out
 
-    def stopping_times(self, data: np.ndarray) -> np.ndarray:
+    def stopping_times(self, data: np.ndarray, log_thresholds=None) -> np.ndarray:
         """First crossing time per run (-1 when censored): [R] from [R, T, N].
 
-        Each run is stepped only up to its own stop.
+        With ``log_thresholds`` ``[L]`` it is ``[R, L]``, one column per level,
+        from one scan: column ``j`` equals the ``stopping_times`` of this
+        statistic at threshold ``exp(log_thresholds[j])``, bit for bit.  Each
+        run is stepped only up to its stop at its highest level.
         """
-        return self._scan(self._check_data(data), self.log_threshold)
+        data = self._check_data(data)
+        if log_thresholds is None:
+            return self._scan(data, [self.log_threshold])[:, 0]
+        if np.ndim(log_thresholds) != 1 or not np.size(log_thresholds):
+            shape = np.shape(log_thresholds)
+            raise ValueError(f"expected a non-empty [L] vector of log thresholds, got shape {shape}")
+        return self._scan(data, log_thresholds)
 
 
 def check_moment_order(r: float) -> None:

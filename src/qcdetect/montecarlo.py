@@ -12,12 +12,18 @@ shards therefore merge into exactly the single-threaded totals.
 
 A pass with more than one span and more than one worker fans its spans out to
 worker processes, each holding one span at a time.  The processes come from
-``worker_pool``: a command opens one pool for all its passes (``oc-sweep``
-runs 2·L of them), sized ``min(workers, spans)`` when its first pass fans out,
-and its processes are joined when the command ends, on every exit path.  A
-pass outside any such block gets a pool of its own.  Each span carries its
-detector and sampler with it, so a reused worker keeps no state from one pass
-to the next.
+``worker_pool``: a command opens one pool for all its passes, sized
+``min(workers, spans)`` when its first pass fans out, and its processes are
+joined when the command ends, on every exit path.  A pass outside any such
+block gets a pool of its own.  Each span carries its detector, sampler and
+thresholds with it, so a reused worker keeps no state from one pass to the
+next.
+
+Only the threshold depends on the false-alarm level, so every level of a sweep
+stops at a first crossing of the same path.  Inside a ``level_scan`` block the
+first pass of a level on a dataset scans it at every level's threshold, and
+each level's pass reads its own column: ``oc-sweep`` still makes 2·L
+per-level passes, but generates and scans each of its 2 datasets once.
 
 The false-alarm probability is estimated under the no-change law only, as the
 mean of ``P(nu >= T)`` over replications: summing the prior tail at the
@@ -229,11 +235,13 @@ def replication_rngs(master_seed: int, start: int, stop: int):
         yield rng
 
 
-def _simulate_span(detector: Detector, sampler, mc: MCConfig, start: int, count: int):
+def _simulate_span(
+    detector: Detector, sampler, mc: MCConfig, start: int, count: int, log_thresholds
+):
     changes = ChangeDraws(sampler, detector.prior, count)
     rngs = replication_rngs(mc.master_seed, start, start + count)
     data = detector.scenario.generate(changes, mc.horizon, rngs)
-    return start, changes.nu, detector.stopping_times(data)
+    return start, changes.nu, detector.stopping_times(data, log_thresholds)
 
 
 def span_rows(detector: Detector, horizon: int) -> int:
@@ -310,22 +318,79 @@ def worker_pool(workers: int):
         pool.close()
 
 
-def simulate_runs(detector: Detector, mc: MCConfig, sampler) -> RunRecords:
-    """Run all replications and collect per-replication outcomes."""
+def _run_spans(detector: Detector, mc: MCConfig, sampler, log_thresholds):
+    """Every replication's ``nu`` ``[R]`` and first crossings ``[R, L]``, span by span."""
     size = span_rows(detector, mc.horizon)
     tasks = [
-        (detector, sampler, mc, start, min(size, mc.replications - start))
+        (detector, sampler, mc, start, min(size, mc.replications - start), log_thresholds)
         for start in range(0, mc.replications, size)
     ]
-    records = RunRecords(
-        nu=np.empty(mc.replications, dtype=np.int64),
-        stopped=np.empty(mc.replications, dtype=np.int64),
-    )
+    nu = np.empty(mc.replications, dtype=np.int64)
+    stopped = np.empty((mc.replications, len(log_thresholds)), dtype=np.int64)
     with worker_pool(mc.workers) as pool:
-        for start, nu, stopped in pool.run(_simulate_span, tasks):
-            end = start + nu.shape[0]
-            records.nu[start:end] = nu
-            records.stopped[start:end] = stopped
+        for start, span_nu, span_stopped in pool.run(_simulate_span, tasks):
+            end = start + span_nu.shape[0]
+            nu[start:end] = span_nu
+            stopped[start:end] = span_stopped
+    return nu, stopped
+
+
+class LevelScan:
+    """The levels of a ``level_scan`` block, and ``nu`` and the ``[R, L]`` stops of its scans."""
+
+    def __init__(self, detector: Detector, alphas):
+        self.detector = detector
+        self.alphas = tuple(alphas)
+        self.levels = tuple(detector.at_level(alpha) for alpha in self.alphas)
+        self._runs: dict = {}  # (sampler, mc) -> (nu, stopped); never the data
+
+    def records(self, level: Detector, mc: MCConfig, sampler) -> RunRecords | None:
+        """``level``'s runs as fresh arrays, the dataset scanned once for every level.
+
+        None for a detector that is not one of the levels.
+        """
+        if level not in self.levels:  # detectors compare by identity
+            return None
+        if (sampler, mc) not in self._runs:
+            log_thresholds = [other.log_threshold for other in self.levels]
+            self._runs[sampler, mc] = _run_spans(level, mc, sampler, log_thresholds)
+        nu, stopped = self._runs[sampler, mc]
+        return RunRecords(nu=nu.copy(), stopped=stopped[:, self.levels.index(level)].copy())
+
+
+_open_scan: ContextVar[LevelScan | None] = ContextVar("qcdetect_level_scan", default=None)
+
+
+@contextmanager
+def level_scan(detector: Detector, alphas):
+    """The ``LevelScan`` every ``simulate_runs`` pass inside the block consults.
+
+    Every level is calibrated (``Detector.at_level``) on entry, before any
+    pass.  Inside an open block of the same detector and levels this is that
+    block; otherwise a new one, whose runs are dropped when it exits.
+    """
+    scan = _open_scan.get()
+    if scan is not None and scan.detector is detector and scan.alphas == tuple(alphas):
+        yield scan
+        return
+    scan = LevelScan(detector, alphas)
+    token = _open_scan.set(scan)
+    try:
+        yield scan
+    finally:
+        _open_scan.reset(token)
+
+
+def simulate_runs(detector: Detector, mc: MCConfig, sampler) -> RunRecords:
+    """Run all replications and collect per-replication outcomes.
+
+    A level of an open ``level_scan`` block reads its column of the block's scan.
+    """
+    scan = _open_scan.get()
+    records = scan and scan.records(detector, mc, sampler)
+    if records is None:
+        nu, stopped = _run_spans(detector, mc, sampler, [detector.log_threshold])
+        records = RunRecords(nu=nu, stopped=stopped[:, 0])
     return records
 
 
@@ -434,20 +499,20 @@ def asymptotic_ratio_sweep(
 ) -> list[SweepRow]:
     """Delay moments across a grid of false-alarm levels, against first order.
 
-    Every level runs ``detector``'s statistic at ``detector.at_level(alpha)``;
+    Every level runs ``detector``'s statistic at ``detector.at_level(alpha)``
+    in one ``level_scan`` block, which scans the dataset once for all levels;
     all levels and ``I + mu`` (``Detector.first_order_rate``) are checked
-    before the first pass.  The ratio column divides the simulated Bayes
-    delay moment of a change in ``subset`` at ``theta`` by
+    before the first pass.  The ratio column divides the simulated Bayes delay
+    moment of a change in ``subset`` at ``theta`` by
     ``(|log alpha| / (I + mu))^r``.  Replication seeds are shared across
     levels, so compared rows use common random numbers.  The change-point
     prior is held fixed across the sweep; level-dependent priors are out of
     scope for this table.
     """
     rate = detector.first_order_rate(subset, theta)
-    levels = [(alpha, detector.at_level(alpha)) for alpha in alphas]
     rows = []
-    with worker_pool(mc.workers):  # one pool for all levels' passes
-        for alpha, level in levels:
+    with worker_pool(mc.workers), level_scan(detector, alphas) as scan:  # one pool, one scan
+        for alpha, level in zip(scan.alphas, scan.levels):
             first_order = (abs(math.log(alpha)) / rate) ** r
             est = estimate_bayes_delay(level, subset, theta, r, mc)
             rows.append(

@@ -347,21 +347,22 @@ class DetectorState:
 
     # -- value -----------------------------------------------------------------
 
-    def log_shiryaev(self, floor: float = -math.inf) -> np.ndarray:
+    def log_shiryaev(self, floor: float | np.ndarray = -math.inf) -> np.ndarray:
         """The log statistic ``[R]``: log S(n) under a prior, log R(n) under flat weights.
 
         The recursion reads out exactly only the rows whose bound
-        ``max(log_components) + log_joint_total`` reaches ``floor`` less a
-        rounding margin; every other row gets its bound, which is below
-        ``floor``, as the joint weights sum to one.  The exact rows are
-        gathered into a C-contiguous ``[r, S, P]`` block, so each is summed
-        in one order.  The default floor, -inf, reads every row exactly.
+        ``max(log_components) + log_joint_total`` reaches ``floor`` (one value,
+        or one per row) less a rounding margin; every other row gets its
+        bound, which is below its floor, as the joint weights sum to one.  The
+        exact rows are gathered into a C-contiguous ``[r, S, P]`` block, so
+        each is summed in one order.  The default floor, -inf, reads every row
+        exactly.
         """
         if self.window_m1 is not None:
             return self._log_value
         columns = self.log_components.reshape(-1, self.n_reps)  # [S * P, R]
         bound = columns.max(axis=0) + self.basis.log_joint_total
-        exact = ~(bound < floor - 1e-9 * max(1.0, abs(floor)))
+        exact = ~(bound < floor - 1e-9 * np.maximum(1.0, np.abs(floor)))
         if exact.any():
             rows = columns.T[exact].reshape((-1,) + self.basis.log_joint.shape)
             bound[exact] = logsumexp(np.add(rows, self.basis.log_joint, order="C"), axis=(1, 2))

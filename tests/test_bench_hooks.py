@@ -148,3 +148,37 @@ def test_tracer_counts_the_window_engines_fallback_past_a_745_nat_lead(monkeypat
                 state.advance(increments[:, t])
         terms.append(tracer.counts["esp_terms"])
     assert terms[0] == 0 and terms[1] > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_captured_oc_sweep_records_are_each_levels_own_pass(tmp_path, monkeypatch, workers):
+    """The benchmark's record capture sees 2·L records, delay passes then PFA passes by α.
+
+    Each record equals the standalone ``simulate_runs`` of its level, though
+    the sweep scans each dataset once for all levels.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))
+    from test_cli import PRIOR_NU
+    from tracer import capture_records
+
+    monkeypatch.setattr(montecarlo, "_CHUNK", 20)  # 3 spans, so workers = 2 fans out
+    text = PRIOR_NU.replace("replications = 150", "replications = 60")
+    path = tmp_path / "sweep.ini"
+    path.write_text(text + "\n[sweep]\nalphas = 0.1, 0.02, 0.1\nr = 1\n")
+    records = []
+    with contextlib.ExitStack() as stack:
+        capture_records(stack, records)
+        argv = ["oc-sweep", "--config", str(path), "--workers", str(workers)]
+        assert cli.main(argv) == cli.EXIT_OK
+    config = cli.load_config(str(path))
+    statistic, mc = cli.build_detector(config), cli.build_mc(config, None, 1)
+    delay = cli.build_change(config.change, statistic.scenario, mc.horizon)
+    expected = [
+        montecarlo.simulate_runs(statistic.at_level(alpha), mc, sampler)
+        for sampler in (delay, montecarlo.NO_CHANGE_SAMPLER)
+        for alpha in config.sweep.alphas
+    ]
+    assert len(records) == len(expected) == 2 * 3
+    for got, want in zip(records, expected):
+        np.testing.assert_array_equal(got.nu, want.nu)
+        np.testing.assert_array_equal(got.stopped, want.stopped)

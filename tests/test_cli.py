@@ -673,13 +673,17 @@ def test_calibrate_takes_no_seed_or_workers(flag, config_path, capsys):
 
 
 def test_oc_sweep_checks_every_alpha_before_simulating(tmp_path, monkeypatch, capsys):
-    # alpha = 0.5 >= 1 - q = 0.4 is infeasible; alpha = 0.1 must not be simulated first
+    # alpha = 0.5 >= 1 - q = 0.4 is infeasible; alpha = 0.1 must not be simulated
+    # first, and the level reads alike later in the grid and first
     calls = []
     monkeypatch.setattr(montecarlo, "simulate_runs", lambda *args: calls.append(args))
     path = tmp_path / "sweep.ini"
-    path.write_text(PRIOR_NU.replace("q = 0.0", "q = 0.6") + SWEEP)
-    assert cli.main(["oc-sweep", "--config", str(path)]) == EXIT_CONFIG
-    assert "alpha" in capsys.readouterr().err
+    for alphas in ("0.1, 0.5", "0.5, 0.1"):
+        path.write_text(PRIOR_NU.replace("q = 0.0", "q = 0.6") + SWEEP.replace("0.1, 0.5", alphas))
+        assert cli.main(["oc-sweep", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: calibration failed: alpha must be in (0, 0.4), got 0.5\n"
+        )
     assert calls == []
 
 
@@ -728,6 +732,33 @@ def test_oc_sweep_joins_its_pool_when_the_pfa_horizon_is_infeasible(
     assert passes == [False, False, True]  # both delay passes, then the first PFA pass
     assert len(built_pools) == 1
     assert multiprocessing.active_children() == []
+
+
+def test_oc_sweep_generates_each_dataset_once_for_every_level(tmp_path, monkeypatch, capsys):
+    """The delay and the PFA dataset are each generated once, span by span, for both levels.
+
+    Every level still gets its own ``simulate_runs`` result: 2·L of them.
+    """
+    monkeypatch.setattr(montecarlo, "_CHUNK", 50)  # 3 spans of 150 replications
+    generated, passes = [], []
+    generate, simulate_runs = Scenario.generate, montecarlo.simulate_runs
+
+    def counting_generate(*args):
+        generated.append(args)
+        return generate(*args)
+
+    def counting_runs(*args):
+        passes.append(simulate_runs(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(Scenario, "generate", counting_generate)
+    monkeypatch.setattr(montecarlo, "simulate_runs", counting_runs)
+    path = tmp_path / "sweep.ini"
+    path.write_text(PRIOR_NU + SWEEP)
+    assert cli.main(["oc-sweep", "--config", str(path)]) == EXIT_OK
+    assert len(generated) == 2 * 3  # 2 * L * 3 with a scan per level
+    assert len(passes) == 2 * 2
+    assert len({id(records.stopped) for records in passes}) == 2 * 2  # fresh arrays each
 
 
 @pytest.mark.parametrize("target", ["threshold = 3.0", "cost_c = 0.001"])

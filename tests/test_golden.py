@@ -185,6 +185,17 @@ CLI_GOLDEN = {
         "oc-sweep", PRIOR_NU.replace(*SR_RULE) + SWEEP, ("",),
         "0a44f5144946af0a12e2d9ef594742d6def23db8c962e9d27bf756367aa9ff5a",
     ),
+    # levels out of order and repeated: each row stays in its place and a
+    # repeated level repeats its row
+    "oc_sweep_unsorted_repeated_levels": (
+        "oc-sweep", PRIOR_NU + "\n[sweep]\nalphas = 0.01, 0.1, 0.01\nr = 1\n", ("",),
+        "9074cbb2a28b27a688224042890e33a106c7ce77dd24d5971d7b7fdbde09c86f",
+    ),
+    "oc_sweep_window": (
+        "oc-sweep", PRIOR_NU.replace("alpha = 0.05", "alpha = 0.05\nwindow_m1 = 10") + SWEEP,
+        ("",),
+        "2f62976b79c514f819a5feb4863793fff51a9bfaf47c2b29908b4c300772585f",
+    ),
 }
 
 

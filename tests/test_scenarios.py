@@ -394,12 +394,17 @@ def test_span_generation_equals_per_replication_generation(kind, sampler_name, p
     )
     sampler = SPAN_SAMPLERS[sampler_name](detector)
     spans = []
-    monkeypatch.setattr(Detector, "stopping_times", lambda self, data: spans.append(data) or np.zeros(len(data)))
+    monkeypatch.setattr(
+        Detector, "stopping_times",
+        lambda self, data, log_thresholds: spans.append(data) or np.zeros((len(data), 1)),
+    )
     mc = MCConfig(replications=40, master_seed=17, horizon=SPAN_HORIZON)
     splits = [(0, 40), (0, 1), (1, 12), (13, 27)]
     nus = {}
     for start, count in splits:
-        _, nu, _ = montecarlo._simulate_span(detector, sampler, mc, start, count)
+        _, nu, _ = montecarlo._simulate_span(
+            detector, sampler, mc, start, count, [detector.log_threshold]
+        )
         data = spans.pop()
         assert data.shape == (count, SPAN_HORIZON, 3)
         for j, k in enumerate(range(start, start + count)):

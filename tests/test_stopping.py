@@ -163,6 +163,33 @@ def test_stopping_times_do_not_depend_on_batching(case, cut):
 
 
 @PROPERTY_SETTINGS
+@given(detector_cases(), st.lists(st.floats(-2.0, 14.0), max_size=3), st.integers(0, 8), st.data())
+def test_one_scan_stops_at_every_level_as_one_scan_per_level_does(case, drawn, cut, draw):
+    """``stopping_times(data, levels)`` ``[R, L]``: each column a single-level scan, bit for bit.
+
+    The levels come out of order and repeat, one is reached by no row and one
+    by every row at step 1; splitting the rows into two batches changes nothing.
+    """
+    detector, data = case
+    log_traj = detector.log_trajectories(data)
+    unreached, at_once = float(log_traj.max()) + 1.0, float(log_traj[:, 0].min()) - 1.0
+    levels = [*drawn, detector.log_threshold, unreached, at_once, detector.log_threshold]
+    levels = draw.draw(st.permutations(levels))
+    stopped = detector.stopping_times(data, levels)
+    assert stopped.shape == (data.shape[0], len(levels)) and stopped.dtype == np.int64
+    for j, level in enumerate(levels):
+        with mock.patch.object(detector, "log_threshold", level):
+            np.testing.assert_array_equal(stopped[:, j], detector.stopping_times(data))
+    assert (stopped[:, levels.index(unreached)] == -1).all()
+    assert (stopped[:, levels.index(at_once)] == 1).all()
+    cut = min(cut, data.shape[0])
+    split = np.concatenate(
+        [detector.stopping_times(data[:cut], levels), detector.stopping_times(data[cut:], levels)]
+    )
+    np.testing.assert_array_equal(stopped, split)
+
+
+@PROPERTY_SETTINGS
 @given(detector_cases(), st.integers(0, 2**16))
 def test_thresholds_at_the_statistic_and_a_few_ulps_off_stop_at_the_first_crossing(case, pick):
     detector, data = case
@@ -247,6 +274,13 @@ def mixed_data(reps, horizon, last_change, seed=5):
     nus = np.random.default_rng(seed).integers(0, last_change, reps)
     changes = [ChangeSpec(nu=int(nu), subset=(0, 1)) for nu in nus]
     return MIXED.generate(changes, horizon, [replication_rng(seed, r) for r in range(reps)])
+
+
+def test_stopping_times_take_a_nonempty_vector_of_levels():
+    detector, data = mixed_detector(None), mixed_data(2, 10, 5)
+    for levels in ([], [[1.0]]):
+        with pytest.raises(ValueError, match="log thresholds"):
+            detector.stopping_times(data, levels)
 
 
 @pytest.mark.parametrize("window_m1", [None, 10])
