@@ -44,11 +44,8 @@ from .montecarlo import (
     MCConfig,
     PriorNuSampler,
     asymptotic_ratio_sweep,
-    estimate_pfa,
-    level_scan,
     simulate_runs,
     span_rows,
-    worker_pool,
 )
 from .scenarios import ARChannelSpec, MixtureChannelSpec, Scenario
 from .statistics import GridSpec
@@ -545,42 +542,20 @@ def cmd_oc_sweep(config: RunConfig, out: str | None, seed: int | None, workers: 
         raise ConfigError("oc-sweep needs a [sweep] section with an alphas grid")
     mc = build_mc(config, seed, workers)
     # the statistic every level shares, built at the first level; the sweep
-    # checks every level and I + mu before anything is simulated
+    # checks every level, then I + mu, before anything is simulated
     first = replace(config.detector, threshold=None, cost_c=None, alpha=config.sweep.alphas[0])
     detector = build_detector(replace(config, detector=first))
     sampler = build_change(config.change, detector.scenario, mc.horizon)
     if not isinstance(sampler, PriorNuSampler):
         raise ConfigError("oc-sweep draws nu from the prior; set [change] nu = prior")
     check_span_memory(detector, mc)
-    # one scan per dataset and one pool of worker processes for the delay and
-    # the PFA passes
-    with contextlib.ExitStack() as stack:
-        with _calibration():  # every level before any pass, reported as the first level is
-            scan = stack.enter_context(level_scan(detector, config.sweep.alphas))
-        stack.enter_context(worker_pool(mc.workers))
-        with _invalid():  # increments that overflow show only as the runs are stepped
-            rows = asymptotic_ratio_sweep(
-                detector, scan.alphas, config.sweep.r, mc, sampler.subset, sampler.theta
-            )
-            pfas = [estimate_pfa(level, mc, alpha=alpha)
-                    for alpha, level in zip(scan.alphas, scan.levels)]
-    table = []
-    for row, pfa in zip(rows, pfas):
-        table.append(
-            {
-                "alpha": row.alpha,
-                "threshold_A": row.threshold_A,
-                "pfa_est": pfa.mean,
-                "pfa_se": pfa.stderr,
-                f"delay_r{config.sweep.r}": row.delay_moment,
-                f"delay_se_r{config.sweep.r}": row.delay_se,
-                "first_order": row.first_order,
-                "ratio": row.ratio,
-                "ratio_se": row.ratio_se,
-                "censored_fraction": row.censored_fraction,
-            }
+    # a level or I + mu the sweep refuses, or increments that overflow mid-run
+    with _invalid():
+        rows = asymptotic_ratio_sweep(
+            detector, config.sweep.alphas, config.sweep.r, mc, sampler.subset, sampler.theta
         )
-    _emit(_csv_text(table), out)
+    names = {"delay_moment": f"delay_r{config.sweep.r}", "delay_se": f"delay_se_r{config.sweep.r}"}
+    _emit(_csv_text([{names.get(k, k): v for k, v in asdict(row).items()} for row in rows]), out)
     return EXIT_OK
 
 

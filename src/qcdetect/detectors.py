@@ -286,10 +286,13 @@ class Detector:
         data = self._check_data(data)
         if log_thresholds is None:
             return self._scan(data, [self.log_threshold])[:, 0]
-        if np.ndim(log_thresholds) != 1 or not np.size(log_thresholds):
-            shape = np.shape(log_thresholds)
+        levels = np.asarray(log_thresholds, dtype=float)
+        if levels.ndim != 1 or not levels.size:
+            shape = levels.shape
             raise ValueError(f"expected a non-empty [L] vector of log thresholds, got shape {shape}")
-        return self._scan(data, log_thresholds)
+        if not np.isfinite(levels).all():  # the 0 < A < inf rule of DetectorConfig
+            raise ValueError(f"log thresholds must be finite, got {levels.tolist()}")
+        return self._scan(data, levels)
 
 
 def check_moment_order(r: float) -> None:

@@ -11,19 +11,19 @@ replication and reduced once, in canonical order; partial results from worker
 shards therefore merge into exactly the single-threaded totals.
 
 A pass with more than one span and more than one worker fans its spans out to
-worker processes, each holding one span at a time.  The processes come from
-``worker_pool``: a command opens one pool for all its passes, sized
-``min(workers, spans)`` when its first pass fans out, and its processes are
-joined when the command ends, on every exit path.  A pass outside any such
-block gets a pool of its own.  Each span carries its detector, sampler and
-thresholds with it, so a reused worker keeps no state from one pass to the
-next.
+worker processes, each holding one span at a time.  The processes come from a
+``WorkerPool``, sized ``min(workers, spans)`` when its first pass fans out and
+joined on every exit path: a pass gets a pool of its own, and
+``asymptotic_ratio_sweep`` holds one pool for all its passes.  Each span
+carries its detector, sampler and thresholds with it, so a reused worker keeps
+no state from one pass to the next.
 
 Only the threshold depends on the false-alarm level, so every level of a sweep
-stops at a first crossing of the same path.  Inside a ``level_scan`` block the
-first pass of a level on a dataset scans it at every level's threshold, and
-each level's pass reads its own column: ``oc-sweep`` still makes 2·L
-per-level passes, but generates and scans each of its 2 datasets once.
+stops at a first crossing of the same path.  While ``asymptotic_ratio_sweep``
+runs, its private block holds its levels, its pool and, per sampler, ``nu``
+and the ``[R, L]`` stops of one scan at every level's threshold; each level's
+``simulate_runs`` call reads its own column.  A sweep of L levels thus makes
+2·L per-level passes, but generates and scans each of its 2 datasets once.
 
 The false-alarm probability is estimated under the no-change law only, as the
 mean of ``P(nu >= T)`` over replications: summing the prior tail at the
@@ -37,9 +37,9 @@ reported as infeasible.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import closing
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -260,31 +260,28 @@ def span_rows(detector: Detector, horizon: int) -> int:
 
 
 class WorkerPool:
-    """The worker processes of one ``worker_pool`` block, started on first need.
+    """Worker processes, started on first need and joined by ``close``.
 
     The first pass with more than one span and more than one worker starts
     ``min(workers, spans)`` processes (a fork-started executor forks all of
-    them at once), and every later pass of the block reuses them.  Only a
-    later pass that could keep more processes busy than the pool has, within
-    ``workers``, replaces it with a larger one.
+    them at once), and every later pass reuses them: the passes of a sweep
+    share one statistic, R and horizon, so each has as many spans as the first.
     """
 
     def __init__(self, workers: int):
         self.workers = workers
         self._executor = None
-        self._size = 0
 
     def run(self, fn, tasks: list) -> list:
         """``fn(*task)`` for every task, results in task order."""
         size = min(self.workers, len(tasks))
         if size <= 1:
             return [fn(*task) for task in tasks]
-        if size > self._size:
-            self.close()
+        if self._executor is None:
             # imported here, so a one-process run never loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            self._executor, self._size = ProcessPoolExecutor(max_workers=size), size
+            self._executor = ProcessPoolExecutor(max_workers=size)
         futures = [self._executor.submit(fn, *task) for task in tasks]
         return [future.result() for future in futures]
 
@@ -292,33 +289,10 @@ class WorkerPool:
         """Cancel queued tasks and join the processes, if any were started."""
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor, self._size = None, 0
+            self._executor = None
 
 
-_open_pool: ContextVar[WorkerPool | None] = ContextVar("qcdetect_worker_pool", default=None)
-
-
-@contextmanager
-def worker_pool(workers: int):
-    """The ``WorkerPool`` that every ``simulate_runs`` pass inside the block uses.
-
-    Inside an open block with the same worker count this is that block's pool;
-    otherwise a new one, whose processes are joined when this block exits.
-    """
-    pool = _open_pool.get()
-    if pool is not None and pool.workers == workers:
-        yield pool
-        return
-    pool = WorkerPool(workers)
-    token = _open_pool.set(pool)
-    try:
-        yield pool
-    finally:
-        _open_pool.reset(token)
-        pool.close()
-
-
-def _run_spans(detector: Detector, mc: MCConfig, sampler, log_thresholds):
+def _run_spans(pool: WorkerPool, detector: Detector, mc: MCConfig, sampler, log_thresholds):
     """Every replication's ``nu`` ``[R]`` and first crossings ``[R, L]``, span by span."""
     size = span_rows(detector, mc.horizon)
     tasks = [
@@ -327,71 +301,46 @@ def _run_spans(detector: Detector, mc: MCConfig, sampler, log_thresholds):
     ]
     nu = np.empty(mc.replications, dtype=np.int64)
     stopped = np.empty((mc.replications, len(log_thresholds)), dtype=np.int64)
-    with worker_pool(mc.workers) as pool:
-        for start, span_nu, span_stopped in pool.run(_simulate_span, tasks):
-            end = start + span_nu.shape[0]
-            nu[start:end] = span_nu
-            stopped[start:end] = span_stopped
+    for start, span_nu, span_stopped in pool.run(_simulate_span, tasks):
+        end = start + span_nu.shape[0]
+        nu[start:end] = span_nu
+        stopped[start:end] = span_stopped
     return nu, stopped
 
 
-class LevelScan:
-    """The levels of a ``level_scan`` block, and ``nu`` and the ``[R, L]`` stops of its scans."""
+@dataclass
+class _SweepBlock:
+    """A running sweep's levels, its pool, and ``nu`` and the ``[R, L]`` stops of its scans."""
 
-    def __init__(self, detector: Detector, alphas):
-        self.detector = detector
-        self.alphas = tuple(alphas)
-        self.levels = tuple(detector.at_level(alpha) for alpha in self.alphas)
-        self._runs: dict = {}  # (sampler, mc) -> (nu, stopped); never the data
+    levels: tuple
+    pool: WorkerPool
+    runs: dict = field(default_factory=dict)  # sampler -> (nu, stopped); never the data
 
-    def records(self, level: Detector, mc: MCConfig, sampler) -> RunRecords | None:
-        """``level``'s runs as fresh arrays, the dataset scanned once for every level.
-
-        None for a detector that is not one of the levels.
-        """
-        if level not in self.levels:  # detectors compare by identity
-            return None
-        if (sampler, mc) not in self._runs:
+    def records(self, level: Detector, mc: MCConfig, sampler) -> RunRecords:
+        """``level``'s runs as fresh arrays, the dataset scanned once for every level."""
+        if sampler not in self.runs:
             log_thresholds = [other.log_threshold for other in self.levels]
-            self._runs[sampler, mc] = _run_spans(level, mc, sampler, log_thresholds)
-        nu, stopped = self._runs[sampler, mc]
+            self.runs[sampler] = _run_spans(self.pool, level, mc, sampler, log_thresholds)
+        nu, stopped = self.runs[sampler]
         return RunRecords(nu=nu.copy(), stopped=stopped[:, self.levels.index(level)].copy())
 
 
-_open_scan: ContextVar[LevelScan | None] = ContextVar("qcdetect_level_scan", default=None)
-
-
-@contextmanager
-def level_scan(detector: Detector, alphas):
-    """The ``LevelScan`` every ``simulate_runs`` pass inside the block consults.
-
-    Every level is calibrated (``Detector.at_level``) on entry, before any
-    pass.  Inside an open block of the same detector and levels this is that
-    block; otherwise a new one, whose runs are dropped when it exits.
-    """
-    scan = _open_scan.get()
-    if scan is not None and scan.detector is detector and scan.alphas == tuple(alphas):
-        yield scan
-        return
-    scan = LevelScan(detector, alphas)
-    token = _open_scan.set(scan)
-    try:
-        yield scan
-    finally:
-        _open_scan.reset(token)
+_sweep: ContextVar[_SweepBlock | None] = ContextVar("qcdetect_sweep", default=None)
 
 
 def simulate_runs(detector: Detector, mc: MCConfig, sampler) -> RunRecords:
     """Run all replications and collect per-replication outcomes.
 
-    A level of an open ``level_scan`` block reads its column of the block's scan.
+    A level of the running ``asymptotic_ratio_sweep`` reads its column of the
+    sweep's scan; any other call runs its own pass, on a pool it closes
+    before returning.
     """
-    scan = _open_scan.get()
-    records = scan and scan.records(detector, mc, sampler)
-    if records is None:
-        nu, stopped = _run_spans(detector, mc, sampler, [detector.log_threshold])
-        records = RunRecords(nu=nu, stopped=stopped[:, 0])
-    return records
+    block = _sweep.get()
+    if block is not None and detector in block.levels:  # detectors compare by identity
+        return block.records(detector, mc, sampler)
+    with closing(WorkerPool(mc.workers)) as pool:
+        nu, stopped = _run_spans(pool, detector, mc, sampler, [detector.log_threshold])
+    return RunRecords(nu=nu, stopped=stopped[:, 0])
 
 
 # -- operating-characteristic estimators ----------------------------------------
@@ -486,6 +435,8 @@ class SweepRow:
 
     alpha: float
     threshold_A: float
+    pfa_est: float
+    pfa_se: float
     delay_moment: float
     delay_se: float
     first_order: float
@@ -497,34 +448,48 @@ class SweepRow:
 def asymptotic_ratio_sweep(
     detector: Detector, alphas, r: float, mc: MCConfig, subset, theta
 ) -> list[SweepRow]:
-    """Delay moments across a grid of false-alarm levels, against first order.
+    """False-alarm probabilities and delay moments across a grid of levels.
 
-    Every level runs ``detector``'s statistic at ``detector.at_level(alpha)``
-    in one ``level_scan`` block, which scans the dataset once for all levels;
-    all levels and ``I + mu`` (``Detector.first_order_rate``) are checked
-    before the first pass.  The ratio column divides the simulated Bayes delay
-    moment of a change in ``subset`` at ``theta`` by
-    ``(|log alpha| / (I + mu))^r``.  Replication seeds are shared across
-    levels, so compared rows use common random numbers.  The change-point
-    prior is held fixed across the sweep; level-dependent priors are out of
-    scope for this table.
+    Every level runs ``detector``'s statistic at ``detector.at_level(alpha)``.
+    All levels, then ``I + mu`` (``Detector.first_order_rate``), are checked
+    before the first pass; a level that cannot be calibrated is a
+    ``ValueError`` reading ``calibration failed: ...``.  Every level's delay
+    pass runs, then every level's ``estimate_pfa`` pass at precision
+    ``alpha``, all on one pool, and each dataset is scanned once for every
+    level.  The ratio column divides the simulated Bayes delay moment of a
+    change in ``subset`` at ``theta`` by ``(|log alpha| / (I + mu))^r``.
+    Replication seeds are shared across levels, so compared rows use common
+    random numbers.  The change-point prior is held fixed across the sweep;
+    level-dependent priors are out of scope for this table.
     """
+    alphas = tuple(alphas)
+    try:
+        levels = tuple(detector.at_level(alpha) for alpha in alphas)
+    except ValueError as exc:
+        raise ValueError(f"calibration failed: {exc}") from exc
     rate = detector.first_order_rate(subset, theta)
+    with closing(WorkerPool(mc.workers)) as pool:
+        token = _sweep.set(_SweepBlock(levels, pool))
+        try:
+            delays = [estimate_bayes_delay(level, subset, theta, r, mc) for level in levels]
+            pfas = [estimate_pfa(level, mc, alpha=alpha) for alpha, level in zip(alphas, levels)]
+        finally:
+            _sweep.reset(token)
     rows = []
-    with worker_pool(mc.workers), level_scan(detector, alphas) as scan:  # one pool, one scan
-        for alpha, level in zip(scan.alphas, scan.levels):
-            first_order = (abs(math.log(alpha)) / rate) ** r
-            est = estimate_bayes_delay(level, subset, theta, r, mc)
-            rows.append(
-                SweepRow(
-                    alpha=float(alpha),
-                    threshold_A=level.config.threshold_A,
-                    delay_moment=est.mean,
-                    delay_se=est.stderr,
-                    first_order=first_order,
-                    ratio=est.mean / first_order,
-                    ratio_se=est.stderr / first_order,
-                    censored_fraction=est.censored_fraction,
-                )
+    for alpha, level, pfa, delay in zip(alphas, levels, pfas, delays):
+        first_order = (abs(math.log(alpha)) / rate) ** r
+        rows.append(
+            SweepRow(
+                alpha=float(alpha),
+                threshold_A=level.config.threshold_A,
+                pfa_est=pfa.mean,
+                pfa_se=pfa.stderr,
+                delay_moment=delay.mean,
+                delay_se=delay.stderr,
+                first_order=first_order,
+                ratio=delay.mean / first_order,
+                ratio_se=delay.stderr / first_order,
+                censored_fraction=delay.censored_fraction,
             )
+        )
     return rows

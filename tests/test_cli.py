@@ -587,7 +587,7 @@ def test_oc_sweep_threshold_monotone_and_ratio_shared(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert float(rows[1]["threshold_A"]) > float(rows[0]["threshold_A"])
-    # the ratio column comes from the same code path as the sweep API
+    # every column, the PFA pair too, comes from one call of the sweep API
     from qcdetect import (
         Detector,
         DetectorConfig,
@@ -611,9 +611,14 @@ def test_oc_sweep_threshold_monotone_and_ratio_shared(tmp_path):
         scenario, prior, grid, weights,
     )
     expected = asymptotic_ratio_sweep(detector, [0.1, 0.01], 1, mc, (0,), (1.0,))
+    fields = {"delay_r1": "delay_moment", "delay_se_r1": "delay_se"}
     for row, exp in zip(rows, expected):
-        assert float(row["ratio"]) == exp.ratio
-        assert float(row["ratio_se"]) == exp.ratio_se
+        assert list(row) == [
+            "alpha", "threshold_A", "pfa_est", "pfa_se", "delay_r1", "delay_se_r1",
+            "first_order", "ratio", "ratio_se", "censored_fraction",
+        ]
+        for column, text in row.items():
+            assert float(text) == getattr(exp, fields.get(column, column)), column
 
 
 @pytest.mark.parametrize("command", ["calibrate", "simulate", "oc-sweep"])

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from qcdetect.montecarlo import (
     RunRecords,
     asymptotic_ratio_sweep,
     estimate_pfa_naive,
-    worker_pool,
 )
 
 
@@ -354,19 +354,6 @@ def test_a_pool_never_starts_more_processes_than_a_pass_has_spans(pool_sizes, mo
     np.testing.assert_array_equal(records.stopped, serial.stopped)
 
 
-def test_passes_inside_one_block_share_its_pool(pool_sizes, monkeypatch):
-    detector = make_detector()
-    monkeypatch.setattr(montecarlo, "_CHUNK", 5)
-    two, three = MCConfig(10, 4, 60, workers=16), MCConfig(15, 4, 60, workers=16)
-    with worker_pool(16):
-        for mc in (two, two, three, two):
-            simulate_runs(detector, mc, NO_CHANGE_SAMPLER)
-    # the pool grows once, for the first pass with more spans than processes
-    assert pool_sizes == [2, 3]
-    simulate_runs(detector, two, NO_CHANGE_SAMPLER)  # outside any block: a pool of its own
-    assert pool_sizes == [2, 3, 2]
-
-
 def test_a_sweep_checks_every_level_and_the_rate_before_its_first_pass(monkeypatch):
     calls = []
     monkeypatch.setattr(montecarlo, "simulate_runs", lambda *args: calls.append(args))
@@ -386,7 +373,30 @@ def test_a_sweep_shares_one_pool_across_its_levels(pool_sizes, monkeypatch):
     monkeypatch.setattr(
         Detector, "first_order_rate", lambda self, *args: rates.append(1) or real(self, *args)
     )
-    mc = MCConfig(replications=10, master_seed=4, horizon=60, workers=2)
+    # P(nu > 150) = 0.9^151 is below 1e-3 * 0.001, so every PFA pass resolves
+    mc = MCConfig(replications=10, master_seed=4, horizon=150, workers=2)
     rows = asymptotic_ratio_sweep(detector, [0.1, 0.01, 0.001], 1, mc, (0,), (1.0,))
-    assert len(rows) == 3 and pool_sizes == [2]
+    assert len(rows) == 3 and pool_sizes == [2]  # the 3 delay and 3 PFA passes
     assert len(rates) == 1  # and one I + mu
+
+
+def test_a_sweep_joins_its_pool_when_the_pfa_horizon_is_infeasible(monkeypatch):
+    passes, built = [], []
+    simulate, executor = montecarlo.simulate_runs, concurrent.futures.ProcessPoolExecutor
+
+    def counting(detector, mc, sampler):
+        passes.append(sampler is NO_CHANGE_SAMPLER)
+        return simulate(detector, mc, sampler)
+
+    monkeypatch.setattr(montecarlo, "simulate_runs", counting)
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda **kw: built.append(kw) or executor(**kw)
+    )
+    monkeypatch.setattr(montecarlo, "_CHUNK", 50)  # 3 spans of 150 replications
+    # P(nu > 20) = 0.9^21 is not negligible, and no-change runs outlast 20 steps
+    mc = MCConfig(replications=150, master_seed=12, horizon=20, workers=2)
+    with pytest.raises(InfeasibleHorizonError):
+        asymptotic_ratio_sweep(make_detector(), [0.1, 0.5], 1, mc, (0,), (1.0,))
+    assert passes == [False, False, True]  # both delay passes, then the first PFA pass
+    assert built == [{"max_workers": 2}]
+    assert multiprocessing.active_children() == []

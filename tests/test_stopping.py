@@ -278,7 +278,7 @@ def mixed_data(reps, horizon, last_change, seed=5):
 
 def test_stopping_times_take_a_nonempty_vector_of_levels():
     detector, data = mixed_detector(None), mixed_data(2, 10, 5)
-    for levels in ([], [[1.0]]):
+    for levels in ([], [[1.0]], [np.nan], [np.inf], [-np.inf], [1.0, np.nan]):
         with pytest.raises(ValueError, match="log thresholds"):
             detector.stopping_times(data, levels)
 
