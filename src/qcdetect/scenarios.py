@@ -258,8 +258,8 @@ class MixtureChannelSpec:
         log_g = np.cumsum(np.concatenate([log_g0, ratio], axis=-1), axis=-1)
         if carry is not None:
             carry[...] = log_g[..., -1]
-        v = self.log_odds
-        return np.logaddexp(0.0, v + log_g[..., :-1]) - np.logaddexp(0.0, v + log_g[..., 1:])
+        soft = np.logaddexp(0.0, self.log_odds + log_g)  # log(1 + e^v G_n) at every step, once
+        return soft[..., :-1] - soft[..., 1:]
 
     def log_lr_increments(
         self, x: np.ndarray, thetas: np.ndarray, start: int = 0, carry=None

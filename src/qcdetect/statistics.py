@@ -32,7 +32,8 @@ dispatches on a CPU.  Its read-out is ``likelihood.logsumexp``, the one
 ``max + log(sum(exp(a - max)))``; it does not copy scipy's bits.  The window
 engine and the direct sum ``direct_log_statistic`` run one kernel,
 ``window_log_statistic``: suffix sums cumulated backwards from the newest
-step, ``likelihood.log_esp`` (the elementary-symmetric DP that
+step, two grid points at a time as one complex column (the same bits as one
+at a time), ``likelihood.log_esp`` (the elementary-symmetric DP that
 ``mixture_lr_dp`` runs too: linear after a max shift over the streams, in the
 log domain only where a shifted ``e_j`` would underflow), and one
 ``logsumexp`` over subset sizes, points and change points.  So the engine
@@ -207,15 +208,16 @@ class DetectorState:
     stream-major buffer ``[N, R, 2(m1+1), P]`` that slides its last ``m1 + 1``
     steps to the front once every ``m1 + 1`` steps, and evaluates the window's
     direct sum with ``window_log_statistic``, the kernel of
-    ``direct_log_statistic``.  Every update is row by row, so ``retain`` can
-    drop replications that have stopped without changing the arithmetic of
-    the others.  Since the components' joint weights sum to one, the log
-    statistic of a row is at most its largest log component plus
-    ``MixtureBasis.log_joint_total``; ``log_shiryaev(floor)`` uses this bound
-    to skip the exact read-out of rows provably below ``floor``.  The
-    recursion adds with ``log_add_exp``, not ``np.logaddexp``, and every
-    reduction is ``logsumexp``, not scipy's; a value may differ from theirs in
-    its last bits.
+    ``direct_log_statistic``; the buffer's point axis is contiguous, so the
+    kernel's suffix sums run on pairs of points with no copy.  Every update
+    is row by row, so ``retain`` can drop replications that have stopped
+    without changing the arithmetic of the others.  Since the components'
+    joint weights sum to one, the log statistic of a row is at most its
+    largest log component plus ``MixtureBasis.log_joint_total``;
+    ``log_shiryaev(floor)`` uses this bound to skip the exact read-out of rows
+    provably below ``floor``.  The recursion adds with ``log_add_exp``, not
+    ``np.logaddexp``, and every reduction is ``logsumexp``, not scipy's; a
+    value may differ from theirs in its last bits.
     """
 
     def __init__(
@@ -427,7 +429,8 @@ def direct_log_statistic(
             f"history starts at {n - inc.shape[-3] + 1}"
         )
     window = inc[..., inc.shape[-3] - m:, :, :]
-    value = window_log_statistic(np.moveaxis(window, -1, 0), weighting, grid, weights, n=n, m0=m0)
+    window = np.ascontiguousarray(np.moveaxis(window, -1, 0))  # a contiguous point axis
+    value = window_log_statistic(window, weighting, grid, weights, n=n, m0=m0)
     return float(value) if np.ndim(value) == 0 else value
 
 
@@ -450,7 +453,17 @@ def window_log_statistic(
     (j, slot, point) adds the step's weight table ``log pi_k - log P(nu >= n)
     + log C + log W(theta)``, with the head weight ``q`` folded into the slot
     of ``k = 0``.  Returns ``[...]``, a numpy scalar for a single row.
+
+    The window must be float64 with a contiguous point axis (stride 8
+    bytes), as the engine's buffer and ``direct_log_statistic``'s copy are:
+    the suffix sums read pairs of points as one complex number.  Any other
+    window is a ``ValueError``, never a silently different value.
     """
+    if window.dtype != np.float64 or (window.shape[-1] > 1 and window.strides[-1] != 8):
+        raise ValueError(
+            f"window must be float64 with a contiguous point axis, got {window.dtype} "
+            f"with point stride {window.strides[-1]} bytes"
+        )
     log_tail = weighting.log_tail(n)
     if log_tail == -math.inf:
         raise ValueError(f"prior tail vanishes at n={n}; statistic undefined")
@@ -478,8 +491,18 @@ def _log_inputs(window: np.ndarray, log_p: np.ndarray, lo: int) -> np.ndarray:
 
     The suffix sums accumulate backwards from the newest step, so slot ``s``
     is the log LR over the last ``s + 1`` steps; every call gives the same bits.
+    Grid points are summed in pairs, each pair viewed as one ``complex128``
+    column, which halves the columns numpy's accumulate loops over; a complex
+    add is two float adds, so every bit equals the point-by-point ``cumsum``.
+    An odd last point is summed on its own.  The pairs need a contiguous
+    point axis (see ``window_log_statistic``).
     """
-    x = np.cumsum(window[..., ::-1, :], axis=-2)[..., lo:, :]
+    x = np.empty(window.shape)
+    h = window.shape[-1] // 2 * 2
+    pairs = window[..., ::-1, :h].view(np.complex128)
+    np.cumsum(pairs, axis=-2, out=x[..., :h].view(np.complex128))
+    np.cumsum(window[..., ::-1, h:], axis=-2, out=x[..., h:])
+    x = x[..., lo:, :]
     x += log_p
     return x
 

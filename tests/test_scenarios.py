@@ -268,6 +268,19 @@ def test_blocked_increments_equal_the_whole_path_bit_for_bit(name, seed):
     assert np.array_equal(blocked_increments(scenario, data, points, cuts), whole)
 
 
+def test_mixture_gap_penalties_have_the_bits_of_the_two_sided_difference():
+    # one softplus over the T + 1 running log G values, sliced twice
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(4, 40))
+    carry = rng.normal(size=4)
+    log_g = np.cumsum(np.concatenate([carry[:, None], MIXTURE._log_component_ratio(x)], axis=-1), axis=-1)
+    v = MIXTURE.log_odds
+    expected = np.logaddexp(0.0, v + log_g[:, :-1]) - np.logaddexp(0.0, v + log_g[:, 1:])
+    got = MIXTURE.gap_penalties(x, carry)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(carry, log_g[:, -1])
+
+
 def test_a_mixture_block_needs_its_carry():
     x = np.zeros((2, 8))
     with pytest.raises(ValueError, match="running log G"):

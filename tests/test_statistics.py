@@ -20,7 +20,9 @@ from qcdetect import (
     posterior_no_change,
 )
 from qcdetect.scenarios import ARChannelSpec
-from qcdetect.statistics import DetectorState, FlatWeights, direct_log_statistic
+from qcdetect.statistics import (
+    DetectorState, FlatWeights, _log_inputs, direct_log_statistic, window_log_statistic,
+)
 from qcdetect.verify import posterior_direct_bayes
 
 
@@ -466,3 +468,70 @@ def test_grid_caches_read_only_points_and_log_weights():
 def test_flat_weights_reject_a_head_start_that_is_not_finite(omega):
     with pytest.raises(ValueError, match="head start"):
         FlatWeights(omega)
+
+
+# -- the window kernel's suffix sums on pairs of grid points ------------------------
+
+
+@pytest.mark.parametrize("lo", [0, 2])
+@pytest.mark.parametrize("points", [1, 2, 3, 4])
+def test_paired_suffix_sums_equal_the_pointwise_cumsum_bit_for_bit(points, lo):
+    # windows cut from the middle of the engine's buffer, after a retain and past a slide
+    n, m1 = 3, 4
+    grid = GridSpec.common_amplitude(np.linspace(0.5, 1.5, points), n)
+    state = DetectorState(FlatWeights(), grid, SubsetWeights.uniform(n), n_reps=6, window_m1=m1)
+    log_p = np.log([0.2, 0.3, 0.5]).reshape(n, 1, 1, 1)
+    rng = np.random.default_rng(17)
+    starts, slides = set(), 0
+    for t in range(14):
+        # magnitudes spread over 12 decades, so any other order of the adds shows
+        shape = (state.n_reps, points, n)
+        stop = state._stop
+        state.advance(rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape))
+        slides += state._stop <= stop
+        if t == 6:
+            state.retain(np.arange(state.n_reps) % 3 != 1)
+        window = state._window
+        starts.add(state._stop - window.shape[2])
+        expected = np.cumsum(window[..., ::-1, :], axis=-2)[..., lo:, :] + log_p
+        assert np.array_equal(_log_inputs(window, log_p, lo).view(np.int64), expected.view(np.int64))
+    assert slides > 0 and max(starts) > 0 and state.n_reps == 4
+
+
+def odd_grid_setup():
+    scenario, _, weights, prior = make_pair_setup()
+    grid = GridSpec(theta_points=((0.5, 0.6), (1.0, 0.8), (0.7, 0.9)), weights=(0.3, 0.3, 0.4))
+    return scenario, grid, weights, prior
+
+
+@pytest.mark.parametrize("m0", [0, 2])
+def test_window_engine_equals_the_direct_sum_at_an_odd_number_of_points(m0):
+    scenario, grid, weights, prior = odd_grid_setup()
+    changes = [ChangeSpec(nu=5, subset=(0, 1)), ChangeSpec(nu=9, subset=(1,))]
+    rngs = [np.random.default_rng(18), np.random.default_rng(19)]
+    inc = scenario.log_lr_increments(scenario.generate(changes, 20, rngs), grid.points)
+    m1 = 4
+    for weighting in (prior, FlatWeights(1.0)):
+        state = DetectorState(weighting, grid, weights, n_reps=2, window_m1=m1, window_m0=m0)
+        for t in range(20):
+            state.advance(inc[:, t])
+            direct = direct_log_statistic(
+                inc[:, : t + 1], weighting, grid, weights, n=t + 1, m1=m1, m0=m0
+            )
+            assert (state.log_shiryaev() == direct).all()
+
+
+def test_window_kernel_refuses_a_strided_point_axis_and_the_direct_sum_copies_it():
+    scenario, grid, weights, prior = odd_grid_setup()
+    data = scenario.generate([ChangeSpec(nu=2, subset=(0,))], 6, [np.random.default_rng(20)])[0]
+    inc = scenario.log_lr_increments(data, grid.points)  # [T, P, N]
+    expected = direct_log_statistic(inc, prior, grid, weights, n=6)
+    strided = np.moveaxis(inc, -1, 0)  # [N, T, P], points N * 8 bytes apart
+    assert strided.strides[-1] == 8 * weights.n_streams
+    with pytest.raises(ValueError, match="contiguous point axis"):
+        window_log_statistic(strided, prior, grid, weights, n=6, m0=0)
+    contiguous = np.ascontiguousarray(strided)
+    with pytest.raises(ValueError, match="float64"):
+        window_log_statistic(contiguous.astype(np.float32), prior, grid, weights, n=6, m0=0)
+    assert window_log_statistic(contiguous, prior, grid, weights, n=6, m0=0) == expected
+    assert direct_log_statistic(np.asfortranarray(inc), prior, grid, weights, n=6) == expected
