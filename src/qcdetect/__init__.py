@@ -9,11 +9,11 @@ operating characteristics.
 from .detectors import (
     Detector,
     DetectorConfig,
+    d_constant,
     threshold_cost,
     threshold_shiryaev,
     threshold_sr,
 )
-from .info import d_constant, estimate_kl_slope
 from .likelihood import (
     SubsetWeights,
     mixture_lr_dp,
@@ -36,6 +36,7 @@ from .montecarlo import (
     estimate_average_risk,
     estimate_bayes_delay,
     estimate_conditional_delay,
+    estimate_kl_slope,
     estimate_pfa,
     simulate_runs,
 )

@@ -31,23 +31,27 @@ from .detectors import (
     Detector,
     DetectorConfig,
     check_moment_order,
+    d_constant,
     delay_tail_rate,
     level_threshold,
     threshold_cost,
 )
-from .info import d_constant
 from .likelihood import SubsetWeights
 from .model import ChangeSpec, GeometricPrior, PointMassPrior, PolynomialTailPrior, PriorSpec
 from .montecarlo import (
-    FixedChangeSampler,
     InfeasibleHorizonError,
     MCConfig,
-    PriorNuSampler,
     asymptotic_ratio_sweep,
     simulate_runs,
     span_rows,
 )
-from .scenarios import ARChannelSpec, MixtureChannelSpec, Scenario
+from .scenarios import (
+    ARChannelSpec,
+    FixedChangeSampler,
+    MixtureChannelSpec,
+    PriorNuSampler,
+    Scenario,
+)
 from .statistics import GridSpec
 
 EXIT_OK = 0

@@ -5,7 +5,8 @@ thresholds come from three calibration routes: the posterior-odds bound
 ``A = (1 - alpha) / alpha`` for the Shiryaev rule, the submartingale bound
 ``A = (omega * b + mean(nu)) / alpha`` for the Shiryaev-Roberts rule, and the
 cost-balance equation ``r * D * A * (log A)^(r-1) = 1/c`` for the average-risk
-formulation.
+formulation, whose constant ``D`` (``d_constant``) averages ``(I + mu)^-r``
+over the subset and parameter mixtures.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .likelihood import SubsetWeights
-from .model import PointMassPrior, PriorSpec
+from .model import ChangeSpec, PointMassPrior, PriorSpec
 from .statistics import WINDOW_BUFFER_START, DetectorState, FlatWeights, GridSpec, check_window
 
 SHIRYAEV_MIXTURE = "shiryaev-mixture"
@@ -126,13 +127,15 @@ class Detector:
     def first_order_rate(self, subset, theta=None) -> float:
         """``I + mu`` > 0 in the first-order delay ``(|log alpha| / (I + mu))^r``.
 
-        ``I`` sums the rates of the streams in ``subset`` at ``theta`` (nominal
-        when None) and ``mu`` is ``delay_tail_rate``.
+        ``I`` sums the rates of the streams in ``subset``, in its order, at
+        ``theta`` (nominal when None) and ``mu`` is ``delay_tail_rate``.  A
+        change that ``ChangeSpec`` or ``Scenario.affected_streams`` refuses is
+        a ``ValueError`` reading ``invalid change: ...``.
         """
-        if theta is None:
-            theta = self.scenario.nominal_theta(subset)
         try:
-            info = float(sum(self.scenario.channels[i].kl_rate(t) for i, t in zip(subset, theta)))
+            change = ChangeSpec(0, subset, theta)
+            _, values = self.scenario.affected_streams(change.subset, change.theta)
+            info = float(sum(self.scenario.channels[i].kl_rate(values[i]) for i in subset))
         except ValueError as exc:
             raise ValueError(f"invalid change: {exc}") from exc
         rate = info + delay_tail_rate(self.config.kind, self.prior)
@@ -389,3 +392,32 @@ def threshold_cost(c: float, r: float, D: float) -> float:
     if residual > 1e-10:
         raise ArithmeticError(f"threshold solve did not converge (residual {residual:g})")
     return a
+
+
+def d_constant(weights: SubsetWeights, grid: GridSpec, rates, mu: float, r: float) -> float:
+    """Average of (I_{B,theta} + mu)^-r over the subset and parameter mixtures.
+
+    ``rates`` are the per-stream information rates at each grid point
+    (``[P, N]``) and ``mu`` is the prior's tail rate.  The subsets are read
+    from ``weights.masks``, within ``subset_masks``' budget: the
+    reciprocal-power functional of a subset sum does not factor over streams,
+    so no symmetric-polynomial shortcut applies.
+    """
+    # row-major, as the matrix product below has always seen its rates
+    rates = np.asarray(rates, dtype=float, order="C")
+    if not np.all(np.isfinite(rates)) or np.any(rates < 0.0):
+        raise ValueError("information rates must be finite and nonnegative")
+    if not mu >= 0.0:
+        raise ValueError(f"prior tail rate must be >= 0, got {mu}")
+    check_moment_order(r)
+    if rates.shape != (grid.n_points, weights.n_streams):
+        raise ValueError(
+            f"information rates have shape {rates.shape}, expected "
+            f"({grid.n_points}, {weights.n_streams})"
+        )
+    p_subset = np.exp(weights.log_p_subsets)
+    subset_rates = rates @ weights.masks.T  # [P, S]
+    denom = subset_rates + mu
+    if np.any(denom <= 0.0):
+        raise ValueError("I + mu must be positive for every subset and grid point")
+    return float(np.einsum("p,s,ps->", grid.weights, p_subset, denom**-r))

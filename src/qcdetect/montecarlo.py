@@ -4,11 +4,11 @@ Every replication draws from a counter-based generator keyed by (master
 seed, replication index), so results are reproducible and independent of
 worker count or scheduling.  A span of replications builds one Philox
 generator and re-keys it for each replication in turn (``replication_rngs``);
-the replication draws its change's uniforms, then its noise, inside one
-``Scenario.generate`` call, and the sampler maps the span's uniforms to
-changes at once.  Per-replication outcomes are stored in arrays indexed by
-replication and reduced once, in canonical order; partial results from worker
-shards therefore merge into exactly the single-threaded totals.
+the replication draws its change, from one of ``scenarios``' samplers, then
+its noise, inside one ``Scenario.generate`` call.  Per-replication outcomes
+are stored in arrays indexed by replication and reduced once, in canonical
+order; partial results from worker shards therefore merge into exactly the
+single-threaded totals.
 
 A pass with more than one span and more than one worker fans its spans out to
 worker processes, each holding one span at a time.  The processes come from a
@@ -44,8 +44,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detectors import Detector, check_moment_order
-from .model import NO_CHANGE, ChangeSpec, PriorSpec, replication_rng
-from .scenarios import ChangeDraws
+from .model import ChangeSpec, replication_rng
+from .scenarios import (
+    NO_CHANGE_SAMPLER,
+    ChangeDraws,
+    FixedChangeSampler,
+    JointSampler,
+    PriorNuSampler,
+    Scenario,
+)
 
 _CHUNK = 1024
 
@@ -130,94 +137,6 @@ class RunRecords:
         detected = self.detected
         delays = (self.stopped[detected] - self.nu[detected]).astype(float)
         return MCEstimate.from_values(delays**r, censored_fraction=self.censored_fraction)
-
-
-# -- change samplers ----------------------------------------------------------
-#
-# A sampler draws each replication's change from ``uniforms(prior)`` uniforms,
-# the first of its generator's draws; ``changes`` maps a span's ``[R, k]``
-# uniforms at once to ``nu``, the affected streams' mask and their parameters,
-# which ``scenarios.ChangeDraws`` turns into the rows the data is shaped by.
-
-
-@dataclass(frozen=True)
-class FixedChangeSampler:
-    """The same change in every replication; draws no random number."""
-
-    change: ChangeSpec
-
-    def uniforms(self, prior: PriorSpec) -> int:
-        return 0
-
-    def changes(self, prior: PriorSpec, u, scenario):
-        nu = np.full(len(u), self.change.nu, dtype=np.int64)
-        return (nu, *scenario.affected_streams(self.change.subset, self.change.theta))
-
-    def check_horizon(self, horizon: int) -> None:
-        if self.change.nu >= horizon:
-            raise ValueError(f"the change must happen inside the simulation horizon ({horizon})")
-
-
-#: Pure-noise runs: the change never happens within the horizon.
-NO_CHANGE_SAMPLER = FixedChangeSampler(ChangeSpec(NO_CHANGE, ()))
-
-
-@dataclass(frozen=True)
-class PriorNuSampler:
-    """nu drawn from the prior; affected subset and parameters fixed.
-
-    The pair is checked as a ``ChangeSpec`` once, and kept in its sorted form.
-    """
-
-    subset: tuple[int, ...]
-    theta: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        change = ChangeSpec(0, self.subset, self.theta)
-        object.__setattr__(self, "subset", change.subset)
-        object.__setattr__(self, "theta", change.theta)
-
-    def uniforms(self, prior: PriorSpec) -> int:
-        return prior.uniforms
-
-    def changes(self, prior: PriorSpec, u, scenario):
-        return (prior.change_points(u), *scenario.affected_streams(self.subset, self.theta))
-
-
-@dataclass(frozen=True)
-class JointSampler:
-    """nu from the prior, subset from p_B, parameters from the grid weights.
-
-    A replication's uniforms are the prior's, then one for the subset and
-    one for the grid point, each inverted through its CDF.
-    """
-
-    subsets: tuple[tuple[int, ...], ...]
-    subset_cdf: tuple[float, ...]
-    points: tuple[tuple[float, ...], ...]
-    point_cdf: tuple[float, ...]
-
-    @classmethod
-    def for_detector(cls, detector: Detector) -> "JointSampler":
-        return cls(
-            subsets=detector.weights.members,
-            subset_cdf=tuple(np.cumsum(np.exp(detector.weights.log_p_subsets))),
-            points=detector.grid.theta_points,
-            point_cdf=tuple(np.cumsum(detector.grid.weights)),
-        )
-
-    def uniforms(self, prior: PriorSpec) -> int:
-        return prior.uniforms + 2
-
-    def changes(self, prior: PriorSpec, u, scenario):
-        k = prior.uniforms
-        nu = prior.change_points(u[:, :k])
-        b_idx = np.searchsorted(self.subset_cdf, u[:, k], side="right")
-        p_idx = np.searchsorted(self.point_cdf, u[:, k + 1], side="right")
-        masks = np.array([scenario.affected_streams(b)[0] for b in self.subsets])
-        affected = masks[np.minimum(b_idx, len(self.subsets) - 1)]
-        theta = np.asarray(self.points, dtype=float)[np.minimum(p_idx, len(self.points) - 1)]
-        return nu, affected, theta
 
 
 # -- core simulation loop ------------------------------------------------------
@@ -427,6 +346,38 @@ def estimate_average_risk(
     delay = np.maximum(records.stopped - records.nu, 0)[resolved].astype(float)
     values = false_alarm + c * delay**r
     return MCEstimate.from_values(values, censored_fraction=records.censored_fraction)
+
+
+#: Samples per path batch in ``estimate_kl_slope`` (8 MB of float64 per array).
+_SLOPE_BATCH_SAMPLES = 2**20
+
+
+def estimate_kl_slope(channel, theta: float, n: int, replications: int, master_seed: int):
+    """MC estimate of the normalized log-LR slope under a change at the origin.
+
+    Simulates ``replications`` post-change streams of length ``n`` from the
+    channel at the true parameter ``theta`` and averages the per-path slope
+    ``lambda(0, n) / n``; a diagnostic for the analytic information rates.
+    """
+    if n < 1:
+        raise ValueError(f"path length must be >= 1, got {n}")
+    if replications < 2:
+        raise ValueError(f"need at least 2 replications, got {replications}")
+    if not np.isfinite(theta):
+        raise ValueError(f"post-change parameter theta must be finite, got {theta}")
+    thetas = np.asarray([float(theta)])
+    scenario = Scenario((channel,))
+    at_origin = ChangeSpec(-1, (0,), (float(theta),))
+    slopes = np.empty(replications)
+    # one batch of paths per call, since the AR filter pays per time step
+    per_batch = max(1, _SLOPE_BATCH_SAMPLES // n)
+    for start in range(0, replications, per_batch):
+        stop = min(start + per_batch, replications)
+        rngs = replication_rngs(master_seed, start, stop)
+        x = scenario.generate([at_origin] * (stop - start), n, rngs)[..., 0]
+        for rep, inc in zip(range(start, stop), channel.log_lr_increments(x, thetas)[..., 0]):
+            slopes[rep] = inc.sum() / n
+    return MCEstimate.from_values(slopes)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,20 @@
-"""Built-in observation models: AR-noise signal channels and mixture channels.
+"""Built-in observation models and the changes they are simulated under.
 
-Both models yield per-observation log likelihood-ratio increments that do not
-depend on the hypothesized change point, so the exact detector recursions
-apply.  Cross-stream independence is assumed throughout.
+The channels are AR-noise signal channels and mixture channels.  Both yield
+per-observation log likelihood-ratio increments that do not depend on the
+hypothesized change point, so the exact detector recursions apply.
+Cross-stream independence is assumed throughout.
+
+A replication's change comes from a sampler.  ``sampler.uniforms(prior)`` is
+the number ``k`` of uniforms a replication draws for its change, the first of
+its generator's draws, before its noise.  ``sampler.changes(prior, u,
+scenario)`` maps a span's ``[R, k]`` uniforms at once to ``nu`` (``[R]``),
+the mask of the affected streams and their parameters, both broadcasting to
+``[R, N]``.  ``ChangeDraws`` runs a sampler inside ``Scenario.generate``.  The
+samplers are ``ListedChanges`` (one given ``ChangeSpec`` per replication),
+``FixedChangeSampler`` (one change for all, ``NO_CHANGE_SAMPLER`` for pure
+noise), ``PriorNuSampler`` (nu from the prior) and ``JointSampler`` (nu,
+subset and parameters from the detector's mixtures).
 """
 
 from __future__ import annotations
@@ -12,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NO_CHANGE
+from .model import NO_CHANGE, ChangeSpec, PriorSpec
 
 
 def check_sigma(sigma: float) -> None:
@@ -328,22 +340,15 @@ def ar_filter(xt: np.ndarray, coeffs) -> None:
 
 
 def q_constant(signal, coeffs) -> float:
-    """Long-run average of the squared whitened signal for a periodic template."""
-    signal = tuple(float(s) for s in signal)
-    coeffs = tuple(float(c) for c in coeffs)
-    if not signal:
-        raise ValueError("signal template must be nonempty")
-    period = len(signal)
-    p = len(coeffs)
-    # extend past the warm-up so every residual uses the full lag window
-    total = p + 2 * period
-    reps = -(-total // period)
-    s = np.tile(np.asarray(signal), reps)[:total]
-    st = s.copy()
-    for j, b in enumerate(coeffs, start=1):
-        st[j:] -= b * s[:-j]
-    steady = st[p : p + period]
-    return float(np.mean(steady**2))
+    """Long-run average of the squared whitened signal for a periodic template.
+
+    The template and coefficients must make an ``ARChannelSpec``, so unstable
+    coefficients are refused.  From step ``p`` on every residual uses the full
+    lag window, so one period from there is the steady state.
+    """
+    channel = ARChannelSpec(coeffs=tuple(coeffs), signal=tuple(signal))
+    p = channel.lags
+    return float(np.mean(channel.residual_signal(p + len(channel.signal), p) ** 2))
 
 
 @dataclass(frozen=True)
@@ -361,9 +366,6 @@ class Scenario:
     @property
     def n_streams(self) -> int:
         return len(self.channels)
-
-    def nominal_theta(self, subset) -> tuple[float, ...]:
-        return tuple(self.channels[i].theta for i in sorted(subset))
 
     def generate(self, changes, horizon: int, rngs) -> np.ndarray:
         """Simulate ``horizon`` rows per replication: ``[R, horizon, N]``.
@@ -423,6 +425,15 @@ class Scenario:
         values[subset] = theta if theta is not None else [self.channels[i].theta for i in subset]
         return mask, values
 
+    def _check_points(self, theta_points) -> np.ndarray:
+        """``theta_points`` as a float ``[P, N]`` array; any other shape is a ``ValueError``."""
+        theta_points = np.asarray(theta_points, dtype=float)
+        if theta_points.ndim != 2 or theta_points.shape[1] != self.n_streams:
+            raise ValueError(
+                f"grid points have shape {theta_points.shape}, expected [P, {self.n_streams}]"
+            )
+        return theta_points
+
     @property
     def lags(self) -> int:
         """The most samples before a step that any channel's increment reads."""
@@ -440,9 +451,12 @@ class Scenario:
         stream's running ``log G`` from ``carry`` (``[..., N]``, advanced in
         place; the AR streams' columns are not touched).  Every element takes
         the same operations as in the whole path, so a path's blocks
-        concatenate to its whole-path increments bit for bit.
+        concatenate to its whole-path increments bit for bit.  A stream axis
+        of ``data`` or ``theta_points`` that is not N wide is a ``ValueError``.
         """
-        theta_points = np.asarray(theta_points, dtype=float)
+        theta_points = self._check_points(theta_points)
+        if data.shape[-1] != self.n_streams:
+            raise ValueError(f"data has {data.shape[-1]} streams, scenario has {self.n_streams}")
         lead = min(start, self.lags)
         out = np.empty(
             data.shape[:-2] + (data.shape[-2] - lead, theta_points.shape[0], self.n_streams)
@@ -456,7 +470,7 @@ class Scenario:
 
     def kl_per_stream(self, theta_points: np.ndarray) -> np.ndarray:
         """Information rate of each stream at each grid point: ``[P, N]``."""
-        theta_points = np.asarray(theta_points, dtype=float)
+        theta_points = self._check_points(theta_points)
         cols = [
             [ch.kl_rate(t) for t in theta_points[:, i]]
             for i, ch in enumerate(self.channels)
@@ -467,14 +481,11 @@ class Scenario:
 class ChangeDraws:
     """The changes of ``count`` replications, drawn inside ``Scenario.generate``.
 
-    ``sampler.uniforms(prior)`` is the number ``k`` of uniforms a replication
-    draws for its change, before its noise; ``generate`` fills row ``r`` of
-    ``uniforms`` (``[count, k]``) from generator ``r``.  After the last row,
-    ``resolve`` passes all rows at once to ``sampler.changes(prior, uniforms,
-    scenario)``, which returns ``nu`` (``[count]``, kept here), the mask of the
-    affected streams and their parameters, both broadcasting to ``[count, N]``.
-    From these ``resolve`` forms the ``[count, N]`` ``post_from`` and ``theta``
-    the data is shaped by: an affected stream carries its parameter from index
+    ``generate`` fills row ``r`` of ``uniforms`` (``[count, k]``, ``k =
+    sampler.uniforms(prior)``) from generator ``r``; after the last row,
+    ``resolve`` maps all rows at once through ``sampler.changes``, keeps
+    ``nu`` and forms the ``[count, N]`` ``post_from`` and ``theta`` the data
+    is shaped by: an affected stream carries its parameter from index
     ``max(nu, 0)`` on; any other starts at ``horizon``, so it keeps the
     pre-change law, with parameter 0.
     """
@@ -489,6 +500,9 @@ class ChangeDraws:
         self.nu, affected, theta = self.sampler.changes(self.prior, self.uniforms, scenario)
         post_from = np.where(affected, np.maximum(self.nu, 0)[:, None], horizon)
         return post_from, np.where(np.broadcast_to(affected, post_from.shape), theta, 0.0)
+
+
+# -- change samplers ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -509,6 +523,87 @@ class ListedChanges:
             nu[r] = change.nu
             if change.nu != NO_CHANGE:
                 affected[r], theta[r] = scenario.affected_streams(change.subset, change.theta)
+        return nu, affected, theta
+
+
+@dataclass(frozen=True)
+class FixedChangeSampler:
+    """The same change in every replication; draws no random number."""
+
+    change: ChangeSpec
+
+    def uniforms(self, prior: PriorSpec) -> int:
+        return 0
+
+    def changes(self, prior: PriorSpec, u, scenario: Scenario):
+        nu = np.full(len(u), self.change.nu, dtype=np.int64)
+        return (nu, *scenario.affected_streams(self.change.subset, self.change.theta))
+
+    def check_horizon(self, horizon: int) -> None:
+        if self.change.nu >= horizon:
+            raise ValueError(f"the change must happen inside the simulation horizon ({horizon})")
+
+
+#: Pure-noise runs: the change never happens within the horizon.
+NO_CHANGE_SAMPLER = FixedChangeSampler(ChangeSpec(NO_CHANGE, ()))
+
+
+@dataclass(frozen=True)
+class PriorNuSampler:
+    """nu drawn from the prior; affected subset and parameters fixed.
+
+    The pair is checked as a ``ChangeSpec`` once, and kept in its sorted form.
+    """
+
+    subset: tuple[int, ...]
+    theta: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        change = ChangeSpec(0, self.subset, self.theta)
+        object.__setattr__(self, "subset", change.subset)
+        object.__setattr__(self, "theta", change.theta)
+
+    def uniforms(self, prior: PriorSpec) -> int:
+        return prior.uniforms
+
+    def changes(self, prior: PriorSpec, u, scenario: Scenario):
+        return (prior.change_points(u), *scenario.affected_streams(self.subset, self.theta))
+
+
+@dataclass(frozen=True)
+class JointSampler:
+    """nu from the prior, subset from p_B, parameters from the grid weights.
+
+    A replication's uniforms are the prior's, then one for the subset and
+    one for the grid point, each inverted through its CDF.
+    """
+
+    subsets: tuple[tuple[int, ...], ...]
+    subset_cdf: tuple[float, ...]
+    points: tuple[tuple[float, ...], ...]
+    point_cdf: tuple[float, ...]
+
+    @classmethod
+    def for_detector(cls, detector) -> "JointSampler":
+        """The mixtures of a ``Detector``: its ``weights`` and its ``grid``."""
+        return cls(
+            subsets=detector.weights.members,
+            subset_cdf=tuple(np.cumsum(np.exp(detector.weights.log_p_subsets))),
+            points=detector.grid.theta_points,
+            point_cdf=tuple(np.cumsum(detector.grid.weights)),
+        )
+
+    def uniforms(self, prior: PriorSpec) -> int:
+        return prior.uniforms + 2
+
+    def changes(self, prior: PriorSpec, u, scenario: Scenario):
+        k = prior.uniforms
+        nu = prior.change_points(u[:, :k])
+        b_idx = np.searchsorted(self.subset_cdf, u[:, k], side="right")
+        p_idx = np.searchsorted(self.point_cdf, u[:, k + 1], side="right")
+        masks = np.array([scenario.affected_streams(b)[0] for b in self.subsets])
+        affected = masks[np.minimum(b_idx, len(self.subsets) - 1)]
+        theta = np.asarray(self.points, dtype=float)[np.minimum(p_idx, len(self.points) - 1)]
         return nu, affected, theta
 
 

@@ -247,6 +247,20 @@ def test_first_order_rate_adds_the_tail_rate_for_the_shiryaev_rule_only():
         sr.first_order_rate((0,), (0.0,))
 
 
+def test_first_order_rate_refuses_a_change_that_does_not_fit_the_scenario():
+    scenario = Scenario(tuple(gaussian_stream() for _ in range(3)))
+    detector = Detector(
+        DetectorConfig(kind="shiryaev-mixture", threshold_A=19.0), scenario,
+        GeometricPrior(rho=0.1), GridSpec.common_amplitude((1.0,), 3), SubsetWeights.uniform(3),
+    )
+    rate = detector.first_order_rate((0, 1), (1.0, 1.0))
+    for subset, theta in (((0, 1), (1.0,)), ((0, 7), None), ((0, 7), (1.0, 1.0)), ((1, 1), None)):
+        with pytest.raises(ValueError, match="invalid change: "):
+            detector.first_order_rate(subset, theta)
+    # the nominal parameters pair with their streams in the subset's own order
+    assert detector.first_order_rate((1, 0)) == rate
+
+
 # -- running ----------------------------------------------------------------------------
 
 

@@ -30,7 +30,7 @@ from qcdetect import (
     threshold_sr,
 )
 from qcdetect import cli
-from qcdetect.montecarlo import FixedChangeSampler, JointSampler, PriorNuSampler
+from qcdetect.scenarios import FixedChangeSampler, JointSampler, PriorNuSampler
 from test_cli import BASE_CONFIG, PRIOR_NU, SWEEP
 
 

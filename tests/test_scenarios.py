@@ -1,6 +1,7 @@
 """AR signal channels, mixture channels, and their likelihood increments."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from qcdetect import (
     q_constant,
     replication_rng,
 )
-from qcdetect.montecarlo import (
+from qcdetect.scenarios import (
     NO_CHANGE_SAMPLER,
     FixedChangeSampler,
     JointSampler,
@@ -102,6 +103,18 @@ def test_q_constant_cases():
     assert q_constant((1.0, 3.0), ()) == pytest.approx(5.0, abs=1e-14)  # mean of squares
     # template [1, 0] under AR(1) 0.5: steady residuals alternate 1, -0.5
     assert q_constant((1.0, 0.0), (0.5,)) == pytest.approx(0.625, abs=1e-14)
+    # AR(2) and AR(3) templates of several samples, bit for bit as recorded
+    pinned = [
+        ((1.0, -0.5, 0.25), (0.6, -0.2), "0x1.7c28f5c28f5c3p-1"),
+        ((0.3, 1.7, -2.2, 0.9, 0.1), (1.2, -0.5), "0x1.10feef5ec80c6p+3"),
+        ((2.0, 0.0, -1.0, 0.5), (0.5, 0.2, -0.3), "0x1.3c51eb851eb86p+1"),
+        ((0.7, -1.3, 0.4, 1.1, -0.6, 2.5, 0.0), (0.9, -0.4, 0.1), "0x1.20b7f80ac441dp+2"),
+        ((1.0, 0.1), (-0.3, 0.4, 0.2), "0x1.973eab367a0f9p-3"),
+    ]
+    for signal, coeffs, bits in pinned:
+        assert q_constant(signal, coeffs) == float.fromhex(bits)
+        channel = ARChannelSpec(coeffs=coeffs, sigma=1.0, signal=signal)
+        assert channel.kl_rate(2.0) == 4.0 * float.fromhex(bits) / 2.0
 
 
 def test_residuals_under_no_change_are_white():
@@ -225,6 +238,23 @@ def test_scenario_increments_shape_and_alignment():
         np.testing.assert_array_equal(inc[:, :, i], single)
 
 
+def test_scenario_refuses_a_stream_axis_that_is_not_n():
+    scenario = Scenario((gaussian_stream(), gaussian_stream()))
+    points = np.array([[0.5, 0.6], [1.0, 0.8]])
+    data = np.zeros((4, 10, 2))
+    for wide in (np.zeros((4, 10, 3)), np.zeros((4, 10, 1))):
+        with pytest.raises(ValueError, match=f"data has {wide.shape[-1]} streams, scenario has 2"):
+            scenario.log_lr_increments(wide, points)
+    for bad in (np.ones((2, 3)), np.ones((2, 1)), np.ones(2)):
+        expected = re.escape(f"grid points have shape {bad.shape}, expected [P, 2]")
+        with pytest.raises(ValueError, match=expected):
+            scenario.log_lr_increments(data, bad)
+        with pytest.raises(ValueError, match=expected):
+            scenario.kl_per_stream(bad)
+    assert scenario.log_lr_increments(data, points).shape == (4, 10, 2, 2)
+    assert scenario.kl_per_stream(points).shape == (2, 2)
+
+
 def blocked_increments(scenario, data, points, cuts):
     """``Scenario.log_lr_increments`` block by block over ``[cuts[i], cuts[i+1])``."""
     carry = np.zeros(data.shape[:-2] + (scenario.n_streams,))
@@ -310,7 +340,7 @@ def reference_stream(channel, horizon, post_from, theta, rng):
 def reference_replication(scenario, change, horizon, rng):
     theta = {}
     if change.nu != NO_CHANGE:
-        values = change.theta or scenario.nominal_theta(change.subset)
+        values = change.theta or [scenario.channels[i].theta for i in change.subset]
         theta = dict(zip(change.subset, values))
     cols = [
         reference_stream(
