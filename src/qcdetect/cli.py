@@ -30,6 +30,7 @@ from .detectors import (
     SHIRYAEV_MIXTURE,
     Detector,
     DetectorConfig,
+    calibration,
     check_moment_order,
     d_constant,
     delay_tail_rate,
@@ -281,15 +282,6 @@ def serialize_config(config: RunConfig) -> str:
 
 
 @contextlib.contextmanager
-def _calibration():
-    """Report a threshold that cannot be calibrated as a config error."""
-    try:
-        yield
-    except (ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"calibration failed: {exc}")
-
-
-@contextlib.contextmanager
 def _invalid(what: str | None = None):
     """Report a ValueError raised inside as a config error, about ``what`` if given."""
     try:
@@ -392,65 +384,56 @@ def build_change(section: ChangeSection | None, scenario: Scenario, horizon: int
     return sampler
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
-    kind: str
-    threshold_A: float
-    target: str
-    formula: str
+def calibrate(config: RunConfig) -> tuple[Detector, dict]:
+    """The detector of ``config`` and the report of its threshold, from one build of each part.
 
-
-def calibrate_threshold(config: RunConfig) -> CalibrationReport:
+    ``[detector]`` gives the threshold, or a false-alarm level ``alpha`` or a
+    delay cost ``cost_c`` that it is calibrated from inside
+    ``detectors.calibration``.  Building the detector cross-validates the
+    threshold against the prior and grid.
+    """
     section = config.detector
     targets = [k for k in ("threshold", "alpha", "cost_c") if getattr(section, k) is not None]
     if len(targets) > 1:
         raise ConfigError(f"[detector] sets {' and '.join(targets)}; give only one of them")
     prior = build_prior(config.prior)
-    if section.threshold is not None:
-        return CalibrationReport(section.kind, section.threshold, "explicit", "threshold as given")
-    with _calibration():
-        if section.alpha is not None:
+    if not targets:
+        raise ConfigError("detector section needs one of: threshold, alpha, cost_c")
+    a, target, formula = section.threshold, "explicit", "threshold as given"
+    if section.alpha is not None:  # needs only the prior
+        with _invalid(), calibration():
             a = level_threshold(section.kind, section.alpha, prior, section.omega)
-            formula = (
-                "A = (1 - alpha) / alpha"
-                if section.kind == SHIRYAEV_MIXTURE
-                else "A = (omega * b + mean(nu)) / alpha"
-            )
-            return CalibrationReport(section.kind, a, f"alpha={section.alpha!r}", formula)
-        if section.cost_c is not None:
-            scenario = build_scenario(config.scenario)
-            grid = build_grid(config.grid, scenario.n_streams)
-            weights = build_weights(config.grid, scenario.n_streams)
-            mu = delay_tail_rate(section.kind, prior)
-            rates = scenario.kl_per_stream(grid.points)
-            d = d_constant(weights, grid, rates, mu, section.cost_r)
-            a = threshold_cost(section.cost_c, section.cost_r, d)
-            return CalibrationReport(
-                section.kind,
-                a,
-                f"c={section.cost_c!r}, r={section.cost_r!r}",
-                f"r * D * A * (log A)^(r-1) = 1/c with D = {d!r}",
-            )
-    raise ConfigError("detector section needs one of: threshold, alpha, cost_c")
-
-
-def build_detector(config: RunConfig, threshold: float | None = None) -> Detector:
-    if threshold is None:
-        threshold = calibrate_threshold(config).threshold_A
-    section = config.detector
+        target = f"alpha={section.alpha!r}"
+        formula = (
+            "A = (1 - alpha) / alpha"
+            if section.kind == SHIRYAEV_MIXTURE
+            else "A = (omega * b + mean(nu)) / alpha"
+        )
     scenario = build_scenario(config.scenario)
-    prior = build_prior(config.prior)
     grid = build_grid(config.grid, scenario.n_streams)
     weights = build_weights(config.grid, scenario.n_streams)
+    if section.cost_c is not None:
+        with _invalid(), calibration():
+            mu = delay_tail_rate(section.kind, prior)
+            d = d_constant(weights, grid, scenario.kl_per_stream(grid.points), mu, section.cost_r)
+            a = threshold_cost(section.cost_c, section.cost_r, d)
+        target = f"c={section.cost_c!r}, r={section.cost_r!r}"
+        formula = f"r * D * A * (log A)^(r-1) = 1/c with D = {d!r}"
     with _invalid("detector"):
         det_config = DetectorConfig(
             kind=section.kind,
-            threshold_A=threshold,
+            threshold_A=a,
             window_m1=section.window_m1,
             window_m0=section.window_m0,
             head_start_omega=section.omega,
         )
-        return Detector(det_config, scenario, prior, grid, weights)
+        detector = Detector(det_config, scenario, prior, grid, weights)
+    return detector, {"kind": section.kind, "threshold_A": a, "target": target, "formula": formula}
+
+
+def build_detector(config: RunConfig) -> Detector:
+    """The detector of ``config``, without the report of its threshold."""
+    return calibrate(config)[0]
 
 
 def build_mc(config: RunConfig, seed: int | None, workers: int | None) -> MCConfig:
@@ -502,10 +485,8 @@ def _json_number(value: float) -> float | None:
 
 
 def cmd_calibrate(config: RunConfig, out: str | None) -> int:
-    report = calibrate_threshold(config)
-    # constructing the detector cross-validates threshold against prior and grid
-    build_detector(config, threshold=report.threshold_A)
-    _emit(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n", out)
+    _, report = calibrate(config)
+    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
     return EXIT_OK
 
 

@@ -6,11 +6,13 @@ thresholds come from three calibration routes: the posterior-odds bound
 ``A = (omega * b + mean(nu)) / alpha`` for the Shiryaev-Roberts rule, and the
 cost-balance equation ``r * D * A * (log A)^(r-1) = 1/c`` for the average-risk
 formulation, whose constant ``D`` (``d_constant``) averages ``(I + mu)^-r``
-over the subset and parameter mixtures.
+over the subset and parameter mixtures.  Every route's threshold passes
+``check_threshold``; ``calibration`` words every failure.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -56,8 +58,7 @@ class DetectorConfig:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown detector kind {self.kind!r}")
-        if not 0.0 < self.threshold_A < math.inf:
-            raise ValueError(f"threshold must be positive and finite, got {self.threshold_A}")
+        check_threshold(self.threshold_A)
         check_window(self.window_m1, self.window_m0)
         FlatWeights(self.head_start_omega)  # the head-start rule
         if self.head_start_omega > 0.0 and self.uses_shiryaev:
@@ -113,7 +114,8 @@ class Detector:
 
     def at_level(self, alpha: float) -> "Detector":
         """This statistic (scenario, prior, grid, weights, window) at level ``alpha``'s threshold."""
-        a = level_threshold(self.config.kind, alpha, self.prior, self.config.head_start_omega)
+        with calibration():
+            a = level_threshold(self.config.kind, alpha, self.prior, self.config.head_start_omega)
         config = replace(self.config, threshold_A=a)
         return Detector(config, self.scenario, self.prior, self.grid, self.weights)
 
@@ -293,7 +295,7 @@ class Detector:
         if levels.ndim != 1 or not levels.size:
             shape = levels.shape
             raise ValueError(f"expected a non-empty [L] vector of log thresholds, got shape {shape}")
-        if not np.isfinite(levels).all():  # the 0 < A < inf rule of DetectorConfig
+        if not np.isfinite(levels).all():  # the 0 < A < inf rule of check_threshold
             raise ValueError(f"log thresholds must be finite, got {levels.tolist()}")
         return self._scan(data, levels)
 
@@ -302,6 +304,24 @@ def check_moment_order(r: float) -> None:
     """The delay-moment rule: a finite order ``r >= 1`` (NaN fails it)."""
     if not 1.0 <= r < math.inf:
         raise ValueError(f"moment order must be finite and >= 1, got {r!r}")
+
+
+def check_threshold(a: float) -> None:
+    """The threshold rule: ``0 < A < inf`` (NaN fails it)."""
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"threshold must be positive and finite, got {a}")
+
+
+@contextlib.contextmanager
+def calibration():
+    """Reword a ``ValueError`` or ``ArithmeticError`` raised inside as a failed calibration.
+
+    ``Detector.at_level`` and the CLI's false-alarm and cost routes calibrate inside it.
+    """
+    try:
+        yield
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError(f"calibration failed: {exc}") from exc
 
 
 def delay_tail_rate(kind: str, prior: PriorSpec) -> float:
@@ -313,7 +333,9 @@ def threshold_shiryaev(alpha: float, q: float = 0.0) -> float:
     """Threshold (1 - alpha) / alpha, guaranteeing weighted PFA <= alpha."""
     if not 0.0 < alpha < 1.0 - q:
         raise ValueError(f"alpha must be in (0, {1.0 - q}), got {alpha}")
-    return (1.0 - alpha) / alpha
+    a = (1.0 - alpha) / alpha
+    check_threshold(a)
+    return a
 
 
 def _sr_bound(omega: float, prior: PriorSpec) -> float:
@@ -338,6 +360,7 @@ def threshold_sr(alpha: float, omega: float, prior: PriorSpec) -> float:
         raise ValueError(
             "SR bound is degenerate (omega * b + mean(nu) = 0); no positive threshold"
         )
+    check_threshold(a)
     return a
 
 
@@ -364,6 +387,7 @@ def threshold_cost(c: float, r: float, D: float) -> float:
             raise ValueError(
                 f"no threshold A > 1: need 1/c > D, got 1/c = {1.0 / c!r} <= D = {D!r}"
             )
+        check_threshold(target)
         return target
 
     def h(u: float) -> float:

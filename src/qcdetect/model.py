@@ -136,6 +136,12 @@ class PolynomialTailPrior(PriorSpec):
     def __post_init__(self):
         if not 0.0 < self.beta < math.inf:
             raise ValueError(f"tail exponent must be positive and finite, got {self.beta}")
+        # below ~1.1e-16, 1 + beta rounds to 1, where zeta diverges; from
+        # ~2.5e13, scipy's zeta(1 + beta, 2) is NaN
+        if not math.isfinite(_zeta(1.0 + self.beta, 2.0)):
+            raise ValueError(
+                f"tail exponent {self.beta} gives a tail zeta(1 + beta, 2) that is not finite"
+            )
         object.__setattr__(self, "beta", float(self.beta))
         super().__post_init__()
 
@@ -155,9 +161,13 @@ class PolynomialTailPrior(PriorSpec):
         return (1.0 - self.q) * _zeta(s, _tail_index(n) + 1.0) / _zeta(s, 1.0)
 
     def log_tail(self, n: int) -> float:
+        """-inf where the tail underflows to 0."""
         _check_index(n, "tail")
         s = 1.0 + self.beta
-        return math.log1p(-self.q) + math.log(_zeta(s, n + 1.0)) - math.log(_zeta(s, 1.0))
+        tail = _zeta(s, n + 1.0)
+        if tail == 0.0:
+            return -math.inf
+        return math.log1p(-self.q) + math.log(tail) - math.log(_zeta(s, 1.0))
 
     @property
     def tail_rate(self) -> float:

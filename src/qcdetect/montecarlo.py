@@ -403,21 +403,18 @@ def asymptotic_ratio_sweep(
 
     Every level runs ``detector``'s statistic at ``detector.at_level(alpha)``.
     All levels, then ``I + mu`` (``Detector.first_order_rate``), are checked
-    before the first pass; a level that cannot be calibrated is a
-    ``ValueError`` reading ``calibration failed: ...``.  Every level's delay
-    pass runs, then every level's ``estimate_pfa`` pass at precision
-    ``alpha``, all on one pool, and each dataset is scanned once for every
-    level.  The ratio column divides the simulated Bayes delay moment of a
-    change in ``subset`` at ``theta`` by ``(|log alpha| / (I + mu))^r``.
+    before the first pass; a level that cannot be calibrated is the
+    ``ValueError`` of ``Detector.at_level``.  Every level's delay pass runs,
+    then every level's ``estimate_pfa`` pass at precision ``alpha``, all on
+    one pool, and each dataset is scanned once for every level.  The ratio
+    column divides the simulated Bayes delay moment of a change in ``subset``
+    at ``theta`` by ``(|log alpha| / (I + mu))^r``.
     Replication seeds are shared across levels, so compared rows use common
     random numbers.  The change-point prior is held fixed across the sweep;
     level-dependent priors are out of scope for this table.
     """
     alphas = tuple(alphas)
-    try:
-        levels = tuple(detector.at_level(alpha) for alpha in alphas)
-    except ValueError as exc:
-        raise ValueError(f"calibration failed: {exc}") from exc
+    levels = tuple(detector.at_level(alpha) for alpha in alphas)
     rate = detector.first_order_rate(subset, theta)
     with closing(WorkerPool(mc.workers)) as pool:
         token = _sweep.set(_SweepBlock(levels, pool))

@@ -1,5 +1,6 @@
 """Command line front end: config handling, outputs, exit codes."""
 
+import collections
 import concurrent.futures
 import configparser
 import csv
@@ -287,6 +288,16 @@ BAD_CONFIGS = {
         "simulate",
         BASE_CONFIG.replace("kind = geometric\nrho = 0.1", "kind = polynomial-tail\nbeta = inf"),
     ),
+    # 1 + beta rounds to 1, where zeta diverges, and every run was censored
+    "polynomial-beta-1e-17": (
+        "simulate",
+        BASE_CONFIG.replace("kind = geometric\nrho = 0.1", "kind = polynomial-tail\nbeta = 1e-17"),
+    ),
+    # the tail's zeta(1 + beta, 2) is NaN, and every run was censored
+    "polynomial-beta-1e308": (
+        "simulate",
+        BASE_CONFIG.replace("kind = geometric\nrho = 0.1", "kind = polynomial-tail\nbeta = 1e308"),
+    ),
     "cost-c-nan": ("calibrate", BASE_CONFIG.replace("alpha = 0.05", "cost_c = nan")),
 }
 
@@ -398,6 +409,18 @@ def test_threshold_beyond_e700_runs(tmp_path, capsys):
     assert cli.main(["calibrate", "--config", str(path)]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["threshold_A"] == 1e305
     assert cli.main(["simulate", "--config", str(path)]) == EXIT_OK
+
+
+def test_a_vanishing_polynomial_tail_names_its_step(tmp_path, capsys):
+    # P(nu >= 1) = zeta(2001, 2) / zeta(2001, 1) underflows to 0
+    path = tmp_path / "bad.ini"
+    path.write_text(
+        BASE_CONFIG.replace("kind = geometric\nrho = 0.1", "kind = polynomial-tail\nbeta = 2000")
+    )
+    assert cli.main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: prior tail vanishes at n=1; the Shiryaev statistic is undefined\n"
+    )
 
 
 def test_zero_replications_is_config_error(tmp_path):
@@ -678,18 +701,41 @@ def test_calibrate_takes_no_seed_or_workers(flag, config_path, capsys):
 
 
 def test_oc_sweep_checks_every_alpha_before_simulating(tmp_path, monkeypatch, capsys):
-    # alpha = 0.5 >= 1 - q = 0.4 is infeasible; alpha = 0.1 must not be simulated
-    # first, and the level reads alike later in the grid and first
+    # alpha = 0.5 >= 1 - q = 0.4 is infeasible and alpha = 1e-320 overflows A;
+    # alpha = 0.1 must not be simulated first, and the level reads alike later
+    # in the grid and first
     calls = []
     monkeypatch.setattr(montecarlo, "simulate_runs", lambda *args: calls.append(args))
     path = tmp_path / "sweep.ini"
-    for alphas in ("0.1, 0.5", "0.5, 0.1"):
-        path.write_text(PRIOR_NU.replace("q = 0.0", "q = 0.6") + SWEEP.replace("0.1, 0.5", alphas))
-        assert cli.main(["oc-sweep", "--config", str(path)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            "configuration error: calibration failed: alpha must be in (0, 0.4), got 0.5\n"
-        )
+    for bad, reason in (
+        ("0.5", "alpha must be in (0, 0.4), got 0.5"),
+        ("1e-320", "threshold must be positive and finite, got inf"),
+    ):
+        for alphas in (f"0.1, {bad}", f"{bad}, 0.1"):
+            text = PRIOR_NU.replace("q = 0.0", "q = 0.6") + SWEEP.replace("0.1, 0.5", alphas)
+            path.write_text(text)
+            assert cli.main(["oc-sweep", "--config", str(path)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"configuration error: calibration failed: {reason}\n"
     assert calls == []
+
+
+PARTS = ("build_scenario", "build_prior", "build_grid", "build_weights")
+
+
+@pytest.mark.parametrize("target", ["alpha = 0.05", "cost_c = 0.001"])
+@pytest.mark.parametrize("command", ["calibrate", "simulate", "oc-sweep"])
+def test_each_command_builds_each_part_once(command, target, tmp_path, monkeypatch, capsys):
+    built = collections.Counter()
+    for name in PARTS:
+        def counting(*args, build=getattr(cli, name), name=name):
+            built[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(cli, name, counting)
+    path = tmp_path / "run.ini"
+    path.write_text(PRIOR_NU.replace("alpha = 0.05", target) + SWEEP)
+    assert cli.main([command, "--config", str(path)]) == EXIT_OK
+    assert built == dict.fromkeys(PARTS, 1)
 
 
 @pytest.fixture

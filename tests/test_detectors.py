@@ -28,7 +28,7 @@ from qcdetect import (
     threshold_shiryaev,
     threshold_sr,
 )
-from qcdetect.detectors import MAX_RECURSION_SUBSETS, check_moment_order
+from qcdetect.detectors import MAX_RECURSION_SUBSETS, check_moment_order, check_threshold
 
 
 def single_stream_setup(theta=1.0, rho=0.1, q=0.0):
@@ -222,8 +222,10 @@ def test_at_level_moves_only_the_threshold(kind, omega):
         assert level.pfa_bound() == pytest.approx(alpha, rel=1e-12)
         parts = ("scenario", "prior", "grid", "weights")
         assert all(getattr(level, p) is getattr(detector, p) for p in parts)
-    with pytest.raises(ValueError, match="alpha"):
+    with pytest.raises(ValueError, match="^calibration failed: alpha"):
         detector.at_level(0.9 if kind == "shiryaev-mixture" else 1.0)  # past 1 - q, or 1
+    with pytest.raises(ValueError, match="^calibration failed: threshold .* got inf$"):
+        detector.at_level(1e-320)
 
 
 def test_first_order_rate_adds_the_tail_rate_for_the_shiryaev_rule_only():
@@ -429,6 +431,28 @@ def test_moment_order_must_be_finite_and_at_least_one(r):
         check_moment_order(r)
     with pytest.raises(ValueError, match="moment order"):
         threshold_cost(1e-3, r, 1.0)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: threshold_shiryaev(1e-320),
+        lambda: threshold_sr(1e-320, 0.0, GeometricPrior(rho=0.1)),
+        lambda: threshold_cost(1e-320, 1.0, 0.5),
+    ],
+    ids=["shiryaev", "sr", "cost"],
+)
+def test_no_threshold_function_returns_inf(solve):
+    with pytest.raises(ValueError, match="threshold must be positive and finite, got inf"):
+        solve()
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -1.0])
+def test_config_and_calibration_share_one_threshold_rule(a):
+    with pytest.raises(ValueError, match="threshold must be positive and finite"):
+        check_threshold(a)
+    with pytest.raises(ValueError, match="threshold must be positive and finite"):
+        DetectorConfig(kind="sr-mixture", threshold_A=a)
 
 
 def test_moment_order_accepts_finite_orders_from_one():

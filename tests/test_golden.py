@@ -161,6 +161,14 @@ CLI_GOLDEN = {
         "calibrate", BASE_CONFIG, ("",),
         "c9f33f6d18a3464add15a16b4cdf95d83449e334b55b51dfa8beaea90e7ea374",
     ),
+    "calibrate_alpha_sr": (
+        "calibrate", BASE_CONFIG.replace(*SR_RULE), ("",),
+        "978982f46db1a6abe8721ec9c32fe4bc8010846ccf9dcaf93dc1a00d19f94be7",
+    ),
+    "calibrate_explicit": (
+        "calibrate", BASE_CONFIG.replace("alpha = 0.05", "threshold = 50.0"), ("",),
+        "aa91015c19bf09ceea98e57cbb0d43163d257667803e59fce36ac3d438d8713b",
+    ),
     "calibrate_cost": (
         "calibrate", BASE_CONFIG.replace(*COST), ("",),
         "d3ac9fee502f2e875b9227c0a4e50b4860c348a261aff42de678e56710908c91",

@@ -281,10 +281,18 @@ def test_replication_rng_counter_keying():
     assert not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0, 1e-17, 1e308])
 def test_polynomial_tail_exponent_must_be_positive_and_finite(beta):
+    # 1 + 1e-17 rounds to 1, where zeta diverges; zeta(1 + 1e308, 2) is NaN
     with pytest.raises(ValueError, match="tail exponent"):
         PolynomialTailPrior(beta=beta)
+
+
+def test_polynomial_log_tail_is_minus_inf_where_the_tail_underflows():
+    prior = PolynomialTailPrior(beta=2000.0)
+    assert prior.tail(1) == 0.0
+    assert prior.log_tail(1) == -math.inf
+    assert prior.log_tail(0) == 0.0
 
 
 SEEDS_AND_REPLICATIONS = [
