@@ -241,8 +241,8 @@ class Detector:
             # an overflow shows as an increment that is not finite, named below
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 block = scenario.log_lr_increments(data[rows, t0 - lead:t1], points, t0, carry)
-            finite = np.isfinite(block).all(axis=(0, 2, 3))  # [steps]
-            if not finite.all():
+            if not np.isfinite(block).all():
+                finite = np.isfinite(block).all(axis=(0, 2, 3))  # [steps]
                 step = t0 + 1 + int(np.argmin(finite))
                 raise ValueError(
                     f"the log-LR increments of step {step} are not finite; the scenario's "
@@ -382,12 +382,12 @@ def threshold_cost(c: float, r: float, D: float) -> float:
         raise ValueError(f"c and D must be positive and finite, got c = {c!r}, D = {D!r}")
     check_moment_order(r)
     target = 1.0 / (c * r * D)  # A (log A)^(r-1) = target
+    if r == 1.0 and target <= 1.0:
+        raise ValueError(
+            f"no threshold A > 1: need 1/c > D, got 1/c = {1.0 / c!r} <= D = {D!r}"
+        )
+    check_threshold(target)  # an infinite target has no finite root for any r
     if r == 1.0:
-        if target <= 1.0:
-            raise ValueError(
-                f"no threshold A > 1: need 1/c > D, got 1/c = {1.0 / c!r} <= D = {D!r}"
-            )
-        check_threshold(target)
         return target
 
     def h(u: float) -> float:

@@ -41,14 +41,41 @@ def logsumexp(a, axis=None):
     a single value returns a numpy scalar.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    a_max = np.max(a, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(a_max), a_max, 0.0)
+    shift = _shift(np.max(a, axis=axis, keepdims=True))
     terms = a - shift
     with np.errstate(divide="ignore", over="ignore"):
         np.exp(terms, out=terms)
         out = np.log(np.sum(terms, axis=axis, keepdims=True)) + shift
     out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
+
+
+def logsumexp_tree(x: np.ndarray) -> np.ndarray:
+    """``logsumexp(x, axis=0)`` of a fresh ``[m, r]`` array, which it overwrites: ``[r]``.
+
+    It shifts and exponentiates as ``logsumexp`` does, in place, and then sums
+    the ``m`` rows by a halving tree, ``x[:h] += x[m-h:m]`` with ``h = m // 2``
+    until one row is left.  Every column takes the same adds in the same
+    order, so its bits do not depend on ``r``, the columns beside it or the
+    memory layout.  ``x.sum(axis=0)`` does not promise that: numpy adds the
+    rows one by one for many columns but pairwise for one, so a column's last
+    bit would depend on how many columns are summed with it.
+    """
+    shift = _shift(x.max(axis=0))
+    x -= shift
+    with np.errstate(divide="ignore", over="ignore"):
+        np.exp(x, out=x)
+        m = x.shape[0]
+        while m > 1:
+            h = m // 2
+            x[:h] += x[m - h:m]
+            m -= h
+        return np.log(x[0]) + shift
+
+
+def _shift(a_max: np.ndarray) -> np.ndarray:
+    """The log-sum-exp shift: the maximum, or 0 where it is not finite."""
+    return np.where(np.isfinite(a_max), a_max, 0.0)
 
 
 def log_add_exp(x, y, out: np.ndarray, work: np.ndarray) -> np.ndarray:

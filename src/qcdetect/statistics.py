@@ -28,17 +28,20 @@ log-sum-exp only on rows where that bound does.
 The recursion adds in the log domain with ``likelihood.log_add_exp``, which
 is ``max + log1p(exp(-|d|))`` on numpy's SIMD ufuncs: not bit-identical to
 ``np.logaddexp``, and the last bit may depend on the SIMD path numpy
-dispatches on a CPU.  Its read-out is ``likelihood.logsumexp``, the one
-``max + log(sum(exp(a - max)))``; it does not copy scipy's bits.  The window
-engine and the direct sum ``direct_log_statistic`` run one kernel,
-``window_log_statistic``: suffix sums cumulated backwards from the newest
-step, two grid points at a time as one complex column (the same bits as one
-at a time), ``likelihood.log_esp`` (the elementary-symmetric DP that
-``mixture_lr_dp`` runs too: linear after a max shift over the streams, in the
-log domain only where a shifted ``e_j`` would underflow), and one
-``logsumexp`` over subset sizes, points and change points.  So the engine
-equals the direct sum bit for bit.  On one machine, results are the
-same for any worker count.
+dispatches on a CPU.  Its read-out is ``likelihood.logsumexp_tree``: the
+shift of ``likelihood.logsumexp`` (``max + log(sum(exp(a - max)))``, not
+scipy's bits) with the components of each replication summed by a halving
+tree, replications last, in one fixed order.  So a replication's value does
+not depend on how many others are read out with it, as it would under
+numpy's ``sum(axis=0)``.  The window engine and the direct sum
+``direct_log_statistic`` run one kernel, ``window_log_statistic``: suffix
+sums cumulated backwards from the newest step, two grid points at a time as
+one complex column (the same bits as one at a time), ``likelihood.log_esp``
+(the elementary-symmetric DP that ``mixture_lr_dp`` runs too: linear after a
+max shift over the streams, in the log domain only where a shifted ``e_j``
+would underflow), and one ``logsumexp`` over subset sizes, points and change
+points.  So the engine equals the direct sum bit for bit.  On one machine,
+results are the same for any worker count.
 
 The no-change posterior satisfies ``P(nu >= n | data) = 1 / (S(n) + 1)``.
 """
@@ -54,7 +57,8 @@ import numpy as np
 # log_elementary_symmetric is unused here, but the benchmark's tracer reads and
 # patches this binding by name, as it does ``DetectorState.log_sr``
 from .likelihood import (
-    SubsetWeights, log_add_exp, log_elementary_symmetric, log_esp, logsumexp, read_only,
+    SubsetWeights, log_add_exp, log_elementary_symmetric, log_esp, logsumexp, logsumexp_tree,
+    read_only,
 )
 from .model import PriorSpec
 
@@ -216,8 +220,9 @@ class DetectorState:
     largest log component plus ``MixtureBasis.log_joint_total``;
     ``log_shiryaev(floor)`` uses this bound to skip the exact read-out of rows
     provably below ``floor``.  The recursion adds with ``log_add_exp``, not
-    ``np.logaddexp``, and every reduction is ``logsumexp``, not scipy's; a
-    value may differ from theirs in its last bits.
+    ``np.logaddexp``, and reads out with ``logsumexp_tree``, the window with
+    ``logsumexp``, neither of them scipy's; a value may differ from theirs in
+    its last bits.
     """
 
     def __init__(
@@ -266,7 +271,8 @@ class DetectorState:
         n = self.basis.weights.n_streams
         if inc.ndim < 2 or inc.shape[-1] != n:
             raise ValueError(f"increments must be [..., P, {n}], got shape {inc.shape}")
-        head = np.moveaxis(inc, (-1, -2), (0, 1))  # [N, P, ...]
+        d = inc.ndim
+        head = inc.transpose((d - 1, d - 2) + tuple(range(d - 2)))  # [N, P, ...]
         sums = np.empty((self.basis.n_subsets,) + head.shape[1:])
         sums[:n] = head
         for s, (parent, last) in enumerate(self.basis.prefix, start=n):
@@ -305,7 +311,7 @@ class DetectorState:
     def _advance_window(self, inc: np.ndarray) -> None:
         if self._stop == self._buffer.shape[2]:
             self._slide()
-        self._buffer[:, :, self._stop] = np.moveaxis(inc, -1, 0)
+        self._buffer[:, :, self._stop] = inc.transpose(2, 0, 1)  # [N, R, P]
         self._stop += 1
         self.n += 1
         self._log_value = window_log_statistic(
@@ -356,9 +362,11 @@ class DetectorState:
         ``max(log_components) + log_joint_total`` reaches ``floor`` (one value,
         or one per row) less a rounding margin; every other row gets its
         bound, which is below its floor, as the joint weights sum to one.  The
-        exact rows are gathered into a C-contiguous ``[r, S, P]`` block, so
-        each is summed in one order.  The default floor, -inf, reads every row
-        exactly.
+        exact rows are gathered rows last, ``[S * P, r]``, and
+        ``logsumexp_tree`` sums each row's components in one fixed order, so
+        a row's bits do not depend on which other rows are exact; numpy's
+        ``sum(axis=0)`` adds one row in another order than many.  The default
+        floor, -inf, reads every row exactly.
         """
         if self.window_m1 is not None:
             return self._log_value
@@ -366,8 +374,9 @@ class DetectorState:
         bound = columns.max(axis=0) + self.basis.log_joint_total
         exact = ~(bound < floor - 1e-9 * np.maximum(1.0, np.abs(floor)))
         if exact.any():
-            rows = columns.T[exact].reshape((-1,) + self.basis.log_joint.shape)
-            bound[exact] = logsumexp(np.add(rows, self.basis.log_joint, order="C"), axis=(1, 2))
+            x = np.compress(exact, columns, axis=1)  # [S * P, r], rows last
+            x += self.basis.log_joint.reshape(-1, 1)
+            bound[exact] = logsumexp_tree(x)
         return bound
 
     #: The read-out under the other rule's name, kept for the benchmark's tracer.
@@ -482,7 +491,9 @@ def window_log_statistic(
     log_p = weights.log_p.reshape((weights.n_streams,) + (1,) * (window.ndim - 1))
     loge = log_esp(lambda: _log_inputs(window, log_p, lo), weights.K)
     loge += table
-    terms = np.moveaxis(loge, 0, -3)  # [..., K, slots, P], each row's terms contiguous
+    d = loge.ndim
+    terms = loge.transpose(tuple(range(1, d - 2)) + (0, d - 2, d - 1))  # [..., K, slots, P]
+    # the reshape copies, so each row's terms are contiguous
     return logsumexp(terms.reshape(terms.shape[:-3] + (-1,)), axis=-1)
 
 

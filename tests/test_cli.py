@@ -383,6 +383,17 @@ def test_calibrate_cost_target(tmp_path, capsys):
     assert payload["threshold_A"] == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("cost_r", ["1.0", "2.0"])
+def test_calibrate_unreachable_cost_reads_alike_for_every_moment_order(cost_r, tmp_path, capsys):
+    # 1 / (c r D) overflows at c = 1e-320, so no finite threshold exists
+    text = BASE_CONFIG.replace("alpha = 0.05", f"cost_c = 1e-320\ncost_r = {cost_r}")
+    path = tmp_path / "cost.ini"
+    path.write_text(text)
+    assert cli.main(["calibrate", "--config", str(path)]) == EXIT_CONFIG
+    reason = "threshold must be positive and finite, got inf"
+    assert capsys.readouterr().err == f"configuration error: calibration failed: {reason}\n"
+
+
 def test_calibrate_infeasible_alpha_is_config_error(tmp_path, capsys):
     text = BASE_CONFIG.replace("q = 0.0", "q = 0.97").replace(
         "alpha = 0.05", "alpha = 0.05\n"

@@ -29,6 +29,7 @@ from qcdetect import (
     threshold_sr,
 )
 from qcdetect.detectors import MAX_RECURSION_SUBSETS, check_moment_order, check_threshold
+from qcdetect.scenarios import ARChannelSpec
 
 
 def single_stream_setup(theta=1.0, rho=0.1, q=0.0):
@@ -366,6 +367,22 @@ def test_increments_that_are_not_finite_raise_instead_of_censoring(window_m1):
             run(data)
 
 
+@pytest.mark.parametrize("window_m1", [None, 5])
+def test_increments_not_finite_in_a_later_block_name_their_step(window_m1):
+    # the template is 0 but at phase 40, where the squared signal overflows:
+    # every increment of the first block is finite, and so the block check's
+    # fallback must find step 40 in the second
+    signal = tuple(1e200 if phase == 39 else 0.0 for phase in range(64))
+    scenario = Scenario((ARChannelSpec(signal=signal),))
+    grid, weights = GridSpec.degenerate((1.0,)), SubsetWeights.uniform(1)
+    config = DetectorConfig(kind="sr-mixture", threshold_A=1e6, window_m1=window_m1)
+    detector = Detector(config, scenario, GeometricPrior(rho=0.1), grid, weights)
+    data = np.random.default_rng(5).normal(size=(3, 60, 1))
+    for run in (detector.stopping_times, detector.log_trajectories):
+        with pytest.raises(ValueError, match="increments of step 40 are not finite"):
+            run(data)
+
+
 def _wide_setup(n):
     scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(n)))
     grid = GridSpec.common_amplitude((1.0,), n)
@@ -439,8 +456,10 @@ def test_moment_order_must_be_finite_and_at_least_one(r):
         lambda: threshold_shiryaev(1e-320),
         lambda: threshold_sr(1e-320, 0.0, GeometricPrior(rho=0.1)),
         lambda: threshold_cost(1e-320, 1.0, 0.5),
+        # for r > 1 the solve used to give up on its bracket instead
+        lambda: threshold_cost(1e-320, 2.0, 0.5),
     ],
-    ids=["shiryaev", "sr", "cost"],
+    ids=["shiryaev", "sr", "cost", "cost-r2"],
 )
 def test_no_threshold_function_returns_inf(solve):
     with pytest.raises(ValueError, match="threshold must be positive and finite, got inf"):

@@ -19,6 +19,7 @@ from qcdetect.likelihood import (
     log_add_exp,
     log_elementary_symmetric,
     logsumexp,
+    logsumexp_tree,
     subset_masks,
 )
 
@@ -431,6 +432,22 @@ def test_logsumexp_is_exact_at_infinities_and_nan_and_quiet():
     assert_near_scipy(rows[:8], EDGE_ROWS[:8], -1)
     for row in EDGE_ROWS[:8]:
         assert_near_scipy(logsumexp(row), row, None)
+
+
+def test_logsumexp_tree_is_logsumexp_over_the_leading_axis():
+    rng = np.random.default_rng(4)
+    for m in (1, 2, 7, 14, 126):
+        for scale in (1e-3, 1.0, 40.0, 700.0):
+            a = rng.normal(scale=scale, size=(m, 5))
+            assert_near_scipy(logsumexp_tree(a.copy()), a, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        columns = logsumexp_tree(EDGE_ROWS.T.copy())
+    rows = logsumexp(EDGE_ROWS, -1)
+    finite = np.isfinite(rows)
+    np.testing.assert_array_equal(columns[~finite], rows[~finite])  # -inf, +inf and NaN
+    assert columns[1] == 3.0 + math.log(4.0)
+    assert_near_scipy(columns[:8], EDGE_ROWS[:8], -1)
 
 
 def test_logsumexp_of_scalars_lists_and_0d_arrays():

@@ -1,5 +1,6 @@
 """Running mixed statistics: recursions, window-limited sums, posterior identity."""
 
+import copy
 import math
 import re
 
@@ -451,6 +452,29 @@ def test_screened_readout_is_exact_or_below_the_floor():
                 assert (full[screened] < floor).all()
                 counts += screened.sum(), (~screened).sum()
     assert counts.min() > 1000
+
+
+@pytest.mark.parametrize("n", [3, 6], ids=["14-components", "126-components"])
+def test_a_rows_readout_does_not_depend_on_the_other_exact_rows(n):
+    # S * P = 14 and 126 (subsets x points); a sum that adds one row's
+    # components in another order when fewer rows are read out would show here
+    grid = GridSpec(theta_points=((0.5,) * n, (1.5,) * n), weights=(0.4, 0.6))
+    n_reps = 40
+    state = DetectorState(GeometricPrior(rho=0.05, q=0.1), grid, SubsetWeights.uniform(n), n_reps=n_reps)
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        state.advance(rng.normal(0.0, 3.0, size=(n_reps, 2, n)))
+    full = state.log_shiryaev().view(np.int64)
+    for i in range(n_reps):
+        others = rng.permutation(np.delete(np.arange(n_reps), i))
+        for rows in ([i], [i, others[0]], [i, *others[:2]], range(n_reps)):
+            exact = np.isin(np.arange(n_reps), rows)
+            # a floor of 1e300 screens every row but those read out exactly
+            value = state.log_shiryaev(np.where(exact, -np.inf, 1e300))
+            assert value.view(np.int64)[i] == full[i]
+            kept = copy.deepcopy(state)
+            kept.retain(exact)
+            assert kept.log_shiryaev().view(np.int64)[exact[:i].sum()] == full[i]
 
 
 def test_grid_caches_read_only_points_and_log_weights():
