@@ -27,13 +27,13 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from .detectors import (
-    SHIRYAEV_MIXTURE,
     Detector,
     DetectorConfig,
     calibration,
     check_moment_order,
     d_constant,
     delay_tail_rate,
+    level_formula,
     level_threshold,
     threshold_cost,
 )
@@ -155,22 +155,19 @@ class RunConfig:
     sweep: SweepSection = SweepSection(alphas=())
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_numbers(text: str, kind=float) -> tuple:
+    """A comma- or space-separated list of numbers, each read by ``kind``; never empty."""
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     if not parts:
-        raise ConfigError(f"expected numbers, got {text!r}")
-    return tuple(float(p) for p in parts)
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for chunk in text.split(",") for p in chunk.split())
+        raise ValueError("expected at least one number")
+    return tuple(kind(p) for p in parts)
 
 
 def _parse_rows(text: str) -> tuple[tuple[float, ...], ...]:
     rows = [row.strip() for row in text.split(";") if row.strip()]
     if not rows:
-        raise ConfigError(f"expected ';'-separated rows of numbers, got {text!r}")
-    return tuple(_parse_floats(row) for row in rows)
+        raise ValueError("expected ';'-separated rows of numbers")
+    return tuple(_parse_numbers(row) for row in rows)
 
 
 def _fmt_floats(values) -> str:
@@ -190,8 +187,8 @@ _CODECS = {
     str: (str, str),
     int: (int, str),
     float: (float, lambda value: repr(float(value))),
-    tuple[int, ...]: (_parse_ints, _fmt_ints),
-    tuple[float, ...]: (_parse_floats, _fmt_floats),
+    tuple[int, ...]: (lambda text: _parse_numbers(text, int), _fmt_ints),
+    tuple[float, ...]: (_parse_numbers, _fmt_floats),
     tuple[tuple[float, ...], ...]: (_parse_rows, _fmt_rows),
 }
 
@@ -244,8 +241,6 @@ def parse_config(parser: configparser.ConfigParser) -> RunConfig:
             parse = keys[key][1]
             try:
                 values[key] = parse(raw)
-            except ConfigError:
-                raise
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for [{name}] {key} = {raw!r}: {exc}")
         missing = sorted(k for k, (d, _, _) in keys.items() if d is MISSING and k not in values)
@@ -403,12 +398,7 @@ def calibrate(config: RunConfig) -> tuple[Detector, dict]:
     if section.alpha is not None:  # needs only the prior
         with _invalid(), calibration():
             a = level_threshold(section.kind, section.alpha, prior, section.omega)
-        target = f"alpha={section.alpha!r}"
-        formula = (
-            "A = (1 - alpha) / alpha"
-            if section.kind == SHIRYAEV_MIXTURE
-            else "A = (omega * b + mean(nu)) / alpha"
-        )
+        target, formula = f"alpha={section.alpha!r}", level_formula(section.kind)
     scenario = build_scenario(config.scenario)
     grid = build_grid(config.grid, scenario.n_streams)
     weights = build_weights(config.grid, scenario.n_streams)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .likelihood import SubsetWeights
 from .model import ChangeSpec, PointMassPrior, PriorSpec
-from .statistics import WINDOW_BUFFER_START, DetectorState, FlatWeights, GridSpec, check_window
+from .statistics import DetectorState, FlatWeights, GridSpec, check_window, state_row_bytes
 
 SHIRYAEV_MIXTURE = "shiryaev-mixture"
 SR_MIXTURE = "sr-mixture"
@@ -155,30 +155,16 @@ class Detector:
         scan's finite check of the data, one byte per value; one block of
         data, ``[min(T, INCREMENT_BLOCK) + p, N]`` with the ``p`` lag samples,
         and its increments, ``[min(T, INCREMENT_BLOCK), P, N]``; and the
-        engine's working set.
-        For the recursion that is the ``[S, P]`` log components with the
-        step's subset sums and ``log_add_exp`` buffer of the same shape.  For
-        the window, with ``m = min(T, m1 + 1)`` window steps, it is the
-        ``[steps, P, N]`` increment buffer, two windows long once the window
-        fills (``WINDOW_BUFFER_START`` steps at first); and per step of
-        ``window_log_statistic``, the ``[m, P, N]`` suffix sums, shifted and
-        then exponentiated in place, their ``[m, P]`` stream maxima, the
-        DP's ``e_1..e_K``, ``[K, m, P]``, and the fused log-sum-exp's table
-        of the same shape with its shifted copy.  The scan's ``[R, L]`` stops,
-        ``8 * L`` bytes a row at ``L`` levels, are left out with the span's
-        other ``R``-long vectors: a sweep's handful of levels is small beside
-        the ``8 * T * N`` bytes of data.
+        engine's working set, which ``statistics.state_row_bytes`` counts.
+        The scan's ``[R, L]`` stops, ``8 * L`` bytes a row at ``L`` levels,
+        are left out with the span's other ``R``-long vectors: a sweep's
+        handful of levels is small beside the ``8 * T * N`` bytes of data.
         """
         n, points = self.scenario.n_streams, self.grid.n_points
         steps = min(horizon, INCREMENT_BLOCK)
         block = (steps + self.scenario.lags) * n + steps * points * n
-        if self.config.window_m1 is None:
-            engine = 3 * self.weights.n_subsets * points
-        else:
-            m = min(horizon, self.config.window_m1 + 1)
-            steps = max(2 * m, min(2 * (self.config.window_m1 + 1), WINDOW_BUFFER_START))
-            engine = steps * points * n + m * points * (n + 1 + 3 * self.weights.K)
-        return 8 * (horizon * n + 3 * n + 3 + block + engine) + horizon * n
+        engine = state_row_bytes(self.grid, self.weights, self.config.window_m1, horizon)
+        return 8 * (horizon * n + 3 * n + 3 + block) + engine + horizon * n
 
     def _new_state(self, n_reps: int) -> DetectorState:
         return DetectorState(
@@ -369,6 +355,13 @@ def level_threshold(kind: str, alpha: float, prior: PriorSpec, omega: float = 0.
     if kind == SHIRYAEV_MIXTURE:
         return threshold_shiryaev(alpha, q=prior.q)
     return threshold_sr(alpha, omega, prior)
+
+
+def level_formula(kind: str) -> str:
+    """The formula ``level_threshold`` applies for the rule ``kind``, in words."""
+    if kind == SHIRYAEV_MIXTURE:
+        return "A = (1 - alpha) / alpha"
+    return "A = (omega * b + mean(nu)) / alpha"
 
 
 def threshold_cost(c: float, r: float, D: float) -> float:

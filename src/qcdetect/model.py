@@ -23,8 +23,10 @@ NO_CHANGE = 2**62
 class PriorSpec:
     """Prior of the change point: head mass ``q`` on ``nu = -1``, a family on ``k >= 0``.
 
-    ``mass(k) = P(nu = k)`` and ``tail(n) = P(nu >= n)``, elementwise when
-    ``n`` is an array; ``log_mass`` and ``log_tail`` are their logs.
+    ``log_mass(k) = log P(nu = k)``, the log of the weight ``pi_k`` the
+    statistics give change point ``k``, is the one form of the mass.
+    ``tail(n) = P(nu >= n)``, elementwise when ``n`` is an array, and
+    ``log_tail`` is its log.
     ``tail_rate`` is the exponential decay rate ``lim |log P(nu > n)| / n`` of
     the right tail and ``mean()`` is ``E[nu; nu >= 0]`` (may be infinite).
     The families are ``GeometricPrior``, ``PolynomialTailPrior`` and
@@ -98,10 +100,6 @@ class GeometricPrior(PriorSpec):
         object.__setattr__(self, "rho", float(self.rho))
         super().__post_init__()
 
-    def mass(self, k: int) -> float:
-        _check_index(k, "mass")
-        return (1.0 - self.q) * self.rho * (1.0 - self.rho) ** k
-
     def log_mass(self, k: int) -> float:
         _check_index(k, "mass")
         return math.log1p(-self.q) + math.log(self.rho) + k * math.log1p(-self.rho)
@@ -144,11 +142,6 @@ class PolynomialTailPrior(PriorSpec):
             )
         object.__setattr__(self, "beta", float(self.beta))
         super().__post_init__()
-
-    def mass(self, k: int) -> float:
-        _check_index(k, "mass")
-        s = 1.0 + self.beta
-        return (1.0 - self.q) * (k + 1.0) ** (-s) / _zeta(s, 1.0)
 
     def log_mass(self, k: int) -> float:
         _check_index(k, "mass")
@@ -220,10 +213,6 @@ class PointMassPrior(PriorSpec):
             raise ValueError(f"point-mass location must be >= 0, got {self.k0}")
         object.__setattr__(self, "k0", int(self.k0))
         super().__post_init__()
-
-    def mass(self, k: int) -> float:
-        _check_index(k, "mass")
-        return 1.0 - self.q if k == self.k0 else 0.0
 
     def log_mass(self, k: int) -> float:
         _check_index(k, "mass")

@@ -375,8 +375,7 @@ def estimate_kl_slope(channel, theta: float, n: int, replications: int, master_s
         stop = min(start + per_batch, replications)
         rngs = replication_rngs(master_seed, start, stop)
         x = scenario.generate([at_origin] * (stop - start), n, rngs)[..., 0]
-        for rep, inc in zip(range(start, stop), channel.log_lr_increments(x, thetas)[..., 0]):
-            slopes[rep] = inc.sum() / n
+        slopes[start:stop] = channel.log_lr_increments(x, thetas)[..., 0].sum(axis=-1) / n
     return MCEstimate.from_values(slopes)
 
 

@@ -209,11 +209,14 @@ class DetectorState:
     streams).  In recursive mode the state holds per-(subset, point) log
     components rows last, ``[S, P, R]``, which ``advance`` updates in place
     with the step's subset sums.  In window mode it keeps the increments in a
-    stream-major buffer ``[N, R, 2(m1+1), P]`` that slides its last ``m1 + 1``
-    steps to the front once every ``m1 + 1`` steps, and evaluates the window's
-    direct sum with ``window_log_statistic``, the kernel of
-    ``direct_log_statistic``; the buffer's point axis is contiguous, so the
-    kernel's suffix sums run on pairs of points with no copy.  Every update
+    stream-major buffer ``[N, R, steps, P]``.  The buffer starts at one step;
+    each time it fills, its last ``min(n, m1 + 1)`` steps slide to the front,
+    and it doubles until it holds two windows, ``2(m1+1)`` steps, so over
+    ``T`` steps it never holds more than ``2 * min(T, m1 + 1)``.  The engine
+    evaluates the window's direct sum with ``window_log_statistic``, the
+    kernel of ``direct_log_statistic``; the buffer's point axis is
+    contiguous, so the kernel's suffix sums run on pairs of points with no
+    copy.  Every update
     is row by row, so ``retain`` can drop replications that have stopped
     without changing the arithmetic of the others.  Since the components'
     joint weights sum to one, the log statistic of a row is at most its
@@ -249,9 +252,9 @@ class DetectorState:
             self.log_components = np.full(shape, start)
         else:
             # stream-major increments, oldest first: steps [0, _stop) are
-            # filled and the last min(n, m1 + 1) of them are the window
-            steps = min(2 * (window_m1 + 1), WINDOW_BUFFER_START)
-            shape = (weights.n_streams, self.n_reps, steps, grid.n_points)
+            # filled and the last min(n, m1 + 1) of them are the window; the
+            # buffer starts at one step and _slide doubles it
+            shape = (weights.n_streams, self.n_reps, 1, grid.n_points)
             self._buffer = np.empty(shape)
             self._stop = 0
             self._log_value = np.full(self.n_reps, start)
@@ -383,9 +386,25 @@ class DetectorState:
     log_sr = log_shiryaev
 
 
-#: Steps the window engine's buffer holds at first, or two windows when they
-#: are fewer.  A longer window's buffer doubles as it fills, up to two windows.
-WINDOW_BUFFER_START = 64
+def state_row_bytes(
+    grid: GridSpec, weights: SubsetWeights, window_m1: int | None, horizon: int
+) -> int:
+    """Bytes of one replication's ``DetectorState`` working set over ``horizon`` steps.
+
+    For the recursion: the ``[S, P]`` log components, the step's subset sums
+    and the ``log_add_exp`` buffer of the same shape.  For the window, with
+    ``m = min(T, m1 + 1)`` window steps: the ``[steps, P, N]`` increment
+    buffer, which doubles from one step up to two windows and so never holds
+    more than ``2 * m`` steps; and per step of ``window_log_statistic``, the
+    ``[m, P, N]`` suffix sums, shifted and then exponentiated in place, their
+    ``[m, P]`` stream maxima, the DP's ``e_1..e_K``, ``[K, m, P]``, and the
+    fused log-sum-exp's table of the same shape with its shifted copy.
+    """
+    n, points = weights.n_streams, grid.n_points
+    if window_m1 is None:
+        return 8 * 3 * weights.n_subsets * points
+    m = min(horizon, window_m1 + 1)
+    return 8 * (2 * m * points * n + m * points * (n + 1 + 3 * weights.K))
 
 
 def check_window(m1: int | None, m0: int) -> None:

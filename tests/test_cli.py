@@ -299,6 +299,28 @@ BAD_CONFIGS = {
         BASE_CONFIG.replace("kind = geometric\nrho = 0.1", "kind = polynomial-tail\nbeta = 1e308"),
     ),
     "cost-c-nan": ("calibrate", BASE_CONFIG.replace("alpha = 0.05", "cost_c = nan")),
+    # an empty list was read as (), and `moments =` printed "delay_moments": {}
+    "moments-empty": ("simulate", BASE_CONFIG.replace("moments = 1, 2", "moments =")),
+    "subset-empty": ("simulate", BASE_CONFIG.replace("subset = 1\ntheta = 1.0", "subset =")),
+    "unknown-scenario-kind": ("simulate", BASE_CONFIG.replace("kind = ar\n", "kind = arma\n")),
+    "unknown-prior-kind": ("simulate", BASE_CONFIG.replace("kind = geometric", "kind = uniform")),
+    "per-stream-list-of-the-wrong-length": (
+        "simulate",
+        BASE_CONFIG.replace("streams = 1", "streams = 3").replace("sigma = 1.0", "sigma = 1.0, 2.0"),
+    ),
+    "no-streams": ("simulate", BASE_CONFIG.replace("streams = 1", "streams = 0")),
+    "subset-outside-the-streams": ("simulate", BASE_CONFIG.replace("subset = 1\n", "subset = 2\n")),
+    "non-integer-nu": ("simulate", BASE_CONFIG.replace("nu = 0", "nu = 1.5")),
+    "no-detector-target": ("simulate", BASE_CONFIG.replace("alpha = 0.05\n", "")),
+    "simulate-without-change": (
+        "simulate", BASE_CONFIG.replace("[change]\nnu = 0\nsubset = 1\ntheta = 1.0\n\n", "")
+    ),
+    "oc-sweep-without-sweep": ("oc-sweep", PRIOR_NU),
+    "unparsable-number": ("simulate", BASE_CONFIG.replace("rho = 0.1", "rho = 0.1x")),
+    "empty-grid-rows": (
+        "simulate", BASE_CONFIG.replace("theta_points = 1.0", "theta_points = ; ;")
+    ),
+    "no-subset-size": ("simulate", BASE_CONFIG.replace("K = 1", "K = 0")),
 }
 
 

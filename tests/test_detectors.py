@@ -156,6 +156,19 @@ def test_data_of_the_wrong_width_is_rejected():
         detector.log_trajectories(data)
     with pytest.raises(ValueError, match="3 streams, scenario has 2"):
         detector.stopping_times(data)
+    with pytest.raises(ValueError, match=r"\[replications, horizon, streams\]"):
+        detector.stopping_times(data[0])
+
+
+def test_a_grid_or_weights_over_other_streams_is_rejected():
+    scenario = Scenario((gaussian_stream(theta=1.0), gaussian_stream(theta=1.0)))
+    config = DetectorConfig(kind="shiryaev-mixture", threshold_A=50.0)
+    prior, grid = GeometricPrior(rho=0.1), GridSpec.common_amplitude((1.0,), 2)
+    weights = SubsetWeights.uniform(2)
+    with pytest.raises(ValueError, match="grid covers 3 streams, scenario has 2"):
+        Detector(config, scenario, prior, GridSpec.common_amplitude((1.0,), 3), weights)
+    with pytest.raises(ValueError, match="subset weights cover 3 streams, scenario has 2"):
+        Detector(config, scenario, prior, grid, SubsetWeights.uniform(3))
 
 
 def test_non_finite_data_is_rejected():
@@ -318,12 +331,16 @@ def test_windowed_detector_runs():
     assert detector.stopping_times(batch)[0] > 0
 
 
-def test_window_stopping_times_peak_within_row_bytes():
-    # no change and an unreachable threshold: all 16 rows run the whole horizon
-    n, horizon, n_reps = 6, 120, 16
+@pytest.mark.parametrize(
+    "window_m1, horizon", [(0, 120), (5, 120), (50, 120), (500, 120), (500, 7)]
+)
+def test_window_stopping_times_peak_within_row_bytes(window_m1, horizon):
+    # no change and an unreachable threshold: all 16 rows run the whole horizon;
+    # the window buffer grows from one step, so a short run holds few steps
+    n, n_reps = 6, 16
     scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(n)))
     grid = GridSpec.common_amplitude((0.5, 1.0), n)
-    config = DetectorConfig(kind="sr-mixture", threshold_A=1e300, window_m1=50)
+    config = DetectorConfig(kind="sr-mixture", threshold_A=1e300, window_m1=window_m1)
     detector = Detector(config, scenario, GeometricPrior(rho=0.01), grid, SubsetWeights.uniform(n, 2))
     changes = [ChangeSpec(NO_CHANGE, ())] * n_reps
     data = scenario.generate(changes, horizon, [replication_rng(7, r) for r in range(n_reps)])

@@ -97,7 +97,6 @@ def test_polynomial_tail_prior_loads_zeta_lazily(tmp_path):
         before = {LOADED_SCIPY}
         light, heavy = PolynomialTailPrior(1.5, q=0.1), PolynomialTailPrior(0.5, q=0.1)
         values = {{
-            "mass": [light.mass(k) for k in (0, 1, 7)],
             "log_mass": [light.log_mass(k) for k in (0, 7)],
             "tail": [light.tail(n) for n in (0, 3, 50)],
             "tail_array": light.tail(np.arange(4)).tolist(),
@@ -115,7 +114,6 @@ def test_polynomial_tail_prior_loads_zeta_lazily(tmp_path):
     # the closed forms the prior evaluates, with scipy's zeta called directly
     scale, s, z0 = 1.0 - 0.1, 2.5, zeta(2.5, 1.0)
     assert out["values"] == {
-        "mass": [scale * (k + 1.0) ** (-s) / z0 for k in (0, 1, 7)],
         "log_mass": [math.log1p(-0.1) - s * math.log(k + 1.0) - math.log(z0) for k in (0, 7)],
         "tail": [scale * zeta(s, n + 1.0) / z0 for n in (0, 3, 50)],
         "tail_array": [scale * zeta(s, n + 1.0) / z0 for n in (0.0, 1.0, 2.0, 3.0)],

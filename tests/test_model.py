@@ -21,19 +21,19 @@ from qcdetect.scenarios import ARChannelSpec
 
 def test_geometric_mass_head():
     prior = GeometricPrior(rho=0.5)
-    assert prior.mass(0) == 0.5
+    assert prior.log_mass(0) == math.log(0.5)
 
 
 def test_geometric_mass_with_head_mass():
     # (1-q) * rho * (1-rho)^k = 0.5 * 0.5 * 0.5
     prior = GeometricPrior(rho=0.5, q=0.5)
-    assert prior.mass(1) == pytest.approx(0.125, abs=1e-15)
+    assert math.exp(prior.log_mass(1)) == pytest.approx(0.125, abs=1e-15)
 
 
 def test_polynomial_tail_zeta_normalizer():
     # sum (k+1)^-2 = pi^2/6, so pi_0 = 6/pi^2
     prior = PolynomialTailPrior(beta=1.0)
-    assert prior.mass(0) == pytest.approx(6.0 / math.pi**2, abs=1e-12)
+    assert math.exp(prior.log_mass(0)) == pytest.approx(6.0 / math.pi**2, abs=1e-12)
 
 
 def test_geometric_tail_values():
@@ -77,7 +77,7 @@ def test_tail_is_elementwise_on_arrays():
     ],
 )
 def test_mass_sums_to_one_with_analytic_tail(prior):
-    partial = sum(prior.mass(k) for k in range(10_001))
+    partial = sum(math.exp(prior.log_mass(k)) for k in range(10_001))
     total = partial + prior.tail(10_001) + prior.q
     assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -93,7 +93,7 @@ def test_mass_sums_to_one_with_analytic_tail(prior):
 def test_tail_differences_recover_mass(prior):
     for n in range(1000):
         assert prior.tail(n) - prior.tail(n + 1) == pytest.approx(
-            prior.mass(n), abs=1e-12
+            math.exp(prior.log_mass(n)), abs=1e-12
         )
 
 
@@ -182,7 +182,7 @@ def test_sample_polynomial_tail_matches_masses():
     values = prior.change_points(rng.random((n, 1))).astype(float)
     assert abs((values == -1).mean() - 0.2) <= 3 * math.sqrt(0.2 * 0.8 / n)
     for k in (0, 1, 3):
-        p = prior.mass(k)
+        p = math.exp(prior.log_mass(k))
         assert abs((values == k).mean() - p) <= 4 * math.sqrt(p * (1 - p) / n)
 
 
@@ -256,6 +256,8 @@ def test_change_spec_validation():
         ChangeSpec(nu=0, subset=())
     with pytest.raises(ValueError):
         ChangeSpec(nu=0, subset=(0, 1), theta=(1.0,))
+    with pytest.raises(ValueError, match="stream indices must be >= 0"):
+        ChangeSpec(nu=0, subset=(-1, 0))
     spec = ChangeSpec(nu=2, subset=(1, 0), theta=(0.5, 1.5))
     assert spec.subset == (0, 1)
     assert spec.theta == (1.5, 0.5)
@@ -365,8 +367,8 @@ def change_point_by_draw(prior, u):
 @pytest.mark.parametrize("q", [0.0, 0.2])
 @pytest.mark.parametrize(
     "family", [lambda q: PolynomialTailPrior(b, q=q) for b in (0.05, 0.5, 2.0)]
-    + [lambda q: GeometricPrior(rho=0.03, q=q)],
-    ids=["poly-0.05", "poly-0.5", "poly-2", "geometric"],
+    + [lambda q: GeometricPrior(rho=0.03, q=q), lambda q: PointMassPrior(4, q=q)],
+    ids=["poly-0.05", "poly-0.5", "poly-2", "geometric", "point-mass"],
 )
 def test_change_points_equal_the_per_draw_inverse_cdf(family, q):
     prior = family(q)

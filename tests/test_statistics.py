@@ -66,6 +66,13 @@ def test_grid_weights_must_be_positive():
         GridSpec(theta_points=((0.5,), (1.0,)), weights=(1.0, 0.0))
 
 
+def test_grid_points_must_share_a_dimension_and_match_the_weights():
+    with pytest.raises(ValueError, match="same dimension"):
+        GridSpec(theta_points=((0.5,), (1.0, 2.0)), weights=(0.5, 0.5))
+    with pytest.raises(ValueError, match="3 weights for 2 points"):
+        GridSpec(theta_points=((0.5,), (1.0,)), weights=(0.25, 0.25, 0.5))
+
+
 def test_common_amplitude_grid():
     grid = GridSpec.common_amplitude([0.5, 1.0], 3)
     assert grid.points.shape == (2, 3)
@@ -110,7 +117,7 @@ def test_shiryaev_unit_lr_closed_form():
     state = DetectorState(prior, grid, weights)
     for n in range(1, 6):
         state.advance(inc)
-        direct = sum(prior.mass(k) for k in range(n)) / prior.tail(n)
+        direct = sum(math.exp(prior.log_mass(k)) for k in range(n)) / prior.tail(n)
         assert np.exp(state.log_shiryaev()[0]) == pytest.approx(2.0**n - 1.0, rel=1e-12)
         assert np.exp(state.log_shiryaev()[0]) == pytest.approx(direct, rel=1e-12)
 
@@ -331,6 +338,25 @@ def test_point_mass_prior_exhausts_shiryaev_support():
     state.advance(inc)  # n = 1 fine
     with pytest.raises(ValueError, match="tail"):
         state.advance(inc)  # tail(2) = 0
+
+
+def test_window_kernel_refuses_a_vanished_point_mass_tail():
+    scenario, grid, weights = unit_increment_setup()
+    prior = PointMassPrior(3, q=0.5)
+    window = np.zeros((1, 3, 1))  # [N, m, P]: the head term alone, log q + log C
+    assert np.isfinite(window_log_statistic(window, prior, grid, weights, n=3, m0=0))
+    with pytest.raises(ValueError, match="prior tail vanishes at n=4"):
+        window_log_statistic(window, prior, grid, weights, n=4, m0=0)
+
+
+def test_state_refuses_increments_of_the_wrong_shape_and_a_basis_over_other_streams():
+    _, grid, weights, prior = make_pair_setup()  # P = 2, N = 2
+    for window_m1 in (None, 3):
+        state = DetectorState(prior, grid, weights, n_reps=3, window_m1=window_m1)
+        with pytest.raises(ValueError, match=re.escape("shape (3, 2, 2), got (2, 2, 2)")):
+            state.advance(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="subset weights cover 3 streams, grid 2"):
+        DetectorState(prior, grid, SubsetWeights.uniform(3))
 
 
 def test_log_statistic_is_exact_beyond_e700():
