@@ -8,7 +8,6 @@ operating characteristics.
 
 from .detectors import (
     Detector,
-    DetectorConfig,
     d_constant,
     threshold_cost,
     threshold_shiryaev,
@@ -61,7 +60,6 @@ __all__ = [
     "ARChannelSpec",
     "ChangeSpec",
     "Detector",
-    "DetectorConfig",
     "DetectorState",
     "FlatWeights",
     "GeometricPrior",

@@ -24,17 +24,15 @@ import os
 import sys
 import types
 import typing
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from .detectors import (
     Detector,
-    DetectorConfig,
     calibration,
     check_moment_order,
     d_constant,
     delay_tail_rate,
     level_formula,
-    level_threshold,
     threshold_cost,
 )
 from .likelihood import SubsetWeights
@@ -303,23 +301,21 @@ def build_scenario(section: ScenarioSection) -> Scenario:
         if section.kind == "ar":
             coeffs = _broadcast(section.coeffs, n, "scenario coeffs")
             signal = _broadcast(section.signal, n, "scenario signal")
-            channels = tuple(
+            return Scenario(tuple(
                 ARChannelSpec(coeffs=coeffs[i], sigma=sigma[i], signal=signal[i], theta=theta[i])
                 for i in range(n)
-            )
-        elif section.kind == "mixture":
+            ))
+        if section.kind == "mixture":
             beta_mix = _broadcast(section.beta_mix, n, "beta_mix")
             mu1 = _broadcast(section.mu1, n, "mu1")
             mu2 = _broadcast(section.mu2, n, "mu2")
-            channels = tuple(
+            return Scenario(tuple(
                 MixtureChannelSpec(
                     beta_mix=beta_mix[i], mu1=mu1[i], mu2=mu2[i], sigma=sigma[i], theta=theta[i]
                 )
                 for i in range(n)
-            )
-        else:
-            raise ConfigError(f"unknown scenario kind {section.kind!r}")
-    return Scenario(channels)
+            ))
+    raise ConfigError(f"unknown scenario kind {section.kind!r}")
 
 
 def build_prior(section: PriorSection) -> PriorSpec:
@@ -379,51 +375,52 @@ def build_change(section: ChangeSection | None, scenario: Scenario, horizon: int
     return sampler
 
 
-def calibrate(config: RunConfig) -> tuple[Detector, dict]:
-    """The detector of ``config`` and the report of its threshold, from one build of each part.
+def build_detector(config: RunConfig) -> Detector:
+    """The statistic of ``config``, one build of each part; ``calibrate`` adds the threshold."""
+    section = config.detector
+    prior = build_prior(config.prior)
+    scenario = build_scenario(config.scenario)
+    grid = build_grid(config.grid, scenario.n_streams)
+    weights = build_weights(config.grid, scenario.n_streams)
+    with _invalid("detector"):
+        return Detector(
+            section.kind, scenario, prior, grid, weights,
+            window_m1=section.window_m1, window_m0=section.window_m0, omega=section.omega,
+        )
+
+
+def calibrate(config: RunConfig) -> tuple[Detector, float, dict]:
+    """The statistic of ``config``, its threshold, and the report of that threshold.
 
     ``[detector]`` gives the threshold, or a false-alarm level ``alpha`` or a
     delay cost ``cost_c`` that it is calibrated from inside
-    ``detectors.calibration``.  Building the detector cross-validates the
-    threshold against the prior and grid.
+    ``detectors.calibration``.  The threshold is then checked against the rule
+    and prior by ``Detector.log_level``.
     """
     section = config.detector
     targets = [k for k in ("threshold", "alpha", "cost_c") if getattr(section, k) is not None]
     if len(targets) > 1:
         raise ConfigError(f"[detector] sets {' and '.join(targets)}; give only one of them")
-    prior = build_prior(config.prior)
     if not targets:
         raise ConfigError("detector section needs one of: threshold, alpha, cost_c")
+    detector = build_detector(config)
     a, target, formula = section.threshold, "explicit", "threshold as given"
-    if section.alpha is not None:  # needs only the prior
-        with _invalid(), calibration():
-            a = level_threshold(section.kind, section.alpha, prior, section.omega)
+    if section.alpha is not None:
+        with _invalid():
+            a = detector.threshold(section.alpha)
         target, formula = f"alpha={section.alpha!r}", level_formula(section.kind)
-    scenario = build_scenario(config.scenario)
-    grid = build_grid(config.grid, scenario.n_streams)
-    weights = build_weights(config.grid, scenario.n_streams)
     if section.cost_c is not None:
         with _invalid(), calibration():
-            mu = delay_tail_rate(section.kind, prior)
-            d = d_constant(weights, grid, scenario.kl_per_stream(grid.points), mu, section.cost_r)
+            mu = delay_tail_rate(section.kind, detector.prior)
+            rates = detector.scenario.kl_per_stream(detector.grid.points)
+            d = d_constant(detector.weights, detector.grid, rates, mu, section.cost_r)
             a = threshold_cost(section.cost_c, section.cost_r, d)
         target = f"c={section.cost_c!r}, r={section.cost_r!r}"
         formula = f"r * D * A * (log A)^(r-1) = 1/c with D = {d!r}"
     with _invalid("detector"):
-        det_config = DetectorConfig(
-            kind=section.kind,
-            threshold_A=a,
-            window_m1=section.window_m1,
-            window_m0=section.window_m0,
-            head_start_omega=section.omega,
-        )
-        detector = Detector(det_config, scenario, prior, grid, weights)
-    return detector, {"kind": section.kind, "threshold_A": a, "target": target, "formula": formula}
-
-
-def build_detector(config: RunConfig) -> Detector:
-    """The detector of ``config``, without the report of its threshold."""
-    return calibrate(config)[0]
+        detector.log_level(a)
+    report = {"kind": section.kind, "threshold_A": a, "target": target, "formula": formula}
+    return detector, a, report
 
 
 def build_mc(config: RunConfig, seed: int | None, workers: int | None) -> MCConfig:
@@ -475,18 +472,18 @@ def _json_number(value: float) -> float | None:
 
 
 def cmd_calibrate(config: RunConfig, out: str | None) -> int:
-    _, report = calibrate(config)
+    _, _, report = calibrate(config)
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
     return EXIT_OK
 
 
 def cmd_simulate(config: RunConfig, out: str | None, seed: int | None, workers: int | None) -> int:
-    detector = build_detector(config)
+    detector, threshold, _ = calibrate(config)
     mc = build_mc(config, seed, workers)
     sampler = build_change(config.change, detector.scenario, mc.horizon)
     check_span_memory(detector, mc)
     with _invalid():  # increments that overflow show only as the runs are stepped
-        records = simulate_runs(detector, mc, sampler)
+        records = simulate_runs(detector, threshold, mc, sampler)
     moments = {str(r): records.delay_moment(r) for r in config.mc.moments}
     summary = {
         "replications": mc.replications,
@@ -516,10 +513,9 @@ def cmd_oc_sweep(config: RunConfig, out: str | None, seed: int | None, workers: 
     if not config.sweep.alphas:
         raise ConfigError("oc-sweep needs a [sweep] section with an alphas grid")
     mc = build_mc(config, seed, workers)
-    # the statistic every level shares, built at the first level; the sweep
-    # checks every level, then I + mu, before anything is simulated
-    first = replace(config.detector, threshold=None, cost_c=None, alpha=config.sweep.alphas[0])
-    detector = build_detector(replace(config, detector=first))
+    # the statistic every level shares; the sweep calibrates and checks every
+    # level, then I + mu, before anything is simulated
+    detector = build_detector(config)
     sampler = build_change(config.change, detector.scenario, mc.horizon)
     if not isinstance(sampler, PriorNuSampler):
         raise ConfigError("oc-sweep draws nu from the prior; set [change] nu = prior")

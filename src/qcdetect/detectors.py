@@ -1,7 +1,8 @@
 """Stopping rules on the mixed statistics and threshold calibration.
 
-A detector stops at the first ``n >= 1`` with ``statistic(n) >= A``.  The
-thresholds come from three calibration routes: the posterior-odds bound
+A rule stops at the first ``n >= 1`` with ``statistic(n) >= A``; a ``Detector``
+is the statistic, and ``A`` is an argument of each use.  The thresholds come
+from three calibration routes: the posterior-odds bound
 ``A = (1 - alpha) / alpha`` for the Shiryaev rule, the submartingale bound
 ``A = (omega * b + mean(nu)) / alpha`` for the Shiryaev-Roberts rule, and the
 cost-balance equation ``r * D * A * (log A)^(r-1) = 1/c`` for the average-risk
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,46 +40,26 @@ MAX_RECURSION_SUBSETS = 4095
 INCREMENT_BLOCK = 32
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Which rule to run and at what threshold.
+class Detector:
+    """A mixture statistic bound to its observation model, prior, and mixtures.
 
-    A putative-parameter rule is a mixture rule with a one-point grid.  The
-    head start ``omega`` belongs to the Shiryaev-Roberts rule; the Shiryaev
-    rule starts from the prior's head odds.
+    The statistic does not depend on the threshold, which is an argument of
+    each use.  A putative-parameter rule is a mixture rule with a one-point
+    grid.  The head start ``omega`` belongs to the Shiryaev-Roberts rule; the
+    Shiryaev rule starts from the prior's head odds.
     """
 
-    kind: str
-    threshold_A: float
-    window_m1: int | None = None
-    window_m0: int = 0
-    head_start_omega: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown detector kind {self.kind!r}")
-        check_threshold(self.threshold_A)
-        check_window(self.window_m1, self.window_m0)
-        FlatWeights(self.head_start_omega)  # the head-start rule
-        if self.head_start_omega > 0.0 and self.uses_shiryaev:
-            raise ValueError("a head start omega applies only to the sr-mixture rule")
-
-    @property
-    def uses_shiryaev(self) -> bool:
-        return self.kind == SHIRYAEV_MIXTURE
-
-
-class Detector:
-    """A stopping rule bound to its observation model, prior, and mixtures."""
-
     def __init__(
-        self,
-        config: DetectorConfig,
-        scenario,
-        prior: PriorSpec,
-        grid: GridSpec,
-        weights: SubsetWeights,
+        self, kind: str, scenario, prior: PriorSpec, grid: GridSpec, weights: SubsetWeights,
+        *, window_m1: int | None = None, window_m0: int = 0, omega: float = 0.0,
     ):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown detector kind {kind!r}")
+        check_window(window_m1, window_m0)
+        FlatWeights(omega)  # the head-start rule
+        uses_shiryaev = kind == SHIRYAEV_MIXTURE
+        if omega > 0.0 and uses_shiryaev:
+            raise ValueError("a head start omega applies only to the sr-mixture rule")
         if grid.n_streams != scenario.n_streams:
             raise ValueError(
                 f"grid covers {grid.n_streams} streams, scenario has {scenario.n_streams}"
@@ -89,42 +69,51 @@ class Detector:
                 f"subset weights cover {weights.n_streams} streams, "
                 f"scenario has {scenario.n_streams}"
             )
-        if config.uses_shiryaev and isinstance(prior, PointMassPrior):
+        if uses_shiryaev and isinstance(prior, PointMassPrior):
             raise ValueError(
                 f"the {SHIRYAEV_MIXTURE} rule needs a prior tail that never vanishes; "
                 f"a point-mass prior's tail is 0 after k0 = {prior.k0}"
             )
-        if config.window_m1 is None and weights.n_subsets > MAX_RECURSION_SUBSETS:
+        if window_m1 is None and weights.n_subsets > MAX_RECURSION_SUBSETS:
             raise ValueError(
                 f"the recursion over {weights.n_subsets} subsets exceeds its budget of "
                 f"{MAX_RECURSION_SUBSETS}; set [detector] window_m1 to run the window engine"
             )
-        if config.uses_shiryaev and config.threshold_A <= prior.head_odds():
-            raise ValueError(
-                f"Shiryaev threshold must exceed q/(1-q) = {prior.head_odds():.6g}"
-            )
-        self.config = config
+        self.kind = kind
         self.scenario = scenario
         self.prior = prior
         self.grid = grid
         self.weights = weights
+        self.window_m1 = window_m1
+        self.window_m0 = window_m0
+        self.omega = omega
         # the change-point weighting is the only difference between the rules
-        self.weighting = prior if config.uses_shiryaev else FlatWeights(config.head_start_omega)
-        self.log_threshold = math.log(config.threshold_A)
+        self.weighting = prior if uses_shiryaev else FlatWeights(omega)
 
-    def at_level(self, alpha: float) -> "Detector":
-        """This statistic (scenario, prior, grid, weights, window) at level ``alpha``'s threshold."""
+    def threshold(self, alpha: float) -> float:
+        """The threshold of false-alarm level ``alpha``, calibrated inside ``calibration``."""
         with calibration():
-            a = level_threshold(self.config.kind, alpha, self.prior, self.config.head_start_omega)
-        config = replace(self.config, threshold_A=a)
-        return Detector(config, self.scenario, self.prior, self.grid, self.weights)
+            return level_threshold(self.kind, alpha, self.prior, self.omega)
 
-    def pfa_bound(self) -> float:
-        """The calibration bound on the weighted false-alarm probability."""
-        a = self.config.threshold_A
-        if self.config.uses_shiryaev:
+    def log_level(self, a: float) -> float:
+        """``log a`` of a threshold this rule takes; any other is a ``ValueError``.
+
+        ``a`` passes ``check_threshold``, and for the Shiryaev rule, whose
+        statistic starts from the prior's head odds, exceeds ``q/(1-q)``.
+        """
+        check_threshold(a)
+        if self.kind == SHIRYAEV_MIXTURE and a <= self.prior.head_odds():
+            raise ValueError(
+                f"Shiryaev threshold must exceed q/(1-q) = {self.prior.head_odds():.6g}"
+            )
+        return math.log(a)
+
+    def pfa_bound(self, a: float) -> float:
+        """The calibration bound on the weighted false-alarm probability at threshold ``a``."""
+        self.log_level(a)
+        if self.kind == SHIRYAEV_MIXTURE:
             return 1.0 / (1.0 + a)
-        return _sr_bound(self.config.head_start_omega, self.prior) / a
+        return _sr_bound(self.omega, self.prior) / a
 
     def first_order_rate(self, subset, theta=None) -> float:
         """``I + mu`` > 0 in the first-order delay ``(|log alpha| / (I + mu))^r``.
@@ -140,7 +129,7 @@ class Detector:
             info = float(sum(self.scenario.channels[i].kl_rate(values[i]) for i in subset))
         except ValueError as exc:
             raise ValueError(f"invalid change: {exc}") from exc
-        rate = info + delay_tail_rate(self.config.kind, self.prior)
+        rate = info + delay_tail_rate(self.kind, self.prior)
         if not rate > 0.0:
             raise ValueError(f"the first-order delay needs I + mu > 0, got {rate!r}")
         return rate
@@ -154,17 +143,21 @@ class Detector:
         temporaries are a few ``R``- or ``T``-long vectors per span); the
         scan's finite check of the data, one byte per value; one block of
         data, ``[min(T, INCREMENT_BLOCK) + p, N]`` with the ``p`` lag samples,
-        and its increments, ``[min(T, INCREMENT_BLOCK), P, N]``; and the
-        engine's working set, which ``statistics.state_row_bytes`` counts.
-        The scan's ``[R, L]`` stops, ``8 * L`` bytes a row at ``L`` levels,
-        are left out with the span's other ``R``-long vectors: a sweep's
-        handful of levels is small beside the ``8 * T * N`` bytes of data.
+        and its increments, ``[min(T, INCREMENT_BLOCK), P, N]``; the scan's
+        per-row vectors, ``nu``, one column of stops, ``rows``, ``pos``,
+        ``reached``, ``next_level`` and the ``N`` running sums of ``carry``;
+        and the engine's working set, which ``statistics.state_row_bytes``
+        counts.  A sweep's further stop columns, 8 bytes a row at each of its
+        handful of levels, are left out: they are small beside the
+        ``8 * T * N`` bytes of data.  The count is per row; a call's fixed
+        overhead, which outweighs a row of one or two steps, is not in it.
         """
         n, points = self.scenario.n_streams, self.grid.n_points
         steps = min(horizon, INCREMENT_BLOCK)
         block = (steps + self.scenario.lags) * n + steps * points * n
-        engine = state_row_bytes(self.grid, self.weights, self.config.window_m1, horizon)
-        return 8 * (horizon * n + 3 * n + 3 + block) + engine + horizon * n
+        engine = state_row_bytes(self.grid, self.weights, self.window_m1, horizon)
+        scan = 6 + n  # nu, a stop column, rows, pos, reached, next_level and carry
+        return 8 * (horizon * n + 3 * n + 3 + block + scan) + engine + horizon * n
 
     def _new_state(self, n_reps: int) -> DetectorState:
         return DetectorState(
@@ -172,8 +165,8 @@ class Detector:
             self.grid,
             self.weights,
             n_reps=n_reps,
-            window_m1=self.config.window_m1,
-            window_m0=self.config.window_m0,
+            window_m1=self.window_m1,
+            window_m0=self.window_m0,
         )
 
     def _check_data(self, data) -> np.ndarray:
@@ -266,17 +259,16 @@ class Detector:
         self._scan(data, [math.inf], out)
         return out
 
-    def stopping_times(self, data: np.ndarray, log_thresholds=None) -> np.ndarray:
-        """First crossing time per run (-1 when censored): [R] from [R, T, N].
+    def stopping_times(self, data: np.ndarray, log_thresholds) -> np.ndarray:
+        """First crossing times per run and level (-1 when censored): [R, L] from [R, T, N].
 
-        With ``log_thresholds`` ``[L]`` it is ``[R, L]``, one column per level,
-        from one scan: column ``j`` equals the ``stopping_times`` of this
-        statistic at threshold ``exp(log_thresholds[j])``, bit for bit.  Each
-        run is stepped only up to its stop at its highest level.
+        ``log_thresholds`` is an ``[L]`` vector; column ``j`` holds each run's
+        first step whose log statistic reaches ``log_thresholds[j]``.  All
+        levels come from one scan, and each column equals that of a scan at
+        its level alone, bit for bit.  Each run is stepped only up to its stop
+        at its highest level.
         """
         data = self._check_data(data)
-        if log_thresholds is None:
-            return self._scan(data, [self.log_threshold])[:, 0]
         levels = np.asarray(log_thresholds, dtype=float)
         if levels.ndim != 1 or not levels.size:
             shape = levels.shape
@@ -302,7 +294,8 @@ def check_threshold(a: float) -> None:
 def calibration():
     """Reword a ``ValueError`` or ``ArithmeticError`` raised inside as a failed calibration.
 
-    ``Detector.at_level`` and the CLI's false-alarm and cost routes calibrate inside it.
+    ``Detector.threshold``, the one false-alarm route, and the CLI's cost route
+    calibrate inside it.
     """
     try:
         yield

@@ -18,12 +18,13 @@ joined on every exit path: a pass gets a pool of its own, and
 carries its detector, sampler and thresholds with it, so a reused worker keeps
 no state from one pass to the next.
 
+A ``Detector`` is the statistic; the threshold is an argument of every pass.
 Only the threshold depends on the false-alarm level, so every level of a sweep
 stops at a first crossing of the same path.  While ``asymptotic_ratio_sweep``
-runs, its private block holds its levels, its pool and, per sampler, ``nu``
-and the ``[R, L]`` stops of one scan at every level's threshold; each level's
-``simulate_runs`` call reads its own column.  A sweep of L levels thus makes
-2·L per-level passes, but generates and scans each of its 2 datasets once.
+runs, its private block holds its statistic, thresholds and pool and, per
+sampler, ``nu`` and the ``[R, L]`` stops of one scan at every threshold; each
+level's ``simulate_runs`` call reads its own column.  A sweep of L levels thus
+makes 2·L passes, but generates and scans each of its 2 datasets once.
 
 The false-alarm probability is estimated under the no-change law only, as the
 mean of ``P(nu >= T)`` over replications: summing the prior tail at the
@@ -229,55 +230,60 @@ def _run_spans(pool: WorkerPool, detector: Detector, mc: MCConfig, sampler, log_
 
 @dataclass
 class _SweepBlock:
-    """A running sweep's levels, its pool, and ``nu`` and the ``[R, L]`` stops of its scans."""
+    """A running sweep's statistic, thresholds, pool, and its scans' ``nu`` and ``[R, L]`` stops."""
 
-    levels: tuple
+    detector: Detector
+    thresholds: tuple
     pool: WorkerPool
     runs: dict = field(default_factory=dict)  # sampler -> (nu, stopped); never the data
 
-    def records(self, level: Detector, mc: MCConfig, sampler) -> RunRecords:
-        """``level``'s runs as fresh arrays, the dataset scanned once for every level."""
+    def records(self, threshold: float, mc: MCConfig, sampler) -> RunRecords:
+        """The runs at ``threshold`` as fresh arrays, the dataset scanned once for every level."""
         if sampler not in self.runs:
-            log_thresholds = [other.log_threshold for other in self.levels]
-            self.runs[sampler] = _run_spans(self.pool, level, mc, sampler, log_thresholds)
+            levels = [self.detector.log_level(a) for a in self.thresholds]
+            self.runs[sampler] = _run_spans(self.pool, self.detector, mc, sampler, levels)
         nu, stopped = self.runs[sampler]
-        return RunRecords(nu=nu.copy(), stopped=stopped[:, self.levels.index(level)].copy())
+        return RunRecords(nu=nu.copy(), stopped=stopped[:, self.thresholds.index(threshold)].copy())
 
 
 _sweep: ContextVar[_SweepBlock | None] = ContextVar("qcdetect_sweep", default=None)
 
 
-def simulate_runs(detector: Detector, mc: MCConfig, sampler) -> RunRecords:
-    """Run all replications and collect per-replication outcomes.
+def simulate_runs(detector: Detector, threshold: float, mc: MCConfig, sampler) -> RunRecords:
+    """Run all replications of ``detector`` at ``threshold`` and collect their outcomes.
 
+    The threshold passes ``Detector.log_level`` before any data is generated.
     A level of the running ``asymptotic_ratio_sweep`` reads its column of the
     sweep's scan; any other call runs its own pass, on a pool it closes
     before returning.
     """
+    log_a = detector.log_level(threshold)
     block = _sweep.get()
-    if block is not None and detector in block.levels:  # detectors compare by identity
-        return block.records(detector, mc, sampler)
+    if block is not None and detector is block.detector and threshold in block.thresholds:
+        return block.records(threshold, mc, sampler)
     with closing(WorkerPool(mc.workers)) as pool:
-        nu, stopped = _run_spans(pool, detector, mc, sampler, [detector.log_threshold])
+        nu, stopped = _run_spans(pool, detector, mc, sampler, [log_a])
     return RunRecords(nu=nu, stopped=stopped[:, 0])
 
 
 # -- operating-characteristic estimators ----------------------------------------
 
 
-def estimate_pfa(detector: Detector, mc: MCConfig, alpha: float | None = None) -> MCEstimate:
+def estimate_pfa(
+    detector: Detector, threshold: float, mc: MCConfig, alpha: float | None = None
+) -> MCEstimate:
     """Weighted false-alarm probability, simulated under the no-change law.
 
     ``alpha`` is the precision target used to vet the censoring surrogate; it
-    defaults to the detector's calibration bound.  A run with no alarm by the
-    horizon still has a resolved contribution, bounded by the prior mass
+    defaults to the calibration bound at ``threshold``.  A run with no alarm by
+    the horizon still has a resolved contribution, bounded by the prior mass
     beyond the horizon; such runs are absorbed (and ``censored_fraction``
     stays zero) only when that mass is below ``1e-3 * alpha``, otherwise the
     horizon is reported as infeasible.
     """
     if alpha is None:
-        alpha = detector.pfa_bound()
-    records = simulate_runs(detector, mc, NO_CHANGE_SAMPLER)
+        alpha = detector.pfa_bound(threshold)
+    records = simulate_runs(detector, threshold, mc, NO_CHANGE_SAMPLER)
     unresolved = records.censored
     tail_beyond = detector.prior.tail(mc.horizon + 1)
     if unresolved.any() and not tail_beyond < 1e-3 * alpha:
@@ -292,7 +298,7 @@ def estimate_pfa(detector: Detector, mc: MCConfig, alpha: float | None = None) -
 
 
 def estimate_pfa_naive(
-    detector: Detector, mc: MCConfig, subset, theta=None
+    detector: Detector, threshold: float, mc: MCConfig, subset, theta=None
 ) -> MCEstimate:
     """Two-stage false-alarm estimator: sample nu, flag alarms with T <= nu.
 
@@ -300,14 +306,14 @@ def estimate_pfa_naive(
     censored runs count as no alarm, so the horizon must make P(nu near the
     horizon) negligible.
     """
-    records = simulate_runs(detector, mc, PriorNuSampler(subset, theta))
+    records = simulate_runs(detector, threshold, mc, PriorNuSampler(subset, theta))
     return MCEstimate.from_values(
         records.false_alarm.astype(float), censored_fraction=records.censored_fraction
     )
 
 
 def estimate_conditional_delay(
-    detector: Detector, change: ChangeSpec, r: float, mc: MCConfig
+    detector: Detector, threshold: float, change: ChangeSpec, r: float, mc: MCConfig
 ) -> MCEstimate:
     """r-th moment of (T - k) given T > k for a fixed change at k = change.nu.
 
@@ -317,19 +323,19 @@ def estimate_conditional_delay(
     check_moment_order(r)
     sampler = FixedChangeSampler(change)
     sampler.check_horizon(mc.horizon)
-    return simulate_runs(detector, mc, sampler).delay_moment(r)
+    return simulate_runs(detector, threshold, mc, sampler).delay_moment(r)
 
 
 def estimate_bayes_delay(
-    detector: Detector, subset, theta, r: float, mc: MCConfig
+    detector: Detector, threshold: float, subset, theta, r: float, mc: MCConfig
 ) -> MCEstimate:
     """r-th moment of (T - nu) given T > nu, with nu drawn from the prior."""
     check_moment_order(r)
-    return simulate_runs(detector, mc, PriorNuSampler(subset, theta)).delay_moment(r)
+    return simulate_runs(detector, threshold, mc, PriorNuSampler(subset, theta)).delay_moment(r)
 
 
 def estimate_average_risk(
-    detector: Detector, c: float, r: float, mc: MCConfig
+    detector: Detector, threshold: float, c: float, r: float, mc: MCConfig
 ) -> MCEstimate:
     """Average risk: P(false alarm) plus c times the r-th power of the delay.
 
@@ -340,7 +346,7 @@ def estimate_average_risk(
     if not 0.0 <= c < math.inf:
         raise ValueError(f"delay cost must be finite and >= 0, got {c}")
     check_moment_order(r)
-    records = simulate_runs(detector, mc, JointSampler.for_detector(detector))
+    records = simulate_runs(detector, threshold, mc, JointSampler.for_detector(detector))
     resolved = ~records.censored
     false_alarm = records.false_alarm[resolved].astype(float)
     delay = np.maximum(records.stopped - records.nu, 0)[resolved].astype(float)
@@ -400,35 +406,36 @@ def asymptotic_ratio_sweep(
 ) -> list[SweepRow]:
     """False-alarm probabilities and delay moments across a grid of levels.
 
-    Every level runs ``detector``'s statistic at ``detector.at_level(alpha)``.
-    All levels, then ``I + mu`` (``Detector.first_order_rate``), are checked
-    before the first pass; a level that cannot be calibrated is the
-    ``ValueError`` of ``Detector.at_level``.  Every level's delay pass runs,
-    then every level's ``estimate_pfa`` pass at precision ``alpha``, all on
-    one pool, and each dataset is scanned once for every level.  The ratio
-    column divides the simulated Bayes delay moment of a change in ``subset``
-    at ``theta`` by ``(|log alpha| / (I + mu))^r``.
+    Every level runs ``detector``'s statistic at ``detector.threshold(alpha)``.
+    Every level is calibrated once, then ``I + mu``
+    (``Detector.first_order_rate``) is checked, before the first pass; a
+    level that cannot be calibrated is the ``ValueError`` of
+    ``Detector.threshold``.  Every level's delay pass runs, then every level's
+    ``estimate_pfa`` pass at precision ``alpha``, all on one pool, and each
+    dataset is scanned once for every level.  The ratio column divides the
+    simulated Bayes delay moment of a change in ``subset`` at ``theta`` by
+    ``(|log alpha| / (I + mu))^r``.
     Replication seeds are shared across levels, so compared rows use common
     random numbers.  The change-point prior is held fixed across the sweep;
     level-dependent priors are out of scope for this table.
     """
     alphas = tuple(alphas)
-    levels = tuple(detector.at_level(alpha) for alpha in alphas)
+    thresholds = tuple(detector.threshold(alpha) for alpha in alphas)
     rate = detector.first_order_rate(subset, theta)
     with closing(WorkerPool(mc.workers)) as pool:
-        token = _sweep.set(_SweepBlock(levels, pool))
+        token = _sweep.set(_SweepBlock(detector, thresholds, pool))
         try:
-            delays = [estimate_bayes_delay(level, subset, theta, r, mc) for level in levels]
-            pfas = [estimate_pfa(level, mc, alpha=alpha) for alpha, level in zip(alphas, levels)]
+            delays = [estimate_bayes_delay(detector, a, subset, theta, r, mc) for a in thresholds]
+            pfas = [estimate_pfa(detector, a, mc, alpha) for alpha, a in zip(alphas, thresholds)]
         finally:
             _sweep.reset(token)
     rows = []
-    for alpha, level, pfa, delay in zip(alphas, levels, pfas, delays):
+    for alpha, a, pfa, delay in zip(alphas, thresholds, pfas, delays):
         first_order = (abs(math.log(alpha)) / rate) ** r
         rows.append(
             SweepRow(
                 alpha=float(alpha),
-                threshold_A=level.config.threshold_A,
+                threshold_A=a,
                 pfa_est=pfa.mean,
                 pfa_se=pfa.stderr,
                 delay_moment=delay.mean,

@@ -14,7 +14,6 @@ import numpy as np
 from qcdetect import (
     ChangeSpec,
     Detector,
-    DetectorConfig,
     GeometricPrior,
     GridSpec,
     MCConfig,
@@ -84,13 +83,10 @@ def dual_scenarios():
 def test_01_pfa_bound_shiryaev():
     scenario, grid, weights, prior = three_stream_setup()
     alpha = 0.005
-    detector = Detector(
-        DetectorConfig(kind="shiryaev-mixture", threshold_A=199.0),
-        scenario, prior, grid, weights,
-    )
+    detector = Detector("shiryaev-mixture", scenario, prior, grid, weights)
     mc = MCConfig(replications=10_000, master_seed=101, horizon=500)
     start = time.perf_counter()
-    est = estimate_pfa(detector, mc, alpha=alpha)
+    est = estimate_pfa(detector, 199.0, mc, alpha=alpha)
     elapsed = time.perf_counter() - start
     surrogate_valid = prior.tail(mc.horizon + 1) < 1e-3 * alpha
     ok = (
@@ -111,11 +107,9 @@ def test_02_pfa_bound_sr():
     scenario, grid, weights, prior = three_stream_setup()
     alpha = 0.01
     a = threshold_sr(alpha, 0.0, prior)
-    detector = Detector(
-        DetectorConfig(kind="sr-mixture", threshold_A=a), scenario, prior, grid, weights
-    )
+    detector = Detector("sr-mixture", scenario, prior, grid, weights)
     mc = MCConfig(replications=10_000, master_seed=102, horizon=500)
-    est = estimate_pfa(detector, mc, alpha=alpha)
+    est = estimate_pfa(detector, a, mc, alpha=alpha)
     ok = est.mean <= alpha + 3 * est.stderr
     assert report(
         "02", ok, f"SR PFA {est.mean:.5f} <= {alpha} + 3*{est.stderr:.5f} at A={a:g}"
@@ -271,7 +265,7 @@ def test_09_first_order_delay_trend():
     start = time.perf_counter()
     rows_s, rows_r = (
         asymptotic_ratio_sweep(
-            Detector(DetectorConfig(kind=kind, threshold_A=10.0), scenario, prior, grid, weights),
+            Detector(kind, scenario, prior, grid, weights),
             alphas, 1, mc, (0,), (1.0,),
         )
         for kind in ("shiryaev-mixture", "sr-mixture")
@@ -305,12 +299,9 @@ def test_10_cost_threshold_and_average_risk():
     d_value = d_constant(weights, grid, scenario.kl_per_stream(grid.points), mu, 1)
     c = 1e-4
     a = threshold_cost(c, 1, d_value)
-    detector = Detector(
-        DetectorConfig(kind="shiryaev-mixture", threshold_A=a),
-        scenario, prior, grid, weights,
-    )
+    detector = Detector("shiryaev-mixture", scenario, prior, grid, weights)
     mc = MCConfig(replications=4000, master_seed=110, horizon=2200)
-    risk = estimate_average_risk(detector, c, 1, mc)
+    risk = estimate_average_risk(detector, a, c, 1, mc)
     target = d_value * c * abs(math.log(c))
     ratio = risk.mean / target
     ok = worst <= 1e-10 and 0.7 <= ratio <= 1.5
@@ -341,22 +332,16 @@ def test_11_window_limited_behavior():
         identical &= state_s.log_shiryaev()[0] == full_s and state_r.log_shiryaev()[0] == full_r
     # (b) m1 = 20 < n = 100 changes strong-signal delays by at most one step
     a = threshold_shiryaev(1e-2)
-    full = Detector(
-        DetectorConfig(kind="shiryaev-mixture", threshold_A=a),
-        scenario, prior, grid, weights,
-    )
-    windowed = Detector(
-        DetectorConfig(kind="shiryaev-mixture", threshold_A=a, window_m1=20),
-        scenario, prior, grid, weights,
-    )
+    full = Detector("shiryaev-mixture", scenario, prior, grid, weights)
+    windowed = Detector("shiryaev-mixture", scenario, prior, grid, weights, window_m1=20)
     n_pairs = 1000
     data = scenario.generate(
         [ChangeSpec(nu=0, subset=(0,))] * n_pairs,
         100,
         [replication_rng(111, r) for r in range(n_pairs)],
     )
-    t_full = full.stopping_times(data)
-    t_win = windowed.stopping_times(data)
+    t_full = full.stopping_times(data, [math.log(a)])[:, 0]
+    t_win = windowed.stopping_times(data, [math.log(a)])[:, 0]
     both = (t_full > 0) & (t_win > 0)
     close = float(np.mean(both & (np.abs(t_full - t_win) <= 1)))
     ok = identical and close >= 0.95
@@ -371,13 +356,11 @@ def test_11_window_limited_behavior():
 def test_12_worker_count_determinism():
     scenario, grid, weights, prior = three_stream_setup()
     alpha = 0.01
-    detector = Detector(
-        DetectorConfig(kind="sr-mixture", threshold_A=threshold_sr(alpha, 0.0, prior)),
-        scenario, prior, grid, weights,
-    )
+    detector = Detector("sr-mixture", scenario, prior, grid, weights)
+    a = threshold_sr(alpha, 0.0, prior)
     base = dict(replications=10_000, master_seed=102, horizon=500)
-    serial = estimate_pfa(detector, MCConfig(workers=1, **base), alpha=alpha)
-    parallel = estimate_pfa(detector, MCConfig(workers=2, **base), alpha=alpha)
+    serial = estimate_pfa(detector, a, MCConfig(workers=1, **base), alpha=alpha)
+    parallel = estimate_pfa(detector, a, MCConfig(workers=2, **base), alpha=alpha)
     ok = serial == parallel
     assert report(
         "12",

@@ -6,6 +6,7 @@ rename fails here in well under a second, without running a workload.
 """
 
 import contextlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 
 from qcdetect import (
     Detector,
-    DetectorConfig,
     GeometricPrior,
     GridSpec,
     Scenario,
@@ -61,11 +61,11 @@ def test_stopping_times_reads_out_once_per_step_through_log_shiryaev(monkeypatch
     data = np.random.default_rng(5).normal(size=(16, horizon, n))
     data[:, 40:, :2] += 1.0
     for window_m1 in (None, 10):
-        config = DetectorConfig(kind="shiryaev-mixture", threshold_A=1e3, window_m1=window_m1)
-        detector = Detector(config, scenario, GeometricPrior(rho=0.05),
-                            GridSpec.common_amplitude((0.5, 1.0), n), SubsetWeights.uniform(n))
+        detector = Detector("shiryaev-mixture", scenario, GeometricPrior(rho=0.05),
+                            GridSpec.common_amplitude((0.5, 1.0), n), SubsetWeights.uniform(n),
+                            window_m1=window_m1)
         calls.clear()
-        stopped = detector.stopping_times(data)
+        stopped = detector.stopping_times(data, [math.log(1e3)])
         assert (stopped > 0).all() and stopped.max() < horizon  # the scan ends early
         assert calls == list(range(1, int(stopped.max()) + 1))
 
@@ -79,14 +79,13 @@ def test_tracer_reads_the_state_of_each_engine(monkeypatch, window_m1):
     n = 3
     scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(n)))
     weights = SubsetWeights.uniform(n)
-    config = DetectorConfig(kind="sr-mixture", threshold_A=50.0, window_m1=window_m1)
-    detector = Detector(config, scenario, GeometricPrior(rho=0.1),
-                        GridSpec.common_amplitude((0.5, 1.0), n), weights)
+    detector = Detector("sr-mixture", scenario, GeometricPrior(rho=0.1),
+                        GridSpec.common_amplitude((0.5, 1.0), n), weights, window_m1=window_m1)
     data = np.random.default_rng(1).normal(size=(4, 30, n))
     tracer = Tracer()
     with contextlib.ExitStack() as stack:
         tracer.install(stack)
-        detector.stopping_times(data)
+        detector.stopping_times(data, [math.log(50.0)])
     calls = tracer.summary()["calls"]
     assert calls["detectors.stopping_times"] == 1 and calls["statistics.advance"] > 0
     assert tracer.maxima["state_bytes"] > 0
@@ -106,15 +105,14 @@ def test_generation_is_traced_once_per_replication_and_once_per_span(monkeypatch
 
     n, horizon, n_reps = 2, 30, 10
     scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(n)))
-    config = DetectorConfig(kind="shiryaev-mixture", threshold_A=1e3)
-    detector = Detector(config, scenario, GeometricPrior(rho=0.05),
+    detector = Detector("shiryaev-mixture", scenario, GeometricPrior(rho=0.05),
                         GridSpec.common_amplitude((0.5, 1.0), n), SubsetWeights.uniform(n))
     monkeypatch.setattr(montecarlo, "SPAN_BUDGET_BYTES", 3 * detector.row_bytes(horizon))
     mc = montecarlo.MCConfig(replications=n_reps, master_seed=4, horizon=horizon)
     tracer = Tracer()
     with contextlib.ExitStack() as stack:
         tracer.install(stack)
-        montecarlo.simulate_runs(detector, mc, montecarlo.PriorNuSampler((1,)))
+        montecarlo.simulate_runs(detector, 1e3, mc, montecarlo.PriorNuSampler((1,)))
     calls = tracer.summary()["calls"]
     assert calls["model.rng"] == n_reps
     assert calls["scenarios.generate"] == 4  # spans of 3, 3, 3 and 1 replications
@@ -154,8 +152,9 @@ def test_tracer_counts_the_window_engines_fallback_past_a_745_nat_lead(monkeypat
 def test_captured_oc_sweep_records_are_each_levels_own_pass(tmp_path, monkeypatch, workers):
     """The benchmark's record capture sees 2·L records, delay passes then PFA passes by α.
 
-    Each record equals the standalone ``simulate_runs`` of its level, though
-    the sweep scans each dataset once for all levels.
+    Each record equals the standalone ``simulate_runs`` of the sweep's one
+    statistic at its level's threshold, though the sweep scans each dataset
+    once for all levels.
     """
     monkeypatch.syspath_prepend(str(BENCH))
     from test_cli import PRIOR_NU
@@ -174,7 +173,7 @@ def test_captured_oc_sweep_records_are_each_levels_own_pass(tmp_path, monkeypatc
     statistic, mc = cli.build_detector(config), cli.build_mc(config, None, 1)
     delay = cli.build_change(config.change, statistic.scenario, mc.horizon)
     expected = [
-        montecarlo.simulate_runs(statistic.at_level(alpha), mc, sampler)
+        montecarlo.simulate_runs(statistic, statistic.threshold(alpha), mc, sampler)
         for sampler in (delay, montecarlo.NO_CHANGE_SAMPLER)
         for alpha in config.sweep.alphas
     ]

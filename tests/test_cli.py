@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qcdetect import NO_CHANGE, Scenario, cli, montecarlo
+from qcdetect import NO_CHANGE, Scenario, cli, detectors, montecarlo
 from qcdetect import statistics as statistics_mod
 from qcdetect.cli import (
     EXIT_CONFIG,
@@ -338,6 +338,17 @@ def test_bad_config_is_a_one_line_config_error(name, tmp_path, monkeypatch, caps
     assert calls == []  # rejected before anything is simulated
 
 
+def test_an_unknown_scenario_or_prior_kind_is_worded_alike(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    for old, new in (("kind = ar\n", "kind = arma\n"), ("kind = geometric", "kind = uniform")):
+        path.write_text(BASE_CONFIG.replace(old, new))
+        assert cli.main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: unknown scenario kind 'arma'\n"
+        "configuration error: unknown prior kind 'uniform'\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["simulate", "oc-sweep"])
 def test_a_horizon_over_the_memory_budget_exits_before_generating(command, tmp_path, monkeypatch, capsys):
     def no_generation(*args, **kwargs):
@@ -646,7 +657,6 @@ def test_oc_sweep_threshold_monotone_and_ratio_shared(tmp_path):
     # every column, the PFA pair too, comes from one call of the sweep API
     from qcdetect import (
         Detector,
-        DetectorConfig,
         GeometricPrior,
         GridSpec,
         MCConfig,
@@ -654,7 +664,6 @@ def test_oc_sweep_threshold_monotone_and_ratio_shared(tmp_path):
         SubsetWeights,
         asymptotic_ratio_sweep,
         gaussian_stream,
-        threshold_shiryaev,
     )
 
     scenario = Scenario((gaussian_stream(theta=1.0),))
@@ -662,10 +671,7 @@ def test_oc_sweep_threshold_monotone_and_ratio_shared(tmp_path):
     weights = SubsetWeights.uniform(1)
     prior = GeometricPrior(rho=0.1)
     mc = MCConfig(replications=150, master_seed=12, horizon=400)
-    detector = Detector(
-        DetectorConfig(kind="shiryaev-mixture", threshold_A=threshold_shiryaev(0.1)),
-        scenario, prior, grid, weights,
-    )
+    detector = Detector("shiryaev-mixture", scenario, prior, grid, weights)
     expected = asymptotic_ratio_sweep(detector, [0.1, 0.01], 1, mc, (0,), (1.0,))
     fields = {"delay_r1": "delay_moment", "delay_se_r1": "delay_se"}
     for row, exp in zip(rows, expected):
@@ -771,6 +777,26 @@ def test_each_command_builds_each_part_once(command, target, tmp_path, monkeypat
     assert built == dict.fromkeys(PARTS, 1)
 
 
+@pytest.mark.parametrize(
+    "command, calibrations", [("calibrate", 1), ("simulate", 1), ("oc-sweep", 2)]
+)
+def test_each_level_is_calibrated_once(command, calibrations, tmp_path, monkeypatch, capsys):
+    # the sweep's two levels share one statistic, built without a threshold
+    calls = []
+    level_threshold = detectors.level_threshold
+
+    def counting(*args):
+        calls.append(args)
+        return level_threshold(*args)
+
+    monkeypatch.setattr(detectors, "level_threshold", counting)
+    monkeypatch.setattr(cli, "level_threshold", counting, raising=False)  # a binding of its own
+    path = tmp_path / "run.ini"
+    path.write_text(PRIOR_NU + SWEEP)
+    assert cli.main([command, "--config", str(path)]) == EXIT_OK
+    assert len(calls) == calibrations
+
+
 @pytest.fixture
 def built_pools(monkeypatch):
     """Count the executors built, each still the real ``ProcessPoolExecutor``.
@@ -803,9 +829,9 @@ def test_oc_sweep_joins_its_pool_when_the_pfa_horizon_is_infeasible(
     passes = []
     original = montecarlo.simulate_runs
 
-    def counting(detector, mc, sampler):
+    def counting(detector, threshold, mc, sampler):
         passes.append(sampler is montecarlo.NO_CHANGE_SAMPLER)
-        return original(detector, mc, sampler)
+        return original(detector, threshold, mc, sampler)
 
     monkeypatch.setattr(montecarlo, "simulate_runs", counting)
     path = tmp_path / "sweep.ini"

@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from qcdetect import likelihood
 from qcdetect import (
     ChangeSpec,
     Detector,
-    DetectorConfig,
     DetectorState,
     FlatWeights,
     GeometricPrior,
@@ -28,7 +26,7 @@ from qcdetect import (
     threshold_shiryaev,
     threshold_sr,
 )
-from qcdetect.detectors import MAX_RECURSION_SUBSETS, check_moment_order, check_threshold
+from qcdetect.detectors import MAX_RECURSION_SUBSETS, check_moment_order
 from qcdetect.scenarios import ARChannelSpec
 
 
@@ -103,21 +101,12 @@ def test_threshold_cost_infeasible():
 # -- detector construction ----------------------------------------------------------
 
 
-def test_detector_requires_threshold_above_head_odds():
-    scenario, grid, weights, _ = single_stream_setup()
-    prior = GeometricPrior(rho=0.1, q=0.5)  # head odds = 1
-    config = DetectorConfig(kind="shiryaev-mixture", threshold_A=0.9)
-    with pytest.raises(ValueError):
-        Detector(config, scenario, prior, grid, weights)
-
-
 def test_shiryaev_rule_rejects_a_point_mass_prior():
     scenario, grid, weights, _ = single_stream_setup()
     prior = PointMassPrior(5)  # P(nu >= 6) = 0: the statistic is undefined from n = 6 on
     with pytest.raises(ValueError, match="point-mass"):
-        Detector(DetectorConfig(kind="shiryaev-mixture", threshold_A=19.0),
-                 scenario, prior, grid, weights)
-    Detector(DetectorConfig(kind="sr-mixture", threshold_A=19.0), scenario, prior, grid, weights)
+        Detector("shiryaev-mixture", scenario, prior, grid, weights)
+    Detector("sr-mixture", scenario, prior, grid, weights)
 
 
 def test_engines_agree_beyond_e700():
@@ -133,9 +122,8 @@ def test_engines_agree_beyond_e700():
     )
     stops = [
         Detector(
-            DetectorConfig(kind="shiryaev-mixture", threshold_A=math.exp(699.0), window_m1=m1),
-            scenario, prior, grid, weights,
-        ).stopping_times(data)
+            "shiryaev-mixture", scenario, prior, grid, weights, window_m1=m1,
+        ).stopping_times(data, [699.0])[:, 0]
         for m1 in (None, horizon)
     ]
     np.testing.assert_array_equal(stops[0], [76, 82, 80, 78])
@@ -145,8 +133,8 @@ def test_engines_agree_beyond_e700():
 def _two_stream_detector():
     scenario = Scenario((gaussian_stream(theta=1.0), gaussian_stream(theta=1.0)))
     grid = GridSpec.common_amplitude((1.0,), 2)
-    config = DetectorConfig(kind="shiryaev-mixture", threshold_A=50.0)
-    return Detector(config, scenario, GeometricPrior(rho=0.1), grid, SubsetWeights.uniform(2))
+    return Detector("shiryaev-mixture", scenario, GeometricPrior(rho=0.1), grid,
+                    SubsetWeights.uniform(2))
 
 
 def test_data_of_the_wrong_width_is_rejected():
@@ -155,20 +143,20 @@ def test_data_of_the_wrong_width_is_rejected():
     with pytest.raises(ValueError, match="3 streams, scenario has 2"):
         detector.log_trajectories(data)
     with pytest.raises(ValueError, match="3 streams, scenario has 2"):
-        detector.stopping_times(data)
+        detector.stopping_times(data, [math.log(50.0)])
     with pytest.raises(ValueError, match=r"\[replications, horizon, streams\]"):
-        detector.stopping_times(data[0])
+        detector.stopping_times(data[0], [math.log(50.0)])
 
 
 def test_a_grid_or_weights_over_other_streams_is_rejected():
     scenario = Scenario((gaussian_stream(theta=1.0), gaussian_stream(theta=1.0)))
-    config = DetectorConfig(kind="shiryaev-mixture", threshold_A=50.0)
+    kind = "shiryaev-mixture"
     prior, grid = GeometricPrior(rho=0.1), GridSpec.common_amplitude((1.0,), 2)
     weights = SubsetWeights.uniform(2)
     with pytest.raises(ValueError, match="grid covers 3 streams, scenario has 2"):
-        Detector(config, scenario, prior, GridSpec.common_amplitude((1.0,), 3), weights)
+        Detector(kind, scenario, prior, GridSpec.common_amplitude((1.0,), 3), weights)
     with pytest.raises(ValueError, match="subset weights cover 3 streams, scenario has 2"):
-        Detector(config, scenario, prior, grid, SubsetWeights.uniform(3))
+        Detector(kind, scenario, prior, grid, SubsetWeights.uniform(3))
 
 
 def test_non_finite_data_is_rejected():
@@ -180,66 +168,56 @@ def test_non_finite_data_is_rejected():
         with pytest.raises(ValueError, match="finite"):
             detector.log_trajectories(poisoned)
         with pytest.raises(ValueError, match="finite"):
-            detector.stopping_times(poisoned)
+            detector.stopping_times(poisoned, [math.log(50.0)])
 
 
 def test_config_validation():
+    scenario, grid, weights, prior = single_stream_setup()
+
+    def build(kind, **options):
+        return Detector(kind, scenario, prior, grid, weights, **options)
+
     with pytest.raises(ValueError):
-        DetectorConfig(kind="unknown", threshold_A=1.0)
+        build("unknown")
     with pytest.raises(ValueError):
-        DetectorConfig(kind="sr-mixture", threshold_A=0.0)
-    for a in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite"):
-            DetectorConfig(kind="shiryaev-mixture", threshold_A=a)
+        build("shiryaev-putative")  # a one-point grid instead
     with pytest.raises(ValueError):
-        DetectorConfig(kind="shiryaev-putative", threshold_A=5.0)  # a one-point grid instead
-    with pytest.raises(ValueError):
-        DetectorConfig(kind="sr-mixture", threshold_A=5.0, head_start_omega=-1.0)
+        build("sr-mixture", omega=-1.0)
     with pytest.raises(ValueError, match="sr-mixture"):
-        DetectorConfig(kind="shiryaev-mixture", threshold_A=5.0, head_start_omega=1.5)
+        build("shiryaev-mixture", omega=1.5)
     with pytest.raises(ValueError, match="needs a window"):
-        DetectorConfig(kind="sr-mixture", threshold_A=5.0, window_m0=1)
+        build("sr-mixture", window_m0=1)
     with pytest.raises(ValueError, match="exceeds"):
-        DetectorConfig(kind="sr-mixture", threshold_A=5.0, window_m1=3, window_m0=4)
-    DetectorConfig(kind="sr-mixture", threshold_A=5.0, window_m1=3, window_m0=3)
+        build("sr-mixture", window_m1=3, window_m0=4)
+    build("sr-mixture", window_m1=3, window_m0=3)
 
 
 def test_pfa_bound():
     scenario, grid, weights, prior = single_stream_setup()
-    shiryaev = Detector(
-        DetectorConfig(kind="shiryaev-mixture", threshold_A=19.0),
-        scenario, prior, grid, weights,
-    )
-    assert shiryaev.pfa_bound() == pytest.approx(0.05)
-    sr = Detector(
-        DetectorConfig(kind="sr-mixture", threshold_A=90.0),
-        scenario, prior, grid, weights,
-    )
-    assert sr.pfa_bound() == pytest.approx(0.1)  # mean(nu) = 9
+    shiryaev = Detector("shiryaev-mixture", scenario, prior, grid, weights)
+    assert shiryaev.pfa_bound(19.0) == pytest.approx(0.05)
+    sr = Detector("sr-mixture", scenario, prior, grid, weights)
+    assert sr.pfa_bound(90.0) == pytest.approx(0.1)  # mean(nu) = 9
 
 
 @pytest.mark.parametrize(
     "kind, omega", [("shiryaev-mixture", 0.0), ("sr-mixture", 0.0), ("sr-mixture", 1.5)]
 )
-def test_at_level_moves_only_the_threshold(kind, omega):
+def test_threshold_is_the_level_threshold_of_the_statistic(kind, omega):
     scenario, grid, weights, prior = single_stream_setup(q=0.2)
-    config = DetectorConfig(kind=kind, threshold_A=5.0, window_m1=4, head_start_omega=omega)
-    detector = Detector(config, scenario, prior, grid, weights)
+    detector = Detector(kind, scenario, prior, grid, weights, window_m1=4, omega=omega)
     for alpha in (0.5, 0.01, 1e-6):
-        level = detector.at_level(alpha)
+        a = detector.threshold(alpha)
         if kind == "shiryaev-mixture":
-            a = threshold_shiryaev(alpha, prior.q)
+            assert a == threshold_shiryaev(alpha, prior.q)  # bit-equal threshold
         else:
-            a = threshold_sr(alpha, omega, prior)
-        assert level.config == replace(config, threshold_A=a)  # bit-equal threshold
-        assert level.log_threshold == math.log(a)
-        assert level.pfa_bound() == pytest.approx(alpha, rel=1e-12)
-        parts = ("scenario", "prior", "grid", "weights")
-        assert all(getattr(level, p) is getattr(detector, p) for p in parts)
+            assert a == threshold_sr(alpha, omega, prior)
+        assert detector.log_level(a) == math.log(a)
+        assert detector.pfa_bound(a) == pytest.approx(alpha, rel=1e-12)
     with pytest.raises(ValueError, match="^calibration failed: alpha"):
-        detector.at_level(0.9 if kind == "shiryaev-mixture" else 1.0)  # past 1 - q, or 1
+        detector.threshold(0.9 if kind == "shiryaev-mixture" else 1.0)  # past 1 - q, or 1
     with pytest.raises(ValueError, match="^calibration failed: threshold .* got inf$"):
-        detector.at_level(1e-320)
+        detector.threshold(1e-320)
 
 
 def test_first_order_rate_adds_the_tail_rate_for_the_shiryaev_rule_only():
@@ -247,9 +225,8 @@ def test_first_order_rate_adds_the_tail_rate_for_the_shiryaev_rule_only():
     prior = GeometricPrior(rho=0.1)
 
     def detector(kind):
-        config = DetectorConfig(kind=kind, threshold_A=19.0)
         return Detector(
-            config, scenario, prior, GridSpec.common_amplitude((1.0,), 2),
+            kind, scenario, prior, GridSpec.common_amplitude((1.0,), 2),
             SubsetWeights.uniform(2),
         )
 
@@ -266,7 +243,7 @@ def test_first_order_rate_adds_the_tail_rate_for_the_shiryaev_rule_only():
 def test_first_order_rate_refuses_a_change_that_does_not_fit_the_scenario():
     scenario = Scenario(tuple(gaussian_stream() for _ in range(3)))
     detector = Detector(
-        DetectorConfig(kind="shiryaev-mixture", threshold_A=19.0), scenario,
+        "shiryaev-mixture", scenario,
         GeometricPrior(rho=0.1), GridSpec.common_amplitude((1.0,), 3), SubsetWeights.uniform(3),
     )
     rate = detector.first_order_rate((0, 1), (1.0, 1.0))
@@ -282,19 +259,18 @@ def test_first_order_rate_refuses_a_change_that_does_not_fit_the_scenario():
 
 def test_run_stops_immediately_on_overwhelming_signal():
     scenario, grid, weights, prior = single_stream_setup(theta=20.0, q=0.5)
-    config = DetectorConfig(kind="shiryaev-mixture", threshold_A=1.01)  # barely above q/(1-q)
-    detector = Detector(config, scenario, prior, grid, weights)
+    detector = Detector("shiryaev-mixture", scenario, prior, grid, weights)
+    log_a = detector.log_level(1.01)  # barely above q/(1-q)
     batch = scenario.generate([ChangeSpec(nu=-1, subset=(0,))], 50, [replication_rng(0, 0)])
-    assert detector.stopping_times(batch).tolist() == [1]
+    assert detector.stopping_times(batch, [log_a])[:, 0].tolist() == [1]
     assert detector.log_trajectories(batch)[0, 0] >= math.log(1.01)
 
 
 def test_run_censors_under_pure_noise_and_huge_threshold():
     scenario, grid, weights, prior = single_stream_setup()
-    config = DetectorConfig(kind="shiryaev-mixture", threshold_A=1e9)
-    detector = Detector(config, scenario, prior, grid, weights)
+    detector = Detector("shiryaev-mixture", scenario, prior, grid, weights)
     batch = scenario.generate([ChangeSpec(NO_CHANGE, ())], 100, [replication_rng(1, 0)])
-    assert detector.stopping_times(batch).tolist() == [-1]
+    assert detector.stopping_times(batch, [math.log(1e9)])[:, 0].tolist() == [-1]
     trajectory = detector.log_trajectories(batch)
     assert trajectory.shape == (1, 100)
     assert np.all(trajectory < math.log(1e9))
@@ -309,14 +285,9 @@ def test_stopping_time_monotone_in_threshold():
         ]
     )
     for kind in ("shiryaev-mixture", "sr-mixture"):
-        low = Detector(
-            DetectorConfig(kind=kind, threshold_A=10.0), scenario, prior, grid, weights
-        )
-        high = Detector(
-            DetectorConfig(kind=kind, threshold_A=40.0), scenario, prior, grid, weights
-        )
-        t_low = low.stopping_times(data)
-        t_high = high.stopping_times(data)
+        detector = Detector(kind, scenario, prior, grid, weights)
+        t_low = detector.stopping_times(data, [math.log(10.0)])[:, 0]
+        t_high = detector.stopping_times(data, [math.log(40.0)])[:, 0]
         resolved = (t_low > 0) & (t_high > 0)
         assert np.all(t_high[resolved] >= t_low[resolved])
         # a run that crosses the high bar also crossed the low one
@@ -325,14 +296,13 @@ def test_stopping_time_monotone_in_threshold():
 
 def test_windowed_detector_runs():
     scenario, grid, weights, prior = single_stream_setup()
-    config = DetectorConfig(kind="sr-mixture", threshold_A=50.0, window_m1=10)
-    detector = Detector(config, scenario, prior, grid, weights)
+    detector = Detector("sr-mixture", scenario, prior, grid, weights, window_m1=10)
     batch = scenario.generate([ChangeSpec(nu=0, subset=(0,))], 60, [replication_rng(5, 0)])
-    assert detector.stopping_times(batch)[0] > 0
+    assert detector.stopping_times(batch, [math.log(50.0)])[0, 0] > 0
 
 
 @pytest.mark.parametrize(
-    "window_m1, horizon", [(0, 120), (5, 120), (50, 120), (500, 120), (500, 7)]
+    "window_m1, horizon", [(0, 120), (5, 120), (50, 120), (500, 120), (500, 7), (0, 7)]
 )
 def test_window_stopping_times_peak_within_row_bytes(window_m1, horizon):
     # no change and an unreachable threshold: all 16 rows run the whole horizon;
@@ -340,13 +310,16 @@ def test_window_stopping_times_peak_within_row_bytes(window_m1, horizon):
     n, n_reps = 6, 16
     scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(n)))
     grid = GridSpec.common_amplitude((0.5, 1.0), n)
-    config = DetectorConfig(kind="sr-mixture", threshold_A=1e300, window_m1=window_m1)
-    detector = Detector(config, scenario, GeometricPrior(rho=0.01), grid, SubsetWeights.uniform(n, 2))
+    detector = Detector("sr-mixture", scenario, GeometricPrior(rho=0.01), grid,
+                        SubsetWeights.uniform(n, 2), window_m1=window_m1)
     changes = [ChangeSpec(NO_CHANGE, ())] * n_reps
     data = scenario.generate(changes, horizon, [replication_rng(7, r) for r in range(n_reps)])
+    # the first scan in a process also fills numpy's and the parts' caches,
+    # which are no row's bytes; a one-row scan fills them before the trace
+    detector.stopping_times(data[:1], [math.log(1e300)])
     tracemalloc.start()
     try:
-        assert (detector.stopping_times(data) == -1).all()
+        assert (detector.stopping_times(data, [math.log(1e300)]) == -1).all()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -358,13 +331,12 @@ def test_recursion_stopping_times_peak_within_row_bytes():
     n, horizon, n_reps = 10, 120, 64
     scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(n)))
     grid = GridSpec.common_amplitude((0.5, 1.0), n)
-    config = DetectorConfig(kind="sr-mixture", threshold_A=1e300)
-    detector = Detector(config, scenario, GeometricPrior(rho=0.01), grid, SubsetWeights.uniform(n))
+    detector = Detector("sr-mixture", scenario, GeometricPrior(rho=0.01), grid, SubsetWeights.uniform(n))
     changes = [ChangeSpec(NO_CHANGE, ())] * n_reps
     data = scenario.generate(changes, horizon, [replication_rng(7, r) for r in range(n_reps)])
     tracemalloc.start()
     try:
-        assert (detector.stopping_times(data) == -1).all()
+        assert (detector.stopping_times(data, [math.log(1e300)]) == -1).all()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -376,12 +348,12 @@ def test_increments_that_are_not_finite_raise_instead_of_censoring(window_m1):
     # a grid point of 1e200 passes the grid's check, but its squared drift overflows
     scenario, grid, weights, prior = single_stream_setup()
     grid = GridSpec.degenerate((1e200,))
-    config = DetectorConfig(kind="sr-mixture", threshold_A=50.0, window_m1=window_m1)
-    detector = Detector(config, scenario, prior, grid, weights)
+    detector = Detector("sr-mixture", scenario, prior, grid, weights, window_m1=window_m1)
     data = scenario.generate([ChangeSpec(nu=0, subset=(0,))], 40, [replication_rng(5, 0)])
-    for run in (detector.stopping_times, detector.log_trajectories):
-        with pytest.raises(ValueError, match="increments of step 1 are not finite"):
-            run(data)
+    with pytest.raises(ValueError, match="increments of step 1 are not finite"):
+        detector.stopping_times(data, [math.log(50.0)])
+    with pytest.raises(ValueError, match="increments of step 1 are not finite"):
+        detector.log_trajectories(data)
 
 
 @pytest.mark.parametrize("window_m1", [None, 5])
@@ -392,12 +364,13 @@ def test_increments_not_finite_in_a_later_block_name_their_step(window_m1):
     signal = tuple(1e200 if phase == 39 else 0.0 for phase in range(64))
     scenario = Scenario((ARChannelSpec(signal=signal),))
     grid, weights = GridSpec.degenerate((1.0,)), SubsetWeights.uniform(1)
-    config = DetectorConfig(kind="sr-mixture", threshold_A=1e6, window_m1=window_m1)
-    detector = Detector(config, scenario, GeometricPrior(rho=0.1), grid, weights)
+    detector = Detector("sr-mixture", scenario, GeometricPrior(rho=0.1), grid, weights,
+                        window_m1=window_m1)
     data = np.random.default_rng(5).normal(size=(3, 60, 1))
-    for run in (detector.stopping_times, detector.log_trajectories):
-        with pytest.raises(ValueError, match="increments of step 40 are not finite"):
-            run(data)
+    with pytest.raises(ValueError, match="increments of step 40 are not finite"):
+        detector.stopping_times(data, [math.log(1e6)])
+    with pytest.raises(ValueError, match="increments of step 40 are not finite"):
+        detector.log_trajectories(data)
 
 
 def _wide_setup(n):
@@ -413,10 +386,9 @@ def test_window_engine_never_lists_subsets(monkeypatch):
     # SubsetWeights lists the subsets through this one function
     monkeypatch.setattr(likelihood, "subset_masks", no_listing)
     n = 22  # 4,194,303 subsets
-    config = DetectorConfig(kind="sr-mixture", threshold_A=1e6, window_m1=3)
-    detector = Detector(config, *_wide_setup(n))
+    detector = Detector("sr-mixture", *_wide_setup(n), window_m1=3)
     data = np.random.default_rng(0).normal(size=(2, 6, n))
-    assert detector.stopping_times(data).shape == (2,)
+    assert detector.stopping_times(data, [math.log(1e6)]).shape == (2, 1)
     assert np.isfinite(detector.log_trajectories(data)).all()
     state = DetectorState(FlatWeights(), detector.grid, detector.weights, window_m1=3)
     assert state.basis.n_subsets == 2**n - 1
@@ -425,11 +397,10 @@ def test_window_engine_never_lists_subsets(monkeypatch):
 def test_recursion_beyond_the_subset_budget_is_rejected():
     assert SubsetWeights.uniform(12).n_subsets == MAX_RECURSION_SUBSETS
     for kind in ("shiryaev-mixture", "sr-mixture"):
-        config = DetectorConfig(kind=kind, threshold_A=50.0)
-        Detector(config, *_wide_setup(12))
+        Detector(kind, *_wide_setup(12))
         with pytest.raises(ValueError, match=r"8191 subsets .*\[detector\] window_m1"):
-            Detector(config, *_wide_setup(13))
-        Detector(replace(config, window_m1=5), *_wide_setup(13))
+            Detector(kind, *_wide_setup(13))
+        Detector(kind, *_wide_setup(13), window_m1=5)
 
 
 @pytest.mark.parametrize(
@@ -437,9 +408,9 @@ def test_recursion_beyond_the_subset_budget_is_rejected():
     [(0, 0, True), (3, 3, True), (None, 1, False), (3, 4, False), (-1, 0, False)],
 )
 def test_config_and_state_share_one_window_rule(m1, m0, valid):
-    _, grid, weights, prior = single_stream_setup()
+    scenario, grid, weights, prior = single_stream_setup()
     builds = (
-        lambda: DetectorConfig(kind="sr-mixture", threshold_A=5.0, window_m1=m1, window_m0=m0),
+        lambda: Detector("sr-mixture", scenario, prior, grid, weights, window_m1=m1, window_m0=m0),
         lambda: DetectorState(prior, grid, weights, window_m1=m1, window_m0=m0),
         lambda: direct_log_statistic(np.zeros((1, 1, 1)), prior, grid, weights, n=1, m1=m1, m0=m0),
     )
@@ -453,8 +424,9 @@ def test_config_and_state_share_one_window_rule(m1, m0, valid):
 
 @pytest.mark.parametrize("omega", [math.nan, math.inf])
 def test_non_finite_head_start_is_rejected_by_config_and_calibration(omega):
+    scenario, grid, weights, prior = single_stream_setup()
     with pytest.raises(ValueError, match="head start"):
-        DetectorConfig(kind="sr-mixture", threshold_A=5.0, head_start_omega=omega)
+        Detector("sr-mixture", scenario, prior, grid, weights, omega=omega)
     with pytest.raises(ValueError, match="head start"):
         threshold_sr(0.1, omega, GeometricPrior(rho=0.1))
 
@@ -481,14 +453,6 @@ def test_moment_order_must_be_finite_and_at_least_one(r):
 def test_no_threshold_function_returns_inf(solve):
     with pytest.raises(ValueError, match="threshold must be positive and finite, got inf"):
         solve()
-
-
-@pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -1.0])
-def test_config_and_calibration_share_one_threshold_rule(a):
-    with pytest.raises(ValueError, match="threshold must be positive and finite"):
-        check_threshold(a)
-    with pytest.raises(ValueError, match="threshold must be positive and finite"):
-        DetectorConfig(kind="sr-mixture", threshold_A=a)
 
 
 def test_moment_order_accepts_finite_orders_from_one():

@@ -18,7 +18,6 @@ from qcdetect import (
     ARChannelSpec,
     ChangeSpec,
     Detector,
-    DetectorConfig,
     GeometricPrior,
     GridSpec,
     MCConfig,
@@ -54,56 +53,56 @@ def ar_scenario():
 def recursive_shiryaev_ar():
     scenario = ar_scenario()
     detector = Detector(
-        DetectorConfig(kind="shiryaev-mixture", threshold_A=threshold_shiryaev(0.01)),
+        "shiryaev-mixture",
         scenario,
         GeometricPrior(rho=0.05),
         GridSpec.common_amplitude((0.5, 1.0), 3),
         SubsetWeights.uniform(3, 2),
     )
     mc = MCConfig(replications=96, master_seed=31, horizon=200)
-    return simulate_runs(detector, mc, PriorNuSampler((0, 2)))
+    return simulate_runs(detector, threshold_shiryaev(0.01), mc, PriorNuSampler((0, 2)))
 
 
 def window_sr_mixture():
     channel = MixtureChannelSpec(beta_mix=0.3, mu1=-1.0, mu2=0.0, theta=1.0)
     detector = Detector(
-        DetectorConfig(kind="sr-mixture", threshold_A=300.0, window_m1=15),
+        "sr-mixture",
         Scenario((channel,) * 3),
         GeometricPrior(rho=0.05),
         GridSpec.common_amplitude((0.5, 1.0), 3),
         SubsetWeights.uniform(3, 2),
+        window_m1=15,
     )
     mc = MCConfig(replications=48, master_seed=32, horizon=120)
-    return simulate_runs(detector, mc, FixedChangeSampler(ChangeSpec(nu=20, subset=(1,))))
+    return simulate_runs(detector, 300.0, mc, FixedChangeSampler(ChangeSpec(nu=20, subset=(1,))))
 
 
 def average_risk_joint():
     detector = Detector(
-        DetectorConfig(kind="shiryaev-mixture", threshold_A=threshold_shiryaev(0.02)),
+        "shiryaev-mixture",
         ar_scenario(),
         GeometricPrior(rho=0.03, q=0.1),
         GridSpec.common_amplitude((0.5, 1.0), 3, weights=(0.4, 0.6)),
         SubsetWeights(p=(1.0, 2.0, 0.5), K=3),
     )
     mc = MCConfig(replications=96, master_seed=33, horizon=200)
-    return simulate_runs(detector, mc, JointSampler.for_detector(detector))
+    sampler = JointSampler.for_detector(detector)
+    return simulate_runs(detector, threshold_shiryaev(0.02), mc, sampler)
 
 
 def recursive_sr_head_start():
     prior = GeometricPrior(rho=0.05)
     detector = Detector(
-        DetectorConfig(
-            kind="sr-mixture",
-            threshold_A=threshold_sr(0.05, 1.5, prior),
-            head_start_omega=1.5,
-        ),
+        "sr-mixture",
         ar_scenario(),
         prior,
         GridSpec.common_amplitude((0.5, 1.0), 3),
         SubsetWeights(p=(1.0, 2.0, 0.5), K=2),
+        omega=1.5,
     )
     mc = MCConfig(replications=64, master_seed=34, horizon=200)
-    return simulate_runs(detector, mc, FixedChangeSampler(ChangeSpec(nu=15, subset=(0, 2))))
+    sampler = FixedChangeSampler(ChangeSpec(nu=15, subset=(0, 2)))
+    return simulate_runs(detector, threshold_sr(0.05, 1.5, prior), mc, sampler)
 
 
 def window_shiryaev_head_mass():
@@ -111,15 +110,15 @@ def window_shiryaev_head_mass():
     # enters the window sum on the early steps
     channel = MixtureChannelSpec(beta_mix=0.3, mu1=-1.0, mu2=0.0, theta=1.0)
     detector = Detector(
-        DetectorConfig(kind="shiryaev-mixture", threshold_A=threshold_shiryaev(0.02, 0.2),
-                       window_m1=25),
+        "shiryaev-mixture",
         Scenario((channel,) * 3),
         GeometricPrior(rho=0.05, q=0.2),
         GridSpec.common_amplitude((0.5, 1.0), 3),
         SubsetWeights.uniform(3, 2),
+        window_m1=25,
     )
     mc = MCConfig(replications=48, master_seed=35, horizon=120)
-    return simulate_runs(detector, mc, PriorNuSampler((0, 1)))
+    return simulate_runs(detector, threshold_shiryaev(0.02, 0.2), mc, PriorNuSampler((0, 1)))
 
 
 GOLDEN = {

@@ -11,7 +11,6 @@ from qcdetect import montecarlo
 from qcdetect import (
     ChangeSpec,
     Detector,
-    DetectorConfig,
     GeometricPrior,
     GridSpec,
     InfeasibleHorizonError,
@@ -28,6 +27,7 @@ from qcdetect import (
     threshold_shiryaev,
     threshold_sr,
 )
+from qcdetect.detectors import check_threshold
 from qcdetect.model import NO_CHANGE
 from qcdetect.montecarlo import (
     NO_CHANGE_SAMPLER,
@@ -40,13 +40,12 @@ from qcdetect.montecarlo import (
 )
 
 
-def make_detector(kind="shiryaev-mixture", threshold=19.0, theta=1.0, rho=0.1, omega=0.0):
+def make_detector(kind="shiryaev-mixture", theta=1.0, rho=0.1, omega=0.0, q=0.0):
     scenario = Scenario((gaussian_stream(theta=theta),))
     grid = GridSpec.degenerate((theta,))
     weights = SubsetWeights.uniform(1)
-    prior = GeometricPrior(rho=rho)
-    config = DetectorConfig(kind=kind, threshold_A=threshold, head_start_omega=omega)
-    return Detector(config, scenario, prior, grid, weights)
+    prior = GeometricPrior(rho=rho, q=q)
+    return Detector(kind, scenario, prior, grid, weights, omega=omega)
 
 
 def test_mc_config_validation():
@@ -72,8 +71,8 @@ def test_mc_estimate_from_values():
 def test_simulate_runs_is_deterministic_across_worker_counts():
     detector = make_detector()
     base = dict(replications=2500, master_seed=21, horizon=120)
-    r1 = simulate_runs(detector, MCConfig(workers=1, **base), NO_CHANGE_SAMPLER)
-    r3 = simulate_runs(detector, MCConfig(workers=3, **base), NO_CHANGE_SAMPLER)
+    r1 = simulate_runs(detector, 19.0, MCConfig(workers=1, **base), NO_CHANGE_SAMPLER)
+    r3 = simulate_runs(detector, 19.0, MCConfig(workers=3, **base), NO_CHANGE_SAMPLER)
     np.testing.assert_array_equal(r1.stopped, r3.stopped)
     np.testing.assert_array_equal(r1.nu, r3.nu)
 
@@ -81,15 +80,15 @@ def test_simulate_runs_is_deterministic_across_worker_counts():
 def test_estimates_identical_across_worker_counts():
     detector = make_detector()
     base = dict(replications=2500, master_seed=21, horizon=150)
-    e1 = estimate_pfa(detector, MCConfig(workers=1, **base), alpha=0.05)
-    e2 = estimate_pfa(detector, MCConfig(workers=2, **base), alpha=0.05)
+    e1 = estimate_pfa(detector, 19.0, MCConfig(workers=1, **base), alpha=0.05)
+    e2 = estimate_pfa(detector, 19.0, MCConfig(workers=2, **base), alpha=0.05)
     assert e1 == e2
 
 
 def test_pfa_bound_small_case():
-    detector = make_detector(threshold=19.0)  # alpha = 0.05
+    detector = make_detector()
     mc = MCConfig(replications=3000, master_seed=9, horizon=300)
-    est = estimate_pfa(detector, mc)
+    est = estimate_pfa(detector, 19.0, mc)  # alpha = 0.05
     assert est.mean <= 0.05 + 3 * est.stderr
     assert est.censored_fraction == 0.0
 
@@ -97,107 +96,108 @@ def test_pfa_bound_small_case():
 def test_pfa_sr_bound_small_case():
     prior = GeometricPrior(rho=0.1)
     a = threshold_sr(0.05, 0.0, prior)  # mean(nu) = 9 -> A = 180
-    detector = make_detector(kind="sr-mixture", threshold=a)
+    detector = make_detector(kind="sr-mixture")
     mc = MCConfig(replications=3000, master_seed=10, horizon=300)
-    est = estimate_pfa(detector, mc)
+    est = estimate_pfa(detector, a, mc)
     assert est.mean <= 0.05 + 3 * est.stderr
 
 
 def test_pfa_matches_naive_two_stage_sampler():
-    detector = make_detector(threshold=19.0)
+    detector = make_detector()
     mc = MCConfig(replications=4000, master_seed=9, horizon=300)
-    rb = estimate_pfa(detector, mc)
-    naive = estimate_pfa_naive(detector, mc, (0,), (1.0,))
+    rb = estimate_pfa(detector, 19.0, mc)
+    naive = estimate_pfa_naive(detector, 19.0, mc, (0,), (1.0,))
     joint_se = math.hypot(rb.stderr, naive.stderr)
     assert abs(rb.mean - naive.mean) <= 3 * joint_se
 
 
 def test_pfa_huge_threshold_reduces_to_tail_surrogate():
-    detector = make_detector(threshold=1e12)
+    detector = make_detector()
     mc = MCConfig(replications=200, master_seed=2, horizon=100)
-    est = estimate_pfa(detector, mc, alpha=0.5)
+    est = estimate_pfa(detector, 1e12, mc, alpha=0.5)
     tail = detector.prior.tail(101)
     assert est.mean == pytest.approx(tail, rel=1e-12)
     assert est.mean < 1e-3
 
 
 def test_pfa_infeasible_horizon_raises():
-    detector = make_detector(threshold=1e12, rho=0.01)
+    detector = make_detector(rho=0.01)
     mc = MCConfig(replications=50, master_seed=3, horizon=20)
     with pytest.raises(InfeasibleHorizonError):
-        estimate_pfa(detector, mc, alpha=0.01)
+        estimate_pfa(detector, 1e12, mc, alpha=0.01)
 
 
 def test_pfa_stderr_scales_with_replications():
-    detector = make_detector(threshold=19.0)
+    detector = make_detector()
     small = estimate_pfa(
-        detector, MCConfig(replications=1000, master_seed=5, horizon=200)
+        detector, 19.0, MCConfig(replications=1000, master_seed=5, horizon=200)
     )
     large = estimate_pfa(
-        detector, MCConfig(replications=4000, master_seed=5, horizon=200)
+        detector, 19.0, MCConfig(replications=4000, master_seed=5, horizon=200)
     )
     assert 1.5 <= small.stderr / large.stderr <= 2.6
 
 
 def test_conditional_delay_immediate_detection():
-    detector = make_detector(theta=20.0, threshold=2.0)
+    detector = make_detector(theta=20.0)
     mc = MCConfig(replications=200, master_seed=4, horizon=50)
     change = ChangeSpec(nu=0, subset=(0,))
     for r in (1, 2):
-        est = estimate_conditional_delay(detector, change, r, mc)
+        est = estimate_conditional_delay(detector, 2.0, change, r, mc)
         assert est.mean == 1.0
         assert est.censored_fraction == 0.0
 
 
 def test_delay_moments_satisfy_jensen():
-    detector = make_detector(threshold=99.0)
+    detector = make_detector()
     mc = MCConfig(replications=1500, master_seed=6, horizon=400)
     change = ChangeSpec(nu=10, subset=(0,))
-    first = estimate_conditional_delay(detector, change, 1, mc)
-    second = estimate_conditional_delay(detector, change, 2, mc)
+    first = estimate_conditional_delay(detector, 99.0, change, 1, mc)
+    second = estimate_conditional_delay(detector, 99.0, change, 2, mc)
     assert second.mean >= first.mean**2 - 3 * second.stderr
 
 
 def test_conditional_delay_tracks_first_order_rate():
     # change at k=100 so the prior has partly resolved; alpha = 1e-3
-    detector = make_detector(threshold=threshold_shiryaev(1e-3), rho=0.01)
+    detector = make_detector(rho=0.01)
     mc = MCConfig(replications=2000, master_seed=5, horizon=600)
-    est = estimate_conditional_delay(detector, ChangeSpec(nu=100, subset=(0,)), 1, mc)
+    a = threshold_shiryaev(1e-3)
+    est = estimate_conditional_delay(detector, a, ChangeSpec(nu=100, subset=(0,)), 1, mc)
     first_order = abs(math.log(1e-3)) / (0.5 + detector.prior.tail_rate)
     assert 0.8 * first_order <= est.mean <= 1.6 * first_order
 
 
 def test_bayes_delay_tracks_first_order_rate():
-    detector = make_detector(threshold=threshold_shiryaev(1e-3), rho=0.01)
+    detector = make_detector(rho=0.01)
     mc = MCConfig(replications=2000, master_seed=7, horizon=1800)
-    est = estimate_bayes_delay(detector, (0,), (1.0,), 1, mc)
+    est = estimate_bayes_delay(detector, threshold_shiryaev(1e-3), (0,), (1.0,), 1, mc)
     first_order = abs(math.log(1e-3)) / (0.5 + detector.prior.tail_rate)
     assert 0.8 * first_order <= est.mean <= 1.6 * first_order
     assert est.censored_fraction < 0.01
 
 
 def test_bayes_delay_satisfies_jensen():
-    detector = make_detector(threshold=49.0)
+    detector = make_detector()
     mc = MCConfig(replications=1500, master_seed=8, horizon=800)
-    first = estimate_bayes_delay(detector, (0,), (1.0,), 1, mc)
-    second = estimate_bayes_delay(detector, (0,), (1.0,), 2, mc)
+    first = estimate_bayes_delay(detector, 49.0, (0,), (1.0,), 1, mc)
+    second = estimate_bayes_delay(detector, 49.0, (0,), (1.0,), 2, mc)
     assert second.mean >= first.mean**2 - 3 * second.stderr
 
 
 def test_average_risk_with_zero_cost_is_false_alarm_rate():
-    detector = make_detector(threshold=9.0)
+    detector = make_detector()
     mc = MCConfig(replications=2000, master_seed=12, horizon=600)
-    risk = estimate_average_risk(detector, 0.0, 1, mc)
-    naive = estimate_pfa_naive(detector, mc, (0,), (1.0,))
+    risk = estimate_average_risk(detector, 9.0, 0.0, 1, mc)
+    naive = estimate_pfa_naive(detector, 9.0, mc, (0,), (1.0,))
     joint_se = math.hypot(risk.stderr, naive.stderr)
     assert abs(risk.mean - naive.mean) <= 3 * joint_se
 
 
 def test_average_risk_never_stopping_limit():
     # threshold far above anything the statistic can reach inside the horizon
-    detector = make_detector(threshold=1e90)
+    detector = make_detector()
     mc = MCConfig(replications=300, master_seed=13, horizon=200)
-    risk = estimate_average_risk(detector, 1.0, 1, mc)
+    risk = estimate_average_risk(detector, 1e90, 1.0, 1, mc)
     # nothing stops, so every replication is censored and flagged
     assert risk.censored_fraction == 1.0
     assert risk.n_effective == 0
@@ -208,10 +208,7 @@ def test_joint_sampler_draws_match_mixture_weights():
     grid = GridSpec.common_amplitude([0.5, 1.0], 2, weights=(0.25, 0.75))
     weights = SubsetWeights.uniform(2, 2)
     prior = GeometricPrior(rho=0.1)
-    detector = Detector(
-        DetectorConfig(kind="shiryaev-mixture", threshold_A=5.0),
-        scenario, prior, grid, weights,
-    )
+    detector = Detector("shiryaev-mixture", scenario, prior, grid, weights)
     sampler = JointSampler.for_detector(detector)
     assert sampler.uniforms(prior) == 3  # nu, the subset, the grid point
     u = np.array([replication_rng(14, rep).random(3) for rep in range(6000)])
@@ -227,9 +224,9 @@ def test_joint_sampler_draws_match_mixture_weights():
 
 
 def test_fixed_change_sampler_records_nu():
-    detector = make_detector(threshold=1e6)
+    detector = make_detector()
     mc = MCConfig(replications=10, master_seed=15, horizon=20)
-    records = simulate_runs(detector, mc, FixedChangeSampler(ChangeSpec(nu=4, subset=(0,))))
+    records = simulate_runs(detector, 1e6, mc, FixedChangeSampler(ChangeSpec(nu=4, subset=(0,))))
     assert np.all(records.nu == 4)
 
 
@@ -263,26 +260,26 @@ def test_fixed_change_must_lie_inside_the_horizon():
     detector = make_detector()
     mc = MCConfig(replications=10, master_seed=16, horizon=20)
     with pytest.raises(ValueError, match="inside the simulation horizon"):
-        estimate_conditional_delay(detector, ChangeSpec(nu=20, subset=(0,)), 1, mc)
-    estimate_conditional_delay(detector, ChangeSpec(nu=19, subset=(0,)), 1, mc)  # the last step
+        estimate_conditional_delay(detector, 19.0, ChangeSpec(nu=20, subset=(0,)), 1, mc)
+    estimate_conditional_delay(detector, 19.0, ChangeSpec(nu=19, subset=(0,)), 1, mc)  # last step
 
 
 def test_moment_order_validated():
     detector = make_detector()
     mc = MCConfig(replications=10, master_seed=16, horizon=20)
     with pytest.raises(ValueError):
-        estimate_conditional_delay(detector, ChangeSpec(nu=0, subset=(0,)), 0.5, mc)
+        estimate_conditional_delay(detector, 19.0, ChangeSpec(nu=0, subset=(0,)), 0.5, mc)
     with pytest.raises(ValueError):
-        estimate_bayes_delay(detector, (0,), (1.0,), 0.0, mc)
+        estimate_bayes_delay(detector, 19.0, (0,), (1.0,), 0.0, mc)
     with pytest.raises(ValueError):
-        estimate_average_risk(detector, -1.0, 1, mc)
+        estimate_average_risk(detector, 19.0, -1.0, 1, mc)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_simulate_runs_is_independent_of_span_size(monkeypatch, workers):
     scenario = Scenario((gaussian_stream(theta=1.0), gaussian_stream(theta=0.5)))
     detector = Detector(
-        DetectorConfig(kind="shiryaev-mixture", threshold_A=30.0),
+        "shiryaev-mixture",
         scenario,
         GeometricPrior(rho=0.05, q=0.1),
         GridSpec.common_amplitude([0.5, 1.0], 2),
@@ -290,9 +287,9 @@ def test_simulate_runs_is_independent_of_span_size(monkeypatch, workers):
     )
     mc = MCConfig(replications=50, master_seed=18, horizon=80, workers=workers)
     sampler = JointSampler.for_detector(detector)
-    whole = simulate_runs(detector, mc, sampler)
+    whole = simulate_runs(detector, 30.0, mc, sampler)
     monkeypatch.setattr(montecarlo, "_CHUNK", 7)
-    split = simulate_runs(detector, mc, sampler)
+    split = simulate_runs(detector, 30.0, mc, sampler)
     for field in ("nu", "stopped"):
         np.testing.assert_array_equal(getattr(split, field), getattr(whole, field))
 
@@ -305,16 +302,18 @@ def test_nan_moment_order_is_rejected_before_simulating(monkeypatch):
     detector = make_detector()
     mc = MCConfig(replications=10, master_seed=16, horizon=20)
     calls = (
-        lambda: estimate_bayes_delay(detector, (0,), (1.0,), math.nan, mc),
-        lambda: estimate_conditional_delay(detector, ChangeSpec(nu=0, subset=(0,)), math.nan, mc),
-        lambda: estimate_average_risk(detector, 0.1, math.nan, mc),
+        lambda: estimate_bayes_delay(detector, 19.0, (0,), (1.0,), math.nan, mc),
+        lambda: estimate_conditional_delay(
+            detector, 19.0, ChangeSpec(nu=0, subset=(0,)), math.nan, mc
+        ),
+        lambda: estimate_average_risk(detector, 19.0, 0.1, math.nan, mc),
     )
     for call in calls:
         with pytest.raises(ValueError, match="moment order"):
             call()
     for c in (math.nan, math.inf):
         with pytest.raises(ValueError, match="delay cost"):
-            estimate_average_risk(detector, c, 1, mc)
+            estimate_average_risk(detector, 19.0, c, 1, mc)
 
 
 class InProcessExecutor:
@@ -347,9 +346,9 @@ def test_a_pool_never_starts_more_processes_than_a_pass_has_spans(pool_sizes, mo
     detector = make_detector()
     mc = MCConfig(replications=10, master_seed=4, horizon=60, workers=16)
     monkeypatch.setattr(montecarlo, "_CHUNK", 5)  # two spans
-    records = simulate_runs(detector, mc, NO_CHANGE_SAMPLER)
+    records = simulate_runs(detector, 19.0, mc, NO_CHANGE_SAMPLER)
     assert pool_sizes == [2]
-    serial = simulate_runs(detector, MCConfig(10, 4, 60, workers=1), NO_CHANGE_SAMPLER)
+    serial = simulate_runs(detector, 19.0, MCConfig(10, 4, 60, workers=1), NO_CHANGE_SAMPLER)
     assert pool_sizes == [2]  # one worker: no pool at all
     np.testing.assert_array_equal(records.stopped, serial.stopped)
 
@@ -384,9 +383,9 @@ def test_a_sweep_joins_its_pool_when_the_pfa_horizon_is_infeasible(monkeypatch):
     passes, built = [], []
     simulate, executor = montecarlo.simulate_runs, concurrent.futures.ProcessPoolExecutor
 
-    def counting(detector, mc, sampler):
+    def counting(detector, threshold, mc, sampler):
         passes.append(sampler is NO_CHANGE_SAMPLER)
-        return simulate(detector, mc, sampler)
+        return simulate(detector, threshold, mc, sampler)
 
     monkeypatch.setattr(montecarlo, "simulate_runs", counting)
     monkeypatch.setattr(
@@ -400,3 +399,33 @@ def test_a_sweep_joins_its_pool_when_the_pfa_horizon_is_infeasible(monkeypatch):
     assert passes == [False, False, True]  # both delay passes, then the first PFA pass
     assert built == [{"max_workers": 2}]
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
+def test_a_threshold_from_outside_is_checked_before_any_data(monkeypatch, a):
+    """``simulate_runs`` and the calibration routes share one ``0 < A < inf`` rule."""
+    def no_generation(*args):
+        raise AssertionError("data was generated before the threshold was checked")
+
+    monkeypatch.setattr(Scenario, "generate", no_generation)
+    mc = MCConfig(replications=10, master_seed=4, horizon=20)
+    with pytest.raises(ValueError, match="threshold must be positive and finite"):
+        check_threshold(a)
+    for kind in ("shiryaev-mixture", "sr-mixture"):
+        with pytest.raises(ValueError, match=f"threshold must be positive and finite, got {a}$"):
+            simulate_runs(make_detector(kind), a, mc, NO_CHANGE_SAMPLER)
+    with pytest.raises(ValueError, match="finite"):
+        estimate_pfa(make_detector("sr-mixture"), a, mc)
+
+
+def test_a_shiryaev_threshold_must_exceed_the_head_odds_before_any_data(monkeypatch):
+    def no_generation(*args):
+        raise AssertionError("data was generated before the threshold was checked")
+
+    monkeypatch.setattr(Scenario, "generate", no_generation)
+    mc = MCConfig(replications=10, master_seed=4, horizon=20)
+    detector = make_detector(q=0.5)  # head odds q/(1-q) = 1
+    for a in (0.9, 1.0):
+        with pytest.raises(ValueError, match=r"Shiryaev threshold must exceed q/\(1-q\) = 1$"):
+            simulate_runs(detector, a, mc, NO_CHANGE_SAMPLER)
+    assert make_detector("sr-mixture", q=0.5).log_level(0.9) == math.log(0.9)

@@ -12,7 +12,6 @@ from qcdetect import (
     ARChannelSpec,
     ChangeSpec,
     Detector,
-    DetectorConfig,
     GeometricPrior,
     GridSpec,
     MCConfig,
@@ -429,7 +428,7 @@ def test_span_generation_equals_per_replication_generation(kind, sampler_name, p
     """Every span's data is each replication generated alone, bit for bit, for any span split."""
     scenario, prior = SPAN_SCENARIOS[kind], SPAN_PRIORS[prior_name]
     detector = Detector(
-        DetectorConfig(kind="shiryaev-mixture", threshold_A=50.0),
+        "shiryaev-mixture",
         scenario,
         prior,
         GridSpec.common_amplitude((0.5, 1.5), 3),
@@ -446,7 +445,7 @@ def test_span_generation_equals_per_replication_generation(kind, sampler_name, p
     nus = {}
     for start, count in splits:
         _, nu, _ = montecarlo._simulate_span(
-            detector, sampler, mc, start, count, [detector.log_threshold]
+            detector, sampler, mc, start, count, [detector.log_level(50.0)]
         )
         data = spans.pop()
         assert data.shape == (count, SPAN_HORIZON, 3)

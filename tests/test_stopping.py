@@ -1,5 +1,6 @@
 """Stepping: the recursion against the direct sum, and row retirement against full trajectories."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,6 @@ from qcdetect import (
     ARChannelSpec,
     ChangeSpec,
     Detector,
-    DetectorConfig,
     GeometricPrior,
     GridSpec,
     MixtureChannelSpec,
@@ -86,7 +86,7 @@ def test_recursion_equals_the_direct_sum_at_every_step(case):
 
 @st.composite
 def detector_cases(draw):
-    """A random detector over N <= 5 Gaussian streams and a batch of data for it."""
+    """A random detector over N <= 5 Gaussian streams, a log threshold and a batch of data."""
     n = draw(st.integers(1, 5))
     k = draw(st.integers(1, n))
     amplitudes = draw(
@@ -103,14 +103,14 @@ def detector_cases(draw):
     else:
         prior = PolynomialTailPrior(beta=draw(st.floats(0.5, 3.0)))
     kind = draw(st.sampled_from(["shiryaev-mixture", "sr-mixture"]))
-    config = DetectorConfig(
-        kind=kind,
-        threshold_A=float(np.exp(draw(st.floats(0.5, 12.0)))),  # above q/(1-q) <= 1/9
-        window_m1=draw(st.one_of(st.none(), st.integers(1, 12))),
-        head_start_omega=0.0 if kind == "shiryaev-mixture" else draw(st.sampled_from([0.0, 1.5])),
-    )
+    threshold = float(np.exp(draw(st.floats(0.5, 12.0))))  # above q/(1-q) <= 1/9
     scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(n)))
-    detector = Detector(config, scenario, prior, grid, weights)
+    detector = Detector(
+        kind, scenario, prior, grid, weights,
+        window_m1=draw(st.one_of(st.none(), st.integers(1, 12))),
+        omega=0.0 if kind == "shiryaev-mixture" else draw(st.sampled_from([0.0, 1.5])),
+    )
+    log_threshold = detector.log_level(threshold)
 
     reps = draw(st.integers(1, 8))
     horizon = draw(st.integers(1, 40))
@@ -120,7 +120,7 @@ def detector_cases(draw):
     nu = rng.integers(0, horizon + 1, size=reps)
     shift = rng.uniform(0.0, 2.0, size=(reps, 1, n)) * (rng.random((reps, 1, n)) < 0.5)
     data += shift * (np.arange(horizon)[None, :, None] >= nu[:, None, None])
-    return detector, data
+    return detector, log_threshold, data
 
 
 def reference_log_trajectories(detector, data):
@@ -142,22 +142,25 @@ def first_crossing(log_traj, log_threshold):
 @PROPERTY_SETTINGS
 @given(detector_cases())
 def test_stopping_times_are_the_first_crossing_of_the_trajectories(case):
-    detector, data = case
+    detector, log_threshold, data = case
     log_traj = detector.log_trajectories(data)
-    stopped = detector.stopping_times(data)
+    stopped = detector.stopping_times(data, [log_threshold])[:, 0]
     np.testing.assert_array_equal(log_traj, reference_log_trajectories(detector, data))
-    np.testing.assert_array_equal(stopped, first_crossing(log_traj, detector.log_threshold))
+    np.testing.assert_array_equal(stopped, first_crossing(log_traj, log_threshold))
     assert stopped.dtype == np.int64
 
 
 @PROPERTY_SETTINGS
 @given(detector_cases(), st.integers(0, 8))
 def test_stopping_times_do_not_depend_on_batching(case, cut):
-    detector, data = case
+    detector, log_threshold, data = case
     cut = min(cut, data.shape[0])
-    whole = detector.stopping_times(data)
+    whole = detector.stopping_times(data, [log_threshold])
     split = np.concatenate(
-        [detector.stopping_times(data[:cut]), detector.stopping_times(data[cut:])]
+        [
+            detector.stopping_times(data[:cut], [log_threshold]),
+            detector.stopping_times(data[cut:], [log_threshold]),
+        ]
     )
     np.testing.assert_array_equal(whole, split)
 
@@ -170,16 +173,15 @@ def test_one_scan_stops_at_every_level_as_one_scan_per_level_does(case, drawn, c
     The levels come out of order and repeat, one is reached by no row and one
     by every row at step 1; splitting the rows into two batches changes nothing.
     """
-    detector, data = case
+    detector, log_threshold, data = case
     log_traj = detector.log_trajectories(data)
     unreached, at_once = float(log_traj.max()) + 1.0, float(log_traj[:, 0].min()) - 1.0
-    levels = [*drawn, detector.log_threshold, unreached, at_once, detector.log_threshold]
+    levels = [*drawn, log_threshold, unreached, at_once, log_threshold]
     levels = draw.draw(st.permutations(levels))
     stopped = detector.stopping_times(data, levels)
     assert stopped.shape == (data.shape[0], len(levels)) and stopped.dtype == np.int64
     for j, level in enumerate(levels):
-        with mock.patch.object(detector, "log_threshold", level):
-            np.testing.assert_array_equal(stopped[:, j], detector.stopping_times(data))
+        np.testing.assert_array_equal(stopped[:, j], detector.stopping_times(data, [level])[:, 0])
     assert (stopped[:, levels.index(unreached)] == -1).all()
     assert (stopped[:, levels.index(at_once)] == 1).all()
     cut = min(cut, data.shape[0])
@@ -192,7 +194,7 @@ def test_one_scan_stops_at_every_level_as_one_scan_per_level_does(case, drawn, c
 @PROPERTY_SETTINGS
 @given(detector_cases(), st.integers(0, 2**16))
 def test_thresholds_at_the_statistic_and_a_few_ulps_off_stop_at_the_first_crossing(case, pick):
-    detector, data = case
+    detector, _, data = case
     log_traj = detector.log_trajectories(data)
     level = log_traj.flat[pick % log_traj.size]
     if not np.isfinite(level):
@@ -201,12 +203,11 @@ def test_thresholds_at_the_statistic_and_a_few_ulps_off_stop_at_the_first_crossi
         log_threshold = level
         for _ in range(abs(ulps)):
             log_threshold = np.nextafter(log_threshold, np.copysign(np.inf, ulps))
-        with mock.patch.object(detector, "log_threshold", float(log_threshold)):
-            stopped = detector.stopping_times(data)
+        stopped = detector.stopping_times(data, [float(log_threshold)])[:, 0]
         np.testing.assert_array_equal(stopped, first_crossing(log_traj, log_threshold))
 
 
-def _counted_stopping_times(detector, data):
+def _counted_stopping_times(detector, data, log_threshold):
     """Stopping times and the number of rows in the state at every ``advance``."""
     rows_per_step = []
     advance = DetectorState.advance
@@ -216,7 +217,7 @@ def _counted_stopping_times(detector, data):
         return advance(state, *args, **kwargs)
 
     with mock.patch.object(DetectorState, "advance", counting):
-        stopped = detector.stopping_times(data)
+        stopped = detector.stopping_times(data, [log_threshold])[:, 0]
     return stopped, rows_per_step
 
 
@@ -235,11 +236,10 @@ def test_scan_steps_only_rows_that_have_not_stopped():
     noisy[48:] = rng.normal(size=(16, horizon, n))  # pure noise: these rows censor
     for window_m1 in (None, 15):
         detector = Detector(
-            DetectorConfig(kind="shiryaev-mixture", threshold_A=1e3, window_m1=window_m1),
-            scenario, prior, grid, weights,
+            "shiryaev-mixture", scenario, prior, grid, weights, window_m1=window_m1,
         )
         for data, censored in ((changed, False), (noisy, True)):
-            stopped, rows_per_step = _counted_stopping_times(detector, data)
+            stopped, rows_per_step = _counted_stopping_times(detector, data, math.log(1e3))
             assert (stopped < 0).any() == censored
             steps = horizon if censored else int(stopped.max())
             assert censored or steps < horizon  # the scan left before the horizon
@@ -259,13 +259,18 @@ MIXED = Scenario(
 )
 
 
+#: The log threshold the scans of ``mixed_detector`` stop at.
+MIXED_LEVELS = [math.log(1e3)]
+
+
 def mixed_detector(window_m1):
     return Detector(
-        DetectorConfig(kind="shiryaev-mixture", threshold_A=1e3, window_m1=window_m1),
+        "shiryaev-mixture",
         MIXED,
         GeometricPrior(rho=0.05),
         GridSpec.common_amplitude((0.5, 1.0), MIXED.n_streams),
         SubsetWeights.uniform(MIXED.n_streams),
+        window_m1=window_m1,
     )
 
 
@@ -292,7 +297,9 @@ def test_scan_does_not_depend_on_block_length_or_span_size(window_m1):
         with mock.patch.object(detectors, "INCREMENT_BLOCK", block):
             for span in (40, 7):
                 starts = range(0, len(data), span)
-                stopped = np.concatenate([detector.stopping_times(data[s:s + span]) for s in starts])
+                stopped = np.concatenate(
+                    [detector.stopping_times(data[s:s + span], MIXED_LEVELS) for s in starts]
+                )
                 traj = np.concatenate([detector.log_trajectories(data[s:s + span]) for s in starts])
                 results.append((stopped, traj))
     stopped, traj = results[0]
@@ -314,7 +321,7 @@ def test_increments_are_computed_per_block_for_live_rows_only():
         return result
 
     with mock.patch.object(Scenario, "log_lr_increments", recording):
-        stopped = detector.stopping_times(data)
+        stopped = detector.stopping_times(data, MIXED_LEVELS)[:, 0]
     block, n_points = detectors.INCREMENT_BLOCK, detector.grid.n_points
     for start, shape, nbytes in calls:
         live = int(((stopped < 0) | (stopped > start)).sum())
