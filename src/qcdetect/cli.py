@@ -389,8 +389,8 @@ def build_detector(config: RunConfig) -> Detector:
         )
 
 
-def calibrate(config: RunConfig) -> tuple[Detector, float, dict]:
-    """The statistic of ``config``, its threshold, and the report of that threshold.
+def calibrate(config: RunConfig) -> tuple[Detector, dict]:
+    """The statistic of ``config`` and the report of its threshold, ``threshold_A``.
 
     ``[detector]`` gives the threshold, or a false-alarm level ``alpha`` or a
     delay cost ``cost_c`` that it is calibrated from inside
@@ -420,7 +420,7 @@ def calibrate(config: RunConfig) -> tuple[Detector, float, dict]:
     with _invalid("detector"):
         detector.log_level(a)
     report = {"kind": section.kind, "threshold_A": a, "target": target, "formula": formula}
-    return detector, a, report
+    return detector, report
 
 
 def build_mc(config: RunConfig, seed: int | None, workers: int | None) -> MCConfig:
@@ -472,18 +472,18 @@ def _json_number(value: float) -> float | None:
 
 
 def cmd_calibrate(config: RunConfig, out: str | None) -> int:
-    _, _, report = calibrate(config)
+    _, report = calibrate(config)
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
     return EXIT_OK
 
 
 def cmd_simulate(config: RunConfig, out: str | None, seed: int | None, workers: int | None) -> int:
-    detector, threshold, _ = calibrate(config)
+    detector, report = calibrate(config)
     mc = build_mc(config, seed, workers)
     sampler = build_change(config.change, detector.scenario, mc.horizon)
     check_span_memory(detector, mc)
     with _invalid():  # increments that overflow show only as the runs are stepped
-        records = simulate_runs(detector, threshold, mc, sampler)
+        records = simulate_runs(detector, report["threshold_A"], mc, sampler)
     moments = {str(r): records.delay_moment(r) for r in config.mc.moments}
     summary = {
         "replications": mc.replications,

@@ -141,11 +141,12 @@ class Detector:
         generation keeps per replication besides, ``N`` latent values, ``N``
         change starts and ``N`` parameters and up to 3 uniforms (its other
         temporaries are a few ``R``- or ``T``-long vectors per span); the
-        scan's finite check of the data, one byte per value; one block of
-        data, ``[min(T, INCREMENT_BLOCK) + p, N]`` with the ``p`` lag samples,
-        and its increments, ``[min(T, INCREMENT_BLOCK), P, N]``; the scan's
-        per-row vectors, ``nu``, one column of stops, ``rows``, ``pos``,
-        ``reached``, ``next_level`` and the ``N`` running sums of ``carry``;
+        scan's finite checks of the data and of a block's increments, one byte
+        per value; one block of data, ``[min(T, INCREMENT_BLOCK) + p, N]`` with
+        the ``p`` lag samples, and its increments, ``[min(T, INCREMENT_BLOCK),
+        P, N]``; the scan's per-row vectors, ``nu``, one column of stops,
+        ``rows``, ``pos``, ``reached``, ``next_level`` and the ``N`` running
+        sums of ``carry``;
         and the engine's working set, which ``statistics.state_row_bytes``
         counts.  A sweep's further stop columns, 8 bytes a row at each of its
         handful of levels, are left out: they are small beside the
@@ -157,7 +158,8 @@ class Detector:
         block = (steps + self.scenario.lags) * n + steps * points * n
         engine = state_row_bytes(self.grid, self.weights, self.window_m1, horizon)
         scan = 6 + n  # nu, a stop column, rows, pos, reached, next_level and carry
-        return 8 * (horizon * n + 3 * n + 3 + block + scan) + engine + horizon * n
+        checks = horizon * n + steps * points * n  # one byte per value checked
+        return 8 * (horizon * n + 3 * n + 3 + block + scan) + engine + checks
 
     def _new_state(self, n_reps: int) -> DetectorState:
         return DetectorState(

@@ -790,7 +790,6 @@ def test_each_level_is_calibrated_once(command, calibrations, tmp_path, monkeypa
         return level_threshold(*args)
 
     monkeypatch.setattr(detectors, "level_threshold", counting)
-    monkeypatch.setattr(cli, "level_threshold", counting, raising=False)  # a binding of its own
     path = tmp_path / "run.ini"
     path.write_text(PRIOR_NU + SWEEP)
     assert cli.main([command, "--config", str(path)]) == EXIT_OK

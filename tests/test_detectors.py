@@ -314,9 +314,6 @@ def test_window_stopping_times_peak_within_row_bytes(window_m1, horizon):
                         SubsetWeights.uniform(n, 2), window_m1=window_m1)
     changes = [ChangeSpec(NO_CHANGE, ())] * n_reps
     data = scenario.generate(changes, horizon, [replication_rng(7, r) for r in range(n_reps)])
-    # the first scan in a process also fills numpy's and the parts' caches,
-    # which are no row's bytes; a one-row scan fills them before the trace
-    detector.stopping_times(data[:1], [math.log(1e300)])
     tracemalloc.start()
     try:
         assert (detector.stopping_times(data, [math.log(1e300)]) == -1).all()
