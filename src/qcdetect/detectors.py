@@ -144,18 +144,20 @@ class Detector:
         scan's finite checks of the data and of a block's increments, one byte
         per value; one block of data, ``[min(T, INCREMENT_BLOCK) + p, N]`` with
         the ``p`` lag samples, and its increments, ``[min(T, INCREMENT_BLOCK),
-        P, N]``; the scan's per-row vectors, ``nu``, one column of stops,
+        P, N]``, the block before it released; the temporaries of one
+        channel's increments, at most four vectors of the block's steps plus
+        one (the mixture channel's running ``log G``, its soft-plus and their
+        difference); the scan's per-row vectors, ``nu``, one column of stops,
         ``rows``, ``pos``, ``reached``, ``next_level`` and the ``N`` running
-        sums of ``carry``;
-        and the engine's working set, which ``statistics.state_row_bytes``
-        counts.  A sweep's further stop columns, 8 bytes a row at each of its
-        handful of levels, are left out: they are small beside the
-        ``8 * T * N`` bytes of data.  The count is per row; a call's fixed
+        sums of ``carry``; and the engine's working set, which
+        ``statistics.state_row_bytes`` counts.  A sweep's further stop
+        columns, 8 bytes a row at each of its handful of levels, are left
+        out: they are small beside the ``8 * T * N`` bytes of data.  The count is per row; a call's fixed
         overhead, which outweighs a row of one or two steps, is not in it.
         """
         n, points = self.scenario.n_streams, self.grid.n_points
         steps = min(horizon, INCREMENT_BLOCK)
-        block = (steps + self.scenario.lags) * n + steps * points * n
+        block = (steps + self.scenario.lags) * n + steps * points * n + 4 * (steps + 1)
         engine = state_row_bytes(self.grid, self.weights, self.window_m1, horizon)
         scan = 6 + n  # nu, a stop column, rows, pos, reached, next_level and carry
         checks = horizon * n + steps * points * n  # one byte per value checked
@@ -199,7 +201,10 @@ class Detector:
 
         The increments are computed ``INCREMENT_BLOCK`` steps at a time, for
         the rows live at the block's start: ``pos`` is each live row's position
-        in its block.  The block reads the scenario's lag samples before it,
+        in its block.  A step's ``[R, P, N]`` increments are a view of the
+        block, rows contiguous, until a row leaves; from then on the live rows
+        are gathered, still rows last.  A block is released before the next
+        is built.  The block reads the scenario's lag samples before it,
         and ``carry`` holds the mixture streams' running sums across blocks.
         An increment that is not finite is a ``ValueError`` naming its step.
         Every element of a block has the whole path's bits.
@@ -231,7 +236,10 @@ class Detector:
                 )
             pos = np.arange(rows.size)
             for t in range(t0, t1):
-                state.advance(block[pos, t - t0])
+                step = block[:, t - t0]  # [R, P, N], rows contiguous: a view
+                if pos.size < step.shape[0]:  # a row has left: gather the rest, rows last
+                    step = step.T.take(pos, axis=-1).T
+                state.advance(step)
                 # a row provably below its next level needs no exact read-out,
                 # unless every value is recorded
                 value = state.log_shiryaev(next_level if out is None else -math.inf)
@@ -252,6 +260,7 @@ class Detector:
                             break
                     next_level = levels[reached]
             carry = carry[pos]
+            del block, step  # freed before the next block is built
         return stopped[:, columns]
 
     def log_trajectories(self, data: np.ndarray) -> np.ndarray:

@@ -86,12 +86,15 @@ def log_add_exp(x, y, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     to ``np.logaddexp`` (a few elements in a thousand differ in the last bit,
     which may depend on the SIMD path numpy dispatches on a CPU), but exact at
     infinities: ``x = -inf`` gives ``y``, a tie ``x == y`` gives ``y + log 2``.
+    A finite scalar ``y`` ties with no infinity, so that path skips the guard
+    that maps the tie's NaN to 0; it changes no bit there.
     """
     np.minimum(x, y, out=work)
     np.maximum(x, y, out=out)
     with np.errstate(invalid="ignore"):
         np.subtract(work, out, out=work)  # -|x - y|; NaN only for a tie at infinity
-    np.fmin(work, 0.0, out=work)
+    if not (np.ndim(y) == 0 and math.isfinite(y)):
+        np.fmin(work, 0.0, out=work)
     np.exp(work, out=work)
     np.log1p(work, out=work)
     return np.add(out, work, out=out)

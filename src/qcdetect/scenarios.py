@@ -137,7 +137,7 @@ class ARChannelSpec:
             x[r, start:] += amplitude * signal[start:]
 
     def log_lr_increments(
-        self, x: np.ndarray, thetas: np.ndarray, start: int = 0, carry=None
+        self, x: np.ndarray, thetas: np.ndarray, start: int = 0, carry=None, out=None
     ) -> np.ndarray:
         """Per-observation log LR at each amplitude in ``thetas``, from step ``start`` on.
 
@@ -146,15 +146,23 @@ class ARChannelSpec:
         ``[..., T, len(thetas)]``.  The lags whiten the first steps and
         ``start`` sets the signal's phase, so every element takes the same
         operations as in the whole path (``start = 0``, no lead).  ``carry`` is
-        not read: an AR channel's context is its lag samples.
+        not read: an AR channel's context is its lag samples.  The increments
+        are computed point by point into ``out``, a ``[len(thetas), ..., T]``
+        array of any strides (a fresh one when None), and the result is its
+        view.
         """
         thetas = np.asarray(thetas, dtype=float)
         xt = self.residuals(x)[..., min(start, self.lags):]
         st = self.residual_signal(start + xt.shape[-1], start)
         s2 = self.sigma**2
-        cross = (st * xt)[..., :, None] / s2
-        drift = (st**2)[:, None] / (2.0 * s2)
-        return thetas * cross - thetas**2 * drift
+        cross = st * xt / s2
+        drift = st**2 / (2.0 * s2)
+        if out is None:
+            out = np.empty(thetas.shape + xt.shape)
+        for p, (theta, square) in enumerate(zip(thetas, thetas**2)):
+            np.multiply(theta, cross, out=out[p])
+            out[p] -= square * drift
+        return np.moveaxis(out, 0, -1)
 
     def log_predictive_pre(self, x: np.ndarray) -> np.ndarray:
         """log density of each observation given its past, pre-change law."""
@@ -274,22 +282,32 @@ class MixtureChannelSpec:
         return soft[..., :-1] - soft[..., 1:]
 
     def log_lr_increments(
-        self, x: np.ndarray, thetas: np.ndarray, start: int = 0, carry=None
+        self, x: np.ndarray, thetas: np.ndarray, start: int = 0, carry=None, out=None
     ) -> np.ndarray:
         """Per-observation log LR at each mean in ``thetas``: ``[..., T, len(thetas)]``.
 
         ``x`` is ``[..., T]``, the steps ``start .. start+T-1``.  A block after
         the first (``start > 0``) continues the running ``log G`` held in
-        ``carry`` (see ``gap_penalties``), which it advances in place.
+        ``carry`` (see ``gap_penalties``), which it advances in place.  The
+        increments are computed point by point into ``out``, a
+        ``[len(thetas), ..., T]`` array of any strides (a fresh one when
+        None), and the result is its view.
         """
         if start > 0 and carry is None:
             raise ValueError(f"a block from step {start} needs the carried running log G")
         thetas = np.asarray(thetas, dtype=float)
         s2 = self.sigma**2
         shift = thetas - self.mu2
-        base = x[..., :, None] / s2
-        l2 = shift * base - (thetas**2 - self.mu2**2) / (2.0 * s2)
-        return l2 + self.gap_penalties(x, carry)[..., :, None]
+        level = (thetas**2 - self.mu2**2) / (2.0 * s2)
+        gap = self.gap_penalties(x, carry)  # its temporaries are freed before base is made
+        base = x / s2
+        if out is None:
+            out = np.empty(thetas.shape + x.shape)
+        for p in range(thetas.shape[0]):
+            np.multiply(shift[p], base, out=out[p])
+            out[p] -= level[p]
+            out[p] += gap
+        return np.moveaxis(out, 0, -1)
 
     def log_predictive_pre(self, x: np.ndarray) -> np.ndarray:
         """log g(x_n | history): ratio of consecutive mixture joint densities."""
@@ -453,20 +471,27 @@ class Scenario:
         the same operations as in the whole path, so a path's blocks
         concatenate to its whole-path increments bit for bit.  A stream axis
         of ``data`` or ``theta_points`` that is not N wide is a ``ValueError``.
+
+        The values are each channel's own ``log_lr_increments``, written in
+        the engines' layout: the memory is stream-major with the leading
+        (replication) axes last, ``[N, T, P, ...]``, and the result is its
+        ``[..., T, P, N]`` view.  So one step's increments of one stream,
+        ``[P, R]``, are contiguous, as the recursion's subset sums read them.
         """
         theta_points = self._check_points(theta_points)
         if data.shape[-1] != self.n_streams:
             raise ValueError(f"data has {data.shape[-1]} streams, scenario has {self.n_streams}")
         lead = min(start, self.lags)
-        out = np.empty(
-            data.shape[:-2] + (data.shape[-2] - lead, theta_points.shape[0], self.n_streams)
-        )
+        rows = data.shape[:-2]
+        d = len(rows)
+        out = np.empty((self.n_streams, data.shape[-2] - lead, theta_points.shape[0]) + rows)
         for i, ch in enumerate(self.channels):
             x = data[..., lead - min(start, ch.lags):, i]
-            out[..., i] = ch.log_lr_increments(
-                x, theta_points[:, i], start, None if carry is None else carry[..., i]
+            ch.log_lr_increments(
+                x, theta_points[:, i], start, None if carry is None else carry[..., i],
+                out=out[i].transpose((1,) + tuple(range(2, d + 2)) + (0,)),  # [P, ..., T]
             )
-        return out
+        return out.transpose(tuple(range(3, d + 3)) + (1, 2, 0))
 
     def kl_per_stream(self, theta_points: np.ndarray) -> np.ndarray:
         """Information rate of each stream at each grid point: ``[P, N]``."""

@@ -15,7 +15,10 @@ is the subset/parameter mixture of the components.  A window-limited mode sums
 the mixture likelihood ratio directly over the last ``m1 + 1`` candidate
 change points instead, which bounds memory and also serves as the oracle for
 the recursion.  Both engines take the per-stream increments of one step at a
-time; the recursion sums them over each subset as it steps.  All state is kept
+time; the recursion sums them over each subset as it steps, with one
+broadcast add per stream over its subsets in a parent-first storage order
+(``MixtureBasis``), so a step costs a fixed number of numpy calls whatever
+the subset count.  All state is kept
 in the log domain, where it neither overflows nor needs a clamp, so both
 engines reach any finite threshold.
 
@@ -31,7 +34,9 @@ is ``max + log1p(exp(-|d|))`` on numpy's SIMD ufuncs: not bit-identical to
 dispatches on a CPU.  Its read-out is ``likelihood.logsumexp_tree``: the
 shift of ``likelihood.logsumexp`` (``max + log(sum(exp(a - max)))``, not
 scipy's bits) with the components of each replication summed by a halving
-tree, replications last, in one fixed order.  So a replication's value does
+tree, replications last, in one fixed order: the listing order of the
+subsets, into which the exact rows' components are taken back from storage
+order.  So a replication's value does
 not depend on how many others are read out with it, as it would under
 numpy's ``sum(axis=0)``.  The window engine and the direct sum
 ``direct_log_statistic`` run one kernel, ``window_log_statistic``: suffix
@@ -132,9 +137,15 @@ class GridSpec:
 class MixtureBasis:
     """Subset sums and joint log weights for one (grid, weights) pair.
 
-    Only the recursion reads ``prefix``, ``log_joint`` and ``log_joint_total``;
-    all are built on first use from the subsets ``weights`` lists, so the
-    window engine never enumerates them.
+    The recursion keeps its components in a storage order of its own, parent
+    first: stream by stream, and for stream ``j`` the singleton ``{j}``
+    followed by ``B + {j}`` for each subset ``B`` stored before it with
+    ``|B| < K``.  So the subsets that end in stream ``j`` are one contiguous
+    group, and the parents they extend all come before it (at ``K = N`` as
+    one contiguous slice).  ``weights`` lists the subsets in the library-wide
+    listing order, which ``log_joint`` and the read-out keep; ``to_listing``
+    maps one order to the other.  Only the recursion reads these; all are
+    built on first use, so the window engine never enumerates the subsets.
     """
 
     def __init__(self, grid: GridSpec, weights: SubsetWeights):
@@ -147,19 +158,51 @@ class MixtureBasis:
         self.n_subsets = weights.n_subsets
 
     @cached_property
-    def prefix(self) -> list[tuple[int, int]]:
-        """``(parent, last)`` for each subset after the singletons, in listing order.
+    def stored(self) -> tuple[tuple[int, ...], ...]:
+        """The subsets in storage order, each listed by its members, ascending."""
+        stored: list[tuple[int, ...]] = []
+        for j in range(self.weights.n_streams):
+            stored += [(j,)] + [b + (j,) for b in stored if len(b) < self.weights.K]
+        return tuple(stored)
 
-        The subset is its ``parent`` (itself less its largest member ``last``,
-        listed one size earlier) plus stream ``last``.  The singletons come
-        first, stream by stream.
+    @cached_property
+    def prefix(self) -> tuple[np.ndarray, list]:
+        """The singletons' storage rows ``[N]`` and each stream's group of larger subsets.
+
+        A group is ``(j, parents, rows)``: the subsets ``B + {j}`` stored in
+        the slice ``rows``, right after ``{j}``, extend the parents ``B`` at
+        the rows ``parents``: a slice when they are every subset stored before
+        ``{j}`` (always at ``K = N``), an index array otherwise.  Streams that
+        extend no parent (stream 0, and every stream at ``K = 1``) have no
+        group.
         """
-        index = {b: s for s, b in enumerate(self.weights.members)}
-        return [(index[b[:-1]], b[-1]) for b in self.weights.members[self.weights.n_streams:]]
+        row = {b: s for s, b in enumerate(self.stored)}
+        n = self.weights.n_streams
+        starts = [row[(j,)] for j in range(n)] + [len(self.stored)]
+        groups = []
+        for j in range(1, n):
+            rows = slice(starts[j] + 1, starts[j + 1])
+            parents = [row[b[:-1]] for b in self.stored[rows]]
+            if parents:
+                every = parents == list(range(starts[j]))
+                groups.append((j, slice(0, starts[j]) if every else np.array(parents), rows))
+        return np.array(starts[:n]), groups
+
+    @cached_property
+    def to_listing(self) -> np.ndarray:
+        """The storage row of each subset in listing order: ``[S]``, read-only."""
+        row = {b: s for s, b in enumerate(self.stored)}
+        return read_only(np.array([row[b] for b in self.weights.members], dtype=np.intp))
+
+    @cached_property
+    def listing_components(self) -> np.ndarray:
+        """``to_listing`` over the ``[S * P]`` flattened (subset, point) components."""
+        points = self.grid.n_points
+        return read_only((self.to_listing[:, None] * points + np.arange(points)).ravel())
 
     @cached_property
     def log_joint(self) -> np.ndarray:
-        """Joint log weight of each (subset, point) component: ``[S, P]``."""
+        """Joint log weight of each (subset, point) component, in listing order: ``[S, P]``."""
         return self.weights.log_p_subsets[:, None] + self.grid.log_weights[None, :]
 
     @cached_property
@@ -206,9 +249,11 @@ class DetectorState:
     ``weighting`` is a ``PriorSpec`` for the Shiryaev statistic or
     ``FlatWeights`` for the Shiryaev-Roberts statistic.  ``advance`` takes the
     increments of one step, ``[R, P, N]`` (replications x grid points x
-    streams).  In recursive mode the state holds per-(subset, point) log
-    components rows last, ``[S, P, R]``, which ``advance`` updates in place
-    with the step's subset sums.  In window mode it keeps the increments in a
+    streams), of any strides; ``Scenario.log_lr_increments`` lays a step's
+    out rows last, as both engines read it.  In recursive mode the state
+    holds per-(subset, point) log components rows last, ``[S, P, R]``, in
+    ``MixtureBasis.stored`` order, which ``advance`` updates in place with
+    the step's subset sums.  In window mode it keeps the increments in a
     stream-major buffer ``[N, R, steps, P]``.  The buffer starts at one step;
     each time it fills, its last ``min(n, m1 + 1)`` steps slide to the front,
     and it doubles until it holds two windows, ``2(m1+1)`` steps, so over
@@ -264,11 +309,14 @@ class DetectorState:
     def subset_llrs(self, increments) -> np.ndarray:
         """Sum per-stream increments ``[..., P, N]`` over each subset: ``[S, P, ...]``.
 
-        Each subset's sum is its parent's sum plus the increment of its largest
-        member (``MixtureBasis.prefix``): the member-by-member fold from the
-        smallest member up, one add per subset.  The recursion sums one step
-        ``[R, P, N]`` at a time, in its state's layout; an element's arithmetic
-        does not depend on the other replications or steps summed with it.
+        The sums come in ``MixtureBasis.stored`` order (``to_listing`` maps
+        them to listing order).  Each subset's sum is its parent's sum plus the
+        increment of its largest member (``MixtureBasis.prefix``): the
+        member-by-member fold from the smallest member up, with one broadcast
+        add per stream, over its whole group of subsets.  The recursion sums
+        one step ``[R, P, N]`` at a time, in its state's layout; an element's
+        arithmetic does not depend on the other replications or steps summed
+        with it.
         """
         inc = np.asarray(increments, dtype=float)
         n = self.basis.weights.n_streams
@@ -276,10 +324,11 @@ class DetectorState:
             raise ValueError(f"increments must be [..., P, {n}], got shape {inc.shape}")
         d = inc.ndim
         head = inc.transpose((d - 1, d - 2) + tuple(range(d - 2)))  # [N, P, ...]
+        singletons, groups = self.basis.prefix
         sums = np.empty((self.basis.n_subsets,) + head.shape[1:])
-        sums[:n] = head
-        for s, (parent, last) in enumerate(self.basis.prefix, start=n):
-            np.add(sums[parent], sums[last], out=sums[s])
+        sums[singletons] = head
+        for j, parents, rows in groups:
+            np.add(sums[parents], head[j], out=sums[rows])
         return sums
 
     def _advance_recursive(self, llr: np.ndarray) -> None:
@@ -365,11 +414,13 @@ class DetectorState:
         ``max(log_components) + log_joint_total`` reaches ``floor`` (one value,
         or one per row) less a rounding margin; every other row gets its
         bound, which is below its floor, as the joint weights sum to one.  The
-        exact rows are gathered rows last, ``[S * P, r]``, and
-        ``logsumexp_tree`` sums each row's components in one fixed order, so
-        a row's bits do not depend on which other rows are exact; numpy's
-        ``sum(axis=0)`` adds one row in another order than many.  The default
-        floor, -inf, reads every row exactly.
+        exact rows are gathered rows last, ``[S * P, r]``, their components
+        taken back from storage order to listing order (``MixtureBasis``), and
+        ``logsumexp_tree`` sums each row's components in that one fixed order,
+        so a row's bits do not depend on which other rows are exact, nor on
+        the order the state stores its subsets in; numpy's ``sum(axis=0)``
+        adds one row in another order than many.  The default floor, -inf,
+        reads every row exactly.
         """
         if self.window_m1 is not None:
             return self._log_value
@@ -378,6 +429,7 @@ class DetectorState:
         exact = ~(bound < floor - 1e-9 * np.maximum(1.0, np.abs(floor)))
         if exact.any():
             x = np.compress(exact, columns, axis=1)  # [S * P, r], rows last
+            x = x.take(self.basis.listing_components, axis=0)  # in listing order
             x += self.basis.log_joint.reshape(-1, 1)
             bound[exact] = logsumexp_tree(x)
         return bound

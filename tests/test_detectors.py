@@ -14,6 +14,7 @@ from qcdetect import (
     FlatWeights,
     GeometricPrior,
     GridSpec,
+    MCConfig,
     NO_CHANGE,
     PointMassPrior,
     PolynomialTailPrior,
@@ -27,7 +28,8 @@ from qcdetect import (
     threshold_sr,
 )
 from qcdetect.detectors import MAX_RECURSION_SUBSETS, check_moment_order
-from qcdetect.scenarios import ARChannelSpec
+from qcdetect.montecarlo import _simulate_span
+from qcdetect.scenarios import NO_CHANGE_SAMPLER, ARChannelSpec
 
 
 def single_stream_setup(theta=1.0, rho=0.1, q=0.0):
@@ -338,6 +340,34 @@ def test_recursion_stopping_times_peak_within_row_bytes():
     finally:
         tracemalloc.stop()
     assert peak < n_reps * detector.row_bytes(horizon)
+
+
+def span_peak(detector, horizon, n_reps):
+    """Peak traced bytes of one span, its data generated and scanned as ``_simulate_span`` does."""
+    mc = MCConfig(replications=n_reps, master_seed=7, horizon=horizon)
+    tracemalloc.start()
+    try:
+        _, _, stopped = _simulate_span(detector, NO_CHANGE_SAMPLER, mc, 0, n_reps, [math.log(1e300)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (stopped == -1).all()  # every row runs the whole horizon
+    return peak
+
+
+@pytest.mark.parametrize(
+    "window_m1, horizon, K", [(0, 64, 2), (0, 120, 2), (5, 120, 2), (None, 120, 6)]
+)
+def test_span_peak_per_row_within_row_bytes(window_m1, horizon, K):
+    # spans of several increment blocks, the data generated inside the trace
+    n = 6
+    scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(n)))
+    grid = GridSpec.common_amplitude((0.5, 1.0), n)
+    detector = Detector("sr-mixture", scenario, GeometricPrior(rho=0.01), grid,
+                        SubsetWeights.uniform(n, K), window_m1=window_m1)
+    span_peak(detector, horizon, 4)  # one-time caches, which are no row's
+    slope = (span_peak(detector, horizon, 384) - span_peak(detector, horizon, 128)) / 256
+    assert slope < detector.row_bytes(horizon)
 
 
 @pytest.mark.parametrize("window_m1", [None, 5])

@@ -146,6 +146,23 @@ def test_log_add_exp_updates_in_place_and_takes_a_scalar():
     assert x[0, 0] == -1.0
 
 
+def test_log_add_exp_with_a_finite_scalar_skips_the_guard_and_changes_no_bit():
+    # ties, infinities, NaN with a payload and gaps beyond exp's underflow at 745
+    payload = np.array([0x7FF8000000000123, 0xFFF8000000000456], dtype=np.uint64).view(float)
+    for y in (0.3, -2.5, 0.0, -0.0, 1e300, -1e300, 5e-324):
+        x = np.concatenate([
+            [np.inf, -np.inf, np.nan, y, y + 745.5, y - 745.5, y + 800.0, y - 1e3, 0.0, -0.0],
+            payload, np.random.default_rng(21).normal(y, 50.0, size=40),
+        ])
+        guarded = lae(x, np.full_like(x, y))  # the array path, with the guard
+        out = np.empty_like(x)
+        got = log_add_exp(x, y, out, np.empty_like(x))
+        assert got is out
+        np.testing.assert_array_equal(got.view(np.int64), guarded.view(np.int64))
+    # the array path still maps the tie at +inf to +inf, not NaN
+    assert lae(np.array([np.inf]), np.array([np.inf]))[0] == np.inf
+
+
 def test_log_add_exp_on_0d_arrays():
     out, work = np.empty(()), np.empty(())
     got = log_add_exp(np.array(1.0), np.array(1.0), out, work)

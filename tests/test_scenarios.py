@@ -297,6 +297,42 @@ def test_blocked_increments_equal_the_whole_path_bit_for_bit(name, seed):
     assert np.array_equal(blocked_increments(scenario, data, points, cuts), whole)
 
 
+@pytest.mark.parametrize("n_points", [1, 2, 3])
+def test_increments_are_the_channels_own_calls_stored_stream_major_rows_last(n_points):
+    # AR(0), AR(2) and mixture streams; the whole path, then block by block with carry
+    scenario = Scenario(
+        (gaussian_stream(theta=0.7), ARChannelSpec(coeffs=(0.4, 0.1), signal=(1.0, 2.0, -0.5)), MIXTURE)
+    )
+    n, n_reps, horizon = scenario.n_streams, 4, 50
+    rng = np.random.default_rng(60 + n_points)
+    changes = [ChangeSpec(nu=int(nu), subset=(0, 2)) for nu in rng.integers(0, horizon, n_reps)]
+    data = scenario.generate(changes, horizon, [replication_rng(61, r) for r in range(n_reps)])
+    points = rng.uniform(0.2, 1.5, size=(n_points, n))
+
+    def own_calls(t0, t1, carry):
+        return np.stack([
+            ch.log_lr_increments(
+                data[:, t0 - min(t0, ch.lags):t1, i], points[:, i], t0,
+                None if carry is None else carry[:, i],
+            )
+            for i, ch in enumerate(scenario.channels)
+        ], axis=-1)
+
+    whole = scenario.log_lr_increments(data, points)
+    assert whole.shape == (n_reps, horizon, n_points, n)
+    assert (whole == own_calls(0, horizon, None)).all()
+    # the memory is [N, T, P, R]: one step's [P, R] of a stream is contiguous
+    assert whole.transpose(3, 1, 2, 0).flags.c_contiguous
+    carry, own_carry = np.zeros((n_reps, n)), np.zeros((n_reps, n))
+    for t0, t1 in zip([0, 1, 2, 17, 32], [1, 2, 17, 32, horizon]):
+        lead = min(t0, scenario.lags)
+        block = scenario.log_lr_increments(data[:, t0 - lead:t1], points, t0, carry)
+        assert (block == own_calls(t0, t1, own_carry)).all()
+        assert (block == whole[:, t0:t1]).all()
+        assert block.transpose(3, 1, 2, 0).flags.c_contiguous
+        assert (carry == own_carry).all()
+
+
 def test_mixture_gap_penalties_have_the_bits_of_the_two_sided_difference():
     # one softplus over the T + 1 running log G values, sliced twice
     rng = np.random.default_rng(6)

@@ -334,6 +334,36 @@ def test_increments_are_computed_per_block_for_live_rows_only():
     assert computed < n_reps * horizon // 2  # most rows stop early: the check has teeth
 
 
+@pytest.mark.parametrize("first_nu, last_nu", [(0, 6), (40, 70)], ids=["mid-block", "late"])
+def test_stops_through_the_step_view_and_the_gather_are_the_first_crossings(first_nu, last_nu):
+    # "mid-block": rows stop inside the first block; "late": no row stops in it
+    detector = mixed_detector(None)
+    nus = np.random.default_rng(8).integers(first_nu, last_nu, 24)
+    changes = [ChangeSpec(nu=int(nu), subset=(0, 1, 2)) for nu in nus]
+    data = MIXED.generate(changes, 150, [replication_rng(8, r) for r in range(24)])
+    live = []  # rows stepped at each step of the batch's scan
+    advance = DetectorState.advance
+
+    def recording(state, increments):
+        live.append(np.shape(increments)[0])
+        return advance(state, increments)
+
+    with mock.patch.object(DetectorState, "advance", recording):
+        stopped = detector.stopping_times(data, MIXED_LEVELS)[:, 0]
+    # one row at a time: its scan ends when it stops, so it never gathers
+    alone = np.concatenate([detector.stopping_times(data[r:r + 1], MIXED_LEVELS)[:, 0] for r in range(24)])
+    crossings = first_crossing(detector.log_trajectories(data), MIXED_LEVELS[0])
+    np.testing.assert_array_equal(stopped, crossings)
+    np.testing.assert_array_equal(alone, crossings)
+    block = detectors.INCREMENT_BLOCK
+    gathered = [live[t] < live[t - t % block] for t in range(len(live))]
+    assert any(gathered) and (stopped > 0).all()
+    if first_nu == 0:
+        assert (stopped < block).any() and any(gathered[:block])
+    else:
+        assert (stopped > block).all() and not any(gathered[:block])
+
+
 CLI_CONFIG = """\
 [scenario]
 kind = ar
