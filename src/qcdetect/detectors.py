@@ -152,8 +152,9 @@ class Detector:
         sums of ``carry``; and the engine's working set, which
         ``statistics.state_row_bytes`` counts.  A sweep's further stop
         columns, 8 bytes a row at each of its handful of levels, are left
-        out: they are small beside the ``8 * T * N`` bytes of data.  The count is per row; a call's fixed
-        overhead, which outweighs a row of one or two steps, is not in it.
+        out: they are small beside the ``8 * T * N`` bytes of data.  The
+        count is per row; a call's fixed overhead, which outweighs a row of
+        one or two steps, is not in it.
         """
         n, points = self.scenario.n_streams, self.grid.n_points
         steps = min(horizon, INCREMENT_BLOCK)
@@ -282,8 +283,9 @@ class Detector:
         data = self._check_data(data)
         levels = np.asarray(log_thresholds, dtype=float)
         if levels.ndim != 1 or not levels.size:
-            shape = levels.shape
-            raise ValueError(f"expected a non-empty [L] vector of log thresholds, got shape {shape}")
+            raise ValueError(
+                f"expected a non-empty [L] vector of log thresholds, got shape {levels.shape}"
+            )
         if not np.isfinite(levels).all():  # the 0 < A < inf rule of check_threshold
             raise ValueError(f"log thresholds must be finite, got {levels.tolist()}")
         return self._scan(data, levels)

@@ -38,6 +38,7 @@ reported as infeasible.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import closing
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -76,6 +77,12 @@ class MCConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("replications", "master_seed", "horizon", "workers"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.replications < 1:
             raise ValueError(f"need at least one replication, got {self.replications}")
         if self.horizon < 1:

@@ -133,7 +133,8 @@ class ARChannelSpec:
             ar_filter(x.T, self.coeffs)
         signal = self.signal_sequence(x.shape[1])
         rows = np.flatnonzero(post_from < x.shape[1])
-        for r, start, amplitude in zip(rows.tolist(), post_from[rows].tolist(), theta[rows].tolist()):
+        starts, amplitudes = post_from[rows].tolist(), theta[rows].tolist()
+        for r, start, amplitude in zip(rows.tolist(), starts, amplitudes):
             x[r, start:] += amplitude * signal[start:]
 
     def log_lr_increments(
@@ -229,7 +230,7 @@ class MixtureChannelSpec:
     # -- simulation and likelihood ------------------------------------------
 
     def draw_row(self, rng: np.random.Generator, row: np.ndarray) -> float:
-        """Draw the latent component, then fill ``row`` with standard normals; the component mean."""
+        """Draw the latent component, fill ``row`` with standard normals; return its mean."""
         mean = self.mu1 if rng.random() < self.beta_mix else self.mu2
         rng.standard_normal(out=row)
         return mean
@@ -600,7 +601,8 @@ class JointSampler:
     """nu from the prior, subset from p_B, parameters from the grid weights.
 
     A replication's uniforms are the prior's, then one for the subset and
-    one for the grid point, each inverted through its CDF.
+    one for the grid point, each inverted through its CDF.  ``for_detector``
+    lists the subsets by size, then lexicographically.
     """
 
     subsets: tuple[tuple[int, ...], ...]
@@ -611,9 +613,14 @@ class JointSampler:
     @classmethod
     def for_detector(cls, detector) -> "JointSampler":
         """The mixtures of a ``Detector``: its ``weights`` and its ``grid``."""
+        members = detector.weights.members
+        # by size, then lexicographically, not in the order the weights list
+        # the subsets: the CDF has always been inverted in this order, so each
+        # replication's uniform keeps drawing the subset it always drew
+        order = sorted(range(len(members)), key=lambda s: (len(members[s]), members[s]))
         return cls(
-            subsets=detector.weights.members,
-            subset_cdf=tuple(np.cumsum(np.exp(detector.weights.log_p_subsets))),
+            subsets=tuple(members[s] for s in order),
+            subset_cdf=tuple(np.cumsum(np.exp(detector.weights.log_p_subsets[order]))),
             points=detector.grid.theta_points,
             point_cdf=tuple(np.cumsum(detector.grid.weights)),
         )

@@ -16,11 +16,11 @@ the mixture likelihood ratio directly over the last ``m1 + 1`` candidate
 change points instead, which bounds memory and also serves as the oracle for
 the recursion.  Both engines take the per-stream increments of one step at a
 time; the recursion sums them over each subset as it steps, with one
-broadcast add per stream over its subsets in a parent-first storage order
-(``MixtureBasis``), so a step costs a fixed number of numpy calls whatever
-the subset count.  All state is kept
-in the log domain, where it neither overflows nor needs a clamp, so both
-engines reach any finite threshold.
+broadcast add per stream over its subsets, which are listed parent first
+(``likelihood.subset_masks``), so a step costs a fixed number of numpy calls
+whatever the subset count.  All state is kept in the log domain, where it
+neither overflows nor needs a clamp, so both engines reach any finite
+threshold.
 
 The joint weights ``p_B * W(theta)`` of the components sum to one, so the log
 statistic never exceeds its largest log component (plus the log of the
@@ -34,19 +34,18 @@ is ``max + log1p(exp(-|d|))`` on numpy's SIMD ufuncs: not bit-identical to
 dispatches on a CPU.  Its read-out is ``likelihood.logsumexp_tree``: the
 shift of ``likelihood.logsumexp`` (``max + log(sum(exp(a - max)))``, not
 scipy's bits) with the components of each replication summed by a halving
-tree, replications last, in one fixed order: the listing order of the
-subsets, into which the exact rows' components are taken back from storage
-order.  So a replication's value does
-not depend on how many others are read out with it, as it would under
-numpy's ``sum(axis=0)``.  The window engine and the direct sum
-``direct_log_statistic`` run one kernel, ``window_log_statistic``: suffix
-sums cumulated backwards from the newest step, two grid points at a time as
-one complex column (the same bits as one at a time), ``likelihood.log_esp``
-(the elementary-symmetric DP that ``mixture_lr_dp`` runs too: linear after a
-max shift over the streams, in the log domain only where a shifted ``e_j``
-would underflow), and one ``logsumexp`` over subset sizes, points and change
-points.  So the engine equals the direct sum bit for bit.  On one machine,
-results are the same for any worker count.
+tree, replications last, in one fixed order: the order the subsets are
+listed in.  So a replication's value does not depend on how many others are
+read out with it, as it would under numpy's ``sum(axis=0)``.  The window
+engine and the direct sum ``direct_log_statistic`` run one kernel,
+``window_log_statistic``: suffix sums cumulated backwards from the newest
+step, two grid points at a time as one complex column (the same bits as one
+at a time), ``likelihood.log_esp`` (the elementary-symmetric DP that
+``mixture_lr_dp`` runs too: linear after a max shift over the streams, in
+the log domain only where a shifted ``e_j`` would underflow), and one
+``logsumexp`` over subset sizes, points and change points.  So the engine
+equals the direct sum bit for bit.  On one machine, results are the same for
+any worker count.
 
 The no-change posterior satisfies ``P(nu >= n | data) = 1 / (S(n) + 1)``.
 """
@@ -137,15 +136,10 @@ class GridSpec:
 class MixtureBasis:
     """Subset sums and joint log weights for one (grid, weights) pair.
 
-    The recursion keeps its components in a storage order of its own, parent
-    first: stream by stream, and for stream ``j`` the singleton ``{j}``
-    followed by ``B + {j}`` for each subset ``B`` stored before it with
-    ``|B| < K``.  So the subsets that end in stream ``j`` are one contiguous
-    group, and the parents they extend all come before it (at ``K = N`` as
-    one contiguous slice).  ``weights`` lists the subsets in the library-wide
-    listing order, which ``log_joint`` and the read-out keep; ``to_listing``
-    maps one order to the other.  Only the recursion reads these; all are
-    built on first use, so the window engine never enumerates the subsets.
+    The subsets keep the order ``weights`` lists them in, parent first (see
+    ``likelihood.subset_masks``), in the recursion's state, its subset sums,
+    ``log_joint`` and the read-out alike.  Only the recursion reads these; all
+    are built on first use, so the window engine never enumerates the subsets.
     """
 
     def __init__(self, grid: GridSpec, weights: SubsetWeights):
@@ -158,51 +152,30 @@ class MixtureBasis:
         self.n_subsets = weights.n_subsets
 
     @cached_property
-    def stored(self) -> tuple[tuple[int, ...], ...]:
-        """The subsets in storage order, each listed by its members, ascending."""
-        stored: list[tuple[int, ...]] = []
-        for j in range(self.weights.n_streams):
-            stored += [(j,)] + [b + (j,) for b in stored if len(b) < self.weights.K]
-        return tuple(stored)
-
-    @cached_property
     def prefix(self) -> tuple[np.ndarray, list]:
-        """The singletons' storage rows ``[N]`` and each stream's group of larger subsets.
+        """The singletons' rows ``[N]`` and each stream's group of larger subsets.
 
-        A group is ``(j, parents, rows)``: the subsets ``B + {j}`` stored in
+        A group is ``(j, parents, rows)``: the subsets ``B + {j}`` listed in
         the slice ``rows``, right after ``{j}``, extend the parents ``B`` at
-        the rows ``parents``: a slice when they are every subset stored before
-        ``{j}`` (always at ``K = N``), an index array otherwise.  Streams that
-        extend no parent (stream 0, and every stream at ``K = 1``) have no
-        group.
+        the rows ``parents``, which are the subsets listed before ``{j}`` with
+        ``|B| < K``: a slice when that is every one of them (always at
+        ``K = N``), an index array otherwise.  Streams that extend no parent
+        (stream 0, and every stream at ``K = 1``) have no group.
         """
-        row = {b: s for s, b in enumerate(self.stored)}
-        n = self.weights.n_streams
-        starts = [row[(j,)] for j in range(n)] + [len(self.stored)]
+        sizes = self.weights.masks.sum(axis=1)
+        starts = np.flatnonzero(sizes == 1)  # {j} opens stream j's group
         groups = []
-        for j in range(1, n):
-            rows = slice(starts[j] + 1, starts[j + 1])
-            parents = [row[b[:-1]] for b in self.stored[rows]]
-            if parents:
-                every = parents == list(range(starts[j]))
-                groups.append((j, slice(0, starts[j]) if every else np.array(parents), rows))
-        return np.array(starts[:n]), groups
-
-    @cached_property
-    def to_listing(self) -> np.ndarray:
-        """The storage row of each subset in listing order: ``[S]``, read-only."""
-        row = {b: s for s, b in enumerate(self.stored)}
-        return read_only(np.array([row[b] for b in self.weights.members], dtype=np.intp))
-
-    @cached_property
-    def listing_components(self) -> np.ndarray:
-        """``to_listing`` over the ``[S * P]`` flattened (subset, point) components."""
-        points = self.grid.n_points
-        return read_only((self.to_listing[:, None] * points + np.arange(points)).ravel())
+        for j in range(1, self.weights.n_streams):
+            parents = np.flatnonzero(sizes[:starts[j]] < self.weights.K)
+            if len(parents):
+                every = len(parents) == starts[j]
+                rows = slice(starts[j] + 1, starts[j] + 1 + len(parents))
+                groups.append((j, slice(0, starts[j]) if every else parents, rows))
+        return starts, groups
 
     @cached_property
     def log_joint(self) -> np.ndarray:
-        """Joint log weight of each (subset, point) component, in listing order: ``[S, P]``."""
+        """Joint log weight of each (subset, point) component: ``[S, P]``."""
         return self.weights.log_p_subsets[:, None] + self.grid.log_weights[None, :]
 
     @cached_property
@@ -249,23 +222,22 @@ class DetectorState:
     ``weighting`` is a ``PriorSpec`` for the Shiryaev statistic or
     ``FlatWeights`` for the Shiryaev-Roberts statistic.  ``advance`` takes the
     increments of one step, ``[R, P, N]`` (replications x grid points x
-    streams), of any strides; ``Scenario.log_lr_increments`` lays a step's
-    out rows last, as both engines read it.  In recursive mode the state
-    holds per-(subset, point) log components rows last, ``[S, P, R]``, in
-    ``MixtureBasis.stored`` order, which ``advance`` updates in place with
-    the step's subset sums.  In window mode it keeps the increments in a
-    stream-major buffer ``[N, R, steps, P]``.  The buffer starts at one step;
-    each time it fills, its last ``min(n, m1 + 1)`` steps slide to the front,
-    and it doubles until it holds two windows, ``2(m1+1)`` steps, so over
-    ``T`` steps it never holds more than ``2 * min(T, m1 + 1)``.  The engine
-    evaluates the window's direct sum with ``window_log_statistic``, the
-    kernel of ``direct_log_statistic``; the buffer's point axis is
+    streams), of any strides; ``Scenario.log_lr_increments`` lays a step's out
+    rows last, as both engines read it.  In recursive mode the state holds
+    per-(subset, point) log components rows last, ``[S, P, R]``, with the
+    subsets in the order ``weights`` lists them, which ``advance`` updates in
+    place with the step's subset sums.  In window mode it keeps the increments
+    in a stream-major buffer ``[N, R, steps, P]``.  The buffer starts at one
+    step; each time it fills, its last ``min(n, m1 + 1)`` steps slide to the
+    front, and it doubles until it holds two windows, ``2(m1+1)`` steps, so
+    over ``T`` steps it never holds more than ``2 * min(T, m1 + 1)``.  The
+    engine evaluates the window's direct sum with ``window_log_statistic``,
+    the kernel of ``direct_log_statistic``; the buffer's point axis is
     contiguous, so the kernel's suffix sums run on pairs of points with no
-    copy.  Every update
-    is row by row, so ``retain`` can drop replications that have stopped
-    without changing the arithmetic of the others.  Since the components'
-    joint weights sum to one, the log statistic of a row is at most its
-    largest log component plus ``MixtureBasis.log_joint_total``;
+    copy.  Every update is row by row, so ``retain`` can drop replications
+    that have stopped without changing the arithmetic of the others.  Since
+    the components' joint weights sum to one, the log statistic of a row is at
+    most its largest log component plus ``MixtureBasis.log_joint_total``;
     ``log_shiryaev(floor)`` uses this bound to skip the exact read-out of rows
     provably below ``floor``.  The recursion adds with ``log_add_exp``, not
     ``np.logaddexp``, and reads out with ``logsumexp_tree``, the window with
@@ -309,14 +281,13 @@ class DetectorState:
     def subset_llrs(self, increments) -> np.ndarray:
         """Sum per-stream increments ``[..., P, N]`` over each subset: ``[S, P, ...]``.
 
-        The sums come in ``MixtureBasis.stored`` order (``to_listing`` maps
-        them to listing order).  Each subset's sum is its parent's sum plus the
-        increment of its largest member (``MixtureBasis.prefix``): the
-        member-by-member fold from the smallest member up, with one broadcast
-        add per stream, over its whole group of subsets.  The recursion sums
-        one step ``[R, P, N]`` at a time, in its state's layout; an element's
-        arithmetic does not depend on the other replications or steps summed
-        with it.
+        The sums come in the order ``weights`` lists the subsets.  Each
+        subset's sum is its parent's sum plus the increment of its largest
+        member (``MixtureBasis.prefix``): the member-by-member fold from the
+        smallest member up, with one broadcast add per stream, over its whole
+        group of subsets.  The recursion sums one step ``[R, P, N]`` at a time,
+        in its state's layout; an element's arithmetic does not depend on the
+        other replications or steps summed with it.
         """
         inc = np.asarray(increments, dtype=float)
         n = self.basis.weights.n_streams
@@ -414,12 +385,11 @@ class DetectorState:
         ``max(log_components) + log_joint_total`` reaches ``floor`` (one value,
         or one per row) less a rounding margin; every other row gets its
         bound, which is below its floor, as the joint weights sum to one.  The
-        exact rows are gathered rows last, ``[S * P, r]``, their components
-        taken back from storage order to listing order (``MixtureBasis``), and
-        ``logsumexp_tree`` sums each row's components in that one fixed order,
-        so a row's bits do not depend on which other rows are exact, nor on
-        the order the state stores its subsets in; numpy's ``sum(axis=0)``
-        adds one row in another order than many.  The default floor, -inf,
+        exact rows are gathered rows last, ``[S * P, r]``, and
+        ``logsumexp_tree`` sums each row's components in one fixed order, that
+        of the state, so a row's bits do not depend on which other rows are
+        exact; numpy's ``sum(axis=0)`` adds one row in another order than
+        many.  The default floor, -inf,
         reads every row exactly.
         """
         if self.window_m1 is not None:
@@ -429,7 +399,6 @@ class DetectorState:
         exact = ~(bound < floor - 1e-9 * np.maximum(1.0, np.abs(floor)))
         if exact.any():
             x = np.compress(exact, columns, axis=1)  # [S * P, r], rows last
-            x = x.take(self.basis.listing_components, axis=0)  # in listing order
             x += self.basis.log_joint.reshape(-1, 1)
             bound[exact] = logsumexp_tree(x)
         return bound

@@ -153,6 +153,8 @@ def test_golden_stopping_times(name):
 
 SR_RULE = ("kind = shiryaev-mixture", "kind = sr-mixture")
 COST = ("alpha = 0.05", "cost_c = 0.001")
+THREE_STREAMS = ("streams = 1", "streams = 3")
+THREE_WEIGHTS = ("p = 1.0\nK = 1", "p = 1.0, 2.0, 0.5\nK = 3")
 
 #: name -> (command, config, suffixes of the files written to ``--out``, digest)
 CLI_GOLDEN = {
@@ -171,6 +173,12 @@ CLI_GOLDEN = {
     "calibrate_cost": (
         "calibrate", BASE_CONFIG.replace(*COST), ("",),
         "d3ac9fee502f2e875b9227c0a4e50b4860c348a261aff42de678e56710908c91",
+    ),
+    # three streams with K = 3: d_constant sums over 7 subsets, so its order shows
+    "calibrate_cost_n3": (
+        "calibrate", BASE_CONFIG.replace(*COST).replace(*THREE_STREAMS).replace(*THREE_WEIGHTS)
+        .replace("theta_points = 1.0", "theta_points = 0.5; 1.0"), ("",),
+        "a5d088e17491aacb611ec863e280f6a4364f2aab8569eb3b5407c14b526df24c",
     ),
     "calibrate_cost_sr": (
         "calibrate", BASE_CONFIG.replace(*COST).replace(*SR_RULE), ("",),

@@ -206,14 +206,29 @@ def test_subset_count_matches_enumeration():
             assert SubsetWeights.uniform(n, k).n_subsets == len(subset_masks(n, k))
 
 
-def test_subsets_are_listed_by_size_then_lexicographically():
+def parent_first(n, k):
+    """The subsets parent first, built one subset at a time."""
+    listed = []
+    for j in range(n):
+        listed += [(j,)] + [b + (j,) for b in listed if len(b) < k]
+    return listed
+
+
+def test_subsets_are_listed_parent_first():
     for n in range(1, 9):
         for k in range(1, n + 1):
             masks = subset_masks(n, k)
             assert masks.dtype == bool
-            listed = [tuple(np.flatnonzero(row)) for row in masks]
-            expected = [c for size in range(1, k + 1) for c in combinations(range(n), size)]
-            assert listed == expected
+            listed = [tuple(np.flatnonzero(row).tolist()) for row in masks]
+            assert listed == parent_first(n, k)
+            assert sorted(listed) == sorted(
+                c for size in range(1, k + 1) for c in combinations(range(n), size)
+            )
+            row = {b: s for s, b in enumerate(listed)}
+            assert all(row[b[:-1]] < s for s, b in enumerate(listed) if len(b) > 1)
+            if k == n:  # the row of a subset is its bitmask less one
+                bits = masks @ (1 << np.arange(n))
+                np.testing.assert_array_equal(bits, np.arange(1, 2**n))
 
 
 def test_subset_listing_beyond_its_budget_is_refused():

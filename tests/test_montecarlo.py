@@ -59,6 +59,20 @@ def test_mc_config_validation():
         MCConfig(replications=10, master_seed=-1, horizon=10)
 
 
+@pytest.mark.parametrize("field", ["replications", "master_seed", "horizon", "workers"])
+@pytest.mark.parametrize("value", [2.5, 2.0, "2", None])
+def test_mc_config_refuses_a_non_integer_field_by_name(field, value):
+    fields = {**dict(replications=10, master_seed=0, horizon=10, workers=1), field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        MCConfig(**fields)
+
+
+def test_mc_config_takes_any_integer_type_as_an_int():
+    mc = MCConfig(replications=np.int64(10), master_seed=np.uint64(2**63), horizon=np.int32(5))
+    assert (mc.replications, mc.master_seed, mc.horizon, mc.workers) == (10, 2**63, 5, 1)
+    assert all(type(v) is int for v in (mc.replications, mc.master_seed, mc.horizon, mc.workers))
+
+
 def test_mc_estimate_from_values():
     est = MCEstimate.from_values([1.0, 2.0, 3.0])
     assert est.mean == 2.0

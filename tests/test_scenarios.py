@@ -1,5 +1,6 @@
 """AR signal channels, mixture channels, and their likelihood increments."""
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -501,6 +502,26 @@ def test_span_generation_equals_per_replication_generation(kind, sampler_name, p
         values = np.array(list(nus.values()))
         assert (values == -1).any() and ((values >= 0) & (values < SPAN_HORIZON)).any()
         assert (values >= SPAN_HORIZON).any()
+
+
+@pytest.mark.parametrize(
+    "p, K", [((1.0, 2.0, 0.5), 3), ((0.5, 1.0, 2.0, 3.0), 2), ((0.3, 1.7, 0.9, 2.2, 1.1), 5)]
+)
+def test_joint_sampler_inverts_its_cdf_over_subsets_by_size_then_lexicographically(p, K):
+    n = len(p)
+    weights = SubsetWeights(p=p, K=K)
+    detector = Detector(
+        "shiryaev-mixture", Scenario((gaussian_stream(),) * n), GeometricPrior(rho=0.05),
+        GridSpec.common_amplitude((0.5, 1.0), n), weights,
+    )
+    sampler = JointSampler.for_detector(detector)
+    expected = [c for size in range(1, K + 1) for c in itertools.combinations(range(n), size)]
+    assert sampler.subsets == tuple(expected)
+    masks = np.zeros((len(expected), n), dtype=bool)
+    for s, subset in enumerate(expected):
+        masks[s, list(subset)] = True
+    cdf = np.cumsum(np.exp(masks @ weights.log_p + weights.log_normalizer))
+    np.testing.assert_array_equal(np.array(sampler.subset_cdf).view(np.int64), cdf.view(np.int64))
 
 
 def test_span_generation_needs_one_generator_per_change():

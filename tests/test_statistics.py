@@ -399,47 +399,47 @@ def test_prefix_subset_sums_equal_the_member_fold_bit_for_bit():
             # magnitudes spread over 16 decades, so any other order of the adds shows
             inc = rng.normal(size=(3, 4, 2, n)) * 10.0 ** rng.uniform(-8, 8, size=(3, 4, 2, n))
             expected = np.moveaxis(member_fold(inc, n, k).view(np.int64), (-2, -1), (0, 1))
-            listing = state.basis.to_listing  # the sums come in storage order
-            np.testing.assert_array_equal(state.subset_llrs(inc)[listing].view(np.int64), expected)
+            np.testing.assert_array_equal(state.subset_llrs(inc).view(np.int64), expected)
             np.testing.assert_array_equal(
-                state.subset_llrs(inc[:, 1])[listing].view(np.int64), expected[:, :, :, 1]
+                state.subset_llrs(inc[:, 1]).view(np.int64), expected[:, :, :, 1]
             )
 
 
-def listing_readout(state):
-    """The recursion's log statistic from its components taken to listing order."""
-    basis = state.basis
-    listed = state.log_components[basis.to_listing]  # [S, P, R]
-    x = listed.reshape(-1, state.n_reps) + basis.log_joint.reshape(-1, 1)
+def full_readout(state):
+    """The recursion's log statistic: every row's components, in the state's order."""
+    x = state.log_components.reshape(-1, state.n_reps) + state.basis.log_joint.reshape(-1, 1)
     return logsumexp_tree(x)
 
 
 @pytest.mark.parametrize(
     "n, k", [(n, k) for n in range(1, 9) for k in range(1, n + 1)] + [(12, 2), (12, 12)]
 )
-def test_storage_order_keeps_every_bit_of_the_sums_and_the_readout(n, k):
+def test_one_subset_order_keeps_every_bit_of_the_sums_and_the_readout(n, k):
     grid = GridSpec(theta_points=((0.5,) * n, (1.0,) * n), weights=(0.3, 0.7))
     weights = SubsetWeights(p=tuple(np.linspace(0.5, 2.0, n)), K=k)
     state = DetectorState(GeometricPrior(rho=0.05, q=0.1), grid, weights, n_reps=6)
     basis = state.basis
-    assert sorted(basis.to_listing.tolist()) == list(range(weights.n_subsets))
-    assert [basis.stored[s] for s in basis.to_listing] == list(weights.members)
+    singletons, groups = basis.prefix
+    assert [weights.members[s] for s in singletons] == [(j,) for j in range(n)]
+    for j, parents, rows in groups:  # each subset extends its parent by its largest member
+        parent_rows = np.arange(weights.n_subsets)[parents]
+        assert [weights.members[s] + (j,) for s in parent_rows] == list(weights.members[rows])
     rng = np.random.default_rng(100 * n + k)
     for t in range(4):
         # magnitudes spread over 16 decades, so any other order of the adds shows
         inc = rng.normal(size=(state.n_reps, 2, n)) * 10.0 ** rng.uniform(-8, 1, size=(state.n_reps, 2, n))
         expected = np.moveaxis(member_fold(inc, n, k), (-2, -1), (0, 1))
         sums = state.subset_llrs(inc)
-        np.testing.assert_array_equal(sums[basis.to_listing].view(np.int64), expected.view(np.int64))
+        np.testing.assert_array_equal(sums.view(np.int64), expected.view(np.int64))
         state.advance(inc)
         full = state.log_shiryaev()
-        np.testing.assert_array_equal(full.view(np.int64), listing_readout(state).view(np.int64))
+        np.testing.assert_array_equal(full.view(np.int64), full_readout(state).view(np.int64))
         floor = float(np.median(full))
         bound = state.log_components.max(axis=(0, 1)) + basis.log_joint_total
         read = ~(bound < floor - 1e-9 * max(1.0, abs(floor)))  # the rows read out exactly
         screened = state.log_shiryaev(floor)
         np.testing.assert_array_equal(
-            screened[read].view(np.int64), listing_readout(state)[read].view(np.int64)
+            screened[read].view(np.int64), full_readout(state)[read].view(np.int64)
         )
         assert read.any() and (screened[~read] < floor).all()
         if t == 1:
