@@ -20,7 +20,7 @@ subset and parameters from the detector's mixtures).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -602,13 +602,16 @@ class JointSampler:
 
     A replication's uniforms are the prior's, then one for the subset and
     one for the grid point, each inverted through its CDF.  ``for_detector``
-    lists the subsets by size, then lexicographically.
+    lists the subsets by size, then lexicographically, and builds their
+    read-only ``[S, N]`` stream masks once; the masks follow from ``subsets``,
+    so they take no part in equality or the hash.
     """
 
     subsets: tuple[tuple[int, ...], ...]
     subset_cdf: tuple[float, ...]
     points: tuple[tuple[float, ...], ...]
     point_cdf: tuple[float, ...]
+    masks: np.ndarray = field(compare=False, repr=False)
 
     @classmethod
     def for_detector(cls, detector) -> "JointSampler":
@@ -618,11 +621,14 @@ class JointSampler:
         # the subsets: the CDF has always been inverted in this order, so each
         # replication's uniform keeps drawing the subset it always drew
         order = sorted(range(len(members)), key=lambda s: (len(members[s]), members[s]))
+        masks = detector.weights.masks[order]
+        masks.flags.writeable = False
         return cls(
             subsets=tuple(members[s] for s in order),
             subset_cdf=tuple(np.cumsum(np.exp(detector.weights.log_p_subsets[order]))),
             points=detector.grid.theta_points,
             point_cdf=tuple(np.cumsum(detector.grid.weights)),
+            masks=masks,
         )
 
     def uniforms(self, prior: PriorSpec) -> int:
@@ -633,8 +639,12 @@ class JointSampler:
         nu = prior.change_points(u[:, :k])
         b_idx = np.searchsorted(self.subset_cdf, u[:, k], side="right")
         p_idx = np.searchsorted(self.point_cdf, u[:, k + 1], side="right")
-        masks = np.array([scenario.affected_streams(b)[0] for b in self.subsets])
-        affected = masks[np.minimum(b_idx, len(self.subsets) - 1)]
+        if self.masks.shape[1] != scenario.n_streams:
+            raise ValueError(
+                f"the sampler's subsets cover {self.masks.shape[1]} streams, "
+                f"the scenario has {scenario.n_streams}"
+            )
+        affected = self.masks[np.minimum(b_idx, len(self.subsets) - 1)]
         theta = np.asarray(self.points, dtype=float)[np.minimum(p_idx, len(self.points) - 1)]
         return nu, affected, theta
 

@@ -22,11 +22,25 @@ whatever the subset count.  All state is kept in the log domain, where it
 neither overflows nor needs a clamp, so both engines reach any finite
 threshold.
 
-The joint weights ``p_B * W(theta)`` of the components sum to one, so the log
-statistic never exceeds its largest log component (plus the log of the
-weights' sum, 0 up to rounding).  A stopping rule only asks whether the
-statistic reaches a threshold, so the recursion's read-out runs its
-log-sum-exp only on rows where that bound does.
+A stopping rule only asks whether the statistic reaches a threshold, so both
+engines read a row out exactly only where an upper bound of its log statistic
+reaches it, less a rounding margin (``may_reach``); every other row reads its
+bound.  The joint weights ``p_B * W(theta)`` of the components sum to one, so
+the recursion's bound is its largest log component (plus the log of the
+weights' sum, 0 up to rounding).  The window's bound ``U`` costs ``O(P N)``
+a row and step.  No component grows in one step by more than ``log M(n)``,
+the largest over the grid points of the sum of the ``K`` largest positive
+stream increments; the slot that enters the window starts from a likelihood
+ratio of one, and the slots that leave only lower the sum.  So the
+recursion formula above, stepped on one component,
+
+    U(n) = log M(n) + logaddexp(U(n-1) + log P(nu >= n-1), log pi_{n-1}) - log P(nu >= n)
+
+from ``U(0) = log S(0)``, the head odds that carry ``q`` (or ``omega``),
+never falls below the window statistic, and it restarts from each exact
+read-out.  An increment that is NaN or +inf makes the bound NaN or +inf, and
+such a row is read exactly.  With ``m0 > 0`` a slot enters the sum with the
+likelihood ratio of ``m0 + 1`` steps, so there the bound is ``+inf``.
 
 The recursion adds in the log domain with ``likelihood.log_add_exp``, which
 is ``max + log1p(exp(-|d|))`` on numpy's SIMD ufuncs: not bit-identical to
@@ -37,12 +51,12 @@ scipy's bits) with the components of each replication summed by a halving
 tree, replications last, in one fixed order: the order the subsets are
 listed in.  So a replication's value does not depend on how many others are
 read out with it, as it would under numpy's ``sum(axis=0)``.  The window
-engine and the direct sum ``direct_log_statistic`` run one kernel,
-``window_log_statistic``: suffix sums cumulated backwards from the newest
-step, two grid points at a time as one complex column (the same bits as one
-at a time), ``likelihood.log_esp`` (the elementary-symmetric DP that
-``mixture_lr_dp`` runs too: linear after a max shift over the streams, in
-the log domain only where a shifted ``e_j`` would underflow), and one
+engine's read-out and the direct sum ``direct_log_statistic`` run one kernel,
+``window_log_statistic``, row by row: suffix sums cumulated backwards from
+the newest step, two grid points at a time as one complex column (the same
+bits as one at a time), ``likelihood.log_esp`` (the elementary-symmetric DP
+that ``mixture_lr_dp`` runs too: linear after a max shift over the streams,
+in the log domain only where a shifted ``e_j`` would underflow), and one
 ``logsumexp`` over subset sizes, points and change points.  So the engine
 equals the direct sum bit for bit.  On one machine, results are the same for
 any worker count.
@@ -230,19 +244,22 @@ class DetectorState:
     in a stream-major buffer ``[N, R, steps, P]``.  The buffer starts at one
     step; each time it fills, its last ``min(n, m1 + 1)`` steps slide to the
     front, and it doubles until it holds two windows, ``2(m1+1)`` steps, so
-    over ``T`` steps it never holds more than ``2 * min(T, m1 + 1)``.  The
-    engine evaluates the window's direct sum with ``window_log_statistic``,
-    the kernel of ``direct_log_statistic``; the buffer's point axis is
-    contiguous, so the kernel's suffix sums run on pairs of points with no
-    copy.  Every update is row by row, so ``retain`` can drop replications
-    that have stopped without changing the arithmetic of the others.  Since
-    the components' joint weights sum to one, the log statistic of a row is at
-    most its largest log component plus ``MixtureBasis.log_joint_total``;
-    ``log_shiryaev(floor)`` uses this bound to skip the exact read-out of rows
-    provably below ``floor``.  The recursion adds with ``log_add_exp``, not
-    ``np.logaddexp``, and reads out with ``logsumexp_tree``, the window with
-    ``logsumexp``, neither of them scipy's; a value may differ from theirs in
-    its last bits.
+    over ``T`` steps it never holds more than ``2 * min(T, m1 + 1)``.  Beside
+    it ``advance`` steps each row's upper bound ``U`` of the log statistic
+    (see the module docstring), and the read-out evaluates the window's direct
+    sum with ``window_log_statistic``, the kernel of ``direct_log_statistic``,
+    on the rows whose bound it cannot rule out.  The buffer's point axis is
+    contiguous, and so is that of the rows it gathers, so the kernel's suffix
+    sums run on pairs of points; when every row is exact it reads the buffer
+    with no copy.  Every update is row by row, so ``retain`` can drop
+    replications that have stopped without changing the arithmetic of the
+    others.  In recursive mode a row's log statistic is at most its largest
+    log component plus ``MixtureBasis.log_joint_total``, as the components'
+    joint weights sum to one.  ``log_shiryaev(floor)`` uses either engine's
+    bound to skip the exact read-out of rows provably below ``floor``.  The
+    recursion adds with ``log_add_exp``, not ``np.logaddexp``, and reads out
+    with ``logsumexp_tree``, the window with ``logsumexp``, neither of them
+    scipy's; a value may differ from theirs in its last bits.
     """
 
     def __init__(
@@ -274,7 +291,8 @@ class DetectorState:
             shape = (weights.n_streams, self.n_reps, 1, grid.n_points)
             self._buffer = np.empty(shape)
             self._stop = 0
-            self._log_value = np.full(self.n_reps, start)
+            # U(n), an upper bound of each row's log statistic; U(0) = log S(0)
+            self._bound = np.full(self.n_reps, start)
 
     # -- internals -----------------------------------------------------------
 
@@ -332,15 +350,31 @@ class DetectorState:
         self._stop = live.shape[2]
 
     def _advance_window(self, inc: np.ndarray) -> None:
+        n = self.n + 1
+        log_tail = self.weighting.log_tail(n)
+        if log_tail == -math.inf:
+            raise ValueError(f"prior tail vanishes at n={n}; statistic undefined")
         if self._stop == self._buffer.shape[2]:
             self._slide()
-        self._buffer[:, :, self._stop] = inc.transpose(2, 0, 1)  # [N, R, P]
+        new = self._buffer[:, :, self._stop]  # [N, R, P]
+        new[...] = inc.transpose(2, 0, 1)
         self._stop += 1
-        self.n += 1
-        self._log_value = window_log_statistic(
-            self._window, self.weighting, self.basis.grid, self.basis.weights,
-            n=self.n, m0=self.window_m0,
-        )
+        if self.window_m0:  # the newest m0 slots enter late: no bound
+            self._bound = np.full(self.n_reps, math.inf)
+        else:
+            # no component grows by more than its point's K largest positive
+            # increments, the slot that enters starts from one, and the slots
+            # that leave only lower the sum
+            rise = np.maximum(new, 0.0)
+            k = self.basis.weights.K
+            if k < rise.shape[0]:
+                rise = np.partition(rise, rise.shape[0] - k, axis=0)[-k:]
+            with np.errstate(invalid="ignore"):  # a NaN bound stays NaN: read exactly
+                carried = np.logaddexp(
+                    self._bound + self.weighting.log_tail(n - 1), self.weighting.log_mass(n - 1)
+                )
+                self._bound = rise.sum(axis=0).max(axis=-1) + carried - log_tail
+        self.n = n
 
     # -- public stepping -------------------------------------------------------
 
@@ -373,19 +407,20 @@ class DetectorState:
             live = self._window[:, rows]
             self._buffer = self._buffer[:, :live.shape[1]]
             self._window[...] = live
-            self._log_value = self._log_value[rows]
-            self.n_reps = self._log_value.shape[0]
+            self._bound = self._bound[rows]
+            self.n_reps = self._bound.shape[0]
 
     # -- value -----------------------------------------------------------------
 
     def log_shiryaev(self, floor: float | np.ndarray = -math.inf) -> np.ndarray:
         """The log statistic ``[R]``: log S(n) under a prior, log R(n) under flat weights.
 
-        The recursion reads out exactly only the rows whose bound
-        ``max(log_components) + log_joint_total`` reaches ``floor`` (one value,
-        or one per row) less a rounding margin; every other row gets its
-        bound, which is below its floor, as the joint weights sum to one.  The
-        exact rows are gathered rows last, ``[S * P, r]``, and
+        Only the rows whose upper bound may reach ``floor`` (one value, or
+        one per row; see ``may_reach``) are read out exactly; every other row
+        gets its bound, which is below its floor.  The recursion's bound is
+        ``max(log_components) + log_joint_total``, the window's the stepped
+        bound ``U`` (see ``_window_readout``).  The recursion's exact rows are
+        gathered rows last, ``[S * P, r]``, and
         ``logsumexp_tree`` sums each row's components in one fixed order, that
         of the state, so a row's bits do not depend on which other rows are
         exact; numpy's ``sum(axis=0)`` adds one row in another order than
@@ -393,10 +428,10 @@ class DetectorState:
         reads every row exactly.
         """
         if self.window_m1 is not None:
-            return self._log_value
+            return self._window_readout(floor)
         columns = self.log_components.reshape(-1, self.n_reps)  # [S * P, R]
         bound = columns.max(axis=0) + self.basis.log_joint_total
-        exact = ~(bound < floor - 1e-9 * np.maximum(1.0, np.abs(floor)))
+        exact = may_reach(bound, floor)
         if exact.any():
             x = np.compress(exact, columns, axis=1)  # [S * P, r], rows last
             x += self.basis.log_joint.reshape(-1, 1)
@@ -405,6 +440,30 @@ class DetectorState:
 
     #: The read-out under the other rule's name, kept for the benchmark's tracer.
     log_sr = log_shiryaev
+
+    def _window_readout(self, floor) -> np.ndarray:
+        """``window_log_statistic`` on the rows whose bound may reach ``floor``; the bound elsewhere.
+
+        The exact values replace the bound, which restarts from them.  When
+        every row is exact the kernel reads the live window with no copy;
+        otherwise it reads the exact rows' gathered window, ``[N, r, m, P]``.
+        """
+        def kernel(window):
+            return window_log_statistic(
+                window, self.weighting, self.basis.grid, self.basis.weights,
+                n=self.n, m0=self.window_m0,
+            )
+
+        if self.n == 0:
+            return self._bound  # the head odds
+        exact = may_reach(self._bound, floor)
+        if exact.all():
+            self._bound = kernel(self._window)
+        elif exact.any():
+            value = self._bound.copy()
+            value[exact] = kernel(self._window[:, exact])
+            self._bound = value
+        return self._bound
 
 
 def state_row_bytes(
@@ -416,16 +475,31 @@ def state_row_bytes(
     and the ``log_add_exp`` buffer of the same shape.  For the window, with
     ``m = min(T, m1 + 1)`` window steps: the ``[steps, P, N]`` increment
     buffer, which doubles from one step up to two windows and so never holds
-    more than ``2 * m`` steps; and per step of ``window_log_statistic``, the
-    ``[m, P, N]`` suffix sums, shifted and then exponentiated in place, their
-    ``[m, P]`` stream maxima, the DP's ``e_1..e_K``, ``[K, m, P]``, and the
-    fused log-sum-exp's table of the same shape with its shifted copy.
+    more than ``2 * m`` steps; the bound's step, the ``[P, N]`` positive
+    increments and their partition, their ``[P]`` sums and three ``[R]``
+    vectors (the bound, the carried term and the next bound); and per exact
+    read-out, the row's gathered ``[m, P, N]`` window and the working set of
+    ``window_log_statistic``: the ``[m, P, N]`` suffix sums, shifted and then
+    exponentiated in place, their ``[m, P]`` stream maxima, the DP's
+    ``e_1..e_K``, ``[K, m, P]``, and the fused log-sum-exp's table of the same
+    shape with its shifted copy.
     """
     n, points = weights.n_streams, grid.n_points
     if window_m1 is None:
         return 8 * 3 * weights.n_subsets * points
     m = min(horizon, window_m1 + 1)
-    return 8 * (2 * m * points * n + m * points * (n + 1 + 3 * weights.K))
+    bound = 2 * points * n + points + 3
+    return 8 * (3 * m * points * n + m * points * (n + 1 + 3 * weights.K) + bound)
+
+
+def may_reach(bound: np.ndarray, floor: float | np.ndarray) -> np.ndarray:
+    """The rows ``[R]`` whose upper bound ``bound`` does not rule out reaching ``floor``.
+
+    A row is ruled out only when its bound is below its floor (one value, or
+    one per row) by more than a rounding margin of ``1e-9 * max(1, |floor|)``.
+    A NaN bound rules out nothing, and a floor of -inf rules out no row.
+    """
+    return ~(bound < floor - 1e-9 * np.maximum(1.0, np.abs(floor)))
 
 
 def check_window(m1: int | None, m0: int) -> None:

@@ -124,7 +124,7 @@ def test_generation_is_traced_once_per_replication_and_once_per_span(monkeypatch
 def test_tracer_counts_the_window_engines_fallback_past_a_745_nat_lead(monkeypatch):
     """``likelihood.esp_terms`` counts the log-domain DP the window engine falls back to.
 
-    The engine runs ``likelihood.log_esp``, which redoes an element in
+    The engine's read-out runs ``likelihood.log_esp``, which redoes an element in
     ``likelihood.log_elementary_symmetric``, the binding the tracer wraps,
     once one stream leads another by over ~745 nats; without a lead it never
     does.
@@ -143,7 +143,7 @@ def test_tracer_counts_the_window_engines_fallback_past_a_745_nat_lead(monkeypat
         with contextlib.ExitStack() as stack:
             tracer.install(stack)
             for t in range(increments.shape[1]):
-                state.advance(increments[:, t])
+                state.advance(increments[:, t]).log_shiryaev()
         terms.append(tracer.counts["esp_terms"])
     assert terms[0] == 0 and terms[1] > 0
 

@@ -524,6 +524,31 @@ def test_joint_sampler_inverts_its_cdf_over_subsets_by_size_then_lexicographical
     np.testing.assert_array_equal(np.array(sampler.subset_cdf).view(np.int64), cdf.view(np.int64))
 
 
+def test_joint_sampler_builds_its_masks_once_and_stays_hashable(monkeypatch):
+    n, prior = 5, GeometricPrior(rho=0.05)
+    detector = Detector(
+        "shiryaev-mixture", Scenario((gaussian_stream(),) * n), prior,
+        GridSpec.common_amplitude((0.5, 1.0), n), SubsetWeights(p=(0.3, 1.7, 0.9, 2.2, 1.1), K=3),
+    )
+    sampler = JointSampler.for_detector(detector)
+    assert sampler == JointSampler.for_detector(detector)
+    assert hash(sampler) == hash(JointSampler.for_detector(detector))
+    masks = np.array([detector.scenario.affected_streams(b)[0] for b in sampler.subsets])
+    np.testing.assert_array_equal(sampler.masks, masks)
+    assert not sampler.masks.flags.writeable
+    u = np.array([replication_rng(41, rep).random(sampler.uniforms(prior)) for rep in range(400)])
+    b_idx = np.searchsorted(sampler.subset_cdf, u[:, prior.uniforms], side="right")
+
+    def listing(*args, **kwargs):
+        raise AssertionError("the masks are listed again")
+
+    monkeypatch.setattr(Scenario, "affected_streams", listing)
+    _, affected, _ = sampler.changes(prior, u, detector.scenario)
+    np.testing.assert_array_equal(affected, masks[np.minimum(b_idx, len(masks) - 1)])
+    with pytest.raises(ValueError, match="cover 5 streams, the scenario has 4"):
+        sampler.changes(prior, u, Scenario((gaussian_stream(),) * 4))
+
+
 def test_span_generation_needs_one_generator_per_change():
     scenario = SPAN_SCENARIOS["ar1"]
     changes = [ChangeSpec(NO_CHANGE, ())] * 2

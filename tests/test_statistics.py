@@ -14,6 +14,7 @@ from qcdetect import (
     GridSpec,
     MixtureChannelSpec,
     PointMassPrior,
+    PolynomialTailPrior,
     Scenario,
     SubsetWeights,
     gaussian_stream,
@@ -22,6 +23,7 @@ from qcdetect import (
 )
 from qcdetect.scenarios import ARChannelSpec
 from qcdetect.likelihood import logsumexp_tree
+from qcdetect import statistics
 from qcdetect.statistics import (
     DetectorState, FlatWeights, _log_inputs, direct_log_statistic, window_log_statistic,
 )
@@ -341,6 +343,17 @@ def test_point_mass_prior_exhausts_shiryaev_support():
         state.advance(inc)  # tail(2) = 0
 
 
+def test_window_engine_refuses_a_vanished_prior_tail_in_advance():
+    # the window's step runs no kernel, so advance itself checks the tail
+    scenario, grid, weights = unit_increment_setup()
+    state = DetectorState(PointMassPrior(1), grid, weights, window_m1=2)
+    inc = np.zeros((1, 1, 1))
+    state.advance(inc)
+    with pytest.raises(ValueError, match="prior tail vanishes at n=2"):
+        state.advance(inc)
+    assert state.n == 1 and state._stop == 1  # the refused step is not stored
+
+
 def test_window_kernel_refuses_a_vanished_point_mass_tail():
     scenario, grid, weights = unit_increment_setup()
     prior = PointMassPrior(3, q=0.5)
@@ -632,3 +645,94 @@ def test_window_kernel_refuses_a_strided_point_axis_and_the_direct_sum_copies_it
         window_log_statistic(contiguous.astype(np.float32), prior, grid, weights, n=6, m0=0)
     assert window_log_statistic(contiguous, prior, grid, weights, n=6, m0=0) == expected
     assert direct_log_statistic(np.asfortranarray(inc), prior, grid, weights, n=6) == expected
+
+
+# -- the window engine's screened read-out ---------------------------------------------
+
+
+def screen_setup():
+    n = 4
+    grid = GridSpec(theta_points=((0.5,) * n, (1.5,) * n), weights=(0.8, 0.2))
+    weights = SubsetWeights(p=(0.3, 1.0, 2.0, 2.5), K=2)
+    return grid, weights
+
+
+@pytest.mark.parametrize("m1", [3, 40])
+def test_window_readout_is_exact_or_a_bound_below_the_floor(m1):
+    # random floors, one for all rows or one per row: a row the read-out does
+    # not read exactly gets a bound of its exact value below its floor
+    grid, weights = screen_setup()
+    n_reps, horizon, n = 48, 40, weights.n_streams
+    rng = np.random.default_rng(29)
+    counts = np.zeros(2, dtype=int)  # rows read exactly, rows given their bound
+    changed = (np.arange(horizon) >= 15)[:, None, None]  # [T, 1, 1]
+    weightings = (GeometricPrior(rho=0.05, q=0.1), PolynomialTailPrior(beta=1.5), FlatWeights(1.5))
+    for weighting in weightings:
+        shift = rng.uniform(0.0, 1.5, size=(n_reps, 1, 1, n)) * changed
+        inc = rng.normal(shift, 1.0, size=(n_reps, horizon, 2, n))
+        state = DetectorState(weighting, grid, weights, n_reps=n_reps, window_m1=m1)
+        for t in range(horizon):
+            state.advance(inc[:, t])
+            exact = direct_log_statistic(inc[:, : t + 1], weighting, grid, weights, n=t + 1, m1=m1)
+            lo, hi = exact.min() - 3.0, exact.max() + 3.0
+            floor = rng.uniform(lo, hi, size=n_reps) if t % 2 else rng.uniform(lo, hi)
+            value = state.log_shiryaev(floor)
+            read = value == exact
+            margin = 1e-9 * np.maximum(1.0, np.abs(floor))
+            below = (np.broadcast_to(floor, value.shape) - margin)[~read]
+            assert (value[~read] >= exact[~read]).all() and (value[~read] < below).all()
+            counts += read.sum(), (~read).sum()
+        assert (state.log_shiryaev() == exact).all()  # the default floor reads every row
+    assert counts.min() > 500
+
+
+def test_window_readout_reads_the_buffer_itself_when_every_row_is_exact(monkeypatch):
+    grid, weights = screen_setup()
+    state = DetectorState(FlatWeights(), grid, weights, n_reps=6, window_m1=4)
+    windows = []
+    kernel = statistics.window_log_statistic
+
+    def recording(window, *args, **kwargs):
+        windows.append(window)
+        return kernel(window, *args, **kwargs)
+
+    monkeypatch.setattr(statistics, "window_log_statistic", recording)
+    rng = np.random.default_rng(31)
+    for _ in range(7):
+        state.advance(rng.normal(size=(6, 2, 4)))
+    assert not windows  # advance runs no kernel
+    state.log_shiryaev()
+    assert np.shares_memory(windows[-1], state._buffer)
+    state.log_shiryaev(np.where(np.arange(6) < 2, -np.inf, 1e300))  # two rows exact
+    assert windows[-1].shape[1] == 2 and not np.shares_memory(windows[-1], state._buffer)
+
+
+@pytest.mark.parametrize("m0", [0, 1])
+@pytest.mark.parametrize(
+    "weighting, start",
+    [(GeometricPrior(rho=0.1, q=0.2), math.log(0.25)), (FlatWeights(1.5), math.log(1.5)),
+     (FlatWeights(), -math.inf)],
+)
+def test_window_readout_at_n_zero_is_the_head_odds(weighting, start, m0):
+    grid, weights = screen_setup()
+    state = DetectorState(weighting, grid, weights, n_reps=3, window_m1=2, window_m0=m0)
+    for floor in (-math.inf, 0.0, 1e300):
+        np.testing.assert_array_equal(state.log_shiryaev(floor), np.full(3, start))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_window_readout_reads_a_row_with_a_nan_or_inf_increment_exactly(bad):
+    grid, weights = screen_setup()
+    prior = GeometricPrior(rho=0.05)
+    inc = np.random.default_rng(37).normal(-1.0, 1.0, size=(3, 5, 2, 4))
+    inc[1, 2, 0, 3] = bad
+    state = DetectorState(prior, grid, weights, n_reps=3, window_m1=2)
+    with np.errstate(invalid="ignore"):
+        for t in range(5):
+            state.advance(inc[:, t])
+            value = state.log_shiryaev(1e300)  # screens every row it can
+            exact = direct_log_statistic(inc[:, : t + 1], prior, grid, weights, n=t + 1, m1=2)
+            if t >= 2:  # the window holds the bad step: its row is read exactly
+                assert not np.isfinite(value[1])
+                np.testing.assert_array_equal(value[1], exact[1])
+            assert (value[[0, 2]] >= exact[[0, 2]]).all()

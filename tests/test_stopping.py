@@ -86,7 +86,10 @@ def test_recursion_equals_the_direct_sum_at_every_step(case):
 
 @st.composite
 def detector_cases(draw):
-    """A random detector over N <= 5 Gaussian streams, a log threshold and a batch of data."""
+    """A random detector over N <= 5 Gaussian streams, a log threshold and a batch of data.
+
+    Its window, when it has one, takes any offset ``0 <= m0 <= m1``.
+    """
     n = draw(st.integers(1, 5))
     k = draw(st.integers(1, n))
     amplitudes = draw(
@@ -105,9 +108,12 @@ def detector_cases(draw):
     kind = draw(st.sampled_from(["shiryaev-mixture", "sr-mixture"]))
     threshold = float(np.exp(draw(st.floats(0.5, 12.0))))  # above q/(1-q) <= 1/9
     scenario = Scenario(tuple(gaussian_stream(theta=1.0) for _ in range(n)))
+    # m0 > 0 leaves the window's read-out with no bound: every row is exact
+    window_m1 = draw(st.one_of(st.none(), st.integers(1, 12)))
     detector = Detector(
         kind, scenario, prior, grid, weights,
-        window_m1=draw(st.one_of(st.none(), st.integers(1, 12))),
+        window_m1=window_m1,
+        window_m0=0 if window_m1 is None else draw(st.integers(0, window_m1)),
         omega=0.0 if kind == "shiryaev-mixture" else draw(st.sampled_from([0.0, 1.5])),
     )
     log_threshold = detector.log_level(threshold)
@@ -172,18 +178,24 @@ def test_one_scan_stops_at_every_level_as_one_scan_per_level_does(case, drawn, c
 
     The levels come out of order and repeat, one is reached by no row and one
     by every row at step 1; splitting the rows into two batches changes nothing.
+    A window with ``m0 > 0`` and no head weight starts at -inf, which no finite
+    level reaches: then there is no level of the second kind.
     """
     detector, log_threshold, data = case
     log_traj = detector.log_trajectories(data)
-    unreached, at_once = float(log_traj.max()) + 1.0, float(log_traj[:, 0].min()) - 1.0
-    levels = [*drawn, log_threshold, unreached, at_once, log_threshold]
+    finite = log_traj[np.isfinite(log_traj)]
+    unreached, at_once = float(finite.max(initial=0.0)) + 1.0, float(log_traj[:, 0].min()) - 1.0
+    levels = [*drawn, log_threshold, unreached, log_threshold]
+    if math.isfinite(at_once):
+        levels.append(at_once)
     levels = draw.draw(st.permutations(levels))
     stopped = detector.stopping_times(data, levels)
     assert stopped.shape == (data.shape[0], len(levels)) and stopped.dtype == np.int64
     for j, level in enumerate(levels):
         np.testing.assert_array_equal(stopped[:, j], detector.stopping_times(data, [level])[:, 0])
     assert (stopped[:, levels.index(unreached)] == -1).all()
-    assert (stopped[:, levels.index(at_once)] == 1).all()
+    if at_once in levels:
+        assert (stopped[:, levels.index(at_once)] == 1).all()
     cut = min(cut, data.shape[0])
     split = np.concatenate(
         [detector.stopping_times(data[:cut], levels), detector.stopping_times(data[cut:], levels)]
